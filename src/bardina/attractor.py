@@ -7,18 +7,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SimState, _etd_weights, sample_diagnostics, step
+from .dynamics import SimState, _etd_weights, sampled_states
 from .spectral import (
     VectorField,
-    dealias,
+    bilinear,
     dealias_mask,
     h1alpha_inner,
-    laplacian,
-    leray_project,
     norms,
     vector_to_physical,
     wavenumber_sq,
-    wavevectors,
 )
 
 __all__ = [
@@ -110,42 +107,13 @@ def dimension_bound(params, f_norm):
     return DimensionBound(c_lt, c_abn, bound)
 
 
-def _transport_pair(w, u):
-    """Spectra of (w . grad) u + (u . grad) w, dealiased."""
-    grid = u.grid
-    n = grid.n
-    mask = dealias_mask(grid)
-    kx = wavevectors(grid)
-    w_phys = vector_to_physical(dealias(w))
-    u_phys = vector_to_physical(dealias(u))
-    du = np.empty((3, 3, n, n, n))  # du[j, i] = d_i u_j in physical space
-    dw = np.empty((3, 3, n, n, n))
-    for j in range(3):
-        cu = np.fft.fftn(u_phys[j])
-        cw = np.fft.fftn(w_phys[j])
-        for i in range(3):
-            du[j, i] = np.real(np.fft.ifftn(1j * kx[i] * cu))
-            dw[j, i] = np.real(np.fft.ifftn(1j * kx[i] * cw))
-    out = np.empty((3, n, n, n), dtype=np.complex128)
-    for j in range(3):
-        phys = np.zeros((n, n, n))
-        for i in range(3):
-            phys += w_phys[i] * du[j, i] + u_phys[i] * dw[j, i]
-        out[j] = np.fft.fftn(phys) / n**3 * mask
-    return out
-
-
 def linearized_rhs(w, u, params):
-    """L(t, u0) w = -P(((w.grad)u + (u.grad)w)_alpha) + nu Lap w - beta w."""
-    if w.grid != u.grid:
-        raise ValueError("w and u do not share a grid")
+    """L(t, u0) w = -P(((w.grad)u + (u.grad)w)_alpha) + nu Lap w - beta w
+    = -2 B(u, w) - (nu |k|^2 + beta) w, dealiased."""
     grid = u.grid
-    transport = _transport_pair(w, u)
-    bessel = 1.0 / (1.0 + params.alpha**2 * wavenumber_sq(grid))
-    projected = leray_project(VectorField(grid, transport * bessel))
-    ksq = wavenumber_sq(grid)
-    out = -projected.coeffs - (params.nu * ksq + params.beta) * w.coeffs
-    return dealias(VectorField(grid, out))
+    lin = params.nu * wavenumber_sq(grid) + params.beta
+    out = -2.0 * bilinear(u, w, params.alpha).hat - lin * w.hat
+    return VectorField(grid, out * dealias_mask(grid))
 
 
 def lyapunov_sum(frame, u, params):
@@ -178,19 +146,14 @@ def transport_frame(frame, state_u, params, dt, n_steps):
     """Advance frame fields with the linearized flow (exponential Euler on the
     frozen base state), then re-orthonormalize in the energy inner product."""
     grid = state_u.grid
-    z = -(params.nu * wavenumber_sq(grid) + params.beta) * dt
-    expz = np.exp(z)
-    from .dynamics import _phi1
-
-    w1 = dt * _phi1(z)
+    expz, w1, _ = _etd_weights(grid, params, dt)
     evolved = []
     for w in frame.fields:
         cur = w
         for _ in range(n_steps):
-            lw = linearized_rhs(cur, state_u, params)
-            # transport part only: subtract the exactly-handled linear decay
-            nl = lw.coeffs + (params.nu * wavenumber_sq(grid) + params.beta) * cur.coeffs
-            cur = VectorField(grid, expz * cur.coeffs + w1 * nl)
+            # transport part only; expz treats the linear decay exactly
+            nl = -2.0 * bilinear(state_u, cur, params.alpha).hat
+            cur = VectorField(grid, expz * cur.hat + w1 * nl)
         evolved.append(cur)
     return orthonormalize(evolved, params.alpha)
 
@@ -207,9 +170,9 @@ def orthonormalize(fields, alpha, rank_tol=1e-10):
         raise ValueError("rank-deficient input: all fields vanish")
     out = []
     for v in fields:
-        w = v.coeffs.copy()
+        w = v.hat.copy()
         for q in out:
-            w -= h1alpha_inner(VectorField(grid, w), q, alpha) * q.coeffs
+            w -= h1alpha_inner(VectorField(grid, w), q, alpha) * q.hat
         cand = VectorField(grid, w)
         nrm = np.sqrt(norms(cand, alpha).h1alpha_sq)
         if nrm <= rank_tol * scale:
@@ -228,7 +191,7 @@ class GapReport:
 
 
 def _gap_sq(ua, ub, alpha):
-    d = VectorField(ua.grid, ua.coeffs - ub.coeffs)
+    d = VectorField(ua.grid, ua.hat - ub.hat)
     return norms(d, alpha).h1alpha_sq
 
 
@@ -238,23 +201,19 @@ def trajectory_gap(u0_a, u0_b, force_a, force_b, params, t_end, dt, sample_every
     With identical forces the report also carries the orbital-stability flag
     (g nonincreasing relative to g(0)) and a log-linear fit of the decay rate.
     """
-    grid = u0_a.grid
-    sa = SimState(u0_a.copy(), 0.0, params, force_a)
-    sb = SimState(u0_b.copy(), 0.0, params, force_b)
-    weights = _etd_weights(grid, params, dt)
     n_steps = max(int(round(t_end / dt)), 1)
-    times = [0.0]
-    gaps = [_gap_sq(sa.u, sb.u, params.alpha)]
-    for i in range(1, n_steps + 1):
-        sa = step(sa, dt, _weights=weights)
-        sb = step(sb, dt, _weights=weights)
-        if i % sample_every == 0 or i == n_steps:
-            times.append(sa.t)
-            gaps.append(_gap_sq(sa.u, sb.u, params.alpha))
+    runs = zip(
+        sampled_states(SimState(u0_a, 0.0, params, force_a), n_steps, dt, sample_every),
+        sampled_states(SimState(u0_b, 0.0, params, force_b), n_steps, dt, sample_every),
+    )
+    times, gaps = [], []
+    for sa, sb in runs:
+        times.append(sa.t)
+        gaps.append(_gap_sq(sa.u, sb.u, params.alpha))
     times = np.array(times)
     gaps = np.array(gaps)
 
-    same_force = np.array_equal(force_a.coeffs, force_b.coeffs)
+    same_force = np.array_equal(force_a.hat, force_b.hat)
     eta_value = orbital = rate = None
     if same_force:
         f_norm = np.sqrt(norms(force_a, params.alpha).h1alpha_sq)
@@ -284,24 +243,14 @@ def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
     expected to verify the regime.  The whole-space t^{-3/4} profile is
     checked as an upper envelope only (box decay is exponential).
     """
-    grid = u0.grid
-    state = SimState(u0.copy(), 0.0, params, force)
-    weights = _etd_weights(grid, params, dt)
     n_steps = max(int(round(t_end / dt)), 1)
     times, rs, rinfs = [], [], []
-
-    def record(s):
-        d = VectorField(grid, s.u.coeffs - U.coeffs)
+    for s in sampled_states(SimState(u0, 0.0, params, force), n_steps, dt, sample_every):
+        d = VectorField(u0.grid, s.u.hat - U.hat)
         times.append(s.t)
         rs.append(np.sqrt(norms(d, params.alpha).h1alpha_sq))
         mag = np.sqrt(np.sum(vector_to_physical(d) ** 2, axis=0))
         rinfs.append(mag.max())
-
-    record(state)
-    for i in range(1, n_steps + 1):
-        state = step(state, dt, _weights=weights)
-        if i % sample_every == 0 or i == n_steps:
-            record(state)
     times = np.array(times)
     rs = np.array(rs)
     rinfs = np.array(rinfs)
@@ -337,19 +286,13 @@ def _lp_norm(u, p):
 def zero_force_decay(u0, params, t_end, dt, p_list=(2, 4, np.inf), sample_every=1):
     """Unforced run with L^p-norm envelopes C_p e^{-(2 beta / p) t} for t >= 1
     (rate 0 for p = infinity, i.e. a plain monotone bound)."""
-    grid = u0.grid
-    force = VectorField(grid, np.zeros_like(u0.coeffs), div_free=True)
-    state = SimState(u0.copy(), 0.0, params, force)
-    weights = _etd_weights(grid, params, dt)
+    force = VectorField(u0.grid, np.zeros_like(u0.hat), div_free=True)
     n_steps = max(int(round(t_end / dt)), 1)
-    times = [0.0]
-    series = {p: [_lp_norm(state.u, p)] for p in p_list}
-    for i in range(1, n_steps + 1):
-        state = step(state, dt, _weights=weights)
-        if i % sample_every == 0 or i == n_steps:
-            times.append(state.t)
-            for p in p_list:
-                series[p].append(_lp_norm(state.u, p))
+    times, series = [], {p: [] for p in p_list}
+    for state in sampled_states(SimState(u0, 0.0, params, force), n_steps, dt, sample_every):
+        times.append(state.t)
+        for p in p_list:
+            series[p].append(_lp_norm(state.u, p))
     times = np.array(times)
     series = {p: np.array(v) for p, v in series.items()}
 

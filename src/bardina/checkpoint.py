@@ -13,13 +13,15 @@ followed by 3 * n^3 complex64 values in row-major order of the mode index m
 (each axis sorted ascending from -n/2 to n/2 - 1).
 
 A time of -1.0 marks a steady state.
+The reader keeps the half spectrum (see bardina.spectral), after checking
+that the stored field is real and divergence-free to complex64 precision.
 """
 
 import struct
 
 import numpy as np
 
-from .spectral import GridSpec, PhysParams, VectorField
+from .spectral import GridSpec, PhysParams, VectorField, half_spectrum, wavenumber_sq
 
 __all__ = ["write_checkpoint", "read_checkpoint", "STEADY_STATE_TIME"]
 
@@ -27,6 +29,8 @@ MAGIC = b"BARD"
 VERSION = 1
 HEADER = struct.Struct("<4sIIddddd")
 STEADY_STATE_TIME = -1.0
+# complex64 rounds a coefficient by 2^-24 of its modulus, k . u_hat by 2^-24 |k| |u_hat|
+STORAGE_TOL = 1e-6
 
 
 def write_checkpoint(path, u, params, time):
@@ -42,7 +46,7 @@ def write_checkpoint(path, u, params, time):
         params.nu,
         time,
     )
-    # numpy FFT ordering -> ascending m order, row major
+    # full spectrum in numpy FFT ordering -> ascending m order, row major
     shifted = np.fft.fftshift(u.coeffs, axes=(1, 2, 3)).astype("<c8")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -69,6 +73,12 @@ def read_checkpoint(path, eta_c=1.0):
         )
     grid = GridSpec(n, box_len)
     shifted = data.reshape(3, n, n, n).astype(np.complex128)
-    coeffs = np.fft.ifftshift(shifted, axes=(1, 2, 3))
+    full = np.fft.ifftshift(shifted, axes=(1, 2, 3))
+    u = VectorField(grid, half_spectrum(full))
+    scale = max(np.abs(full).max(), 1e-300)
+    if max(np.abs(u.coeffs - full).max() / scale, u.hermitian_defect()) > STORAGE_TOL:
+        raise ValueError("checkpoint spectrum is not Hermitian: the field is not real")
+    if u.div_defect() > STORAGE_TOL * np.sqrt(wavenumber_sq(grid).max()):
+        raise ValueError("checkpoint field is not divergence-free")
     params = PhysParams(alpha, beta, nu, eta_c)
-    return VectorField(grid, coeffs), params, time
+    return u, params, time

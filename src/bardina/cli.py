@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 config error, 3 numerical blow-up,
 
 import argparse
 import json
-import os
 import sys
 import time as _time
 from pathlib import Path
@@ -48,10 +47,6 @@ EXIT_NONCONV = 4
 EXIT_CHECK = 5
 
 
-def _thread_count():
-    return int(os.environ.get("BARDINA_THREADS", "1"))
-
-
 def _fmt(x):
     if isinstance(x, float) and np.isinf(x):
         return "inf"
@@ -85,11 +80,8 @@ class Runner:
     def force_field(self):
         cfg = self.cfg
         if cfg.force is None:
-            return VectorField(
-                cfg.grid,
-                np.zeros((3,) + (cfg.grid.n,) * 3, dtype=np.complex128),
-                div_free=True,
-            )
+            zero = np.zeros((3,) + cfg.grid.half_shape, dtype=np.complex128)
+            return VectorField(cfg.grid, zero, div_free=True)
         return generate(cfg.force, cfg.grid, cfg.params.alpha)
 
     def initial_field(self):
@@ -102,7 +94,6 @@ class Runner:
         meta = {
             "subcommand": subcommand,
             "config_sha256": self.cfg.digest(),
-            "thread_count": _thread_count(),
             "version": __version__,
             "artifacts": sorted(set(self.artifacts)),
             "timestamp": _time.strftime("%Y-%m-%dT%H:%M:%SZ", _time.gmtime()),
@@ -167,17 +158,7 @@ def cmd_stationary(runner):
             force, cfg.params, cfg.relaxation, cfg.tol, cfg.max_iter
         )
     except NonConvergenceError as exc:
-        _write_json(
-            runner.path("stationary_report.json"),
-            {
-                "check_name": "stationary_solve",
-                "params": _params_dict(cfg.params),
-                "pass": False,
-                "converged": False,
-                "residual_history": [float(r) for r in exc.residual_history],
-            },
-        )
-        return EXIT_NONCONV
+        return _nonconvergence(runner, "stationary_report.json", "stationary_solve", exc)
     write_checkpoint(
         runner.path("stationary.bard"), result.U, cfg.params, STEADY_STATE_TIME
     )
@@ -195,6 +176,21 @@ def cmd_stationary(runner):
         },
     )
     return EXIT_OK if ok else EXIT_CHECK
+
+
+def _nonconvergence(runner, report, check_name, exc):
+    """Report a stationary solve that did not converge."""
+    _write_json(
+        runner.path(report),
+        {
+            "check_name": check_name,
+            "params": _params_dict(runner.cfg.params),
+            "pass": False,
+            "converged": False,
+            "residual_history": [float(r) for r in exc.residual_history],
+        },
+    )
+    return EXIT_NONCONV
 
 
 def cmd_bound(runner):
@@ -294,7 +290,7 @@ def cmd_gap(runner):
         cfg.grid,
         cfg.params.alpha,
     )
-    u0_b = VectorField(cfg.grid, u0_a.coeffs + perturb.coeffs, div_free=True)
+    u0_b = VectorField(cfg.grid, u0_a.hat + perturb.hat, div_free=True)
     report = trajectory_gap(
         u0_a, u0_b, force, force, cfg.params, cfg.t_end, cfg.dt, cfg.sample_every
     )
@@ -353,8 +349,8 @@ def cmd_decay(runner):
     force = runner.force_field()
     try:
         stat = solve_stationary(force, cfg.params, cfg.relaxation, cfg.tol, cfg.max_iter)
-    except NonConvergenceError:
-        return EXIT_NONCONV
+    except NonConvergenceError as exc:
+        return _nonconvergence(runner, "decay_report.json", "steady_convergence", exc)
     report = steady_convergence(
         u0, force, cfg.params, stat.U, cfg.t_end, cfg.dt, cfg.sample_every
     )
@@ -417,10 +413,7 @@ def main(argv=None):
         )
         runner.finalize(args.subcommand)
         return EXIT_BLOWUP
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     runner.finalize(args.subcommand)

@@ -5,15 +5,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    GridSpec,
     VectorField,
-    dealias,
+    _reverse_modes,
     dealias_mask,
+    half_spectrum,
     leray_project,
     mode_indices,
     norms,
     vector_from_physical,
-    wavevectors,
 )
 
 __all__ = ["FieldRecipe", "generate"]
@@ -50,6 +49,12 @@ def _axes(grid):
     return np.meshgrid(x, x, x, indexing="ij")
 
 
+def _certified(samples, grid):
+    """Physical samples -> dealiased field with a checked div_free certificate."""
+    hat = vector_from_physical(samples, grid).hat * dealias_mask(grid)
+    return VectorField(grid, hat, div_free=True)
+
+
 def generate(recipe, grid, alpha=1.0):
     """Build the vector field described by a recipe on a grid.
 
@@ -75,7 +80,7 @@ def _shear(recipe, grid):
             np.zeros_like(y),
         ]
     )
-    return dealias(vector_from_physical(u, grid, div_free=True))
+    return _certified(u, grid)
 
 
 def _taylor_green(recipe, grid):
@@ -89,7 +94,7 @@ def _taylor_green(recipe, grid):
             np.zeros_like(x),
         ]
     )
-    return dealias(vector_from_physical(u, grid, div_free=True))
+    return _certified(u, grid)
 
 
 def _abc(recipe, grid):
@@ -103,7 +108,7 @@ def _abc(recipe, grid):
             a * (np.sin(q * y) + np.cos(q * x)),
         ]
     )
-    return dealias(vector_from_physical(u, grid, div_free=True))
+    return _certified(u, grid)
 
 
 def _random_band(recipe, grid, alpha):
@@ -118,16 +123,17 @@ def _random_band(recipe, grid, alpha):
     mag = np.sqrt(
         m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, :] ** 2
     )
-    band = (mag >= recipe.k_min) & (mag <= recipe.k_max) & dealias_mask(grid)
+    # |m| <= k_max <= cutoff, so the band lies inside the retained modes
+    band = (mag >= recipe.k_min) & (mag <= recipe.k_max)
+    # Draw on the full spectrum and Hermitian-symmetrize there, so the
+    # field is real and a seed gives the same field in any layout
     shape = (3, grid.n, grid.n, grid.n)
     coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * band
-    # Hermitian-symmetrize so the field is real in physical space
-    flipped = np.conj(np.roll(np.flip(coeffs, axis=(1, 2, 3)), 1, axis=(1, 2, 3)))
-    coeffs = 0.5 * (coeffs + flipped)
-    v = leray_project(VectorField(grid, coeffs))
+    coeffs = 0.5 * (coeffs + np.conj(_reverse_modes(coeffs)))
+    v = leray_project(VectorField(grid, half_spectrum(coeffs)))
     current = norms(v, alpha).h1alpha_sq
     if current > 0:
         v = VectorField(
-            grid, v.coeffs * (recipe.amplitude / np.sqrt(current)), div_free=True
+            grid, v.hat * (recipe.amplitude / np.sqrt(current)), div_free=True
         )
-    return dealias(v)
+    return v

@@ -2,20 +2,27 @@
 
 Conventions used throughout:
 
-  * A scalar field is stored as the full complex coefficient array of shape
-    (n, n, n) in numpy FFT ordering, with integer mode index m per axis and
-    physical wavevector k = 2*pi*m / L.
+  * Fields are real and stored as half spectra, the scipy.fft.rfftn
+    coefficients (attribute ``hat``): shape (n, n, n//2+1) per component.
+    The first two axes hold the mode index m in numpy FFT ordering, the last
+    m_z = 0 .. n/2; the modes m_z < 0 are implied by c(-m) = conj(c(m)), so
+    Hermitian symmetry holds by construction except inside the planes
+    m_z = 0 and m_z = n/2.  Symbols are the full-layout ones restricted to
+    the half spectrum, with physical wavevector k = 2*pi*m / L.
   * Coefficients are normalized so that u(x) = sum_m c_m exp(i k.x), i.e.
-    c = fftn(samples) / n^3.  With this normalization Parseval reads
-    integral |u|^2 dx = L^3 * sum_m |c_m|^2.
+    c = fftn(samples) / n^3.  Parseval reads integral |u|^2 dx =
+    L^3 * sum_m |c_m|^2; a half-spectrum mode with 0 < m_z < n/2 counts twice.
+  * full_spectrum / half_spectrum convert to and from the full (n, n, n)
+    layout; a field's ``coeffs`` property is its full spectrum (for I/O).
   * Dealiasing keeps mode indices with |m_i| <= floor(dealias_fraction*n/2)
     on every axis (2/3-rule truncation by default).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft as sfft
 
 __all__ = [
     "GridSpec",
@@ -23,6 +30,8 @@ __all__ = [
     "VectorField",
     "PhysParams",
     "NormBundle",
+    "full_spectrum",
+    "half_spectrum",
     "forward_transform",
     "inverse_transform",
     "helmholtz_filter",
@@ -33,10 +42,12 @@ __all__ = [
     "dealias",
     "norms",
     "h1alpha_inner",
+    "bilinear",
     "pressure_from_velocity",
 ]
 
 DIV_FREE_TOL = 1e-10
+AXES = (-3, -2, -1)
 
 
 @dataclass(frozen=True)
@@ -62,6 +73,11 @@ class GridSpec:
         return self.box_len / self.n
 
     @property
+    def half_shape(self):
+        """Shape of one component's half spectrum."""
+        return (self.n, self.n, self.n // 2 + 1)
+
+    @property
     def dealias_cutoff(self):
         """Largest retained |m_i| after dealiasing."""
         return int(np.floor(self.dealias_fraction * self.n / 2))
@@ -69,15 +85,15 @@ class GridSpec:
 
 @lru_cache(maxsize=32)
 def mode_indices(grid):
-    """Integer mode index m along one axis, in FFT ordering."""
+    """Integer mode index m along one full axis, in FFT ordering."""
     return np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64)
 
 
 @lru_cache(maxsize=32)
 def wavevectors(grid):
-    """Physical wavevector components, shape (3, n, n, n)."""
+    """Physical wavevector components on the half spectrum, shape (3, n, n, n//2+1)."""
     k1 = 2.0 * np.pi * mode_indices(grid) / grid.box_len
-    kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
+    kx, ky, kz = np.meshgrid(k1, k1, k1[: grid.n // 2 + 1], indexing="ij")
     return np.stack([kx, ky, kz])
 
 
@@ -90,49 +106,81 @@ def wavenumber_sq(grid):
 @lru_cache(maxsize=32)
 def dealias_mask(grid):
     """Boolean mask of retained modes: |m_i| <= cutoff on every axis."""
-    m = mode_indices(grid)
-    keep = np.abs(m) <= grid.dealias_cutoff
-    return keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+    keep = np.abs(mode_indices(grid)) <= grid.dealias_cutoff
+    return keep[:, None, None] & keep[None, :, None] & keep[None, None, : grid.n // 2 + 1]
+
+
+@lru_cache(maxsize=32)
+def parseval_weights(grid):
+    """Multiplicity of each m_z plane of the half spectrum in the full one."""
+    w = np.full(grid.n // 2 + 1, 2.0)
+    w[[0, -1]] = 1.0
+    return w
+
+
+def _reverse_modes(coeffs, axes=AXES):
+    """Map mode index m -> -m on the given full-layout axes."""
+    return np.roll(np.flip(coeffs, axis=axes), 1, axis=axes)
+
+
+def half_spectrum(full):
+    """Full spectrum (..., n, n, n) of a real field -> its half spectrum."""
+    return np.ascontiguousarray(full[..., : full.shape[-1] // 2 + 1])
+
+
+def full_spectrum(hat):
+    """Half spectrum (..., n, n, n//2+1) -> full spectrum (..., n, n, n),
+    filling the modes with m_z < 0 from c(-m) = conj(c(m))."""
+    n = hat.shape[-2]
+    tail = _reverse_modes(np.conj(hat[..., n // 2 - 1 : 0 : -1]), axes=(-3, -2))
+    return np.concatenate([hat, tail], axis=-1)
 
 
 @dataclass
 class SpectralField:
-    """One real scalar field as complex Fourier coefficients on a grid."""
+    """One real scalar field as its half spectrum, shape (n, n, n//2+1)."""
 
     grid: GridSpec
-    coeffs: np.ndarray
+    hat: np.ndarray
+
+    _lead = ()  # leading axes before the spectral ones
 
     def __post_init__(self):
-        n = self.grid.n
-        if self.coeffs.shape != (n, n, n):
-            raise ValueError(
-                f"coefficient array shape {self.coeffs.shape} does not match grid n={n}"
-            )
+        shape = self._lead + self.grid.half_shape
+        if self.hat.shape != shape:
+            raise ValueError(f"half-spectrum shape {self.hat.shape} does not match {shape}")
+
+    @property
+    def coeffs(self):
+        """The full spectrum, in numpy FFT ordering."""
+        return full_spectrum(self.hat)
 
     def copy(self):
-        return SpectralField(self.grid, self.coeffs.copy())
+        return replace(self, hat=self.hat.copy())
 
     def hermitian_defect(self):
-        """Max |c(-m) - conj(c(m))| relative to the largest coefficient."""
-        flipped = _reverse_modes(self.coeffs)
-        scale = max(np.abs(self.coeffs).max(), 1e-300)
-        return np.abs(flipped - np.conj(self.coeffs)).max() / scale
+        """Max |c(-m) - conj(c(m))| relative to the largest coefficient.  Only
+        the planes m_z = 0 and m_z = n/2 hold both m and -m."""
+        planes = self.hat[..., [0, self.grid.n // 2]]
+        flipped = _reverse_modes(planes, axes=(-3, -2))
+        scale = max(np.abs(self.hat).max(), 1e-300)
+        return np.abs(flipped - np.conj(planes)).max() / scale
 
 
 @dataclass
-class VectorField:
-    """Three scalar spectral fields on a shared grid, forming a vector field."""
+class VectorField(SpectralField):
+    """Three real scalar fields on a shared grid, half spectra (3, n, n, n//2+1).
 
-    grid: GridSpec
-    coeffs: np.ndarray  # shape (3, n, n, n)
+    div_free=True is a certificate, checked on construction; the solver sets
+    it on carried-forward states (step output, Picard iterate) and on inputs
+    (generated fields)."""
+
     div_free: bool = False
 
+    _lead = (3,)
+
     def __post_init__(self):
-        n = self.grid.n
-        if self.coeffs.shape != (3, n, n, n):
-            raise ValueError(
-                f"vector coefficient shape {self.coeffs.shape} does not match grid n={n}"
-            )
+        super().__post_init__()
         if self.div_free:
             d = self.div_defect()
             if d > DIV_FREE_TOL:
@@ -141,22 +189,14 @@ class VectorField:
                 )
 
     def component(self, i):
-        return SpectralField(self.grid, self.coeffs[i])
-
-    def copy(self):
-        return VectorField(self.grid, self.coeffs.copy(), self.div_free)
+        return SpectralField(self.grid, self.hat[i])
 
     def div_defect(self):
         """Max over modes of |k . u_hat(k)| / max(1, |u_hat(k)|)."""
-        k = wavevectors(self.grid)
-        kdotu = np.abs(np.sum(k * self.coeffs, axis=0))
-        mag = np.sqrt(np.sum(np.abs(self.coeffs) ** 2, axis=0))
+        k, c = wavevectors(self.grid), self.hat
+        kdotu = np.abs(k[0] * c[0] + k[1] * c[1] + k[2] * c[2])
+        mag = np.sqrt(np.sum(c.real**2 + c.imag**2, axis=0))
         return (kdotu / np.maximum(1.0, mag)).max()
-
-    def hermitian_defect(self):
-        flipped = _reverse_modes(self.coeffs)
-        scale = max(np.abs(self.coeffs).max(), 1e-300)
-        return np.abs(flipped - np.conj(self.coeffs)).max() / scale
 
 
 @dataclass(frozen=True)
@@ -185,10 +225,9 @@ class NormBundle:
     h1alpha_sq: float
 
 
-def _reverse_modes(coeffs):
-    """Map coefficient index m -> -m on the last three axes."""
-    out = np.flip(coeffs, axis=(-3, -2, -1))
-    return np.roll(out, 1, axis=(-3, -2, -1))
+def _to_physical(hat, n, overwrite=False):
+    """Batched inverse transform of half spectra over the last three axes."""
+    return sfft.irfftn(hat, s=(n, n, n), axes=AXES, norm="forward", overwrite_x=overwrite)
 
 
 def forward_transform(physical_samples, grid=None):
@@ -203,27 +242,22 @@ def forward_transform(physical_samples, grid=None):
         grid = GridSpec(n)
     elif grid.n != n:
         raise ValueError(f"sample array size {n} does not match grid n={grid.n}")
-    coeffs = np.fft.fftn(samples) / n**3
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, sfft.rfftn(samples, norm="forward"))
 
 
 def inverse_transform(field):
     """SpectralField -> real physical samples on the n^3 grid."""
-    n = field.grid.n
-    return np.real(np.fft.ifftn(field.coeffs) * n**3)
+    return _to_physical(field.hat, field.grid.n)
 
 
-def vector_from_physical(samples, grid, div_free=False):
+def vector_from_physical(samples, grid):
     """Stack of 3 physical component arrays -> VectorField."""
-    coeffs = np.stack(
-        [forward_transform(samples[i], grid).coeffs for i in range(3)]
-    )
-    return VectorField(grid, coeffs, div_free=div_free)
+    return VectorField(grid, sfft.rfftn(samples, axes=AXES, norm="forward"))
 
 
 def vector_to_physical(v):
     """VectorField -> physical component arrays, shape (3, n, n, n)."""
-    return np.stack([inverse_transform(v.component(i)) for i in range(3)])
+    return _to_physical(v.hat, v.grid.n)
 
 
 def _check_shared_grid(*fields):
@@ -236,58 +270,55 @@ def _check_shared_grid(*fields):
 
 def helmholtz_filter(v, alpha):
     """Bessel-potential smoothing: per-mode division by (1 + alpha^2 |k|^2)."""
-    ksq = wavenumber_sq(v.grid)
-    sym = 1.0 / (1.0 + alpha**2 * ksq)
-    if isinstance(v, SpectralField):
-        return SpectralField(v.grid, v.coeffs * sym)
-    return VectorField(v.grid, v.coeffs * sym, div_free=v.div_free)
+    return replace(v, hat=v.hat / (1.0 + alpha**2 * wavenumber_sq(v.grid)))
+
+
+@lru_cache(maxsize=32)
+def _leray_symbol(grid):
+    """k / |k|^2, zero at k = 0 (where the projection is the identity)."""
+    ksq = wavenumber_sq(grid)
+    return wavevectors(grid) / np.where(ksq == 0.0, 1.0, ksq)
 
 
 def leray_project(v):
     """Project onto divergence-free fields: u_hat -> u_hat - k (k.u_hat)/|k|^2."""
-    grid = v.grid
-    k = wavevectors(grid)
-    ksq = wavenumber_sq(grid).copy()
-    ksq[0, 0, 0] = 1.0  # k=0 acts as the identity
-    kdotu = np.sum(k * v.coeffs, axis=0)
-    out = v.coeffs - k * (kdotu / ksq)
-    return VectorField(grid, out, div_free=True)
+    kdotu = np.sum(wavevectors(v.grid) * v.hat, axis=0)
+    return VectorField(v.grid, v.hat - _leray_symbol(v.grid) * kdotu, div_free=True)
 
 
 def gradient(field):
     """Scalar field -> vector field with components i k_j * f_hat."""
-    k = wavevectors(field.grid)
-    return VectorField(field.grid, 1j * k * field.coeffs)
+    return VectorField(field.grid, 1j * wavevectors(field.grid) * field.hat)
 
 
 def divergence(v):
     """Vector field -> scalar field i k . u_hat."""
     k = wavevectors(v.grid)
-    return SpectralField(v.grid, 1j * np.sum(k * v.coeffs, axis=0))
+    return SpectralField(v.grid, 1j * np.sum(k * v.hat, axis=0))
 
 
 def laplacian(field):
     """Multiply by -|k|^2 (works for scalar and vector fields)."""
-    ksq = wavenumber_sq(field.grid)
-    if isinstance(field, SpectralField):
-        return SpectralField(field.grid, -ksq * field.coeffs)
-    return VectorField(field.grid, -ksq * field.coeffs, div_free=field.div_free)
+    return replace(field, hat=-wavenumber_sq(field.grid) * field.hat)
 
 
 def dealias(v):
     """Zero every mode with any |m_i| beyond the dealias cutoff."""
-    mask = dealias_mask(v.grid)
-    if isinstance(v, SpectralField):
-        return SpectralField(v.grid, v.coeffs * mask)
-    return VectorField(v.grid, v.coeffs * mask, div_free=v.div_free)
+    return replace(v, hat=v.hat * dealias_mask(v.grid))
+
+
+def _real_dot(v, w):
+    """Per-mode Re sum_i conj(v_i) w_i, weighted by the mode's multiplicity."""
+    a, b = v.hat, w.hat
+    dots = np.sum(a.real * b.real + a.imag * b.imag, axis=0)
+    return parseval_weights(v.grid) * dots
 
 
 def norms(v, alpha):
     """Parseval norms of a vector field: L^3 * sum |k|^{2s} |u_hat|^2."""
-    grid = v.grid
-    vol = grid.box_len**3
-    ksq = wavenumber_sq(grid)
-    mag2 = np.sum(np.abs(v.coeffs) ** 2, axis=0)
+    vol = v.grid.box_len**3
+    ksq = wavenumber_sq(v.grid)
+    mag2 = _real_dot(v, v)
     l2 = vol * float(np.sum(mag2))
     h1 = vol * float(np.sum(ksq * mag2))
     h2 = vol * float(np.sum(ksq**2 * mag2))
@@ -297,51 +328,79 @@ def norms(v, alpha):
 def h1alpha_inner(v, w, alpha):
     """Energy-space inner product (v,w)_L2 + alpha^2 (grad v, grad w)_L2."""
     grid = _check_shared_grid(v, w)
-    vol = grid.box_len**3
     ksq = wavenumber_sq(grid)
-    dots = np.sum(np.conj(v.coeffs) * w.coeffs, axis=0)
-    return vol * float(np.real(np.sum((1.0 + alpha**2 * ksq) * dots)))
+    return grid.box_len**3 * float(np.sum((1.0 + alpha**2 * ksq) * _real_dot(v, w)))
 
 
 def l2_inner(v, w):
     grid = _check_shared_grid(v, w)
-    vol = grid.box_len**3
-    return vol * float(np.real(np.sum(np.conj(v.coeffs) * w.coeffs)))
+    return grid.box_len**3 * float(np.sum(_real_dot(v, w)))
 
 
-def tensor_product_spectra(u):
-    """Dealiased spectra of the products u_i u_j, shape (3, 3, n, n, n).
+# (i, j) of the 6 unique entries of a symmetric 3x3 tensor, and the slot
+# holding entry (i, j)
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_SLOT = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
-    Products are formed in physical space; with the 2/3-rule truncation the
-    result is the exact Galerkin projection of u (x) u.
+
+def tensor_product_spectra(u, w):
+    """Half spectra (6, n, n, n//2+1) of the unique entries (u_i w_j + w_i u_j)/2
+    of the symmetric product; one inverse transform when w is u.
+
+    Products of the dealiased inputs are formed in physical space, so the
+    retained modes are the exact Galerkin projection; the symbols applied
+    to the result carry the output truncation.
     """
     grid = u.grid
-    n = grid.n
-    phys = vector_to_physical(dealias(u))
     mask = dealias_mask(grid)
-    out = np.empty((3, 3, n, n, n), dtype=np.complex128)
+    a = _to_physical(u.hat * mask, grid.n, overwrite=True)
+    b = a if w is u else _to_physical(w.hat * mask, grid.n, overwrite=True)
+    prods = np.empty((6,) + a.shape[1:])
+    for s, (i, j) in enumerate(_PAIRS):
+        np.multiply(a[i], b[j], out=prods[s])
+        if b is not a:
+            prods[s] += b[i] * a[j]
+            prods[s] *= 0.5
+    return sfft.rfftn(prods, axes=AXES, norm="forward", overwrite_x=True)
+
+
+@lru_cache(maxsize=32)
+def _bilinear_symbols(grid, alpha):
+    """Per-grid symbols of the bilinear kernel: k, k/|k|^2 (0 at k = 0), and
+    i (1 + alpha^2 |k|^2)^{-1} times the dealias mask (derivative, filter and
+    truncation fused)."""
+    filt = 1.0 / (1.0 + alpha**2 * wavenumber_sq(grid))
+    return wavevectors(grid), _leray_symbol(grid), 1j * filt * dealias_mask(grid)
+
+
+def _contract(t, k):
+    """(sum_j k_j T_ij)_i for the symmetric tensor T held as 6 slots."""
+    return [k[0] * t[_SLOT[i][0]] + k[1] * t[_SLOT[i][1]] + k[2] * t[_SLOT[i][2]]
+            for i in range(3)]
+
+
+def bilinear(u, w, alpha):
+    """Symmetric bilinear form B(u, w) = P div(((u (x) w + w (x) u)/2)_alpha), dealiased.
+
+    B(u, u) is the Bardina nonlinearity; for divergence-free u and w,
+    2 B(u, w) = P(((w.grad)u + (u.grad)w)_alpha).  One batched inverse
+    transform per distinct input, one forward transform of the 6 products.
+    """
+    grid = _check_shared_grid(u, w)
+    t = tensor_product_spectra(u, w)
+    k, kk, g = _bilinear_symbols(grid, alpha)
+    v = _contract(t, k)  # div T / i
+    q = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]
+    out = np.empty((3,) + t.shape[1:], dtype=t.dtype)
     for i in range(3):
-        for j in range(i, 3):
-            cij = np.fft.fftn(phys[i] * phys[j]) / n**3 * mask
-            out[i, j] = cij
-            if j != i:
-                out[j, i] = cij
-    return out
+        np.multiply(v[i] - kk[i] * q, g, out=out[i])
+    return VectorField(grid, out)
 
 
 def pressure_from_velocity(u, alpha):
     """Recover the pressure from the velocity via the Riesz-transform formula:
     p_hat(k) = sum_ij (-k_i k_j / |k|^2) (1 + alpha^2 |k|^2)^{-1} (u_i u_j)_hat,
-    with p_hat(0) = 0."""
-    grid = u.grid
-    k = wavevectors(grid)
-    ksq = wavenumber_sq(grid).copy()
-    ksq[0, 0, 0] = 1.0
-    tensor = tensor_product_spectra(u)
-    bessel = 1.0 / (1.0 + alpha**2 * wavenumber_sq(grid))
-    p = np.zeros((grid.n,) * 3, dtype=np.complex128)
-    for i in range(3):
-        for j in range(3):
-            p += (-k[i] * k[j] / ksq) * bessel * tensor[i, j]
-    p[0, 0, 0] = 0.0
-    return SpectralField(grid, p)
+    with p_hat(0) = 0, dealiased."""
+    k, kk, g = _bilinear_symbols(u.grid, alpha)
+    v = _contract(tensor_product_spectra(u, u), k)
+    return SpectralField(u.grid, 1j * g * (kk[0] * v[0] + kk[1] * v[1] + kk[2] * v[2]))

@@ -6,13 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import nonlinear_term
-from .spectral import (
-    VectorField,
-    dealias,
-    h1alpha_inner,
-    norms,
-    wavenumber_sq,
-)
+from .spectral import VectorField, dealias_mask, norms, wavenumber_sq
 
 __all__ = [
     "StationaryResult",
@@ -42,20 +36,20 @@ class StationaryResult:
 
 
 def _inverse_symbol(grid, params):
-    return 1.0 / (params.nu * wavenumber_sq(grid) + params.beta)
+    """(nu |k|^2 + beta)^{-1}, truncated to the retained modes."""
+    return dealias_mask(grid) / (params.nu * wavenumber_sq(grid) + params.beta)
 
 
 def stationary_map(U, force, params):
     """One application of the fixed-point operator T."""
     if U.grid != force.grid:
         raise ValueError("U and force do not share a grid")
-    rhs = force.coeffs - nonlinear_term(U, params.alpha).coeffs
-    out = rhs * _inverse_symbol(U.grid, params)
-    return dealias(VectorField(U.grid, out, div_free=True))
+    rhs = force.hat - nonlinear_term(U, params.alpha).hat
+    return VectorField(U.grid, rhs * _inverse_symbol(U.grid, params))
 
 
 def _diff_norm(a, b, alpha):
-    d = VectorField(a.grid, a.coeffs - b.coeffs)
+    d = VectorField(a.grid, a.hat - b.hat)
     return np.sqrt(norms(d, alpha).h1alpha_sq)
 
 
@@ -71,7 +65,7 @@ def solve_stationary(force, params, relaxation=1.0, tol=1e-12, max_iter=200):
     if not 0.0 < relaxation <= 1.0:
         raise ValueError("relaxation must lie in (0, 1]")
     grid = force.grid
-    U = VectorField(grid, np.zeros_like(force.coeffs), div_free=True)
+    U = VectorField(grid, np.zeros_like(force.hat), div_free=True)
     omega = relaxation
     history = []
     for it in range(1, max_iter + 1):
@@ -83,7 +77,7 @@ def solve_stationary(force, params, relaxation=1.0, tol=1e-12, max_iter=200):
         if len(history) >= 2 and history[-1] > history[-2]:
             omega = max(omega / 2.0, 1.0 / 64.0)
         U = VectorField(
-            grid, (1.0 - omega) * U.coeffs + omega * TU.coeffs, div_free=True
+            grid, (1.0 - omega) * U.hat + omega * TU.hat, div_free=True
         )
     TU = stationary_map(U, force, params)
     res = _diff_norm(U, TU, params.alpha)
@@ -105,6 +99,6 @@ def _finish(U, force, params, res, iterations, history):
 def stationary_residual_pde(U, force, params):
     """L2 norm of -nu Lap U + P div((U (x) U)_alpha) + beta U - f."""
     ksq = wavenumber_sq(U.grid)
-    lin = (params.nu * ksq + params.beta) * U.coeffs
-    res = lin + nonlinear_term(U, params.alpha).coeffs - force.coeffs
+    lin = (params.nu * ksq + params.beta) * U.hat
+    res = lin + nonlinear_term(U, params.alpha).hat - force.hat
     return np.sqrt(norms(VectorField(U.grid, res), 0.0).l2_sq)

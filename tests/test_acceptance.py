@@ -42,7 +42,7 @@ from bardina import (
     zero_force_decay,
 )
 from bardina.cli import main as cli_main
-from bardina.spectral import wavevectors
+from bardina.spectral import dealias_mask, half_spectrum, wavenumber_sq, wavevectors
 
 from conftest import random_field
 from oracles import oracle_linearized_transport, oracle_nonlinear
@@ -60,7 +60,7 @@ def _rel_err(got, expected):
 
 def _zero(grid):
     return VectorField(
-        grid, np.zeros((3,) + (grid.n,) * 3, dtype=np.complex128), div_free=True
+        grid, np.zeros((3,) + grid.half_shape, dtype=np.complex128), div_free=True
     )
 
 
@@ -75,22 +75,19 @@ def test_criterion_01_operator_oracles(grid8):
 
     # filter: per-mode multiplier 1/(1 + alpha^2 |k|^2)
     filt = helmholtz_filter(u, alpha)
-    expected_f = u.coeffs / (1.0 + alpha**2 * ksq)
-    err_filter = _rel_err(filt.coeffs, expected_f)
+    expected_f = u.hat / (1.0 + alpha**2 * ksq)
+    err_filter = _rel_err(filt.hat, expected_f)
 
     # Leray: per-mode matrix I - k k^T / |k|^2 applied in a plain loop
-    raw = VectorField(grid8, random_field(grid8, seed=302).coeffs + 0.3 * u.coeffs)
+    raw = VectorField(grid8, random_field(grid8, seed=302).hat + 0.3 * u.hat)
     proj = leray_project(raw)
-    expected_p = np.empty_like(raw.coeffs)
-    n = grid8.n
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                kv = np.array([k[0][a, b, c], k[1][a, b, c], k[2][a, b, c]])
-                v = raw.coeffs[:, a, b, c]
-                s = kv @ kv
-                expected_p[:, a, b, c] = v if s == 0 else v - kv * (kv @ v) / s
-    err_leray = _rel_err(proj.coeffs, expected_p)
+    expected_p = np.empty_like(raw.hat)
+    for a, b, c in np.ndindex(grid8.half_shape):
+        kv = np.array([k[0][a, b, c], k[1][a, b, c], k[2][a, b, c]])
+        v = raw.hat[:, a, b, c]
+        s = kv @ kv
+        expected_p[:, a, b, c] = v if s == 0 else v - kv * (kv @ v) / s
+    err_leray = _rel_err(proj.hat, expected_p)
 
     # nonlinear term and linearized transport versus convolution sums
     nl = nonlinear_term(u, alpha)
@@ -102,12 +99,11 @@ def test_criterion_01_operator_oracles(grid8):
     transport = oracle_linearized_transport(
         w.coeffs, u.coeffs, grid8.dealias_cutoff, grid8.box_len, alpha
     )
-    from bardina.spectral import dealias_mask, wavenumber_sq
-
     expected_l = (
-        transport - (params.nu * wavenumber_sq(grid8) + params.beta) * w.coeffs
+        half_spectrum(transport)
+        - (params.nu * wavenumber_sq(grid8) + params.beta) * w.hat
     ) * dealias_mask(grid8)
-    err_lin = _rel_err(lin.coeffs, expected_l)
+    err_lin = _rel_err(lin.hat, expected_l)
 
     worst = max(err_filter, err_leray, err_nl, err_lin)
     _report(1, "operator-oracles", worst <= 1e-10)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from bardina.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
+from bardina.spectral import half_spectrum, vector_to_physical
 
 from conftest import random_field
 
@@ -45,6 +48,54 @@ class TestRoundTrip:
         assert raw[:4] == b"BARD"
         # header (4 + 4 + 4 + 5*8 bytes) plus 3 n^3 complex64 payload
         assert len(raw) == 52 + 3 * 8**3 * 8
+
+
+def _v1_file(path, grid, params, full, time=0.0):
+    """Write a checkpoint by the documented v1 layout from a full spectrum."""
+    header = struct.pack(
+        "<4sIIddddd", b"BARD", 1, grid.n, grid.box_len,
+        params.alpha, params.beta, params.nu, time,
+    )
+    body = np.fft.fftshift(full, axes=(1, 2, 3)).astype("<c8").tobytes()
+    path.write_bytes(header + body)
+
+
+def _fftn_spectrum(u):
+    """Full spectrum of a field computed with numpy's complex fftn."""
+    phys = vector_to_physical(u)
+    return np.stack([np.fft.fftn(phys[i]) / u.grid.n**3 for i in range(3)])
+
+
+class TestFullSpectrumFiles:
+    def test_reads_fftn_written_file(self, grid8, params, tmp_path):
+        # files hold the full spectrum, as written from a complex fftn
+        u = random_field(grid8, seed=155, amplitude=0.8)
+        full = _fftn_spectrum(u)
+        path = tmp_path / "fftn.bard"
+        _v1_file(path, grid8, params, full, 1.5)
+        v, p, t = read_checkpoint(path)
+        stored = full.astype(np.complex64)
+        assert (p, t) == (params, 1.5)
+        assert np.array_equal(v.hat, half_spectrum(stored))
+        assert np.abs(v.coeffs - stored).max() <= 1e-7 * np.abs(stored).max()
+
+    def test_rejects_non_real_field(self, grid8, params, tmp_path):
+        full = _fftn_spectrum(random_field(grid8, seed=156))
+        full[0, 1, 2, 6] += 0.5 * np.abs(full).max()  # breaks c(-m) = conj(c(m))
+        path = tmp_path / "complex.bard"
+        _v1_file(path, grid8, params, full)
+        with pytest.raises(ValueError, match="Hermitian"):
+            read_checkpoint(path)
+
+    def test_rejects_divergent_field(self, grid8, params, tmp_path):
+        x = np.arange(8) * grid8.dx
+        X = np.meshgrid(x, x, x, indexing="ij")[0]
+        full = np.zeros((3, 8, 8, 8), dtype=np.complex128)
+        full[0] = np.fft.fftn(np.sin(X)) / 8**3  # div u = cos x
+        path = tmp_path / "div.bard"
+        _v1_file(path, grid8, params, full)
+        with pytest.raises(ValueError, match="divergence-free"):
+            read_checkpoint(path)
 
 
 class TestErrors:

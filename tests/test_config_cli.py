@@ -146,6 +146,14 @@ class TestCliSubcommands:
         assert report["check_name"] == "zero_force_decay"
         assert report["pass"]
 
+    def test_simulate_initial_energy_above_one(self, tmp_path):
+        # an initial H1_alpha energy >= 1 once left a numpy bool in the report
+        ini = BASE_INI.replace("amplitude = 0.3", "amplitude = 1.5")
+        code, out = run_cli(tmp_path, "simulate", ini)
+        assert code == EXIT_OK
+        report = json.loads((out / "simulate_report.json").read_text())
+        assert report["pass"] is True
+
     def test_decay_steady(self, tmp_path):
         ini = BASE_INI.replace("t_end = 0.5", "t_end = 2.0") + "[decay]\nmode = steady\n"
         code, out = run_cli(tmp_path, "decay", ini)
@@ -175,6 +183,21 @@ class TestCliErrors:
         assert code == EXIT_NONCONV
         report = json.loads((out / "stationary_report.json").read_text())
         assert not report["converged"]
+
+
+    def test_steady_decay_nonconvergence_report(self, tmp_path):
+        ini = BASE_INI.replace(
+            "kind = shear\namplitude = 0.2",
+            "kind = random_band\namplitude = 50.0\nseed = 9",
+        ) + "[stationary]\nmax_iter = 3\n[decay]\nmode = steady\n"
+        code, out = run_cli(tmp_path, "decay", ini)
+        assert code == EXIT_NONCONV
+        report = json.loads((out / "decay_report.json").read_text())
+        assert report["check_name"] == "steady_convergence"
+        assert report["pass"] is False and report["converged"] is False
+        assert len(report["residual_history"]) == 4
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert "decay_report.json" in meta["artifacts"]
 
 
 class TestDeterminism:

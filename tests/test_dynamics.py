@@ -24,7 +24,7 @@ from oracles import oracle_nonlinear
 
 def zero_force(grid):
     return VectorField(
-        grid, np.zeros((3,) + (grid.n,) * 3, dtype=np.complex128), div_free=True
+        grid, np.zeros((3,) + grid.half_shape, dtype=np.complex128), div_free=True
     )
 
 
@@ -90,7 +90,7 @@ class TestStep:
             step(st, 0.0)
 
     def test_blowup_detection(self, grid8, params):
-        coeffs = np.zeros((3, 8, 8, 8), dtype=np.complex128)
+        coeffs = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
         coeffs[0, 0, 0, 0] = np.nan
         bad = VectorField(grid8, coeffs)
         st = SimState(bad, 0.0, params, zero_force(grid8))
@@ -202,6 +202,19 @@ class TestEnergyBudget:
         printed = e - e[0] + 2 * p.nu * i_h1 + 2 * p.alpha**2 * i_h2 + 2 * i_damp
         assert np.abs(correct).max() <= 1e-6 * e[0]
         assert np.abs(printed).max() > 1e-3 * e[0]
+
+
+class TestTrajectoryIntegral:
+    def test_matches_scipy_bit_for_bit(self, grid8, params):
+        from scipy.integrate import cumulative_trapezoid
+
+        u0 = random_field(grid8, seed=52, amplitude=0.5)
+        f = random_field(grid8, seed=53, amplitude=0.3)
+        # 50 steps sampled every 3rd: the last interval is shorter
+        _, traj = evolve(SimState(u0, 0.0, params, f), 0.5, 0.01, sample_every=3)
+        for name in ("h1alpha_sq", "dissipation", "force_pairing"):
+            expected = cumulative_trapezoid(traj.series(name), traj.times, initial=0.0)
+            assert np.array_equal(traj.integral(name), expected)
 
 
 class TestEnvelopes:

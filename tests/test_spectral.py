@@ -14,10 +14,21 @@ from bardina import (
     inverse_transform,
     laplacian,
     leray_project,
+    linearized_rhs,
+    nonlinear_term,
     norms,
     pressure_from_velocity,
 )
-from bardina.spectral import dealias_mask, mode_indices, wavevectors
+from bardina.spectral import (
+    bilinear,
+    dealias_mask,
+    full_spectrum,
+    half_spectrum,
+    mode_indices,
+    vector_to_physical,
+    wavenumber_sq,
+    wavevectors,
+)
 
 from conftest import random_field, random_scalar_samples
 from oracles import dft_oracle, idft_oracle, oracle_parseval_l2
@@ -71,7 +82,7 @@ class TestTransforms:
 class TestHelmholtzFilter:
     def test_constant_unchanged(self, grid8):
         c = np.full((8, 8, 8), 3.7)
-        u = VectorField(grid8, np.stack([forward_transform(c, grid8).coeffs] * 3))
+        u = VectorField(grid8, np.stack([forward_transform(c, grid8).hat] * 3))
         out = helmholtz_filter(u, 2.0)
         assert np.abs(out.coeffs - u.coeffs).max() <= 1e-14
 
@@ -82,7 +93,7 @@ class TestHelmholtzFilter:
         x = np.arange(8) * grid.dx
         X = np.meshgrid(x, x, x, indexing="ij")[0]
         field = forward_transform(np.cos(2 * np.pi * X / grid.box_len), grid)
-        u = VectorField(grid, np.stack([field.coeffs, 0 * field.coeffs, 0 * field.coeffs]))
+        u = VectorField(grid, np.stack([field.hat, 0 * field.hat, 0 * field.hat]))
         out = helmholtz_filter(u, alpha)
         assert np.abs(out.coeffs[0] - 0.5 * field.coeffs).max() <= 1e-13
 
@@ -92,8 +103,8 @@ class TestHelmholtzFilter:
         out = helmholtz_filter(u, alpha)
         k = wavevectors(grid8)
         ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
-        expected = u.coeffs / (1.0 + alpha**2 * ksq)
-        assert np.abs(out.coeffs - expected).max() <= 1e-12
+        expected = u.hat / (1.0 + alpha**2 * ksq)
+        assert np.abs(out.hat - expected).max() <= 1e-12
 
     def test_preserves_div_free(self, grid8):
         u = random_field(grid8, seed=6)
@@ -112,7 +123,7 @@ class TestLerayProjection:
     def test_fixes_shear(self, grid8):
         x = np.arange(8) * grid8.dx
         Y = np.meshgrid(x, x, x, indexing="ij")[1]
-        u1 = forward_transform(np.sin(2 * np.pi * Y / grid8.box_len), grid8).coeffs
+        u1 = forward_transform(np.sin(2 * np.pi * Y / grid8.box_len), grid8).hat
         u = VectorField(grid8, np.stack([u1, 0 * u1, 0 * u1]))
         out = leray_project(u)
         assert np.abs(out.coeffs - u.coeffs).max() <= 1e-13
@@ -121,36 +132,36 @@ class TestLerayProjection:
         rng = np.random.default_rng(11)
         raw = rng.standard_normal((3, 8, 8, 8))
         u = VectorField(
-            grid8, np.stack([forward_transform(raw[i], grid8).coeffs for i in range(3)])
+            grid8, np.stack([forward_transform(raw[i], grid8).hat for i in range(3)])
         )
         out = leray_project(u)
         k = wavevectors(grid8)
-        kdotu = np.abs(np.sum(k * out.coeffs, axis=0))
+        kdotu = np.abs(np.sum(k * out.hat, axis=0))
         assert kdotu.max() <= 1e-12
 
     def test_componentwise_oracle(self, grid8):
         rng = np.random.default_rng(12)
         raw = rng.standard_normal((3, 8, 8, 8))
         u = VectorField(
-            grid8, np.stack([forward_transform(raw[i], grid8).coeffs for i in range(3)])
+            grid8, np.stack([forward_transform(raw[i], grid8).hat for i in range(3)])
         )
         out = leray_project(u)
         k = wavevectors(grid8)
         m = mode_indices(grid8)
         for trial in range(20):
-            idx = tuple(rng.integers(0, 8, 3))
+            idx = tuple(rng.integers(0, grid8.half_shape))
             kv = np.array([k[a][idx] for a in range(3)])
-            uv = np.array([u.coeffs[a][idx] for a in range(3)])
+            uv = np.array([u.hat[a][idx] for a in range(3)])
             ksq = kv @ kv
             expect = uv if ksq == 0 else uv - kv * (kv @ uv) / ksq
-            got = np.array([out.coeffs[a][idx] for a in range(3)])
+            got = np.array([out.hat[a][idx] for a in range(3)])
             assert np.abs(got - expect).max() <= 1e-12
 
     def test_idempotent(self, grid8):
         rng = np.random.default_rng(13)
         raw = rng.standard_normal((3, 8, 8, 8))
         u = VectorField(
-            grid8, np.stack([forward_transform(raw[i], grid8).coeffs for i in range(3)])
+            grid8, np.stack([forward_transform(raw[i], grid8).hat for i in range(3)])
         )
         once = leray_project(u)
         twice = leray_project(once)
@@ -165,7 +176,7 @@ class TestLerayProjection:
         rng = np.random.default_rng(15)
         raw = rng.standard_normal((3, 8, 8, 8))
         u = VectorField(
-            grid8, np.stack([forward_transform(raw[i], grid8).coeffs for i in range(3)])
+            grid8, np.stack([forward_transform(raw[i], grid8).hat for i in range(3)])
         )
         a = helmholtz_filter(leray_project(u), 0.9)
         b = leray_project(helmholtz_filter(u, 0.9))
@@ -195,7 +206,7 @@ class TestDerivatives:
         rng = np.random.default_rng(17)
         raw = rng.standard_normal((3, 8, 8, 8))
         u = VectorField(
-            grid8, np.stack([forward_transform(raw[i], grid8).coeffs for i in range(3)])
+            grid8, np.stack([forward_transform(raw[i], grid8).hat for i in range(3)])
         )
         d = divergence(leray_project(u))
         assert np.abs(d.coeffs).max() <= 1e-12
@@ -208,7 +219,7 @@ class TestDealias:
         assert np.abs(out.coeffs - u.coeffs).max() == 0.0
 
     def test_single_high_mode_removed(self, grid8):
-        coeffs = np.zeros((3, 8, 8, 8), dtype=np.complex128)
+        coeffs = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
         coeffs[0, 3, 0, 0] = 1.0  # |m| = 3 > cutoff 2
         out = dealias(VectorField(grid8, coeffs))
         assert np.abs(out.coeffs).max() == 0.0
@@ -223,12 +234,12 @@ class TestDealias:
                     expected[a, b, c] = (
                         abs(m[a]) <= cutoff and abs(m[b]) <= cutoff and abs(m[c]) <= cutoff
                     )
-        assert np.array_equal(dealias_mask(grid8), expected)
+        assert np.array_equal(dealias_mask(grid8), half_spectrum(expected))
 
 
 class TestNorms:
     def test_zero_field(self, grid8):
-        u = VectorField(grid8, np.zeros((3, 8, 8, 8), dtype=np.complex128))
+        u = VectorField(grid8, np.zeros((3,) + grid8.half_shape, dtype=np.complex128))
         nb = norms(u, 1.0)
         assert nb.l2_sq == nb.h1dot_sq == nb.h2dot_sq == nb.h1alpha_sq == 0.0
 
@@ -236,7 +247,7 @@ class TestNorms:
         L = grid8.box_len
         x = np.arange(8) * grid8.dx
         X = np.meshgrid(x, x, x, indexing="ij")[0]
-        u1 = forward_transform(np.sin(2 * np.pi * X / L), grid8).coeffs
+        u1 = forward_transform(np.sin(2 * np.pi * X / L), grid8).hat
         u = VectorField(grid8, np.stack([u1, 0 * u1, 0 * u1]))
         nb = norms(u, 1.0)
         ksq = (2 * np.pi / L) ** 2
@@ -262,8 +273,8 @@ class TestNorms:
 
 class TestH1AlphaInner:
     def test_orthogonal_single_modes(self, grid8):
-        a = np.zeros((3, 8, 8, 8), dtype=np.complex128)
-        b = np.zeros((3, 8, 8, 8), dtype=np.complex128)
+        a = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
+        b = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
         a[0, 1, 0, 0] = a[0, -1, 0, 0] = 0.5
         b[0, 0, 2, 0] = b[0, 0, -2, 0] = 0.5
         va, vb = VectorField(grid8, a), VectorField(grid8, b)
@@ -278,8 +289,8 @@ class TestH1AlphaInner:
         v = random_field(grid8, seed=22)
         w = random_field(grid8, seed=23)
         alpha = 1.2
-        k = wavevectors(grid8)
-        ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+        k1 = 2 * np.pi * mode_indices(grid8) / grid8.box_len  # full layout
+        ksq = k1[:, None, None] ** 2 + k1[None, :, None] ** 2 + k1[None, None, :] ** 2
         expected = grid8.box_len**3 * np.real(
             np.sum((1 + alpha**2 * ksq) * np.conj(v.coeffs) * w.coeffs)
         )
@@ -293,7 +304,7 @@ class TestH1AlphaInner:
 
 class TestPressure:
     def test_zero_velocity(self, grid8):
-        u = VectorField(grid8, np.zeros((3, 8, 8, 8), dtype=np.complex128))
+        u = VectorField(grid8, np.zeros((3,) + grid8.half_shape, dtype=np.complex128))
         p = pressure_from_velocity(u, 1.0)
         assert np.abs(p.coeffs).max() == 0.0
 
@@ -301,29 +312,28 @@ class TestPressure:
         # u (x) u depends on y only through the (1,1) entry; k_1 = 0 on its support
         x = np.arange(8) * grid8.dx
         Y = np.meshgrid(x, x, x, indexing="ij")[1]
-        u1 = forward_transform(np.sin(2 * np.pi * Y / grid8.box_len), grid8).coeffs
+        u1 = forward_transform(np.sin(2 * np.pi * Y / grid8.box_len), grid8).hat
         u = VectorField(grid8, np.stack([u1, 0 * u1, 0 * u1]))
         p = pressure_from_velocity(u, 1.0)
         assert np.abs(p.coeffs).max() <= 1e-13
 
     def test_gradient_identity(self, grid8):
         # momentum balance: grad p = -(I - P) div((u (x) u)_alpha)
-        from bardina.spectral import tensor_product_spectra, wavenumber_sq
-
         u = random_field(grid8, seed=26)
         alpha = 0.9
         p = pressure_from_velocity(u, alpha)
         gp = gradient(p)
-        tensor = tensor_product_spectra(u)
+        phys = vector_to_physical(u)
         bessel = 1.0 / (1.0 + alpha**2 * wavenumber_sq(grid8))
         k = wavevectors(grid8)
-        div = np.zeros((3, 8, 8, 8), dtype=np.complex128)
+        div = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
         for i in range(3):
             for j in range(3):
-                div[i] += 1j * k[j] * bessel * tensor[i, j]
+                tij = forward_transform(phys[i] * phys[j], grid8).hat * dealias_mask(grid8)
+                div[i] += 1j * k[j] * bessel * tij
         full = VectorField(grid8, div)
-        complement = full.coeffs - leray_project(full).coeffs
-        assert np.abs(gp.coeffs + complement).max() <= 1e-10
+        complement = full.hat - leray_project(full).hat
+        assert np.abs(gp.hat + complement).max() <= 1e-10
 
 
 class TestGridSpec:
@@ -341,7 +351,64 @@ class TestGridSpec:
             GridSpec(8, dealias_fraction=1.5)
 
     def test_div_free_certificate_enforced(self, grid8):
-        coeffs = np.zeros((3, 8, 8, 8), dtype=np.complex128)
+        coeffs = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
         coeffs[0, 1, 0, 0] = 1.0  # k . u != 0 for this mode
         with pytest.raises(ValueError):
             VectorField(grid8, coeffs, div_free=True)
+
+
+class TestHalfSpectrum:
+    def test_round_trip(self, grid8):
+        full = np.fft.fftn(random_scalar_samples(8, seed=27)) / 8**3
+        half = half_spectrum(full)
+        assert half.shape == grid8.half_shape
+        assert np.abs(full_spectrum(half) - full).max() <= 1e-15
+        assert np.array_equal(half_spectrum(full_spectrum(half)), half)
+
+    def test_matches_numpy_fftn(self, grid8):
+        samples = random_scalar_samples(8, seed=28)
+        f = forward_transform(samples, grid8)
+        expected = np.fft.fftn(samples) / 8**3
+        assert np.abs(f.coeffs - expected).max() <= 1e-15
+        assert np.abs(f.hat - half_spectrum(expected)).max() <= 1e-15
+
+    def test_vector_layout(self, grid8):
+        u = random_field(grid8, seed=29)
+        phys = vector_to_physical(u)
+        expected = np.stack([np.fft.fftn(phys[i]) / 8**3 for i in range(3)])
+        assert np.abs(u.coeffs - expected).max() <= 1e-15
+
+
+class TestHermitianDefect:
+    @pytest.mark.parametrize("plane", [0, 4])
+    def test_checks_self_conjugate_planes(self, grid8, plane):
+        f = forward_transform(random_scalar_samples(8, seed=30), grid8)
+        assert f.hermitian_defect() <= 1e-15
+        bad = f.copy()
+        bad.hat[1, 2, plane] += 0.5 * np.abs(f.hat).max()
+        assert bad.hermitian_defect() >= 0.1
+
+    def test_other_planes_symmetric_by_layout(self, grid8):
+        f = forward_transform(random_scalar_samples(8, seed=31), grid8)
+        other = f.copy()
+        other.hat[1, 2, 1:4] += 0.3
+        assert other.hermitian_defect() <= 1e-15
+
+
+class TestBilinear:
+    def test_symmetric(self, grid8):
+        u = random_field(grid8, seed=32, amplitude=1.1)
+        w = random_field(grid8, seed=33, amplitude=0.7)
+        assert np.array_equal(bilinear(u, w, 0.8).hat, bilinear(w, u, 0.8).hat)
+
+    def test_polarization_identity(self, grid16, params):
+        # the transport part of the linearized operator is the polarized
+        # nonlinearity: 2 B(u, w) = (N(u + w) - N(u - w)) / 2
+        u = random_field(grid16, seed=34, amplitude=1.2, k_max=4)
+        w = random_field(grid16, seed=35, amplitude=0.9, k_max=5)
+        lin = params.nu * wavenumber_sq(grid16) + params.beta
+        transport = -(linearized_rhs(w, u, params).hat + lin * w.hat)
+        plus = nonlinear_term(VectorField(grid16, u.hat + w.hat), params.alpha)
+        minus = nonlinear_term(VectorField(grid16, u.hat - w.hat), params.alpha)
+        expected = 0.5 * (plus.hat - minus.hat)
+        assert np.abs(transport - expected).max() <= 1e-12 * np.abs(expected).max()
