@@ -107,24 +107,23 @@ def dimension_bound(params, f_norm):
     return DimensionBound(c_lt, c_abn, bound)
 
 
-def linearized_rhs(w, u, params):
+def linearized_rhs(w, u, params, u_phys=None):
     """L(t, u0) w = -P(((w.grad)u + (u.grad)w)_alpha) + nu Lap w - beta w
-    = -2 B(u, w) - (nu |k|^2 + beta) w, dealiased."""
+    = -2 B(u, w) - (nu |k|^2 + beta) w, dealiased.  u_phys: see bilinear."""
     grid = u.grid
     lin = params.nu * wavenumber_sq(grid) + params.beta
-    out = -2.0 * bilinear(u, w, params.alpha).hat - lin * w.hat
+    out = -2.0 * bilinear(u, w, params.alpha, u_phys).hat - lin * w.hat
     return VectorField(grid, out * dealias_mask(grid))
 
 
-def lyapunov_sum(frame, u, params):
-    """Sum over the frame of [L(t,u0) w_i, w_i]_alpha."""
-    if frame.gram_defect() > GRAM_TOL:
-        raise ValueError(
-            f"frame is not orthonormal (Gram deviation {frame.gram_defect():.3e})"
-        )
+def lyapunov_sum(frame, u, params, u_phys=None):
+    """Sum over the frame of [L(t,u0) w_i, w_i]_alpha.  u_phys: see bilinear."""
+    defect = frame.gram_defect()
+    if defect > GRAM_TOL:
+        raise ValueError(f"frame is not orthonormal (Gram deviation {defect:.3e})")
     total = 0.0
     for w in frame.fields:
-        lw = linearized_rhs(w, u, params)
+        lw = linearized_rhs(w, u, params, u_phys)
         total += h1alpha_inner(lw, w, params.alpha)
     return total
 
@@ -142,9 +141,10 @@ def lyapunov_sum_bound(m, u, params):
     )
 
 
-def transport_frame(frame, state_u, params, dt, n_steps):
+def transport_frame(frame, state_u, params, dt, n_steps, u_phys=None):
     """Advance frame fields with the linearized flow (exponential Euler on the
-    frozen base state), then re-orthonormalize in the energy inner product."""
+    frozen base state), then re-orthonormalize in the energy inner product.
+    u_phys: see bilinear."""
     grid = state_u.grid
     expz, w1, _ = _etd_weights(grid, params, dt)
     evolved = []
@@ -152,7 +152,7 @@ def transport_frame(frame, state_u, params, dt, n_steps):
         cur = w
         for _ in range(n_steps):
             # transport part only; expz treats the linear decay exactly
-            nl = -2.0 * bilinear(state_u, cur, params.alpha).hat
+            nl = -2.0 * bilinear(state_u, cur, params.alpha, u_phys).hat
             cur = VectorField(grid, expz * cur.hat + w1 * nl)
         evolved.append(cur)
     return orthonormalize(evolved, params.alpha)

@@ -3,7 +3,8 @@
 Usage: bardina <subcommand> --config <path> [--out <dir>]
 
 Exit codes: 0 success, 2 config error, 3 numerical blow-up,
-4 stationary non-convergence, 5 assertion/report failure.
+4 stationary non-convergence, 5 assertion/report failure,
+6 time step above the CFL cap.
 """
 
 import argparse
@@ -30,14 +31,17 @@ from .checkpoint import STEADY_STATE_TIME, write_checkpoint
 from .config import ConfigError, load_config
 from .dynamics import (
     BlowUpError,
+    CFLError,
     SimState,
     absorbing_ball_entry,
+    check_cfl,
     decay_envelope_check,
     energy_budget_residual,
     evolve,
+    sampled_states,
 )
 from .fields import FieldRecipe, generate
-from .spectral import VectorField, norms
+from .spectral import VectorField, dealiased_physical, norms
 from .stationary import NonConvergenceError, solve_stationary
 
 EXIT_OK = 0
@@ -45,6 +49,7 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_NONCONV = 4
 EXIT_CHECK = 5
+EXIT_CFL = 6
 
 
 def _fmt(x):
@@ -219,26 +224,28 @@ def cmd_bound(runner):
 
 
 def cmd_lyapunov(runner):
+    """One base trajectory serves every frame size: at each sampled state the
+    base velocity is transformed once, for the CFL check, the Lyapunov sums
+    and the frame transport."""
     cfg = runner.cfg
+    p, dt, every = cfg.params, cfg.dt, cfg.sample_every
     force = runner.force_field()
-    state = SimState(runner.initial_field(), 0.0, cfg.params, force)
+    base = SimState(runner.initial_field(), 0.0, p, force)
     rng = np.random.default_rng(cfg.frame_seed)
-    rows = []
-    all_ok = True
-    n_windows = max(int(round(cfg.t_end / (cfg.dt * cfg.sample_every))), 1)
-    for m in cfg.m_list:
-        frame = _random_frame(cfg, rng, m)
-        st = SimState(state.u.copy(), 0.0, cfg.params, force)
-        for _ in range(n_windows + 1):
-            total = lyapunov_sum(frame, st.u, cfg.params)
-            bound = lyapunov_sum_bound(m, st.u, cfg.params)
-            ok = total <= bound + 1e-10 * cfg.params.beta * m
-            all_ok = all_ok and ok
-            rows.append([m, st.t, total, bound, bound - total])
-            frame = transport_frame(frame, st.u, cfg.params, cfg.dt, cfg.sample_every)
-            st, _traj = evolve(
-                st, st.t + cfg.dt * cfg.sample_every, cfg.dt, cfg.sample_every
-            )
+    frames = [_random_frame(cfg, rng, m) for m in cfg.m_list]
+    rows = [[] for _ in frames]  # one group per frame size
+    n_windows = max(int(round(cfg.t_end / (dt * every))), 1)
+    for k, st in enumerate(sampled_states(base, n_windows * every, dt, every)):
+        u_phys = dealiased_physical(st.u)
+        check_cfl(st, dt, u_phys)
+        for i, m in enumerate(cfg.m_list):
+            total = lyapunov_sum(frames[i], st.u, p, u_phys)
+            bound = lyapunov_sum_bound(m, st.u, p)
+            rows[i].append([m, st.t, total, bound, bound - total])
+            if k < n_windows:
+                frames[i] = transport_frame(frames[i], st.u, p, dt, every, u_phys)
+    rows = [row for group in rows for row in group]
+    all_ok = all(total <= bound + 1e-10 * p.beta * m for m, _, total, bound, _ in rows)
     _write_csv(
         runner.path("lyapunov.csv"),
         ["m", "t", "lyapunov_sum", "bound", "slack"],
@@ -413,6 +420,20 @@ def main(argv=None):
         )
         runner.finalize(args.subcommand)
         return EXIT_BLOWUP
+    except CFLError as exc:
+        _write_json(
+            runner.path("cfl_report.json"),
+            {
+                "check_name": "cfl",
+                "pass": False,
+                "time": exc.t,
+                "dt": exc.dt,
+                "cap": exc.cap,
+                "detail": str(exc),
+            },
+        )
+        runner.finalize(args.subcommand)
+        return EXIT_CFL
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,11 +26,13 @@ __all__ = [
     "DiagnosticsSample",
     "Trajectory",
     "BlowUpError",
+    "CFLError",
     "nonlinear_term",
     "step",
     "sampled_states",
     "evolve",
     "cfl_cap",
+    "check_cfl",
     "energy_budget_residual",
     "decay_envelope_check",
     "absorbing_ball_entry",
@@ -43,6 +45,14 @@ class BlowUpError(RuntimeError):
     def __init__(self, t, detail=""):
         self.t = t
         super().__init__(f"non-finite state at t={t:.6g} {detail}".rstrip())
+
+
+class CFLError(ValueError):
+    """Raised when the time step exceeds the advective CFL cap of a state."""
+
+    def __init__(self, t, dt, cap):
+        self.t, self.dt, self.cap = t, dt, cap
+        super().__init__(f"dt={dt} exceeds the CFL cap {cap:.3e} at t={t:.6g}")
 
 
 @dataclass
@@ -125,12 +135,20 @@ def _rhs_nonlinear(u, force, alpha):
     return force.hat - nonlinear_term(u, alpha).hat
 
 
-def cfl_cap(u, grid):
-    """Advective CFL limit 0.5 * dx / max|u| (inf when the field is zero)."""
-    umax = np.abs(vector_to_physical(u)).max()
+def cfl_cap(u, grid, u_phys=None):
+    """Advective CFL limit 0.5 * dx / max|u| (inf when the field is zero);
+    u_phys, when given, are the physical samples of u."""
+    umax = np.abs(vector_to_physical(u) if u_phys is None else u_phys).max()
     if umax == 0:
         return np.inf
     return 0.5 * grid.dx / umax
+
+
+def check_cfl(state, dt, u_phys=None):
+    """Raise CFLError if dt exceeds the CFL cap of the state."""
+    cap = cfl_cap(state.u, state.u.grid, u_phys)
+    if dt > cap:
+        raise CFLError(state.t, dt, cap)
 
 
 def step(state, dt, _weights=None):
@@ -190,9 +208,7 @@ def evolve(state, t_end, dt, sample_every=1, enforce_cfl=True):
     if t_end < state.t:
         raise ValueError("t_end precedes current state time")
     if enforce_cfl:
-        cap = cfl_cap(state.u, state.u.grid)
-        if dt > cap:
-            raise ValueError(f"dt={dt} exceeds the CFL cap {cap:.3e}")
+        check_cfl(state, dt)
     n_steps = int(round((t_end - state.t) / dt))
     if n_steps == 0 and t_end > state.t:
         n_steps = 1

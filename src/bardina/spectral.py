@@ -42,6 +42,7 @@ __all__ = [
     "dealias",
     "norms",
     "h1alpha_inner",
+    "dealiased_physical",
     "bilinear",
     "pressure_from_velocity",
 ]
@@ -83,10 +84,16 @@ class GridSpec:
         return int(np.floor(self.dealias_fraction * self.n / 2))
 
 
+def _frozen(a):
+    """Mark a cached array read-only: every caller of the cache shares it."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=32)
 def mode_indices(grid):
     """Integer mode index m along one full axis, in FFT ordering."""
-    return np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64)
+    return _frozen(np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64))
 
 
 @lru_cache(maxsize=32)
@@ -94,20 +101,22 @@ def wavevectors(grid):
     """Physical wavevector components on the half spectrum, shape (3, n, n, n//2+1)."""
     k1 = 2.0 * np.pi * mode_indices(grid) / grid.box_len
     kx, ky, kz = np.meshgrid(k1, k1, k1[: grid.n // 2 + 1], indexing="ij")
-    return np.stack([kx, ky, kz])
+    return _frozen(np.stack([kx, ky, kz]))
 
 
 @lru_cache(maxsize=32)
 def wavenumber_sq(grid):
     k = wavevectors(grid)
-    return k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    return _frozen(k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
 
 
 @lru_cache(maxsize=32)
 def dealias_mask(grid):
     """Boolean mask of retained modes: |m_i| <= cutoff on every axis."""
     keep = np.abs(mode_indices(grid)) <= grid.dealias_cutoff
-    return keep[:, None, None] & keep[None, :, None] & keep[None, None, : grid.n // 2 + 1]
+    return _frozen(
+        keep[:, None, None] & keep[None, :, None] & keep[None, None, : grid.n // 2 + 1]
+    )
 
 
 @lru_cache(maxsize=32)
@@ -115,7 +124,7 @@ def parseval_weights(grid):
     """Multiplicity of each m_z plane of the half spectrum in the full one."""
     w = np.full(grid.n // 2 + 1, 2.0)
     w[[0, -1]] = 1.0
-    return w
+    return _frozen(w)
 
 
 def _reverse_modes(coeffs, axes=AXES):
@@ -277,7 +286,7 @@ def helmholtz_filter(v, alpha):
 def _leray_symbol(grid):
     """k / |k|^2, zero at k = 0 (where the projection is the identity)."""
     ksq = wavenumber_sq(grid)
-    return wavevectors(grid) / np.where(ksq == 0.0, 1.0, ksq)
+    return _frozen(wavevectors(grid) / np.where(ksq == 0.0, 1.0, ksq))
 
 
 def leray_project(v):
@@ -343,18 +352,23 @@ _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _SLOT = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 
-def tensor_product_spectra(u, w):
+def dealiased_physical(v):
+    """Physical samples (3, n, n, n) of the dealiased field: the form in which
+    the bilinear kernel reads its inputs."""
+    return _to_physical(v.hat * dealias_mask(v.grid), v.grid.n, overwrite=True)
+
+
+def tensor_product_spectra(u, w, u_phys=None):
     """Half spectra (6, n, n, n//2+1) of the unique entries (u_i w_j + w_i u_j)/2
-    of the symmetric product; one inverse transform when w is u.
+    of the symmetric product; one inverse transform when w is u, none for u
+    when u_phys, its dealiased_physical samples, is given.
 
     Products of the dealiased inputs are formed in physical space, so the
     retained modes are the exact Galerkin projection; the symbols applied
     to the result carry the output truncation.
     """
-    grid = u.grid
-    mask = dealias_mask(grid)
-    a = _to_physical(u.hat * mask, grid.n, overwrite=True)
-    b = a if w is u else _to_physical(w.hat * mask, grid.n, overwrite=True)
+    a = dealiased_physical(u) if u_phys is None else u_phys
+    b = a if w is u else dealiased_physical(w)
     prods = np.empty((6,) + a.shape[1:])
     for s, (i, j) in enumerate(_PAIRS):
         np.multiply(a[i], b[j], out=prods[s])
@@ -370,7 +384,7 @@ def _bilinear_symbols(grid, alpha):
     i (1 + alpha^2 |k|^2)^{-1} times the dealias mask (derivative, filter and
     truncation fused)."""
     filt = 1.0 / (1.0 + alpha**2 * wavenumber_sq(grid))
-    return wavevectors(grid), _leray_symbol(grid), 1j * filt * dealias_mask(grid)
+    return wavevectors(grid), _leray_symbol(grid), _frozen(1j * filt * dealias_mask(grid))
 
 
 def _contract(t, k):
@@ -379,15 +393,17 @@ def _contract(t, k):
             for i in range(3)]
 
 
-def bilinear(u, w, alpha):
+def bilinear(u, w, alpha, u_phys=None):
     """Symmetric bilinear form B(u, w) = P div(((u (x) w + w (x) u)/2)_alpha), dealiased.
 
     B(u, u) is the Bardina nonlinearity; for divergence-free u and w,
     2 B(u, w) = P(((w.grad)u + (u.grad)w)_alpha).  One batched inverse
     transform per distinct input, one forward transform of the 6 products.
+    A caller that applies B(u, .) to many fields passes u_phys =
+    dealiased_physical(u) once and saves the transform of u.
     """
     grid = _check_shared_grid(u, w)
-    t = tensor_product_spectra(u, w)
+    t = tensor_product_spectra(u, w, u_phys)
     k, kk, g = _bilinear_symbols(grid, alpha)
     v = _contract(t, k)  # div T / i
     q = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]

@@ -3,15 +3,21 @@ import json
 import numpy as np
 import pytest
 
+import bardina.cli
+from bardina.attractor import lyapunov_sum, lyapunov_sum_bound, transport_frame
 from bardina.checkpoint import STEADY_STATE_TIME, read_checkpoint
 from bardina.cli import (
+    EXIT_CFL,
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_NONCONV,
     EXIT_OK,
+    _random_frame,
     main,
 )
 from bardina.config import ConfigError, RunConfig, load_config, parse_config
+from bardina.dynamics import SimState, evolve
+from bardina.fields import generate
 
 BASE_INI = """\
 [grid]
@@ -163,6 +169,52 @@ class TestCliSubcommands:
         assert report["pass"]
 
 
+def per_frame_size_rows(cfg):
+    """lyapunov.csv rows as computed by a separate base trajectory per frame
+    size, advanced window by window with evolve."""
+    p, dt, every = cfg.params, cfg.dt, cfg.sample_every
+    force = generate(cfg.force, cfg.grid, p.alpha)
+    u0 = generate(cfg.initial, cfg.grid, p.alpha)
+    rng = np.random.default_rng(cfg.frame_seed)
+    n_windows = max(int(round(cfg.t_end / (dt * every))), 1)
+    rows = []
+    for m in cfg.m_list:
+        frame = _random_frame(cfg, rng, m)
+        st = SimState(u0.copy(), 0.0, p, force)
+        for _ in range(n_windows + 1):
+            total = lyapunov_sum(frame, st.u, p)
+            bound = lyapunov_sum_bound(m, st.u, p)
+            rows.append([m, st.t, total, bound, bound - total])
+            frame = transport_frame(frame, st.u, p, dt, every)
+            st, _ = evolve(st, st.t + dt * every, dt, every)
+    return rows
+
+
+class TestLyapunovLoop:
+    INI = BASE_INI + "[lyapunov]\nm_list = 1 2 4\nframe_seed = 11\n"
+
+    def test_rows_match_per_frame_size_trajectories(self, tmp_path):
+        code, out = run_cli(tmp_path, "lyapunov", self.INI)
+        assert code == EXIT_OK
+        lines = (out / "lyapunov.csv").read_text().splitlines()
+        got = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert got == per_frame_size_rows(parse_config(self.INI))
+
+    def test_cfl_checked_at_every_sampled_state(self, tmp_path, monkeypatch):
+        checked = []
+        original = bardina.cli.check_cfl
+
+        def record(state, dt, u_phys=None):
+            checked.append(state.t)
+            return original(state, dt, u_phys)
+
+        monkeypatch.setattr(bardina.cli, "check_cfl", record)
+        code, out = run_cli(tmp_path, "lyapunov", self.INI)
+        assert code == EXIT_OK
+        rows_m1 = (out / "lyapunov.csv").read_text().splitlines()[1:7]
+        assert checked == [float(row.split(",")[1]) for row in rows_m1]
+
+
 class TestCliErrors:
     def test_missing_config_file(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
@@ -198,6 +250,21 @@ class TestCliErrors:
         assert len(report["residual_history"]) == 4
         meta = json.loads((out / "run_meta.json").read_text())
         assert "decay_report.json" in meta["artifacts"]
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "lyapunov"])
+    def test_dt_above_cfl_cap(self, tmp_path, subcommand):
+        # max |u| = 50 puts the cap at 0.5 dx / 50 ~ 0.0079 < dt = 0.02
+        ini = BASE_INI.replace(
+            "kind = random_band\namplitude = 0.3", "kind = shear\namplitude = 50.0"
+        ) + "[lyapunov]\nm_list = 1\n"
+        code, out = run_cli(tmp_path, subcommand, ini)
+        assert code == EXIT_CFL
+        report = json.loads((out / "cfl_report.json").read_text())
+        assert report["check_name"] == "cfl" and report["pass"] is False
+        assert report["time"] == 0.0 and report["dt"] == 0.02
+        assert abs(report["cap"] - 0.5 * (2 * np.pi / 8) / 50.0) <= 1e-12
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert "cfl_report.json" in meta["artifacts"]
 
 
 class TestDeterminism:

@@ -16,7 +16,7 @@ from bardina import (
     norms,
     step,
 )
-from bardina.dynamics import BlowUpError, cfl_cap, _phi1, _phi2
+from bardina.dynamics import BlowUpError, CFLError, cfl_cap, _phi1, _phi2
 
 from conftest import random_field
 from oracles import oracle_nonlinear
@@ -150,9 +150,11 @@ class TestEvolve:
 
     def test_cfl_enforced(self, grid8, params):
         u0 = generate(FieldRecipe("shear", 50.0), grid8)
-        st = SimState(u0, 0.0, params, zero_force(grid8))
-        with pytest.raises(ValueError):
+        st = SimState(u0, 0.25, params, zero_force(grid8))
+        with pytest.raises(CFLError) as info:
             evolve(st, 1.0, 0.5)
+        assert (info.value.t, info.value.dt) == (0.25, 0.5)
+        assert info.value.cap == cfl_cap(u0, grid8)
 
     def test_cfl_cap_formula(self, grid8):
         u = generate(FieldRecipe("shear", 2.0), grid8)

@@ -20,11 +20,15 @@ from bardina import (
     pressure_from_velocity,
 )
 from bardina.spectral import (
+    _bilinear_symbols,
+    _leray_symbol,
     bilinear,
     dealias_mask,
+    dealiased_physical,
     full_spectrum,
     half_spectrum,
     mode_indices,
+    parseval_weights,
     vector_to_physical,
     wavenumber_sq,
     wavevectors,
@@ -412,3 +416,26 @@ class TestBilinear:
         minus = nonlinear_term(VectorField(grid16, u.hat - w.hat), params.alpha)
         expected = 0.5 * (plus.hat - minus.hat)
         assert np.abs(transport - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_precomputed_base_is_bitwise_equal(self, grid16):
+        u = random_field(grid16, seed=36, amplitude=1.2, k_max=4)
+        w = random_field(grid16, seed=37, amplitude=0.9, k_max=5)
+        expected = bilinear(u, w, 0.6).hat
+        assert np.array_equal(bilinear(u, w, 0.6, dealiased_physical(u)).hat, expected)
+
+
+class TestCachedSymbols:
+    def test_in_place_write_raises(self, grid8):
+        cached = [
+            mode_indices(grid8),
+            wavevectors(grid8),
+            wavenumber_sq(grid8),
+            dealias_mask(grid8),
+            parseval_weights(grid8),
+            _leray_symbol(grid8),
+            *_bilinear_symbols(grid8, 0.5),
+        ]
+        for a in cached:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1
+        assert wavenumber_sq(grid8)[0, 0, 0] == 0.0
