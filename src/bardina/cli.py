@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config error, 3 numerical blow-up,
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time as _time
@@ -32,9 +33,9 @@ from .config import ConfigError, load_config
 from .dynamics import (
     BlowUpError,
     CFLError,
+    DiagnosticsSample,
     SimState,
     absorbing_ball_entry,
-    check_cfl,
     decay_envelope_check,
     energy_budget_residual,
     evolve,
@@ -64,13 +65,6 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _write_csv(path, columns, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 class Runner:
     def __init__(self, cfg, out_dir):
         self.cfg = cfg
@@ -81,6 +75,26 @@ class Runner:
     def path(self, name):
         self.artifacts.append(name)
         return self.out / name
+
+    def csv(self, name, columns, rows):
+        with open(self.path(name), "w") as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+    def report(self, name, check_name, ok, **fields):
+        """Write the report `name` and return its exit code: 0 if ok, else 5."""
+        p = self.cfg.params
+        _write_json(
+            self.path(name),
+            {
+                "check_name": check_name,
+                "params": {"alpha": p.alpha, "beta": p.beta, "nu": p.nu, "eta_c": p.eta_c},
+                "pass": bool(ok),
+                **fields,
+            },
+        )
+        return EXIT_OK if ok else EXIT_CHECK
 
     def force_field(self):
         cfg = self.cfg
@@ -93,8 +107,7 @@ class Runner:
         return generate(self.cfg.initial, self.cfg.grid, self.cfg.params.alpha)
 
     def finalize(self, subcommand):
-        cfg_path = self.path("effective_config.ini")
-        with open(cfg_path, "w") as fh:
+        with open(self.path("effective_config.ini"), "w") as fh:
             fh.write(self.cfg.serialize())
         meta = {
             "subcommand": subcommand,
@@ -103,23 +116,7 @@ class Runner:
             "artifacts": sorted(set(self.artifacts)),
             "timestamp": _time.strftime("%Y-%m-%dT%H:%M:%SZ", _time.gmtime()),
         }
-        with open(self.out / "run_meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _trajectory_rows(traj, residuals):
-    cols = [
-        "t", "l2_sq", "h1dot_sq", "h2dot_sq", "h1alpha_sq",
-        "dissipation", "damping", "force_pairing", "energy_residual",
-    ]
-    rows = []
-    for i, s in enumerate(traj.samples):
-        rows.append(
-            [s.t, s.l2_sq, s.h1dot_sq, s.h2dot_sq, s.h1alpha_sq,
-             s.dissipation, s.damping, s.force_pairing, residuals[i]]
-        )
-    return cols, rows
+        _write_json(self.out / "run_meta.json", meta)
 
 
 def cmd_simulate(runner):
@@ -128,105 +125,88 @@ def cmd_simulate(runner):
     state = SimState(runner.initial_field(), 0.0, cfg.params, force)
     state, traj = evolve(state, cfg.t_end, cfg.dt, cfg.sample_every)
     residuals = energy_budget_residual(traj)
-    cols, rows = _trajectory_rows(traj, residuals)
-    _write_csv(runner.path("trajectory.csv"), cols, rows)
-
-    report = decay_envelope_check(traj, force, cfg.params)
-    entry, radius_sq, analytic = absorbing_ball_entry(traj, force, cfg.params)
-    _write_json(
-        runner.path("simulate_report.json"),
-        {
-            "check_name": "decay_envelopes",
-            "params": _params_dict(cfg.params),
-            "pass": report.passed,
-            "max_slack": max(report.pointwise_slack, report.windowed_slack),
-            "pointwise_slack": report.pointwise_slack,
-            "windowed_slack": report.windowed_slack,
-            "max_energy_residual": float(np.abs(residuals).max()),
-            "absorbing_ball": {
-                "entry_time": entry,
-                "radius_sq": radius_sq,
-                "analytic_bound": analytic,
-            },
-            "series_file": "trajectory.csv",
-        },
+    runner.csv(
+        "trajectory.csv",
+        [f.name for f in dataclasses.fields(DiagnosticsSample)] + ["energy_residual"],
+        [dataclasses.astuple(s) + (r,) for s, r in zip(traj.samples, residuals)],
     )
     write_checkpoint(runner.path("final_state.bard"), state.u, cfg.params, state.t)
-    return EXIT_OK if report.passed else EXIT_CHECK
+    report = decay_envelope_check(traj, force, cfg.params)
+    entry, radius_sq, analytic = absorbing_ball_entry(traj, force, cfg.params)
+    return runner.report(
+        "simulate_report.json",
+        "decay_envelopes",
+        report.passed,
+        max_slack=max(report.pointwise_slack, report.windowed_slack),
+        pointwise_slack=report.pointwise_slack,
+        windowed_slack=report.windowed_slack,
+        max_energy_residual=float(np.abs(residuals).max()),
+        absorbing_ball={
+            "entry_time": entry,
+            "radius_sq": radius_sq,
+            "analytic_bound": analytic,
+        },
+        series_file="trajectory.csv",
+    )
 
 
 def cmd_stationary(runner):
     cfg = runner.cfg
     force = runner.force_field()
-    try:
-        result = solve_stationary(
-            force, cfg.params, cfg.relaxation, cfg.tol, cfg.max_iter
-        )
-    except NonConvergenceError as exc:
-        return _nonconvergence(runner, "stationary_report.json", "stationary_solve", exc)
+    result = _solve_stationary(runner, force, "stationary_report.json", "stationary_solve")
+    if result is None:
+        return EXIT_NONCONV
     write_checkpoint(
         runner.path("stationary.bard"), result.U, cfg.params, STEADY_STATE_TIME
     )
     ok = result.energy_slack >= -1e-10 * norms(force, cfg.params.alpha).h1alpha_sq
-    _write_json(
-        runner.path("stationary_report.json"),
-        {
-            "check_name": "stationary_solve",
-            "params": _params_dict(cfg.params),
-            "pass": bool(ok),
-            "converged": True,
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "energy_slack": result.energy_slack,
-        },
+    return runner.report(
+        "stationary_report.json",
+        "stationary_solve",
+        ok,
+        converged=True,
+        residual=result.residual,
+        iterations=result.iterations,
+        energy_slack=result.energy_slack,
     )
-    return EXIT_OK if ok else EXIT_CHECK
 
 
-def _nonconvergence(runner, report, check_name, exc):
-    """Report a stationary solve that did not converge."""
-    _write_json(
-        runner.path(report),
-        {
-            "check_name": check_name,
-            "params": _params_dict(runner.cfg.params),
-            "pass": False,
-            "converged": False,
-            "residual_history": [float(r) for r in exc.residual_history],
-        },
-    )
-    return EXIT_NONCONV
+def _solve_stationary(runner, force, report, check_name):
+    """The steady state for `force`; None once a solve that did not converge
+    has been reported under `report`."""
+    cfg = runner.cfg
+    try:
+        return solve_stationary(force, cfg.params, cfg.relaxation, cfg.tol, cfg.max_iter)
+    except NonConvergenceError as exc:
+        history = [float(r) for r in exc.residual_history]
+        runner.report(report, check_name, False, converged=False, residual_history=history)
+        return None
 
 
 def cmd_bound(runner):
     cfg = runner.cfg
-    if cfg.f_norm is not None:
-        f_norm = cfg.f_norm
-    else:
+    f_norm = cfg.f_norm
+    if f_norm is None:
         f_norm = float(np.sqrt(norms(runner.force_field(), cfg.params.alpha).h1alpha_sq))
     eta_rep = eta(cfg.params, f_norm)
     dim = dimension_bound(cfg.params, f_norm)
-    _write_json(
-        runner.path("bound_report.json"),
-        {
-            "check_name": "dimension_bound",
-            "params": _params_dict(cfg.params),
-            "pass": True,
-            "f_norm": f_norm,
-            "eta": eta_rep.eta_value,
-            "eta_regime": eta_rep.regime,
-            "lieb_thirring_constant": dim.c_lt,
-            "c_alpha_beta_nu": dim.c_abn,
-            "dimension_bound": dim.bound,
-        },
+    return runner.report(
+        "bound_report.json",
+        "dimension_bound",
+        True,
+        f_norm=f_norm,
+        eta=eta_rep.eta_value,
+        eta_regime=eta_rep.regime,
+        lieb_thirring_constant=dim.c_lt,
+        c_alpha_beta_nu=dim.c_abn,
+        dimension_bound=dim.bound,
     )
-    return EXIT_OK
 
 
 def cmd_lyapunov(runner):
     """One base trajectory serves every frame size: at each sampled state the
-    base velocity is transformed once, for the CFL check, the Lyapunov sums
-    and the frame transport."""
+    base velocity is transformed once, for the Lyapunov sums and the frame
+    transport.  The base steps check the CFL cap."""
     cfg = runner.cfg
     p, dt, every = cfg.params, cfg.dt, cfg.sample_every
     force = runner.force_field()
@@ -237,7 +217,6 @@ def cmd_lyapunov(runner):
     n_windows = max(int(round(cfg.t_end / (dt * every))), 1)
     for k, st in enumerate(sampled_states(base, n_windows * every, dt, every)):
         u_phys = dealiased_physical(st.u)
-        check_cfl(st, dt, u_phys)
         for i, m in enumerate(cfg.m_list):
             total = lyapunov_sum(frames[i], st.u, p, u_phys)
             bound = lyapunov_sum_bound(m, st.u, p)
@@ -246,80 +225,48 @@ def cmd_lyapunov(runner):
                 frames[i] = transport_frame(frames[i], st.u, p, dt, every, u_phys)
     rows = [row for group in rows for row in group]
     all_ok = all(total <= bound + 1e-10 * p.beta * m for m, _, total, bound, _ in rows)
-    _write_csv(
-        runner.path("lyapunov.csv"),
-        ["m", "t", "lyapunov_sum", "bound", "slack"],
-        rows,
+    runner.csv("lyapunov.csv", ["m", "t", "lyapunov_sum", "bound", "slack"], rows)
+    return runner.report(
+        "lyapunov_report.json",
+        "lyapunov_sum_bound",
+        all_ok,
+        max_slack=float(min(r[4] for r in rows)),
+        series_file="lyapunov.csv",
     )
-    _write_json(
-        runner.path("lyapunov_report.json"),
-        {
-            "check_name": "lyapunov_sum_bound",
-            "params": _params_dict(cfg.params),
-            "pass": bool(all_ok),
-            "max_slack": float(min(r[4] for r in rows)),
-            "series_file": "lyapunov.csv",
-        },
-    )
-    return EXIT_OK if all_ok else EXIT_CHECK
+
+
+def _random_band(cfg, amplitude, seed, k_max):
+    """A random_band field on modes 1 <= |k| <= k_max, within the dealias cutoff."""
+    k_max = min(k_max, cfg.grid.dealias_cutoff)
+    recipe = FieldRecipe("random_band", amplitude, seed=seed, k_min=1, k_max=k_max)
+    return generate(recipe, cfg.grid, cfg.params.alpha)
 
 
 def _random_frame(cfg, rng, m):
-    fields = [
-        generate(
-            FieldRecipe(
-                "random_band",
-                amplitude=1.0,
-                seed=int(rng.integers(0, 2**63)),
-                k_min=1,
-                k_max=min(3, cfg.grid.dealias_cutoff),
-            ),
-            cfg.grid,
-            cfg.params.alpha,
-        )
-        for _ in range(m)
-    ]
-    return orthonormalize(fields, cfg.params.alpha)
+    frame = [_random_band(cfg, 1.0, int(rng.integers(0, 2**63)), 3) for _ in range(m)]
+    return orthonormalize(frame, cfg.params.alpha)
 
 
 def cmd_gap(runner):
     cfg = runner.cfg
     force = runner.force_field()
     u0_a = runner.initial_field()
-    perturb = generate(
-        FieldRecipe(
-            "random_band",
-            amplitude=cfg.perturb_amplitude,
-            seed=cfg.perturb_seed,
-            k_min=1,
-            k_max=min(2, cfg.grid.dealias_cutoff),
-        ),
-        cfg.grid,
-        cfg.params.alpha,
-    )
+    perturb = _random_band(cfg, cfg.perturb_amplitude, cfg.perturb_seed, 2)
     u0_b = VectorField(cfg.grid, u0_a.hat + perturb.hat, div_free=True)
     report = trajectory_gap(
         u0_a, u0_b, force, force, cfg.params, cfg.t_end, cfg.dt, cfg.sample_every
     )
-    _write_csv(
-        runner.path("gap.csv"),
-        ["t", "gap_sq"],
-        list(zip(report.times, report.gap_sq)),
-    )
+    runner.csv("gap.csv", ["t", "gap_sq"], zip(report.times, report.gap_sq))
     ok = report.orbital_stable if report.eta_value is not None and report.eta_value <= 0 else True
-    _write_json(
-        runner.path("gap_report.json"),
-        {
-            "check_name": "trajectory_gap",
-            "params": _params_dict(cfg.params),
-            "pass": bool(ok),
-            "eta": report.eta_value,
-            "orbital_stable": report.orbital_stable,
-            "decay_rate": report.decay_rate,
-            "series_file": "gap.csv",
-        },
+    return runner.report(
+        "gap_report.json",
+        "trajectory_gap",
+        ok,
+        eta=report.eta_value,
+        orbital_stable=report.orbital_stable,
+        decay_rate=report.decay_rate,
+        series_file="gap.csv",
     )
-    return EXIT_OK if ok else EXIT_CHECK
 
 
 def cmd_decay(runner):
@@ -330,59 +277,34 @@ def cmd_decay(runner):
             u0, cfg.params, cfg.t_end, cfg.dt, cfg.p_list, cfg.sample_every
         )
         keys = ["p%g" % p if not np.isinf(p) else "pinf" for p in cfg.p_list]
-        rows = [
-            [report.times[i]] + [report.lp_norms[p][i] for p in cfg.p_list]
-            for i in range(len(report.times))
-        ]
-        _write_csv(runner.path("decay.csv"), ["t"] + keys, rows)
-        ok = all(report.envelopes_ok.values())
-        _write_json(
-            runner.path("decay_report.json"),
-            {
-                "check_name": "zero_force_decay",
-                "params": _params_dict(cfg.params),
-                "pass": bool(ok),
-                "fitted_rates": {
-                    k: report.fitted_rates[p] for k, p in zip(keys, cfg.p_list)
-                },
-                "envelopes_ok": {
-                    k: report.envelopes_ok[p] for k, p in zip(keys, cfg.p_list)
-                },
-                "series_file": "decay.csv",
-            },
+        rows = zip(report.times, *(report.lp_norms[p] for p in cfg.p_list))
+        runner.csv("decay.csv", ["t"] + keys, rows)
+        return runner.report(
+            "decay_report.json",
+            "zero_force_decay",
+            all(report.envelopes_ok.values()),
+            fitted_rates={k: report.fitted_rates[p] for k, p in zip(keys, cfg.p_list)},
+            envelopes_ok={k: report.envelopes_ok[p] for k, p in zip(keys, cfg.p_list)},
+            series_file="decay.csv",
         )
-        return EXIT_OK if ok else EXIT_CHECK
 
     force = runner.force_field()
-    try:
-        stat = solve_stationary(force, cfg.params, cfg.relaxation, cfg.tol, cfg.max_iter)
-    except NonConvergenceError as exc:
-        return _nonconvergence(runner, "decay_report.json", "steady_convergence", exc)
+    stat = _solve_stationary(runner, force, "decay_report.json", "steady_convergence")
+    if stat is None:
+        return EXIT_NONCONV
     report = steady_convergence(
         u0, force, cfg.params, stat.U, cfg.t_end, cfg.dt, cfg.sample_every
     )
-    _write_csv(
-        runner.path("decay.csv"),
-        ["t", "r", "r_inf"],
-        list(zip(report.times, report.r, report.r_inf)),
+    rows = zip(report.times, report.r, report.r_inf)
+    runner.csv("decay.csv", ["t", "r", "r_inf"], rows)
+    return runner.report(
+        "decay_report.json",
+        "steady_convergence",
+        report.monotone and report.profile_envelope_ok,
+        monotone=report.monotone,
+        profile_envelope_ok=report.profile_envelope_ok,
+        series_file="decay.csv",
     )
-    ok = report.monotone and report.profile_envelope_ok
-    _write_json(
-        runner.path("decay_report.json"),
-        {
-            "check_name": "steady_convergence",
-            "params": _params_dict(cfg.params),
-            "pass": bool(ok),
-            "monotone": report.monotone,
-            "profile_envelope_ok": report.profile_envelope_ok,
-            "series_file": "decay.csv",
-        },
-    )
-    return EXIT_OK if ok else EXIT_CHECK
-
-
-def _params_dict(p):
-    return {"alpha": p.alpha, "beta": p.beta, "nu": p.nu, "eta_c": p.eta_c}
 
 
 COMMANDS = {
@@ -413,27 +335,19 @@ def main(argv=None):
     runner = Runner(cfg, args.out)
     try:
         code = COMMANDS[args.subcommand](runner)
-    except BlowUpError as exc:
+    except (BlowUpError, CFLError) as exc:
+        cfl = isinstance(exc, CFLError)
         _write_json(
-            runner.out / "blowup_report.json",
-            {"check_name": "blow_up", "pass": False, "time": exc.t, "detail": str(exc)},
-        )
-        runner.finalize(args.subcommand)
-        return EXIT_BLOWUP
-    except CFLError as exc:
-        _write_json(
-            runner.path("cfl_report.json"),
+            runner.path("cfl_report.json" if cfl else "blowup_report.json"),
             {
-                "check_name": "cfl",
+                "check_name": "cfl" if cfl else "blow_up",
                 "pass": False,
                 "time": exc.t,
-                "dt": exc.dt,
-                "cap": exc.cap,
                 "detail": str(exc),
+                **({"dt": exc.dt, "cap": exc.cap} if cfl else {}),
             },
         )
-        runner.finalize(args.subcommand)
-        return EXIT_CFL
+        code = EXIT_CFL if cfl else EXIT_BLOWUP
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

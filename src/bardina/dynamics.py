@@ -15,6 +15,7 @@ from .spectral import (
     VectorField,
     bilinear,
     dealias_mask,
+    dealiased_physical,
     h1alpha_inner,
     norms,
     vector_to_physical,
@@ -95,9 +96,10 @@ class Trajectory:
         return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def nonlinear_term(u, alpha):
-    """P div((u (x) u)_alpha) = B(u, u): the Bardina nonlinearity, dealiased."""
-    return bilinear(u, u, alpha)
+def nonlinear_term(u, alpha, u_phys=None):
+    """P div((u (x) u)_alpha) = B(u, u): the Bardina nonlinearity, dealiased.
+    u_phys: see bilinear."""
+    return bilinear(u, u, alpha, u_phys)
 
 
 def _phi1(z):
@@ -130,9 +132,9 @@ def _etd_weights(grid, params, dt):
     return np.exp(z), dt * _phi1(z), dt * _phi2(z)
 
 
-def _rhs_nonlinear(u, force, alpha):
+def _rhs_nonlinear(u, force, alpha, u_phys=None):
     """N(u) + f with N(u) = -P div((u (x) u)_alpha)."""
-    return force.hat - nonlinear_term(u, alpha).hat
+    return force.hat - nonlinear_term(u, alpha, u_phys).hat
 
 
 def cfl_cap(u, grid, u_phys=None):
@@ -152,7 +154,8 @@ def check_cfl(state, dt, u_phys=None):
 
 
 def step(state, dt, _weights=None):
-    """Advance one ETD2RK step.  Raises BlowUpError on non-finite output."""
+    """Advance one ETD2RK step.  Raises CFLError if dt exceeds the CFL cap of
+    the input state, BlowUpError on non-finite output."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.u.grid
@@ -161,7 +164,10 @@ def step(state, dt, _weights=None):
         _weights = _etd_weights(grid, state.params, dt)
     expz, w1, w2 = _weights
 
-    n0 = _rhs_nonlinear(state.u, state.force, alpha)
+    u_phys = dealiased_physical(state.u)  # shared by the CFL check and N(u)
+    check_cfl(state, dt, u_phys)
+    n0 = _rhs_nonlinear(state.u, state.force, alpha, u_phys)
+    del u_phys
     predictor = expz * state.u.hat + w1 * n0
     upred = VectorField(grid, predictor)
     n1 = _rhs_nonlinear(upred, state.force, alpha)
@@ -199,7 +205,7 @@ def sample_diagnostics(state):
     )
 
 
-def evolve(state, t_end, dt, sample_every=1, enforce_cfl=True):
+def evolve(state, t_end, dt, sample_every=1):
     """Repeated stepping with diagnostics sampling every sample_every steps.
 
     Returns (final_state, Trajectory).  The trajectory always contains the
@@ -207,8 +213,6 @@ def evolve(state, t_end, dt, sample_every=1, enforce_cfl=True):
     """
     if t_end < state.t:
         raise ValueError("t_end precedes current state time")
-    if enforce_cfl:
-        check_cfl(state, dt)
     n_steps = int(round((t_end - state.t) / dt))
     if n_steps == 0 and t_end > state.t:
         n_steps = 1

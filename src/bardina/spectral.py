@@ -341,11 +341,6 @@ def h1alpha_inner(v, w, alpha):
     return grid.box_len**3 * float(np.sum((1.0 + alpha**2 * ksq) * _real_dot(v, w)))
 
 
-def l2_inner(v, w):
-    grid = _check_shared_grid(v, w)
-    return grid.box_len**3 * float(np.sum(_real_dot(v, w)))
-
-
 # (i, j) of the 6 unique entries of a symmetric 3x3 tensor, and the slot
 # holding entry (i, j)
 _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import bardina.cli
+import bardina.dynamics
 from bardina.attractor import lyapunov_sum, lyapunov_sum_bound, transport_frame
 from bardina.checkpoint import STEADY_STATE_TIME, read_checkpoint
 from bardina.cli import (
+    EXIT_BLOWUP,
     EXIT_CFL,
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -16,7 +18,7 @@ from bardina.cli import (
     main,
 )
 from bardina.config import ConfigError, RunConfig, load_config, parse_config
-from bardina.dynamics import SimState, evolve
+from bardina.dynamics import BlowUpError, SimState, evolve
 from bardina.fields import generate
 
 BASE_INI = """\
@@ -201,18 +203,29 @@ class TestLyapunovLoop:
         assert got == per_frame_size_rows(parse_config(self.INI))
 
     def test_cfl_checked_at_every_sampled_state(self, tmp_path, monkeypatch):
-        checked = []
-        original = bardina.cli.check_cfl
+        # every base step checks the cap of the state it advances from, so
+        # every sampled state but the last is checked
+        stepped, checked = [], []
+        step, check_cfl = bardina.dynamics.step, bardina.dynamics.check_cfl
 
-        def record(state, dt, u_phys=None):
-            checked.append(state.t)
-            return original(state, dt, u_phys)
+        def record_step(state, dt, _weights=None):
+            stepped.append(state)
+            return step(state, dt, _weights)
 
-        monkeypatch.setattr(bardina.cli, "check_cfl", record)
+        def record_check(state, dt, u_phys=None):
+            checked.append(state)
+            return check_cfl(state, dt, u_phys)
+
+        monkeypatch.setattr(bardina.dynamics, "step", record_step)
+        monkeypatch.setattr(bardina.dynamics, "check_cfl", record_check)
         code, out = run_cli(tmp_path, "lyapunov", self.INI)
         assert code == EXIT_OK
+        assert len(stepped) == 25  # t_end / dt
+        assert len(checked) == len(stepped)
+        assert all(c is s for c, s in zip(checked, stepped))
         rows_m1 = (out / "lyapunov.csv").read_text().splitlines()[1:7]
-        assert checked == [float(row.split(",")[1]) for row in rows_m1]
+        sampled = [float(row.split(",")[1]) for row in rows_m1]
+        assert sampled[:-1] == [s.t for s in stepped[::5]]
 
 
 class TestCliErrors:
@@ -251,7 +264,7 @@ class TestCliErrors:
         meta = json.loads((out / "run_meta.json").read_text())
         assert "decay_report.json" in meta["artifacts"]
 
-    @pytest.mark.parametrize("subcommand", ["simulate", "lyapunov"])
+    @pytest.mark.parametrize("subcommand", ["simulate", "lyapunov", "gap", "decay"])
     def test_dt_above_cfl_cap(self, tmp_path, subcommand):
         # max |u| = 50 puts the cap at 0.5 dx / 50 ~ 0.0079 < dt = 0.02
         ini = BASE_INI.replace(
@@ -265,6 +278,31 @@ class TestCliErrors:
         assert abs(report["cap"] - 0.5 * (2 * np.pi / 8) / 50.0) <= 1e-12
         meta = json.loads((out / "run_meta.json").read_text())
         assert "cfl_report.json" in meta["artifacts"]
+
+    def test_blowup_report_listed(self, tmp_path, monkeypatch):
+        def blow_up(state, t_end, dt, sample_every=1):
+            raise BlowUpError(0.25)
+
+        monkeypatch.setattr(bardina.cli, "evolve", blow_up)
+        code, out = run_cli(tmp_path, "simulate", BASE_INI)
+        assert code == EXIT_BLOWUP
+        report = json.loads((out / "blowup_report.json").read_text())
+        assert report["check_name"] == "blow_up" and report["pass"] is False
+        assert report["time"] == 0.25
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert "blowup_report.json" in meta["artifacts"]
+
+
+@pytest.mark.parametrize("subcommand", sorted(bardina.cli.COMMANDS))
+def test_report_contract(tmp_path, subcommand):
+    code, out = run_cli(tmp_path, subcommand, BASE_INI)
+    meta = json.loads((out / "run_meta.json").read_text())
+    reports = [a for a in meta["artifacts"] if a.endswith("_report.json")]
+    assert reports == [f"{subcommand}_report.json"]
+    report = json.loads((out / reports[0]).read_text())
+    assert {"check_name", "params", "pass"} <= set(report)
+    assert set(report["params"]) == {"alpha", "beta", "nu", "eta_c"}
+    assert code == (EXIT_OK if report["pass"] else EXIT_CHECK)
 
 
 class TestDeterminism:
