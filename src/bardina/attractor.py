@@ -14,6 +14,7 @@ from .spectral import (
     dealias_mask,
     h1alpha_inner,
     norms,
+    parseval_weights,
     vector_to_physical,
     wavenumber_sq,
 )
@@ -58,13 +59,22 @@ class OrthoFrame:
     fields: list
     alpha: float
 
+    def gram(self):
+        """The m x m matrix of h1alpha_inner products: one weighted copy of
+        each field and m(m+1)/2 dot products over every mode."""
+        grid = self.fields[0].grid
+        weight = (1.0 + self.alpha**2 * wavenumber_sq(grid)) * parseval_weights(grid)
+        weight = grid.box_len**3 * np.repeat(weight, 2, axis=-1)  # re, im interleaved
+        x = [f.hat.view(np.float64) for f in self.fields]
+        g = np.empty((len(x), len(x)))
+        for i, xi in enumerate(x):
+            wxi = xi * weight
+            for j in range(i + 1):
+                g[i, j] = g[j, i] = np.vdot(wxi, x[j])
+        return g
+
     def gram_defect(self):
-        m = len(self.fields)
-        g = np.empty((m, m))
-        for i in range(m):
-            for j in range(m):
-                g[i, j] = h1alpha_inner(self.fields[i], self.fields[j], self.alpha)
-        return np.abs(g - np.eye(m)).max()
+        return np.abs(self.gram() - np.eye(len(self.fields))).max()
 
 
 def eta(params, f_norm):

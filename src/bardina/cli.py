@@ -4,7 +4,8 @@ Usage: bardina <subcommand> --config <path> [--out <dir>]
 
 Exit codes: 0 success, 2 config error, 3 numerical blow-up,
 4 stationary non-convergence, 5 assertion/report failure,
-6 time step above the CFL cap.
+6 time step above the CFL cap.  A violated divergence certificate
+(spectral.CertificateError) is a defect of the program and propagates.
 """
 
 import argparse

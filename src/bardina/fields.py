@@ -6,9 +6,7 @@ import numpy as np
 
 from .spectral import (
     VectorField,
-    _reverse_modes,
     dealias_mask,
-    half_spectrum,
     leray_project,
     mode_indices,
     norms,
@@ -119,18 +117,25 @@ def _random_band(recipe, grid, alpha):
             f"(cutoff {cutoff})"
         )
     rng = np.random.default_rng(recipe.seed)
+    n = grid.n
     m = mode_indices(grid)
     mag = np.sqrt(
-        m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, :] ** 2
+        m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, : n // 2 + 1] ** 2
     )
-    # |m| <= k_max <= cutoff, so the band lies inside the retained modes
-    band = (mag >= recipe.k_min) & (mag <= recipe.k_max)
-    # Draw on the full spectrum and Hermitian-symmetrize there, so the
-    # field is real and a seed gives the same field in any layout
-    shape = (3, grid.n, grid.n, grid.n)
-    coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * band
-    coeffs = 0.5 * (coeffs + np.conj(_reverse_modes(coeffs)))
-    v = leray_project(VectorField(grid, half_spectrum(coeffs)))
+    # |m| <= k_max <= cutoff, so the band lies inside the retained modes.
+    # Both parts are drawn on the full spectrum, so a seed gives the same
+    # field in any layout; c(m) is Hermitian-symmetrized from the draws at
+    # the band modes of the half spectrum and at their mirrors -m.
+    x, y, z = np.nonzero((mag >= recipe.k_min) & (mag <= recipe.k_max))
+    mx, my, mz = -x % n, -y % n, -z % n
+    draw = np.empty((3, n, n, n))
+    rng.standard_normal(out=draw)
+    re, re_m = draw[:, x, y, z], draw[:, mx, my, mz]
+    rng.standard_normal(out=draw)
+    im, im_m = draw[:, x, y, z], draw[:, mx, my, mz]
+    hat = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
+    hat[:, x, y, z] = 0.5 * ((re + 1j * im) + np.conj(re_m + 1j * im_m))
+    v = leray_project(VectorField(grid, hat))
     current = norms(v, alpha).h1alpha_sq
     if current > 0:
         v = VectorField(

@@ -16,6 +16,14 @@ Conventions used throughout:
     layout; a field's ``coeffs`` property is its full spectrum (for I/O).
   * Dealiasing keeps mode indices with |m_i| <= floor(dealias_fraction*n/2)
     on every axis (2/3-rule truncation by default).
+  * The bilinear kernel works on that retained box only, x and y rows
+    |m| <= cutoff and m_z <= cutoff: reading its inputs from the box is
+    their dealiasing, its x and y transforms run on the m_z <= cutoff planes
+    only, its symbols are box-sized, and one scatter into zero half spectra
+    is the truncation of its output.  It transforms the 5 entries of the
+    traceless product T - T33 I instead of the 6 of T; that is exact,
+    because div(s I) = grad s and the Leray projection removes a gradient
+    mode by mode.
 """
 
 from dataclasses import dataclass, replace
@@ -25,6 +33,7 @@ import numpy as np
 from scipy import fft as sfft
 
 __all__ = [
+    "CertificateError",
     "GridSpec",
     "SpectralField",
     "VectorField",
@@ -49,6 +58,11 @@ __all__ = [
 
 DIV_FREE_TOL = 1e-10
 AXES = (-3, -2, -1)
+
+
+class CertificateError(RuntimeError):
+    """Raised when a field constructed with div_free=True is not divergence-free:
+    the solver produced it, so this is a defect of the program, not of its input."""
 
 
 @dataclass(frozen=True)
@@ -193,7 +207,7 @@ class VectorField(SpectralField):
         if self.div_free:
             d = self.div_defect()
             if d > DIV_FREE_TOL:
-                raise ValueError(
+                raise CertificateError(
                     f"div_free certificate violated: max mode divergence {d:.3e}"
                 )
 
@@ -234,9 +248,9 @@ class NormBundle:
     h1alpha_sq: float
 
 
-def _to_physical(hat, n, overwrite=False):
+def _to_physical(hat, n):
     """Batched inverse transform of half spectra over the last three axes."""
-    return sfft.irfftn(hat, s=(n, n, n), axes=AXES, norm="forward", overwrite_x=overwrite)
+    return sfft.irfftn(hat, s=(n, n, n), axes=AXES, norm="forward")
 
 
 def forward_transform(physical_samples, grid=None):
@@ -341,77 +355,144 @@ def h1alpha_inner(v, w, alpha):
     return grid.box_len**3 * float(np.sum((1.0 + alpha**2 * ksq) * _real_dot(v, w)))
 
 
-# (i, j) of the 6 unique entries of a symmetric 3x3 tensor, and the slot
-# holding entry (i, j)
-_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-_SLOT = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+@lru_cache(maxsize=32)
+def _box_rows(grid):
+    """Indices of the retained modes |m| <= cutoff along one full axis, in FFT
+    ordering.  With dealias_fraction 1 the cutoff is n/2 and the row m = -n/2
+    is listed once."""
+    return _frozen(np.flatnonzero(np.abs(mode_indices(grid)) <= grid.dealias_cutoff))
+
+
+def _box(a, grid):
+    """Gather the retained box (..., b, b, cutoff+1) of half-spectrum arrays."""
+    rows = _box_rows(grid)
+    return a[..., rows[:, None], rows, : grid.dealias_cutoff + 1]
 
 
 def dealiased_physical(v):
     """Physical samples (3, n, n, n) of the dealiased field: the form in which
-    the bilinear kernel reads its inputs."""
-    return _to_physical(v.hat * dealias_mask(v.grid), v.grid.n, overwrite=True)
+    the bilinear kernel reads its inputs.  The m_z <= cutoff planes are
+    copied into zero half spectra and their x and y rows beyond the cutoff
+    zeroed, which leaves the retained box; these planes are transformed over
+    x and y in place, then the whole over z by the real inverse transform."""
+    n, c = v.grid.n, v.grid.dealias_cutoff
+    a = np.zeros(v.hat.shape, dtype=v.hat.dtype)
+    box = a[..., : c + 1]
+    box[...] = v.hat[..., : c + 1]
+    box[:, c + 1 : n - c] = 0.0
+    box[:, :, c + 1 : n - c] = 0.0
+    xy = sfft.ifftn(box, axes=(-3, -2), norm="forward", overwrite_x=True)
+    if not np.may_share_memory(xy, box):  # the transform did not run in place
+        box[...] = xy
+    return sfft.irfftn(a, s=(n,), axes=(-1,), norm="forward", overwrite_x=True)
+
+
+def _box_spectra(samples, grid):
+    """Retained-box spectra (s, b, b, cutoff+1) of physical samples
+    (s, n, n, n): the x and y transforms run on the m_z <= cutoff planes
+    only."""
+    a = sfft.rfftn(samples, axes=(-1,), norm="forward")[..., : grid.dealias_cutoff + 1]
+    a = sfft.fftn(a, axes=(-3, -2), norm="forward", overwrite_x=True)
+    rows = _box_rows(grid)
+    return a[:, rows[:, None], rows]
+
+
+def _traceless_products(a, b):
+    """Physical samples of T - T33 I for T = (a (x) b + b (x) a)/2, as the 5
+    slots T11 - T33, T22 - T33, T12, T13, T23.  Shifting T by T33 I changes
+    div T by grad T33, which the Leray projection removes mode by mode, so B
+    needs only these 5 slots."""
+    out = np.empty((5,) + a.shape[1:])
+    np.multiply(a[2], b[2], out=out[4])  # T33, until T23 takes its slot
+    for s in (0, 1):
+        np.multiply(a[s], b[s], out=out[s])
+        out[s] -= out[4]
+    tmp = None if b is a else np.empty(a.shape[1:])
+    for s, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)), start=2):
+        np.multiply(a[i], b[j], out=out[s])
+        if tmp is not None:
+            out[s] += np.multiply(b[i], a[j], out=tmp)
+            out[s] *= 0.5
+    return out
 
 
 def tensor_product_spectra(u, w, u_phys=None):
-    """Half spectra (6, n, n, n//2+1) of the unique entries (u_i w_j + w_i u_j)/2
-    of the symmetric product; one inverse transform when w is u, none for u
+    """Retained-box spectra (5, b, b, cutoff+1) of the traceless symmetric
+    product T - T33 I, T = (u (x) w + w (x) u)/2 (slots as in
+    _traceless_products); one inverse transform when w is u, none for u
     when u_phys, its dealiased_physical samples, is given.
 
     Products of the dealiased inputs are formed in physical space, so the
-    retained modes are the exact Galerkin projection; the symbols applied
-    to the result carry the output truncation.
+    retained modes are the exact Galerkin projection; the other modes are
+    dropped after the z transform.
     """
     a = dealiased_physical(u) if u_phys is None else u_phys
     b = a if w is u else dealiased_physical(w)
-    prods = np.empty((6,) + a.shape[1:])
-    for s, (i, j) in enumerate(_PAIRS):
-        np.multiply(a[i], b[j], out=prods[s])
-        if b is not a:
-            prods[s] += b[i] * a[j]
-            prods[s] *= 0.5
-    return sfft.rfftn(prods, axes=AXES, norm="forward", overwrite_x=True)
+    return _box_spectra(_traceless_products(a, b), u.grid)
 
 
 @lru_cache(maxsize=32)
 def _bilinear_symbols(grid, alpha):
-    """Per-grid symbols of the bilinear kernel: k, k/|k|^2 (0 at k = 0), and
-    i (1 + alpha^2 |k|^2)^{-1} times the dealias mask (derivative, filter and
-    truncation fused)."""
+    """Symbols of the bilinear kernel on the retained box: k, k/|k|^2 (0 at
+    k = 0), and i (1 + alpha^2 |k|^2)^{-1} (derivative and filter fused)."""
     filt = 1.0 / (1.0 + alpha**2 * wavenumber_sq(grid))
-    return wavevectors(grid), _leray_symbol(grid), _frozen(1j * filt * dealias_mask(grid))
+    return (
+        _frozen(_box(wavevectors(grid), grid)),
+        _frozen(_box(_leray_symbol(grid), grid)),
+        _frozen(_box(1j * filt, grid)),
+    )
 
 
 def _contract(t, k):
-    """(sum_j k_j T_ij)_i for the symmetric tensor T held as 6 slots."""
-    return [k[0] * t[_SLOT[i][0]] + k[1] * t[_SLOT[i][1]] + k[2] * t[_SLOT[i][2]]
-            for i in range(3)]
+    """(sum_j k_j T_ij)_i for the traceless tensor held as 5 slots."""
+    return [
+        k[0] * t[0] + k[1] * t[2] + k[2] * t[3],
+        k[0] * t[2] + k[1] * t[1] + k[2] * t[4],
+        k[0] * t[3] + k[1] * t[4],
+    ]
+
+
+def _unbox(box, grid):
+    """Scatter retained-box values into zero half spectra."""
+    out = np.zeros(box.shape[:-3] + grid.half_shape, dtype=box.dtype)
+    rows = _box_rows(grid)
+    out[..., rows[:, None], rows, : grid.dealias_cutoff + 1] = box
+    return out
 
 
 def bilinear(u, w, alpha, u_phys=None):
     """Symmetric bilinear form B(u, w) = P div(((u (x) w + w (x) u)/2)_alpha), dealiased.
 
     B(u, u) is the Bardina nonlinearity; for divergence-free u and w,
-    2 B(u, w) = P(((w.grad)u + (u.grad)w)_alpha).  One batched inverse
-    transform per distinct input, one forward transform of the 6 products.
-    A caller that applies B(u, .) to many fields passes u_phys =
-    dealiased_physical(u) once and saves the transform of u.
+    2 B(u, w) = P(((w.grad)u + (u.grad)w)_alpha).  One inverse transform per
+    distinct input, one forward transform of the 5 traceless products, and
+    the symbols applied on the retained box only.  A caller that applies
+    B(u, .) to many fields passes u_phys = dealiased_physical(u) once and
+    saves the transform of u.
     """
     grid = _check_shared_grid(u, w)
     t = tensor_product_spectra(u, w, u_phys)
     k, kk, g = _bilinear_symbols(grid, alpha)
     v = _contract(t, k)  # div T / i
     q = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]
-    out = np.empty((3,) + t.shape[1:], dtype=t.dtype)
+    box = np.empty((3,) + t.shape[1:], dtype=t.dtype)
     for i in range(3):
-        np.multiply(v[i] - kk[i] * q, g, out=out[i])
-    return VectorField(grid, out)
+        np.multiply(v[i] - kk[i] * q, g, out=box[i])
+    return VectorField(grid, _unbox(box, grid))
 
 
 def pressure_from_velocity(u, alpha):
     """Recover the pressure from the velocity via the Riesz-transform formula:
     p_hat(k) = sum_ij (-k_i k_j / |k|^2) (1 + alpha^2 |k|^2)^{-1} (u_i u_j)_hat,
-    with p_hat(0) = 0, dealiased."""
-    k, kk, g = _bilinear_symbols(u.grid, alpha)
-    v = _contract(tensor_product_spectra(u, u), k)
-    return SpectralField(u.grid, 1j * g * (kk[0] * v[0] + kk[1] * v[1] + kk[2] * v[2]))
+    with p_hat(0) = 0, dealiased.  The traceless slots of
+    tensor_product_spectra lose |k|^2 T33 from the sum, so T33 is
+    transformed by the same box transforms and added back."""
+    grid = u.grid
+    a = dealiased_physical(u)
+    t = tensor_product_spectra(u, u, a)
+    t33 = _box_spectra(a[2:] * a[2:], grid)[0]
+    k, kk, g = _bilinear_symbols(grid, alpha)
+    v = _contract(t, k)
+    p = 1j * g * (kk[0] * v[0] + kk[1] * v[1] + kk[2] * v[2] + t33)
+    p[0, 0, 0] = 0.0  # k = 0: _box_rows starts at m = 0
+    return SpectralField(grid, _unbox(p, grid))

@@ -2,7 +2,10 @@
 
 Everything here is deliberately slow and simple: direct DFT sums and direct
 convolution sums over retained modes, with no shared code paths with the
-package implementation.
+package implementation.  Two former implementations are kept as references
+for their faster replacements: the full-transform bilinear kernel and the
+full-spectrum random_band construction (which reuses the package's Leray
+projection and norms, the part its replacement did not change).
 """
 
 import numpy as np
@@ -110,3 +113,51 @@ def oracle_linearized_transport(w_coeffs, u_coeffs, cutoff, box_len, alpha):
 def oracle_parseval_l2(samples_3, dx):
     """Physical-space quadrature of integral |v|^2 dx."""
     return float(np.sum(samples_3**2) * dx**3)
+
+
+def full_transform_bilinear(u_hat, w_hat, grid, alpha):
+    """B(u, w) = P div(((u (x) w + w (x) u)/2)_alpha) on the whole half
+    spectrum: dealias both inputs by the mask, inverse-transform them on the
+    full grid, form and forward-transform every product
+    (u_i w_j + w_i u_j)/2, and apply derivative, Leray projection, filter
+    and mask on every mode."""
+    from scipy import fft as sfft
+
+    n, axes = grid.n, (-3, -2, -1)
+    m = np.fft.fftfreq(n, 1.0 / n)
+    keep = np.abs(m) <= np.floor(grid.dealias_fraction * n / 2)
+    mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, : n // 2 + 1]
+    k1 = 2.0 * np.pi * m / grid.box_len
+    k = np.stack(np.meshgrid(k1, k1, k1[: n // 2 + 1], indexing="ij"))
+    ksq = np.sum(k**2, axis=0)
+    a = sfft.irfftn(u_hat * mask, s=(n, n, n), axes=axes, norm="forward")
+    b = sfft.irfftn(w_hat * mask, s=(n, n, n), axes=axes, norm="forward")
+    t = [[sfft.rfftn(0.5 * (a[i] * b[j] + b[i] * a[j]), norm="forward") for j in range(3)]
+         for i in range(3)]
+    div = np.stack([sum(k[j] * t[i][j] for j in range(3)) for i in range(3)])
+    kk = k / np.where(ksq == 0.0, 1.0, ksq)
+    proj = div - kk * np.sum(k * div, axis=0)
+    return 1j * proj * mask / (1.0 + alpha**2 * ksq)
+
+
+def random_band_full_spectrum(recipe, grid, alpha):
+    """The random_band field built on the full (3, n, n, n) spectrum: both
+    standard-normal draws, the band mask and Hermitian symmetrization of
+    every mode, then the package's Leray projection and norm rescaling of
+    the half spectrum."""
+    from bardina.spectral import VectorField, leray_project, norms
+
+    n = grid.n
+    rng = np.random.default_rng(recipe.seed)
+    m = np.fft.fftfreq(n, 1.0 / n)
+    mag = np.sqrt(m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, :] ** 2)
+    band = (mag >= recipe.k_min) & (mag <= recipe.k_max)
+    shape = (3, n, n, n)
+    coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * band
+    mirrored = np.roll(np.flip(coeffs, axis=(1, 2, 3)), 1, axis=(1, 2, 3))  # m -> -m
+    coeffs = 0.5 * (coeffs + np.conj(mirrored))
+    v = leray_project(VectorField(grid, np.ascontiguousarray(coeffs[..., : n // 2 + 1])))
+    current = norms(v, alpha).h1alpha_sq
+    if current > 0:
+        v = VectorField(grid, v.hat * (recipe.amplitude / np.sqrt(current)), div_free=True)
+    return v

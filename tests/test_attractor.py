@@ -8,6 +8,7 @@ from bardina import (
     dimension_bound,
     eta,
     generate,
+    h1alpha_inner,
     lieb_thirring_constant,
     linearized_rhs,
     lyapunov_sum,
@@ -147,6 +148,15 @@ class TestOrthonormalize:
         with pytest.raises(ValueError):
             orthonormalize([v, w], params.alpha)
 
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_gram_matches_pairwise_inner_products(self, grid16, params, m):
+        fields = [random_field(grid16, seed=85 + i, k_max=4) for i in range(m)]
+        frame = OrthoFrame(fields, params.alpha)  # not orthonormal: a full matrix
+        loop = np.array(
+            [[h1alpha_inner(v, w, params.alpha) for w in fields] for v in fields]
+        )
+        assert np.abs(frame.gram() - loop).max() <= 1e-14 * np.abs(loop).max()
+
     def test_all_zero_rejected(self, grid8, params):
         with pytest.raises(ValueError):
             orthonormalize([zero_field(grid8)], params.alpha)
@@ -182,6 +192,15 @@ class TestLyapunovSum:
     def test_non_orthonormal_frame_rejected(self, grid8, params):
         v = random_field(grid8, seed=96, amplitude=3.0)
         bad = OrthoFrame([v], params.alpha)  # not normalized
+        with pytest.raises(ValueError):
+            lyapunov_sum(bad, zero_field(grid8), params)
+
+    def test_non_orthogonal_frame_rejected(self, grid8, params):
+        # unit diagonal, off-diagonal Gram entries of 0.6
+        q = orthonormalize([random_field(grid8, seed=s) for s in (97, 98)], params.alpha)
+        tilted = VectorField(grid8, 0.6 * q.fields[0].hat + 0.8 * q.fields[1].hat)
+        bad = OrthoFrame([q.fields[0], tilted], params.alpha)
+        assert abs(bad.gram()[0, 1] - 0.6) <= 1e-12
         with pytest.raises(ValueError):
             lyapunov_sum(bad, zero_field(grid8), params)
 

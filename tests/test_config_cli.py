@@ -20,6 +20,7 @@ from bardina.cli import (
 from bardina.config import ConfigError, RunConfig, load_config, parse_config
 from bardina.dynamics import BlowUpError, SimState, evolve
 from bardina.fields import generate
+from bardina.spectral import CertificateError, VectorField
 
 BASE_INI = """\
 [grid]
@@ -291,6 +292,16 @@ class TestCliErrors:
         assert report["time"] == 0.25
         meta = json.loads((out / "run_meta.json").read_text())
         assert "blowup_report.json" in meta["artifacts"]
+
+    def test_certificate_violation_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def non_solenoidal(u, w, alpha, u_phys=None):
+            hat = np.zeros((3,) + u.grid.half_shape, dtype=np.complex128)
+            hat[0, 1, 0, 0] = 1.0  # k . u != 0 for this mode
+            return VectorField(u.grid, hat)
+
+        monkeypatch.setattr(bardina.dynamics, "bilinear", non_solenoidal)
+        with pytest.raises(CertificateError):
+            run_cli(tmp_path, "simulate", BASE_INI)
 
 
 @pytest.mark.parametrize("subcommand", sorted(bardina.cli.COMMANDS))

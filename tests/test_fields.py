@@ -4,6 +4,8 @@ import pytest
 from bardina import FieldRecipe, GridSpec, generate, norms
 from bardina.spectral import inverse_transform
 
+from oracles import random_band_full_spectrum
+
 
 class TestRecipes:
     def test_unknown_kind_rejected(self):
@@ -77,3 +79,17 @@ class TestGenerate:
         )
         outside = (mag < 2) | (mag > 2)
         assert np.abs(u.coeffs[:, outside]).max() == 0.0
+
+    @pytest.mark.parametrize("n, fraction", [(8, 2 / 3), (16, 1.0), (32, 2 / 3), (64, 2 / 3)])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_random_band_matches_full_spectrum_construction(self, n, fraction, seed):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        cutoff = grid.dealias_cutoff
+        for k_min, k_max in ((0, 0), (0, 2), (1, 2), (2, cutoff)):
+            r = FieldRecipe("random_band", 0.7, seed=seed, k_min=k_min, k_max=k_max)
+            got = generate(r, grid, alpha=0.8).hat
+            ref = random_band_full_spectrum(r, grid, 0.8).hat
+            # bitwise on every mode; zeros may differ in sign only
+            assert np.array_equal(got, ref)
+            nonzero = ref != 0
+            assert got[nonzero].tobytes() == ref[nonzero].tobytes()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import fft as sfft
 
 from bardina import (
     GridSpec,
@@ -20,7 +22,9 @@ from bardina import (
     pressure_from_velocity,
 )
 from bardina.spectral import (
+    CertificateError,
     _bilinear_symbols,
+    _box_rows,
     _leray_symbol,
     bilinear,
     dealias_mask,
@@ -29,13 +33,19 @@ from bardina.spectral import (
     half_spectrum,
     mode_indices,
     parseval_weights,
+    vector_from_physical,
     vector_to_physical,
     wavenumber_sq,
     wavevectors,
 )
 
 from conftest import random_field, random_scalar_samples
-from oracles import dft_oracle, idft_oracle, oracle_parseval_l2
+from oracles import (
+    dft_oracle,
+    full_transform_bilinear,
+    idft_oracle,
+    oracle_parseval_l2,
+)
 
 
 class TestTransforms:
@@ -357,7 +367,9 @@ class TestGridSpec:
     def test_div_free_certificate_enforced(self, grid8):
         coeffs = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
         coeffs[0, 1, 0, 0] = 1.0  # k . u != 0 for this mode
-        with pytest.raises(ValueError):
+        # a program defect, not an input error: not a ValueError
+        assert not issubclass(CertificateError, ValueError)
+        with pytest.raises(CertificateError):
             VectorField(grid8, coeffs, div_free=True)
 
 
@@ -422,6 +434,69 @@ class TestBilinear:
         w = random_field(grid16, seed=37, amplitude=0.9, k_max=5)
         expected = bilinear(u, w, 0.6).hat
         assert np.array_equal(bilinear(u, w, 0.6, dealiased_physical(u)).hat, expected)
+
+
+def general_field(grid, seed):
+    """A real field with every mode set: neither dealiased nor divergence-free."""
+    samples = np.random.default_rng(seed).standard_normal((3,) + (grid.n,) * 3)
+    return vector_from_physical(samples, grid)
+
+
+FRACTIONS = [0.5, 2 / 3, 1.0]
+kernel_cases = settings(max_examples=12, deadline=None)
+
+
+class TestBoxKernel:
+    """The retained-box kernel against the full-transform formula."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @kernel_cases
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.1, 2.0),
+           same=st.booleans(), precomputed=st.booleans())
+    def test_matches_full_transform(self, n, fraction, seed, alpha, same, precomputed):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        u = general_field(grid, seed)
+        w = u if same else general_field(grid, seed + 1)
+        u_phys = dealiased_physical(u) if precomputed else None
+        expected = full_transform_bilinear(u.hat, w.hat, grid, alpha)
+        got = bilinear(u, w, alpha, u_phys).hat
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_full_fraction_box_spans_each_axis_once(self, n):
+        grid = GridSpec(n, dealias_fraction=1.0)
+        assert grid.dealias_cutoff == n // 2
+        assert np.array_equal(_box_rows(grid), np.arange(n))
+
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @kernel_cases
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_dealiased_physical_reads_the_box(self, fraction, seed):
+        grid = GridSpec(16, dealias_fraction=fraction)
+        u = general_field(grid, seed)
+        expected = sfft.irfftn(u.hat * dealias_mask(grid), s=(16,) * 3, axes=(-3, -2, -1),
+                               norm="forward")
+        got = dealiased_physical(u)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_dealiased_physical_with_out_of_place_transform(self, grid16, monkeypatch):
+        # overwrite_x permits, but does not promise, an in-place transform
+        u = general_field(grid16, 38)
+        expected = dealiased_physical(u)
+        ifftn = sfft.ifftn
+        monkeypatch.setattr(sfft, "ifftn", lambda x, *a, **k: ifftn(x.copy(), *a, **k))
+        assert np.array_equal(dealiased_physical(u), expected)
+
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @kernel_cases
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.1, 2.0))
+    def test_zero_outside_box_and_symmetric(self, fraction, seed, alpha):
+        grid = GridSpec(16, dealias_fraction=fraction)
+        u, w = general_field(grid, seed), general_field(grid, seed + 1)
+        b = bilinear(u, w, alpha).hat
+        assert np.all(b[:, ~dealias_mask(grid)] == 0)
+        assert np.array_equal(b, bilinear(w, u, alpha).hat)
 
 
 class TestCachedSymbols:
