@@ -9,14 +9,13 @@ import numpy as np
 
 from .dynamics import SimState, _etd_weights, sampled_states
 from .spectral import (
+    CertificateError,
     VectorField,
     bilinear,
-    dealias_mask,
+    dealiased_physical,
     h1alpha_inner,
+    modes,
     norms,
-    parseval_weights,
-    vector_to_physical,
-    wavenumber_sq,
 )
 
 __all__ = [
@@ -61,9 +60,10 @@ class OrthoFrame:
 
     def gram(self):
         """The m x m matrix of h1alpha_inner products: one weighted copy of
-        each field and m(m+1)/2 dot products over every mode."""
-        grid = self.fields[0].grid
-        weight = (1.0 + self.alpha**2 * wavenumber_sq(grid)) * parseval_weights(grid)
+        each field and m(m+1)/2 dot products over every mode of the fields'
+        common layout."""
+        grid, symbols = self.fields[0].grid, self.fields[0].symbols
+        weight = (1.0 + self.alpha**2 * symbols.ksq) * symbols.weights
         weight = grid.box_len**3 * np.repeat(weight, 2, axis=-1)  # re, im interleaved
         x = [f.hat.view(np.float64) for f in self.fields]
         g = np.empty((len(x), len(x)))
@@ -119,18 +119,21 @@ def dimension_bound(params, f_norm):
 
 def linearized_rhs(w, u, params, u_phys=None):
     """L(t, u0) w = -P(((w.grad)u + (u.grad)w)_alpha) + nu Lap w - beta w
-    = -2 B(u, w) - (nu |k|^2 + beta) w, dealiased.  u_phys: see bilinear."""
+    = -2 B(u, w) - (nu |k|^2 + beta) w on the retained box (a box field).
+    u_phys: see bilinear."""
     grid = u.grid
-    lin = params.nu * wavenumber_sq(grid) + params.beta
-    out = -2.0 * bilinear(u, w, params.alpha, u_phys).hat - lin * w.hat
-    return VectorField(grid, out * dealias_mask(grid))
+    lin = params.nu * modes(grid, grid.box_shape).ksq + params.beta
+    out = -2.0 * bilinear(u, w, params.alpha, u_phys).hat - lin * w.box
+    return VectorField(grid, out)
 
 
 def lyapunov_sum(frame, u, params, u_phys=None):
-    """Sum over the frame of [L(t,u0) w_i, w_i]_alpha.  u_phys: see bilinear."""
+    """Sum over the frame of [L(t,u0) w_i, w_i]_alpha.  u_phys: see bilinear.
+    The frames this program builds are orthonormal, so a frame that is not
+    raises CertificateError."""
     defect = frame.gram_defect()
     if defect > GRAM_TOL:
-        raise ValueError(f"frame is not orthonormal (Gram deviation {defect:.3e})")
+        raise CertificateError(f"frame is not orthonormal (Gram deviation {defect:.3e})")
     total = 0.0
     for w in frame.fields:
         lw = linearized_rhs(w, u, params, u_phys)
@@ -163,7 +166,7 @@ def transport_frame(frame, state_u, params, dt, n_steps, u_phys=None):
         for _ in range(n_steps):
             # transport part only; expz treats the linear decay exactly
             nl = -2.0 * bilinear(state_u, cur, params.alpha, u_phys).hat
-            cur = VectorField(grid, expz * cur.hat + w1 * nl)
+            cur = VectorField(grid, expz * cur.box + w1 * nl)
         evolved.append(cur)
     return orthonormalize(evolved, params.alpha)
 
@@ -256,11 +259,10 @@ def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
     n_steps = max(int(round(t_end / dt)), 1)
     times, rs, rinfs = [], [], []
     for s in sampled_states(SimState(u0, 0.0, params, force), n_steps, dt, sample_every):
-        d = VectorField(u0.grid, s.u.hat - U.hat)
+        d = VectorField(u0.grid, s.u.hat - U.box)
         times.append(s.t)
         rs.append(np.sqrt(norms(d, params.alpha).h1alpha_sq))
-        mag = np.sqrt(np.sum(vector_to_physical(d) ** 2, axis=0))
-        rinfs.append(mag.max())
+        rinfs.append(_magnitude(d).max())
     times = np.array(times)
     rs = np.array(rs)
     rinfs = np.array(rinfs)
@@ -285,24 +287,29 @@ class ZeroForceDecayReport:
     envelopes_ok: dict       # p -> envelope C_p e^{-2 beta t / p} holds, C_p fit at t=1
 
 
-def _lp_norm(u, p):
-    grid = u.grid
-    mag = np.sqrt(np.sum(vector_to_physical(u) ** 2, axis=0))
+def _magnitude(u):
+    """|u(x)| on the grid; for a box field, dealiased_physical is its samples."""
+    return np.sqrt(np.sum(dealiased_physical(u) ** 2, axis=0))
+
+
+def _lp_norm(mag, p, dx):
+    """L^p norm of a field from its magnitude samples on a grid of spacing dx."""
     if p == np.inf:
         return mag.max()
-    return float((grid.dx**3 * np.sum(mag**p)) ** (1.0 / p))
+    return float((dx**3 * np.sum(mag**p)) ** (1.0 / p))
 
 
 def zero_force_decay(u0, params, t_end, dt, p_list=(2, 4, np.inf), sample_every=1):
     """Unforced run with L^p-norm envelopes C_p e^{-(2 beta / p) t} for t >= 1
     (rate 0 for p = infinity, i.e. a plain monotone bound)."""
-    force = VectorField(u0.grid, np.zeros_like(u0.hat), div_free=True)
+    force = VectorField(u0.grid, np.zeros((3,) + u0.grid.box_shape, complex), div_free=True)
     n_steps = max(int(round(t_end / dt)), 1)
     times, series = [], {p: [] for p in p_list}
     for state in sampled_states(SimState(u0, 0.0, params, force), n_steps, dt, sample_every):
         times.append(state.t)
+        mag = _magnitude(state.u)
         for p in p_list:
-            series[p].append(_lp_norm(state.u, p))
+            series[p].append(_lp_norm(mag, p, u0.grid.dx))
     times = np.array(times)
     series = {p: np.array(v) for p, v in series.items()}
 

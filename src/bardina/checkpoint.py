@@ -12,8 +12,9 @@ Little-endian layout:
 followed by 3 * n^3 complex64 values in row-major order of the mode index m
 (each axis sorted ascending from -n/2 to n/2 - 1).
 
-A time of -1.0 marks a steady state.
-The reader keeps the half spectrum (see bardina.spectral), after checking
+A time of -1.0 marks a steady state.  The writer expands a box field
+through its full spectrum (``coeffs``).  The reader returns the half
+spectrum (see bardina.spectral), never truncated to the box, after checking
 that the stored field is real and divergence-free to complex64 precision.
 """
 

@@ -4,8 +4,9 @@ Usage: bardina <subcommand> --config <path> [--out <dir>]
 
 Exit codes: 0 success, 2 config error, 3 numerical blow-up,
 4 stationary non-convergence, 5 assertion/report failure,
-6 time step above the CFL cap.  A violated divergence certificate
-(spectral.CertificateError) is a defect of the program and propagates.
+6 time step above the CFL cap.  A violated divergence certificate or a
+non-orthonormal Lyapunov frame (spectral.CertificateError) is a defect of
+the program and propagates.
 """
 
 import argparse
@@ -100,7 +101,7 @@ class Runner:
     def force_field(self):
         cfg = self.cfg
         if cfg.force is None:
-            zero = np.zeros((3,) + cfg.grid.half_shape, dtype=np.complex128)
+            zero = np.zeros((3,) + cfg.grid.box_shape, dtype=np.complex128)
             return VectorField(cfg.grid, zero, div_free=True)
         return generate(cfg.force, cfg.grid, cfg.params.alpha)
 

@@ -7,19 +7,22 @@ exactly; the nonlinear term and the force enter through phi-function
 weights.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .spectral import (
     VectorField,
+    _frozen,
     bilinear,
-    dealias_mask,
+    dealias,
     dealiased_physical,
     h1alpha_inner,
+    modes,
     norms,
     vector_to_physical,
-    wavenumber_sq,
 )
 
 __all__ = [
@@ -102,39 +105,47 @@ def nonlinear_term(u, alpha, u_phys=None):
     return bilinear(u, u, alpha, u_phys)
 
 
-def _phi1(z):
-    """(e^z - 1)/z with a series fallback near z = 0."""
+PHI_SERIES_BELOW = 0.2  # |z| below which phi_1, phi_2 are summed as series
+PHI_SERIES_TERMS = 13  # the first term dropped is below 1e-18 relative there
+
+
+def _phi(z, j, closed_form):
+    """phi_j(z) = sum_i z^i / (i + j)!: Horner's rule on the series for
+    |z| < PHI_SERIES_BELOW, where the closed form cancels, else the closed form."""
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
-    small = np.abs(z) < 1e-4
+    small = np.abs(z) < PHI_SERIES_BELOW
     zs = z[small]
-    out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
-    zl = z[~small]
-    out[~small] = np.expm1(zl) / zl
+    acc = np.ones_like(zs)
+    for i in range(PHI_SERIES_TERMS - 1, 0, -1):
+        acc = 1.0 + acc * zs / (i + j)
+    out[small] = acc / math.factorial(j)
+    out[~small] = closed_form(z[~small])
     return out
+
+
+def _phi1(z):
+    """(e^z - 1)/z."""
+    return _phi(z, 1, lambda z: np.expm1(z) / z)
 
 
 def _phi2(z):
-    """(e^z - z - 1)/z^2 with a series fallback near z = 0."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-4
-    zs = z[small]
-    out[small] = 0.5 + zs / 6.0 + zs**2 / 24.0 + zs**3 / 120.0
-    zl = z[~small]
-    out[~small] = (np.expm1(zl) - zl) / zl**2
-    return out
+    """(e^z - z - 1)/z^2."""
+    return _phi(z, 2, lambda z: (np.expm1(z) - z) / z**2)
 
 
+@lru_cache(maxsize=32)
 def _etd_weights(grid, params, dt):
-    lam = -(params.nu * wavenumber_sq(grid) + params.beta)
+    """exp(z), dt phi_1(z), dt phi_2(z) on the retained box, z = lambda dt;
+    cached, because a run takes every step with one grid, params and dt."""
+    lam = -(params.nu * modes(grid, grid.box_shape).ksq + params.beta)
     z = lam * dt
-    return np.exp(z), dt * _phi1(z), dt * _phi2(z)
+    return tuple(_frozen(w) for w in (np.exp(z), dt * _phi1(z), dt * _phi2(z)))
 
 
 def _rhs_nonlinear(u, force, alpha, u_phys=None):
-    """N(u) + f with N(u) = -P div((u (x) u)_alpha)."""
-    return force.hat - nonlinear_term(u, alpha, u_phys).hat
+    """N(u) + f on the retained box, with N(u) = -P div((u (x) u)_alpha)."""
+    return force.box - nonlinear_term(u, alpha, u_phys).hat
 
 
 def cfl_cap(u, grid, u_phys=None):
@@ -153,39 +164,41 @@ def check_cfl(state, dt, u_phys=None):
         raise CFLError(state.t, dt, cap)
 
 
-def step(state, dt, _weights=None):
-    """Advance one ETD2RK step.  Raises CFLError if dt exceeds the CFL cap of
-    the input state, BlowUpError on non-finite output."""
+def step(state, dt):
+    """Advance one ETD2RK step of the Galerkin system: the state and force
+    are read on the retained box, and the new state is a box field.  Raises
+    CFLError if dt exceeds the CFL cap of the input state, BlowUpError on
+    non-finite output."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.u.grid
     alpha = state.params.alpha
-    if _weights is None:
-        _weights = _etd_weights(grid, state.params, dt)
-    expz, w1, w2 = _weights
+    expz, w1, w2 = _etd_weights(grid, state.params, dt)
 
     u_phys = dealiased_physical(state.u)  # shared by the CFL check and N(u)
     check_cfl(state, dt, u_phys)
     n0 = _rhs_nonlinear(state.u, state.force, alpha, u_phys)
     del u_phys
-    predictor = expz * state.u.hat + w1 * n0
+    predictor = expz * state.u.box + w1 * n0
     upred = VectorField(grid, predictor)
     n1 = _rhs_nonlinear(upred, state.force, alpha)
     out = predictor + w2 * (n1 - n0)
 
     if not np.all(np.isfinite(out)):
         raise BlowUpError(state.t + dt)
-    u_new = VectorField(grid, out * dealias_mask(grid), div_free=True)
+    u_new = VectorField(grid, out, div_free=True)
     return SimState(u_new, state.t + dt, state.params, state.force)
 
 
 def sampled_states(state, n_steps, dt, sample_every=1):
     """Yield the state, then the state after every sample_every-th of n_steps
-    ETD2RK steps and after the last one."""
-    weights = _etd_weights(state.u.grid, state.params, dt)
+    ETD2RK steps and after the last one.  The velocity and the force are
+    taken on the retained box (dealias) from the start, so every yielded
+    state is a box field."""
+    state = replace(state, u=dealias(state.u), force=dealias(state.force))
     yield state
     for i in range(1, n_steps + 1):
-        state = step(state, dt, _weights=weights)
+        state = step(state, dt)
         if i % sample_every == 0 or i == n_steps:
             yield state
 

@@ -6,9 +6,9 @@ import numpy as np
 
 from .spectral import (
     VectorField,
-    dealias_mask,
-    leray_project,
+    _project,
     mode_indices,
+    modes,
     norms,
     vector_from_physical,
 )
@@ -48,15 +48,14 @@ def _axes(grid):
 
 
 def _certified(samples, grid):
-    """Physical samples -> dealiased field with a checked div_free certificate."""
-    hat = vector_from_physical(samples, grid).hat * dealias_mask(grid)
-    return VectorField(grid, hat, div_free=True)
+    """Physical samples -> box field with a checked div_free certificate."""
+    return VectorField(grid, vector_from_physical(samples, grid).box, div_free=True)
 
 
 def generate(recipe, grid, alpha=1.0):
     """Build the vector field described by a recipe on a grid.
 
-    All outputs are real, divergence-free (certificate set) and dealiased.
+    All outputs are real, divergence-free (certificate set) box fields.
     For random_band, alpha enters the target-norm rescaling.
     """
     if recipe.kind == "shear":
@@ -117,28 +116,26 @@ def _random_band(recipe, grid, alpha):
             f"(cutoff {cutoff})"
         )
     rng = np.random.default_rng(recipe.seed)
-    n = grid.n
-    m = mode_indices(grid)
-    mag = np.sqrt(
-        m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, : n // 2 + 1] ** 2
-    )
-    # |m| <= k_max <= cutoff, so the band lies inside the retained modes.
-    # Both parts are drawn on the full spectrum, so a seed gives the same
-    # field in any layout; c(m) is Hermitian-symmetrized from the draws at
-    # the band modes of the half spectrum and at their mirrors -m.
-    x, y, z = np.nonzero((mag >= recipe.k_min) & (mag <= recipe.k_max))
+    n, b = grid.n, grid.box_shape[0]
+    mb = np.fft.fftfreq(b, 1.0 / b).astype(np.int64)  # box rows: FFT order of b points
+    mz = mode_indices(grid)[: cutoff + 1]
+    mag = np.sqrt(mb[:, None, None] ** 2 + mb[None, :, None] ** 2 + mz[None, None, :] ** 2)
+    # |m| <= k_max <= cutoff, so the band lies inside the box.  Both parts
+    # are drawn on the full spectrum, so a seed gives the same field in any
+    # layout; c(m) is Hermitian-symmetrized from the draws at the band modes
+    # m (full-spectrum index m mod n) and at their mirrors -m.
+    bx, by, bz = np.nonzero((mag >= recipe.k_min) & (mag <= recipe.k_max))
+    x, y, z = mb[bx] % n, mb[by] % n, mz[bz] % n
     mx, my, mz = -x % n, -y % n, -z % n
     draw = np.empty((3, n, n, n))
     rng.standard_normal(out=draw)
     re, re_m = draw[:, x, y, z], draw[:, mx, my, mz]
     rng.standard_normal(out=draw)
     im, im_m = draw[:, x, y, z], draw[:, mx, my, mz]
-    hat = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
-    hat[:, x, y, z] = 0.5 * ((re + 1j * im) + np.conj(re_m + 1j * im_m))
-    v = leray_project(VectorField(grid, hat))
-    current = norms(v, alpha).h1alpha_sq
+    hat = np.zeros((3,) + grid.box_shape, dtype=np.complex128)
+    hat[:, bx, by, bz] = 0.5 * ((re + 1j * im) + np.conj(re_m + 1j * im_m))
+    hat = _project(hat, modes(grid, grid.box_shape))
+    current = norms(VectorField(grid, hat), alpha).h1alpha_sq
     if current > 0:
-        v = VectorField(
-            grid, v.hat * (recipe.amplitude / np.sqrt(current)), div_free=True
-        )
-    return v
+        hat *= recipe.amplitude / np.sqrt(current)
+    return VectorField(grid, hat, div_free=True)  # the one certificate check

@@ -2,32 +2,39 @@
 
 Conventions used throughout:
 
-  * Fields are real and stored as half spectra, the scipy.fft.rfftn
-    coefficients (attribute ``hat``): shape (n, n, n//2+1) per component.
-    The first two axes hold the mode index m in numpy FFT ordering, the last
-    m_z = 0 .. n/2; the modes m_z < 0 are implied by c(-m) = conj(c(m)), so
-    Hermitian symmetry holds by construction except inside the planes
-    m_z = 0 and m_z = n/2.  Symbols are the full-layout ones restricted to
-    the half spectrum, with physical wavevector k = 2*pi*m / L.
-  * Coefficients are normalized so that u(x) = sum_m c_m exp(i k.x), i.e.
-    c = fftn(samples) / n^3.  Parseval reads integral |u|^2 dx =
-    L^3 * sum_m |c_m|^2; a half-spectrum mode with 0 < m_z < n/2 counts twice.
+  * Fields are real; ``hat`` holds their coefficients in one of two layouts,
+    told apart by its shape (per component):
+    - the half spectrum, grid.half_shape = (n, n, n//2+1), the
+      scipy.fft.rfftn coefficients.  The first two axes hold the mode index
+      m in numpy FFT ordering, the last m_z = 0 .. n/2; the modes m_z < 0
+      follow from c(-m) = conj(c(m)), so Hermitian symmetry holds by
+      construction except inside the planes m_z = 0 and m_z = n/2;
+    - the retained box, grid.box_shape = (b, b, c+1): the modes with every
+      |m_i| <= c, the dealias cutoff, with x and y rows m = 0 .. c, -c .. -1
+      (the FFT ordering of b = 2c+1 points).  At dealias_fraction 1 it is
+      the half spectrum.
+    Every field the solver makes lives in the box, so dealiasing is a
+    property of the layout.  The half spectrum remains at the edges:
+    transforms of samples, checkpoint I/O, vector_to_physical and the
+    ``half`` and ``coeffs`` views.  Per-mode operators work in either layout
+    with its symbols, modes(grid, shape), and agree bitwise mode by mode.
+  * Coefficients are normalized so that u(x) = sum_m c_m exp(i k.x), k =
+    2 pi m / L, i.e. c = fftn(samples) / n^3.  Parseval reads integral
+    |u|^2 dx = L^3 * sum_m |c_m|^2; a mode with 0 < m_z < n/2 counts twice.
   * full_spectrum / half_spectrum convert to and from the full (n, n, n)
     layout; a field's ``coeffs`` property is its full spectrum (for I/O).
-  * Dealiasing keeps mode indices with |m_i| <= floor(dealias_fraction*n/2)
-    on every axis (2/3-rule truncation by default).
-  * The bilinear kernel works on that retained box only, x and y rows
-    |m| <= cutoff and m_z <= cutoff: reading its inputs from the box is
-    their dealiasing, its x and y transforms run on the m_z <= cutoff planes
-    only, its symbols are box-sized, and one scatter into zero half spectra
-    is the truncation of its output.  It transforms the 5 entries of the
-    traceless product T - T33 I instead of the 6 of T; that is exact,
-    because div(s I) = grad s and the Leray projection removes a gradient
-    mode by mode.
+  * Dealiasing keeps |m_i| <= c = floor(dealias_fraction*n/2) on every axis
+    (2/3-rule truncation by default): dealias(v) is v in the box layout.
+  * The bilinear kernel reads the box of its inputs, runs its x and y
+    transforms on the m_z <= c planes only, and returns a box field.  It
+    transforms the 5 entries of the traceless product T - T33 I instead of
+    the 6 of T; that is exact, because div(s I) = grad s and the Leray
+    projection removes a gradient mode by mode.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -92,7 +99,14 @@ class GridSpec:
         """Shape of one component's half spectrum."""
         return (self.n, self.n, self.n // 2 + 1)
 
-    @property
+    @cached_property
+    def box_shape(self):
+        """Shape of one component's retained box: 2c+1 rows along x and y (n
+        at dealias_fraction 1, where row n/2 is listed once), c+1 planes m_z."""
+        c = self.dealias_cutoff
+        return (min(2 * c + 1, self.n),) * 2 + (c + 1,)
+
+    @cached_property
     def dealias_cutoff(self):
         """Largest retained |m_i| after dealiasing."""
         return int(np.floor(self.dealias_fraction * self.n / 2))
@@ -118,31 +132,52 @@ def wavevectors(grid):
     return _frozen(np.stack([kx, ky, kz]))
 
 
-@lru_cache(maxsize=32)
 def wavenumber_sq(grid):
-    k = wavevectors(grid)
-    return _frozen(k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
+    """|k|^2 on the half spectrum."""
+    return modes(grid, grid.half_shape).ksq
 
 
-@lru_cache(maxsize=32)
-def dealias_mask(grid):
-    """Boolean mask of retained modes: |m_i| <= cutoff on every axis."""
-    keep = np.abs(mode_indices(grid)) <= grid.dealias_cutoff
-    return _frozen(
-        keep[:, None, None] & keep[None, :, None] & keep[None, None, : grid.n // 2 + 1]
-    )
+def _blocks(a, grid):
+    """Views of the retained box in `a` as 4 blocks, one per pair of the
+    contiguous x and y row runs m >= 0 and m < 0; `a` holds all n rows or
+    only the box's b rows along x and y, and at least c+1 planes m_z."""
+    c, rows = grid.dealias_cutoff, a.shape[-3]
+    runs = (slice(0, c + 1), slice(rows - (grid.box_shape[0] - c - 1), rows))
+    return [a[..., x, y, : c + 1] for x in runs for y in runs]
 
 
-@lru_cache(maxsize=32)
-def parseval_weights(grid):
-    """Multiplicity of each m_z plane of the half spectrum in the full one."""
-    w = np.full(grid.n // 2 + 1, 2.0)
-    w[[0, -1]] = 1.0
-    return _frozen(w)
+def _relayout(hat, grid, shape):
+    """`hat` in the layout of spectral shape `shape`: the box modes copied
+    block by block, every other mode zero.  Returns `hat` itself when it is
+    already in that layout."""
+    if hat.shape[-3:] == shape:
+        return hat
+    out = np.zeros(hat.shape[:-3] + shape, dtype=hat.dtype)
+    for dst, src in zip(_blocks(out, grid), _blocks(hat, grid)):
+        dst[...] = src
+    return out
+
+
+Modes = namedtuple("Modes", "k ksq weights leray")
+
+
+@lru_cache(maxsize=64)
+def modes(grid, shape):
+    """The per-mode symbols of the layout with spectral shape `shape`
+    (grid.half_shape or grid.box_shape): wavevector k, |k|^2, the
+    multiplicity of each m_z plane in the full spectrum, and k / |k|^2 (zero
+    at k = 0, where the Leray projection is the identity).  Box symbols are
+    gathered from the half-spectrum ones, so both layouts hold the same
+    values mode by mode."""
+    k = _relayout(wavevectors(grid), grid, shape)
+    ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    leray = k / np.where(ksq == 0.0, 1.0, ksq)
+    weights = np.where(np.arange(shape[-1]) % (grid.n // 2) == 0, 1.0, 2.0)  # m_z = 0, n/2
+    return Modes(*(_frozen(a) for a in (k, ksq, weights, leray)))
 
 
 def _reverse_modes(coeffs, axes=AXES):
-    """Map mode index m -> -m on the given full-layout axes."""
+    """Map mode index m -> -m on the given FFT-ordered axes."""
     return np.roll(np.flip(coeffs, axis=axes), 1, axis=axes)
 
 
@@ -161,7 +196,7 @@ def full_spectrum(hat):
 
 @dataclass
 class SpectralField:
-    """One real scalar field as its half spectrum, shape (n, n, n//2+1)."""
+    """One real scalar field, hat of shape grid.half_shape or grid.box_shape."""
 
     grid: GridSpec
     hat: np.ndarray
@@ -169,22 +204,37 @@ class SpectralField:
     _lead = ()  # leading axes before the spectral ones
 
     def __post_init__(self):
-        shape = self._lead + self.grid.half_shape
-        if self.hat.shape != shape:
-            raise ValueError(f"half-spectrum shape {self.hat.shape} does not match {shape}")
+        shapes = [self._lead + s for s in (self.grid.half_shape, self.grid.box_shape)]
+        if self.hat.shape not in shapes:
+            raise ValueError(f"spectrum shape {self.hat.shape} is not one of {shapes}")
+
+    @property
+    def symbols(self):
+        """The symbols of this field's layout."""
+        return modes(self.grid, self.hat.shape[-3:])
+
+    @property
+    def box(self):
+        """The coefficients in the box layout (hat itself for a box field)."""
+        return _relayout(self.hat, self.grid, self.grid.box_shape)
+
+    @property
+    def half(self):
+        """The coefficients in the half-spectrum layout (hat itself for a half field)."""
+        return _relayout(self.hat, self.grid, self.grid.half_shape)
 
     @property
     def coeffs(self):
         """The full spectrum, in numpy FFT ordering."""
-        return full_spectrum(self.hat)
+        return full_spectrum(self.half)
 
     def copy(self):
         return replace(self, hat=self.hat.copy())
 
     def hermitian_defect(self):
         """Max |c(-m) - conj(c(m))| relative to the largest coefficient.  Only
-        the planes m_z = 0 and m_z = n/2 hold both m and -m."""
-        planes = self.hat[..., [0, self.grid.n // 2]]
+        the planes m_z = 0 and m_z = n/2 (Parseval weight 1) hold both m and -m."""
+        planes = self.hat[..., self.symbols.weights == 1.0]
         flipped = _reverse_modes(planes, axes=(-3, -2))
         scale = max(np.abs(self.hat).max(), 1e-300)
         return np.abs(flipped - np.conj(planes)).max() / scale
@@ -192,7 +242,8 @@ class SpectralField:
 
 @dataclass
 class VectorField(SpectralField):
-    """Three real scalar fields on a shared grid, half spectra (3, n, n, n//2+1).
+    """Three real scalar fields on a shared grid, hat of shape (3,) + the
+    half-spectrum or the box shape.
 
     div_free=True is a certificate, checked on construction; the solver sets
     it on carried-forward states (step output, Picard iterate) and on inputs
@@ -216,7 +267,7 @@ class VectorField(SpectralField):
 
     def div_defect(self):
         """Max over modes of |k . u_hat(k)| / max(1, |u_hat(k)|)."""
-        k, c = wavevectors(self.grid), self.hat
+        k, c = self.symbols.k, self.hat
         kdotu = np.abs(k[0] * c[0] + k[1] * c[1] + k[2] * c[2])
         mag = np.sqrt(np.sum(c.real**2 + c.imag**2, axis=0))
         return (kdotu / np.maximum(1.0, mag)).max()
@@ -270,17 +321,17 @@ def forward_transform(physical_samples, grid=None):
 
 def inverse_transform(field):
     """SpectralField -> real physical samples on the n^3 grid."""
-    return _to_physical(field.hat, field.grid.n)
+    return _to_physical(field.half, field.grid.n)
 
 
 def vector_from_physical(samples, grid):
-    """Stack of 3 physical component arrays -> VectorField."""
+    """Stack of 3 physical component arrays -> VectorField (half spectra)."""
     return VectorField(grid, sfft.rfftn(samples, axes=AXES, norm="forward"))
 
 
 def vector_to_physical(v):
     """VectorField -> physical component arrays, shape (3, n, n, n)."""
-    return _to_physical(v.hat, v.grid.n)
+    return _to_physical(v.half, v.grid.n)
 
 
 def _check_shared_grid(*fields):
@@ -293,94 +344,78 @@ def _check_shared_grid(*fields):
 
 def helmholtz_filter(v, alpha):
     """Bessel-potential smoothing: per-mode division by (1 + alpha^2 |k|^2)."""
-    return replace(v, hat=v.hat / (1.0 + alpha**2 * wavenumber_sq(v.grid)))
+    return replace(v, hat=v.hat / (1.0 + alpha**2 * v.symbols.ksq))
 
 
-@lru_cache(maxsize=32)
-def _leray_symbol(grid):
-    """k / |k|^2, zero at k = 0 (where the projection is the identity)."""
-    ksq = wavenumber_sq(grid)
-    return _frozen(wavevectors(grid) / np.where(ksq == 0.0, 1.0, ksq))
+def _project(hat, symbols):
+    """u_hat - k (k.u_hat)/|k|^2 for hat in the layout of `symbols`."""
+    return hat - symbols.leray * np.sum(symbols.k * hat, axis=0)
 
 
 def leray_project(v):
     """Project onto divergence-free fields: u_hat -> u_hat - k (k.u_hat)/|k|^2."""
-    kdotu = np.sum(wavevectors(v.grid) * v.hat, axis=0)
-    return VectorField(v.grid, v.hat - _leray_symbol(v.grid) * kdotu, div_free=True)
+    return VectorField(v.grid, _project(v.hat, v.symbols), div_free=True)
 
 
 def gradient(field):
     """Scalar field -> vector field with components i k_j * f_hat."""
-    return VectorField(field.grid, 1j * wavevectors(field.grid) * field.hat)
+    return VectorField(field.grid, 1j * field.symbols.k * field.hat)
 
 
 def divergence(v):
     """Vector field -> scalar field i k . u_hat."""
-    k = wavevectors(v.grid)
-    return SpectralField(v.grid, 1j * np.sum(k * v.hat, axis=0))
+    return SpectralField(v.grid, 1j * np.sum(v.symbols.k * v.hat, axis=0))
 
 
 def laplacian(field):
     """Multiply by -|k|^2 (works for scalar and vector fields)."""
-    return replace(field, hat=-wavenumber_sq(field.grid) * field.hat)
+    return replace(field, hat=-field.symbols.ksq * field.hat)
 
 
 def dealias(v):
-    """Zero every mode with any |m_i| beyond the dealias cutoff."""
-    return replace(v, hat=v.hat * dealias_mask(v.grid))
+    """v in the box layout: every mode with any |m_i| beyond the dealias
+    cutoff dropped.  A box field is returned as it is."""
+    return v if v.hat.shape[-3:] == v.grid.box_shape else replace(v, hat=v.box)
 
 
 def _real_dot(v, w):
-    """Per-mode Re sum_i conj(v_i) w_i, weighted by the mode's multiplicity."""
-    a, b = v.hat, w.hat
+    """Per-mode Re sum_i conj(v_i) w_i, weighted by the mode's multiplicity,
+    and the symbols of its layout.  A box field vanishes outside the box, so
+    a box field meets a half field on the box."""
+    a, b = (v.hat, w.hat) if v.hat.shape == w.hat.shape else (v.box, w.box)
+    symbols = modes(v.grid, a.shape[-3:])
     dots = np.sum(a.real * b.real + a.imag * b.imag, axis=0)
-    return parseval_weights(v.grid) * dots
+    return symbols.weights * dots, symbols
 
 
 def norms(v, alpha):
     """Parseval norms of a vector field: L^3 * sum |k|^{2s} |u_hat|^2."""
     vol = v.grid.box_len**3
-    ksq = wavenumber_sq(v.grid)
-    mag2 = _real_dot(v, v)
+    mag2, symbols = _real_dot(v, v)
     l2 = vol * float(np.sum(mag2))
-    h1 = vol * float(np.sum(ksq * mag2))
-    h2 = vol * float(np.sum(ksq**2 * mag2))
+    h1 = vol * float(np.sum(symbols.ksq * mag2))
+    h2 = vol * float(np.sum(symbols.ksq**2 * mag2))
     return NormBundle(l2, h1, h2, l2 + alpha**2 * h1)
 
 
 def h1alpha_inner(v, w, alpha):
     """Energy-space inner product (v,w)_L2 + alpha^2 (grad v, grad w)_L2."""
     grid = _check_shared_grid(v, w)
-    ksq = wavenumber_sq(grid)
-    return grid.box_len**3 * float(np.sum((1.0 + alpha**2 * ksq) * _real_dot(v, w)))
-
-
-@lru_cache(maxsize=32)
-def _box_rows(grid):
-    """Indices of the retained modes |m| <= cutoff along one full axis, in FFT
-    ordering.  With dealias_fraction 1 the cutoff is n/2 and the row m = -n/2
-    is listed once."""
-    return _frozen(np.flatnonzero(np.abs(mode_indices(grid)) <= grid.dealias_cutoff))
-
-
-def _box(a, grid):
-    """Gather the retained box (..., b, b, cutoff+1) of half-spectrum arrays."""
-    rows = _box_rows(grid)
-    return a[..., rows[:, None], rows, : grid.dealias_cutoff + 1]
+    dots, symbols = _real_dot(v, w)
+    return grid.box_len**3 * float(np.sum((1.0 + alpha**2 * symbols.ksq) * dots))
 
 
 def dealiased_physical(v):
     """Physical samples (3, n, n, n) of the dealiased field: the form in which
-    the bilinear kernel reads its inputs.  The m_z <= cutoff planes are
-    copied into zero half spectra and their x and y rows beyond the cutoff
-    zeroed, which leaves the retained box; these planes are transformed over
-    x and y in place, then the whole over z by the real inverse transform."""
+    the bilinear kernel reads its inputs.  The box of v, in either layout, is
+    copied into zero half spectra; its m_z <= cutoff planes are transformed
+    over x and y in place, then the whole over z by the real inverse
+    transform."""
     n, c = v.grid.n, v.grid.dealias_cutoff
-    a = np.zeros(v.hat.shape, dtype=v.hat.dtype)
+    a = np.zeros(v.hat.shape[:-3] + v.grid.half_shape, dtype=v.hat.dtype)
+    for dst, src in zip(_blocks(a, v.grid), _blocks(v.hat, v.grid)):
+        dst[...] = src
     box = a[..., : c + 1]
-    box[...] = v.hat[..., : c + 1]
-    box[:, c + 1 : n - c] = 0.0
-    box[:, :, c + 1 : n - c] = 0.0
     xy = sfft.ifftn(box, axes=(-3, -2), norm="forward", overwrite_x=True)
     if not np.may_share_memory(xy, box):  # the transform did not run in place
         box[...] = xy
@@ -393,8 +428,7 @@ def _box_spectra(samples, grid):
     only."""
     a = sfft.rfftn(samples, axes=(-1,), norm="forward")[..., : grid.dealias_cutoff + 1]
     a = sfft.fftn(a, axes=(-3, -2), norm="forward", overwrite_x=True)
-    rows = _box_rows(grid)
-    return a[:, rows[:, None], rows]
+    return _relayout(a, grid, grid.box_shape)
 
 
 def _traceless_products(a, b):
@@ -435,12 +469,8 @@ def tensor_product_spectra(u, w, u_phys=None):
 def _bilinear_symbols(grid, alpha):
     """Symbols of the bilinear kernel on the retained box: k, k/|k|^2 (0 at
     k = 0), and i (1 + alpha^2 |k|^2)^{-1} (derivative and filter fused)."""
-    filt = 1.0 / (1.0 + alpha**2 * wavenumber_sq(grid))
-    return (
-        _frozen(_box(wavevectors(grid), grid)),
-        _frozen(_box(_leray_symbol(grid), grid)),
-        _frozen(_box(1j * filt, grid)),
-    )
+    box = modes(grid, grid.box_shape)
+    return box.k, box.leray, _frozen(1j / (1.0 + alpha**2 * box.ksq))
 
 
 def _contract(t, k):
@@ -452,23 +482,15 @@ def _contract(t, k):
     ]
 
 
-def _unbox(box, grid):
-    """Scatter retained-box values into zero half spectra."""
-    out = np.zeros(box.shape[:-3] + grid.half_shape, dtype=box.dtype)
-    rows = _box_rows(grid)
-    out[..., rows[:, None], rows, : grid.dealias_cutoff + 1] = box
-    return out
-
-
 def bilinear(u, w, alpha, u_phys=None):
     """Symmetric bilinear form B(u, w) = P div(((u (x) w + w (x) u)/2)_alpha), dealiased.
 
     B(u, u) is the Bardina nonlinearity; for divergence-free u and w,
     2 B(u, w) = P(((w.grad)u + (u.grad)w)_alpha).  One inverse transform per
     distinct input, one forward transform of the 5 traceless products, and
-    the symbols applied on the retained box only.  A caller that applies
-    B(u, .) to many fields passes u_phys = dealiased_physical(u) once and
-    saves the transform of u.
+    the symbols applied on the retained box only; the result is a box
+    field.  A caller that applies B(u, .) to many fields passes
+    u_phys = dealiased_physical(u) once and saves the transform of u.
     """
     grid = _check_shared_grid(u, w)
     t = tensor_product_spectra(u, w, u_phys)
@@ -478,13 +500,13 @@ def bilinear(u, w, alpha, u_phys=None):
     box = np.empty((3,) + t.shape[1:], dtype=t.dtype)
     for i in range(3):
         np.multiply(v[i] - kk[i] * q, g, out=box[i])
-    return VectorField(grid, _unbox(box, grid))
+    return VectorField(grid, box)
 
 
 def pressure_from_velocity(u, alpha):
     """Recover the pressure from the velocity via the Riesz-transform formula:
     p_hat(k) = sum_ij (-k_i k_j / |k|^2) (1 + alpha^2 |k|^2)^{-1} (u_i u_j)_hat,
-    with p_hat(0) = 0, dealiased.  The traceless slots of
+    with p_hat(0) = 0, dealiased (a box field).  The traceless slots of
     tensor_product_spectra lose |k|^2 T33 from the sum, so T33 is
     transformed by the same box transforms and added back."""
     grid = u.grid
@@ -494,5 +516,5 @@ def pressure_from_velocity(u, alpha):
     k, kk, g = _bilinear_symbols(grid, alpha)
     v = _contract(t, k)
     p = 1j * g * (kk[0] * v[0] + kk[1] * v[1] + kk[2] * v[2] + t33)
-    p[0, 0, 0] = 0.0  # k = 0: _box_rows starts at m = 0
-    return SpectralField(grid, _unbox(p, grid))
+    p[0, 0, 0] = 0.0  # k = 0: the box rows start at m = 0
+    return SpectralField(grid, p)

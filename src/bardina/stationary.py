@@ -1,12 +1,13 @@
 """Steady states of the damped Bardina equations via damped Picard iteration
-on the fixed-point form U = (-nu Lap + beta)^{-1} [ f - P div((U (x) U)_alpha) ]."""
+on the fixed-point form U = (-nu Lap + beta)^{-1} [ f - P div((U (x) U)_alpha) ],
+posed on the retained box: every iterate is a box field."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import nonlinear_term
-from .spectral import VectorField, dealias_mask, norms, wavenumber_sq
+from .spectral import VectorField, modes, norms
 
 __all__ = [
     "StationaryResult",
@@ -35,17 +36,17 @@ class StationaryResult:
     residual_history: list = field(default_factory=list)
 
 
-def _inverse_symbol(grid, params):
-    """(nu |k|^2 + beta)^{-1}, truncated to the retained modes."""
-    return dealias_mask(grid) / (params.nu * wavenumber_sq(grid) + params.beta)
+def _linear_symbol(grid, params):
+    """nu |k|^2 + beta on the retained box."""
+    return params.nu * modes(grid, grid.box_shape).ksq + params.beta
 
 
 def stationary_map(U, force, params):
-    """One application of the fixed-point operator T."""
+    """One application of the fixed-point operator T; a box field."""
     if U.grid != force.grid:
         raise ValueError("U and force do not share a grid")
-    rhs = force.hat - nonlinear_term(U, params.alpha).hat
-    return VectorField(U.grid, rhs * _inverse_symbol(U.grid, params))
+    rhs = force.box - nonlinear_term(U, params.alpha).hat
+    return VectorField(U.grid, rhs * (1.0 / _linear_symbol(U.grid, params)))
 
 
 def _diff_norm(a, b, alpha):
@@ -65,7 +66,7 @@ def solve_stationary(force, params, relaxation=1.0, tol=1e-12, max_iter=200):
     if not 0.0 < relaxation <= 1.0:
         raise ValueError("relaxation must lie in (0, 1]")
     grid = force.grid
-    U = VectorField(grid, np.zeros_like(force.hat), div_free=True)
+    U = VectorField(grid, np.zeros((3,) + grid.box_shape, complex), div_free=True)
     omega = relaxation
     history = []
     for it in range(1, max_iter + 1):
@@ -97,8 +98,8 @@ def _finish(U, force, params, res, iterations, history):
 
 
 def stationary_residual_pde(U, force, params):
-    """L2 norm of -nu Lap U + P div((U (x) U)_alpha) + beta U - f."""
-    ksq = wavenumber_sq(U.grid)
-    lin = (params.nu * ksq + params.beta) * U.hat
-    res = lin + nonlinear_term(U, params.alpha).hat - force.hat
+    """L2 norm of -nu Lap U + P div((U (x) U)_alpha) + beta U - f on the
+    retained box, where the Galerkin steady state solves it."""
+    lin = _linear_symbol(U.grid, params) * U.box
+    res = lin + nonlinear_term(U, params.alpha).hat - force.box
     return np.sqrt(norms(VectorField(U.grid, res), 0.0).l2_sq)

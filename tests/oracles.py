@@ -11,6 +11,13 @@ projection and norms, the part its replacement did not change).
 import numpy as np
 
 
+def dealias_mask(grid):
+    """Boolean mask of the retained half-spectrum modes: |m_i| <= floor(dealias_fraction n/2)."""
+    n = grid.n
+    keep = np.abs(np.fft.fftfreq(n, 1.0 / n)) <= np.floor(grid.dealias_fraction * n / 2)
+    return keep[:, None, None] & keep[None, :, None] & keep[None, None, : n // 2 + 1]
+
+
 def dft_oracle(samples):
     """Direct DFT with 1/n^3 normalization: c_m = sum_x f(x) e^{-2pi i m.x/n} / n^3."""
     n = samples.shape[0]
@@ -124,10 +131,8 @@ def full_transform_bilinear(u_hat, w_hat, grid, alpha):
     from scipy import fft as sfft
 
     n, axes = grid.n, (-3, -2, -1)
-    m = np.fft.fftfreq(n, 1.0 / n)
-    keep = np.abs(m) <= np.floor(grid.dealias_fraction * n / 2)
-    mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, : n // 2 + 1]
-    k1 = 2.0 * np.pi * m / grid.box_len
+    mask = dealias_mask(grid)
+    k1 = 2.0 * np.pi * np.fft.fftfreq(n, 1.0 / n) / grid.box_len
     k = np.stack(np.meshgrid(k1, k1, k1[: n // 2 + 1], indexing="ij"))
     ksq = np.sum(k**2, axis=0)
     a = sfft.irfftn(u_hat * mask, s=(n, n, n), axes=axes, norm="forward")
@@ -143,9 +148,10 @@ def full_transform_bilinear(u_hat, w_hat, grid, alpha):
 def random_band_full_spectrum(recipe, grid, alpha):
     """The random_band field built on the full (3, n, n, n) spectrum: both
     standard-normal draws, the band mask and Hermitian symmetrization of
-    every mode, then the package's Leray projection and norm rescaling of
-    the half spectrum."""
-    from bardina.spectral import VectorField, leray_project, norms
+    every mode, then the package's Leray projection of the half spectrum and
+    its rescaling by the package's norm of the retained box (dealias), which
+    sums in the same order as the box construction it checks."""
+    from bardina.spectral import VectorField, dealias, leray_project, norms
 
     n = grid.n
     rng = np.random.default_rng(recipe.seed)
@@ -157,7 +163,7 @@ def random_band_full_spectrum(recipe, grid, alpha):
     mirrored = np.roll(np.flip(coeffs, axis=(1, 2, 3)), 1, axis=(1, 2, 3))  # m -> -m
     coeffs = 0.5 * (coeffs + np.conj(mirrored))
     v = leray_project(VectorField(grid, np.ascontiguousarray(coeffs[..., : n // 2 + 1])))
-    current = norms(v, alpha).h1alpha_sq
+    current = norms(dealias(v), alpha).h1alpha_sq
     if current > 0:
         v = VectorField(grid, v.hat * (recipe.amplitude / np.sqrt(current)), div_free=True)
     return v

@@ -42,10 +42,10 @@ from bardina import (
     zero_force_decay,
 )
 from bardina.cli import main as cli_main
-from bardina.spectral import dealias_mask, half_spectrum, wavenumber_sq, wavevectors
+from bardina.spectral import half_spectrum, wavenumber_sq, wavevectors
 
 from conftest import random_field
-from oracles import oracle_linearized_transport, oracle_nonlinear
+from oracles import dealias_mask, oracle_linearized_transport, oracle_nonlinear
 
 
 def _report(num, name, ok):
@@ -75,11 +75,11 @@ def test_criterion_01_operator_oracles(grid8):
 
     # filter: per-mode multiplier 1/(1 + alpha^2 |k|^2)
     filt = helmholtz_filter(u, alpha)
-    expected_f = u.hat / (1.0 + alpha**2 * ksq)
-    err_filter = _rel_err(filt.hat, expected_f)
+    expected_f = u.half / (1.0 + alpha**2 * ksq)
+    err_filter = _rel_err(filt.half, expected_f)
 
     # Leray: per-mode matrix I - k k^T / |k|^2 applied in a plain loop
-    raw = VectorField(grid8, random_field(grid8, seed=302).hat + 0.3 * u.hat)
+    raw = VectorField(grid8, random_field(grid8, seed=302).half + 0.3 * u.half)
     proj = leray_project(raw)
     expected_p = np.empty_like(raw.hat)
     for a, b, c in np.ndindex(grid8.half_shape):
@@ -101,9 +101,9 @@ def test_criterion_01_operator_oracles(grid8):
     )
     expected_l = (
         half_spectrum(transport)
-        - (params.nu * wavenumber_sq(grid8) + params.beta) * w.hat
+        - (params.nu * wavenumber_sq(grid8) + params.beta) * w.half
     ) * dealias_mask(grid8)
-    err_lin = _rel_err(lin.hat, expected_l)
+    err_lin = _rel_err(lin.half, expected_l)
 
     worst = max(err_filter, err_leray, err_nl, err_lin)
     _report(1, "operator-oracles", worst <= 1e-10)

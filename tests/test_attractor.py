@@ -21,10 +21,10 @@ from bardina import (
     zero_force_decay,
 )
 from bardina.attractor import OrthoFrame, transport_frame
-from bardina.spectral import dealias_mask, half_spectrum, wavenumber_sq
+from bardina.spectral import CertificateError, half_spectrum, wavenumber_sq
 
 from conftest import random_field
-from oracles import oracle_linearized_transport
+from oracles import dealias_mask, oracle_linearized_transport
 
 
 def zero_field(grid):
@@ -108,8 +108,8 @@ class TestLinearizedRhs:
     def test_zero_base_state_is_linear_symbol(self, grid8, params):
         w = random_field(grid8, seed=70)
         out = linearized_rhs(w, zero_field(grid8), params)
-        expected = -(params.nu * wavenumber_sq(grid8) + params.beta) * w.hat
-        assert np.abs(out.hat - expected).max() <= 1e-13
+        expected = -(params.nu * wavenumber_sq(grid8) + params.beta) * w.half
+        assert np.abs(out.half - expected).max() <= 1e-13
 
     def test_matches_convolution_oracle(self, grid8, params):
         w = random_field(grid8, seed=71, amplitude=0.8)
@@ -120,10 +120,10 @@ class TestLinearizedRhs:
         )
         expected = half_spectrum(transport) - (
             params.nu * wavenumber_sq(grid8) + params.beta
-        ) * w.hat
+        ) * w.half
         expected = expected * dealias_mask(grid8)
         scale = max(np.abs(expected).max(), 1.0)
-        assert np.abs(got.hat - expected).max() <= 1e-10 * scale
+        assert np.abs(got.half - expected).max() <= 1e-10 * scale
 
     def test_grid_mismatch_rejected(self, grid8, grid16, params):
         with pytest.raises(ValueError):
@@ -192,7 +192,7 @@ class TestLyapunovSum:
     def test_non_orthonormal_frame_rejected(self, grid8, params):
         v = random_field(grid8, seed=96, amplitude=3.0)
         bad = OrthoFrame([v], params.alpha)  # not normalized
-        with pytest.raises(ValueError):
+        with pytest.raises(CertificateError):
             lyapunov_sum(bad, zero_field(grid8), params)
 
     def test_non_orthogonal_frame_rejected(self, grid8, params):
@@ -201,7 +201,7 @@ class TestLyapunovSum:
         tilted = VectorField(grid8, 0.6 * q.fields[0].hat + 0.8 * q.fields[1].hat)
         bad = OrthoFrame([q.fields[0], tilted], params.alpha)
         assert abs(bad.gram()[0, 1] - 0.6) <= 1e-12
-        with pytest.raises(ValueError):
+        with pytest.raises(CertificateError):
             lyapunov_sum(bad, zero_field(grid8), params)
 
     def test_bound_zero_state(self, grid8, params):

@@ -5,7 +5,7 @@ import pytest
 
 import bardina.cli
 import bardina.dynamics
-from bardina.attractor import lyapunov_sum, lyapunov_sum_bound, transport_frame
+from bardina.attractor import OrthoFrame, lyapunov_sum, lyapunov_sum_bound, transport_frame
 from bardina.checkpoint import STEADY_STATE_TIME, read_checkpoint
 from bardina.cli import (
     EXIT_BLOWUP,
@@ -209,9 +209,9 @@ class TestLyapunovLoop:
         stepped, checked = [], []
         step, check_cfl = bardina.dynamics.step, bardina.dynamics.check_cfl
 
-        def record_step(state, dt, _weights=None):
+        def record_step(state, dt):
             stepped.append(state)
-            return step(state, dt, _weights)
+            return step(state, dt)
 
         def record_check(state, dt, u_phys=None):
             checked.append(state)
@@ -295,13 +295,30 @@ class TestCliErrors:
 
     def test_certificate_violation_is_not_a_config_error(self, tmp_path, monkeypatch):
         def non_solenoidal(u, w, alpha, u_phys=None):
-            hat = np.zeros((3,) + u.grid.half_shape, dtype=np.complex128)
+            hat = np.zeros((3,) + u.grid.box_shape, dtype=np.complex128)
             hat[0, 1, 0, 0] = 1.0  # k . u != 0 for this mode
             return VectorField(u.grid, hat)
 
         monkeypatch.setattr(bardina.dynamics, "bilinear", non_solenoidal)
         with pytest.raises(CertificateError):
             run_cli(tmp_path, "simulate", BASE_INI)
+
+    def test_non_orthonormal_frame_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def stretched(frame, state_u, params, dt, n_steps, u_phys=None):
+            fields = [VectorField(f.grid, 2.0 * f.hat) for f in frame.fields]
+            return OrthoFrame(fields, frame.alpha)
+
+        monkeypatch.setattr(bardina.cli, "transport_frame", stretched)
+        with pytest.raises(CertificateError):
+            run_cli(tmp_path, "lyapunov", BASE_INI + "[lyapunov]\nm_list = 1 2\n")
+
+    @pytest.mark.parametrize("m", [12, 13])
+    def test_frame_beyond_its_band_is_a_config_error(self, tmp_path, m):
+        # n = 4 keeps |m_i| <= 1, and the frame band 1 <= |m| <= 1 holds
+        # 3 mode pairs x 2 solenoidal directions x (re, im) = 12 real fields
+        ini = BASE_INI.replace("n = 8", "n = 4").replace("k_max = 2", "k_max = 1")
+        code, _ = run_cli(tmp_path, "lyapunov", ini + f"[lyapunov]\nm_list = {m}\n")
+        assert (code == EXIT_CONFIG) == (m > 12)
 
 
 @pytest.mark.parametrize("subcommand", sorted(bardina.cli.COMMANDS))

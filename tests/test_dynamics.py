@@ -16,7 +16,7 @@ from bardina import (
     norms,
     step,
 )
-from bardina.dynamics import BlowUpError, CFLError, cfl_cap, _phi1, _phi2
+from bardina.dynamics import PHI_SERIES_BELOW, BlowUpError, CFLError, cfl_cap, _phi1, _phi2
 
 from conftest import random_field
 from oracles import oracle_nonlinear
@@ -56,11 +56,24 @@ class TestNonlinearTerm:
 class TestPhiFunctions:
     def test_series_matches_direct_at_crossover(self):
         # both branches agree around the series threshold
-        for z in (-2e-4, -9.9e-5, -1e-6, 9.9e-5):
+        s = PHI_SERIES_BELOW
+        for z in (-1.01 * s, -0.99 * s, -1e-6, 0.99 * s):
             z_arr = np.array([z])
             assert abs(_phi1(z_arr)[0] - (np.expm1(z) / z)) < 1e-12
             direct = (np.expm1(z) - z) / z**2
             assert abs(_phi2(z_arr)[0] - direct) < 1e-8
+
+    def test_against_50_digit_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = -np.logspace(-8, np.log10(50.0), 400)
+        references = (
+            (_phi1, lambda x: mpmath.expm1(x) / x),
+            (_phi2, lambda x: (mpmath.expm1(x) - x) / x**2),
+        )
+        with mpmath.workdps(50):
+            for phi, exact in references:
+                ref = np.array([float(exact(mpmath.mpf(float(x)))) for x in z])
+                assert np.max(np.abs(phi(z) - ref) / np.abs(ref)) <= 1e-14
 
     def test_phi_values(self):
         z = np.array([-1.0])
@@ -119,6 +132,7 @@ class TestStep:
         st = SimState(u0, 0.0, params, f)
         for _ in range(20):
             st = step(st, 0.02)
+        assert st.u.hat.shape == (3,) + grid8.box_shape
         assert st.u.div_defect() <= 1e-10
         assert st.u.hermitian_defect() <= 1e-12
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bardina import FieldRecipe, GridSpec, generate, norms
+from bardina import FieldRecipe, GridSpec, VectorField, generate, norms
 from bardina.spectral import inverse_transform
 
 from oracles import random_band_full_spectrum
@@ -65,6 +65,13 @@ class TestGenerate:
         assert u.hermitian_defect() <= 1e-12
         assert u.div_defect() <= 1e-10
 
+    def test_random_band_checks_its_certificate_once(self, grid16, monkeypatch):
+        calls = []
+        div_defect = VectorField.div_defect
+        monkeypatch.setattr(VectorField, "div_defect", lambda v: calls.append(v) or div_defect(v))
+        u = generate(FieldRecipe("random_band", 1.0, seed=8, k_min=1, k_max=4), grid16)
+        assert calls == [u] and u.hat.shape == (3,) + grid16.box_shape
+
     def test_band_outside_cutoff_rejected(self, grid8):
         with pytest.raises(ValueError):
             generate(FieldRecipe("random_band", 1.0, k_min=1, k_max=3), grid8)
@@ -87,7 +94,7 @@ class TestGenerate:
         cutoff = grid.dealias_cutoff
         for k_min, k_max in ((0, 0), (0, 2), (1, 2), (2, cutoff)):
             r = FieldRecipe("random_band", 0.7, seed=seed, k_min=k_min, k_max=k_max)
-            got = generate(r, grid, alpha=0.8).hat
+            got = generate(r, grid, alpha=0.8).half
             ref = random_band_full_spectrum(r, grid, 0.8).hat
             # bitwise on every mode; zeros may differ in sign only
             assert np.array_equal(got, ref)

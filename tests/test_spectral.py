@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,15 +26,13 @@ from bardina import (
 from bardina.spectral import (
     CertificateError,
     _bilinear_symbols,
-    _box_rows,
-    _leray_symbol,
+    _blocks,
     bilinear,
-    dealias_mask,
     dealiased_physical,
     full_spectrum,
     half_spectrum,
     mode_indices,
-    parseval_weights,
+    modes,
     vector_from_physical,
     vector_to_physical,
     wavenumber_sq,
@@ -41,6 +41,7 @@ from bardina.spectral import (
 
 from conftest import random_field, random_scalar_samples
 from oracles import (
+    dealias_mask,
     dft_oracle,
     full_transform_bilinear,
     idft_oracle,
@@ -117,8 +118,8 @@ class TestHelmholtzFilter:
         out = helmholtz_filter(u, alpha)
         k = wavevectors(grid8)
         ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
-        expected = u.hat / (1.0 + alpha**2 * ksq)
-        assert np.abs(out.hat - expected).max() <= 1e-12
+        expected = u.half / (1.0 + alpha**2 * ksq)
+        assert np.abs(out.half - expected).max() <= 1e-12
 
     def test_preserves_div_free(self, grid8):
         u = random_field(grid8, seed=6)
@@ -249,6 +250,8 @@ class TestDealias:
                         abs(m[a]) <= cutoff and abs(m[b]) <= cutoff and abs(m[c]) <= cutoff
                     )
         assert np.array_equal(dealias_mask(grid8), half_spectrum(expected))
+        ones = VectorField(grid8, np.ones((3,) + grid8.half_shape, dtype=np.complex128))
+        assert np.array_equal(dealias(ones).half != 0, np.stack([dealias_mask(grid8)] * 3))
 
 
 class TestNorms:
@@ -347,7 +350,7 @@ class TestPressure:
                 div[i] += 1j * k[j] * bessel * tij
         full = VectorField(grid8, div)
         complement = full.hat - leray_project(full).hat
-        assert np.abs(gp.hat + complement).max() <= 1e-10
+        assert np.abs(gp.half + complement).max() <= 1e-10
 
 
 class TestGridSpec:
@@ -423,10 +426,10 @@ class TestBilinear:
         u = random_field(grid16, seed=34, amplitude=1.2, k_max=4)
         w = random_field(grid16, seed=35, amplitude=0.9, k_max=5)
         lin = params.nu * wavenumber_sq(grid16) + params.beta
-        transport = -(linearized_rhs(w, u, params).hat + lin * w.hat)
+        transport = -(linearized_rhs(w, u, params).half + lin * w.half)
         plus = nonlinear_term(VectorField(grid16, u.hat + w.hat), params.alpha)
         minus = nonlinear_term(VectorField(grid16, u.hat - w.hat), params.alpha)
-        expected = 0.5 * (plus.hat - minus.hat)
+        expected = 0.5 * (plus.half - minus.half)
         assert np.abs(transport - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_precomputed_base_is_bitwise_equal(self, grid16):
@@ -460,14 +463,18 @@ class TestBoxKernel:
         w = u if same else general_field(grid, seed + 1)
         u_phys = dealiased_physical(u) if precomputed else None
         expected = full_transform_bilinear(u.hat, w.hat, grid, alpha)
-        got = bilinear(u, w, alpha, u_phys).hat
+        got = bilinear(u, w, alpha, u_phys).half
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_full_fraction_box_spans_each_axis_once(self, n):
         grid = GridSpec(n, dealias_fraction=1.0)
         assert grid.dealias_cutoff == n // 2
-        assert np.array_equal(_box_rows(grid), np.arange(n))
+        assert grid.box_shape == grid.half_shape
+        count = np.zeros(grid.half_shape)
+        for block in _blocks(count, grid):
+            block += 1
+        assert np.all(count == 1)
 
     @pytest.mark.parametrize("fraction", FRACTIONS)
     @kernel_cases
@@ -494,9 +501,65 @@ class TestBoxKernel:
     def test_zero_outside_box_and_symmetric(self, fraction, seed, alpha):
         grid = GridSpec(16, dealias_fraction=fraction)
         u, w = general_field(grid, seed), general_field(grid, seed + 1)
-        b = bilinear(u, w, alpha).hat
-        assert np.all(b[:, ~dealias_mask(grid)] == 0)
-        assert np.array_equal(b, bilinear(w, u, alpha).hat)
+        b = bilinear(u, w, alpha)
+        assert b.hat.shape == (3,) + grid.box_shape
+        assert np.all(b.half[:, ~dealias_mask(grid)] == 0)
+        assert np.array_equal(b.hat, bilinear(w, u, alpha).hat)
+
+
+def dealiased_layouts(grid, seed):
+    """A random dealiased field in the box layout, and the same field in the
+    half-spectrum layout."""
+    box = dealias(general_field(grid, seed))
+    return box, VectorField(grid, box.half)
+
+
+class TestLayouts:
+    """The box and half-spectrum layouts of dealiased fields."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @kernel_cases
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.1, 2.0))
+    def test_layouts_agree(self, n, fraction, seed, alpha):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        box, half = dealiased_layouts(grid, seed)
+        other_box, other_half = dealiased_layouts(grid, seed + 1)
+        assert box.hat.shape == (3,) + grid.box_shape
+        assert half.box.tobytes() == box.hat.tobytes()  # box -> half -> box
+
+        operators = [
+            lambda v: helmholtz_filter(v, alpha),
+            leray_project,
+            lambda v: gradient(v.component(1)),
+            divergence,
+            laplacian,
+        ]
+        for op in operators:
+            a, b = op(box), op(half)
+            assert a.hat.tobytes() == b.box.tobytes()
+            assert np.array_equal(a.half, b.hat)
+
+        def close(x, y, scale=None):
+            return abs(x - y) <= 1e-15 * (abs(y) if scale is None else scale)
+
+        assert all(map(close, astuple(norms(box, alpha)), astuple(norms(half, alpha))))
+        # relative to the Cauchy-Schwarz bound: the sum has signed terms
+        bound = np.sqrt(norms(box, alpha).h1alpha_sq * norms(other_box, alpha).h1alpha_sq)
+        inner = h1alpha_inner(half, other_half, alpha)
+        assert close(h1alpha_inner(box, other_box, alpha), inner, bound)
+        assert close(box.div_defect(), half.div_defect())
+        assert box.hermitian_defect() == half.hermitian_defect()
+
+        expected = sfft.irfftn(half.hat, s=(n,) * 3, axes=(-3, -2, -1), norm="forward")
+        assert vector_to_physical(box).tobytes() == expected.tobytes()
+
+    def test_mixed_layouts_meet_on_the_box(self, grid8):
+        box, half = dealiased_layouts(grid8, 39)
+        general = general_field(grid8, 40)
+        expected = h1alpha_inner(dealias(general), box, 0.7)
+        assert abs(h1alpha_inner(general, box, 0.7) - expected) <= 1e-15 * abs(expected)
+        assert abs(h1alpha_inner(general, half, 0.7) - expected) <= 1e-13 * abs(expected)
 
 
 class TestCachedSymbols:
@@ -505,9 +568,8 @@ class TestCachedSymbols:
             mode_indices(grid8),
             wavevectors(grid8),
             wavenumber_sq(grid8),
-            dealias_mask(grid8),
-            parseval_weights(grid8),
-            _leray_symbol(grid8),
+            *modes(grid8, grid8.half_shape),
+            *modes(grid8, grid8.box_shape),
             *_bilinear_symbols(grid8, 0.5),
         ]
         for a in cached:
