@@ -302,6 +302,8 @@ def _lp_norm(mag, p, dx):
 def zero_force_decay(u0, params, t_end, dt, p_list=(2, 4, np.inf), sample_every=1):
     """Unforced run with L^p-norm envelopes C_p e^{-(2 beta / p) t} for t >= 1
     (rate 0 for p = infinity, i.e. a plain monotone bound)."""
+    if not all(p >= 1 for p in p_list):
+        raise ValueError(f"L^p norms need p >= 1 or inf, got p_list = {p_list}")
     force = VectorField(u0.grid, np.zeros((3,) + u0.grid.box_shape, complex), div_free=True)
     n_steps = max(int(round(t_end / dt)), 1)
     times, series = [], {p: [] for p in p_list}

@@ -22,7 +22,8 @@ import struct
 
 import numpy as np
 
-from .spectral import GridSpec, PhysParams, VectorField, half_spectrum, wavenumber_sq
+from .spectral import GridSpec, PhysParams, VectorField, _reverse_modes, half_spectrum
+from .spectral import wavenumber_sq
 
 __all__ = ["write_checkpoint", "read_checkpoint", "STEADY_STATE_TIME"]
 
@@ -54,7 +55,7 @@ def write_checkpoint(path, u, params, time):
         fh.write(shifted.tobytes())
 
 
-def read_checkpoint(path, eta_c=1.0):
+def read_checkpoint(path):
     """Read a checkpoint; returns (VectorField, PhysParams, time)."""
     with open(path, "rb") as fh:
         raw = fh.read(HEADER.size)
@@ -75,11 +76,11 @@ def read_checkpoint(path, eta_c=1.0):
     grid = GridSpec(n, box_len)
     shifted = data.reshape(3, n, n, n).astype(np.complex128)
     full = np.fft.ifftshift(shifted, axes=(1, 2, 3))
-    u = VectorField(grid, half_spectrum(full))
+    # a real field has c(-m) = conj(c(m)) on every mode
     scale = max(np.abs(full).max(), 1e-300)
-    if max(np.abs(u.coeffs - full).max() / scale, u.hermitian_defect()) > STORAGE_TOL:
+    if np.abs(full - np.conj(_reverse_modes(full))).max() > STORAGE_TOL * scale:
         raise ValueError("checkpoint spectrum is not Hermitian: the field is not real")
+    u = VectorField(grid, half_spectrum(full))
     if u.div_defect() > STORAGE_TOL * np.sqrt(wavenumber_sq(grid).max()):
         raise ValueError("checkpoint field is not divergence-free")
-    params = PhysParams(alpha, beta, nu, eta_c)
-    return u, params, time
+    return u, PhysParams(alpha, beta, nu), time

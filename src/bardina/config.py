@@ -1,15 +1,17 @@
 """Run configuration: a flat INI file with one section per concern.
 
-Every field has an explicit default; serialize() writes the fully resolved
-config so that any run can be reproduced from its effective-config artifact.
+SECTIONS states every key once; its default is its attribute in RunConfig()
+(in a present [initial] or [force] section: in FieldRecipe).  serialize() and
+parse_config() both walk SECTIONS, formatting and parsing each value by the
+type of its default.  serialize() writes the fully resolved config so that any
+run can be reproduced from its effective-config artifact.
 """
 
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
-
-import numpy as np
+import math
+from dataclasses import dataclass, field, fields, replace
 
 from .fields import FieldRecipe
 from .spectral import GridSpec, PhysParams
@@ -30,64 +32,23 @@ class RunConfig:
     dt: float = 1e-2
     t_end: float = 1.0
     sample_every: int = 10
-    # stationary
     tol: float = 1e-10
     relaxation: float = 1.0
     max_iter: int = 200
-    # lyapunov
     m_list: tuple = (1, 2, 4)
     frame_seed: int = 7
-    # gap
     perturb_amplitude: float = 1e-3
     perturb_seed: int = 11
-    # decay
     decay_mode: str = "zero_force"  # or "steady"
     p_list: tuple = (2.0, 4.0, float("inf"))
-    # bound
     f_norm: float | None = None  # None -> from the force recipe
 
     def serialize(self):
         cp = configparser.ConfigParser()
-        cp["grid"] = {
-            "n": str(self.grid.n),
-            "box_len": repr(self.grid.box_len),
-            "dealias_fraction": repr(self.grid.dealias_fraction),
-        }
-        cp["params"] = {
-            "alpha": repr(self.params.alpha),
-            "beta": repr(self.params.beta),
-            "nu": repr(self.params.nu),
-            "eta_c": repr(self.params.eta_c),
-        }
-        cp["initial"] = _recipe_dict(self.initial)
-        cp["force"] = _recipe_dict(self.force) if self.force else {"kind": "none"}
-        cp["time"] = {
-            "dt": repr(self.dt),
-            "t_end": repr(self.t_end),
-            "sample_every": str(self.sample_every),
-        }
-        cp["stationary"] = {
-            "tol": repr(self.tol),
-            "relaxation": repr(self.relaxation),
-            "max_iter": str(self.max_iter),
-        }
-        cp["lyapunov"] = {
-            "m_list": " ".join(str(m) for m in self.m_list),
-            "frame_seed": str(self.frame_seed),
-        }
-        cp["gap"] = {
-            "perturb_amplitude": repr(self.perturb_amplitude),
-            "perturb_seed": str(self.perturb_seed),
-        }
-        cp["decay"] = {
-            "mode": self.decay_mode,
-            "p_list": " ".join(
-                "inf" if np.isinf(p) else repr(p) for p in self.p_list
-            ),
-        }
-        cp["bound"] = {
-            "f_norm": "from-force" if self.f_norm is None else repr(self.f_norm)
-        }
+        for name, attr, keys in SECTIONS:
+            obj = getattr(self, attr) if attr else self
+            cp[name] = {"kind": "none"} if obj is None else {
+                key: _fmt(getattr(obj, ATTR.get(key, key))) for key in keys}
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -96,27 +57,66 @@ class RunConfig:
         return hashlib.sha256(self.serialize().encode()).hexdigest()
 
 
-def _recipe_dict(r):
-    return {
-        "kind": r.kind,
-        "amplitude": repr(r.amplitude),
-        "seed": str(r.seed),
-        "k_min": str(r.k_min),
-        "k_max": str(r.k_max),
-    }
+RECIPE_KEYS = ("kind", "amplitude", "seed", "k_min", "k_max")
+# The INI sections in write order: (section, the RunConfig attribute holding
+# the object the section describes, or None for RunConfig itself, keys).
+SECTIONS = (
+    ("grid", "grid", ("n", "box_len", "dealias_fraction")),
+    ("params", "params", ("alpha", "beta", "nu", "eta_c")),
+    ("initial", "initial", RECIPE_KEYS),
+    ("force", "force", RECIPE_KEYS),
+    ("time", None, ("dt", "t_end", "sample_every")),
+    ("stationary", None, ("tol", "relaxation", "max_iter")),
+    ("lyapunov", None, ("m_list", "frame_seed")),
+    ("gap", None, ("perturb_amplitude", "perturb_seed")),
+    ("decay", None, ("mode", "p_list")),
+    ("bound", None, ("f_norm",)),
+)
+ATTR = {"mode": "decay_mode"}  # every other key names its attribute
+CHOICES = {"decay_mode": ("zero_force", "steady")}
+# A present recipe section starts from these; kind = none means no field.
+RECIPE_DEFAULTS = {f.name: f.default for f in fields(FieldRecipe)} | {"kind": "none"}
+# Checks run once a section is read, beyond those of GridSpec, PhysParams and
+# FieldRecipe.  _read requires finite scalar floats; list entries are checked here.
+RULES = {
+    "initial": (lambda c: c.initial is not None, "kind must not be 'none'"),
+    "time": (lambda c: c.dt > 0 and c.t_end >= 0 and c.sample_every >= 1,
+             "dt > 0, t_end >= 0, sample_every >= 1 required"),
+    "decay": (lambda c: all(p >= 1 for p in c.p_list), "every p in p_list must be >= 1 or inf"),
+    "bound": (lambda c: c.f_norm is None or c.f_norm >= 0, "f_norm must be nonnegative"),
+}
 
 
-def _parse_recipe(section):
-    kind = section.get("kind", "none")
-    if kind == "none":
-        return None
-    return FieldRecipe(
-        kind=kind,
-        amplitude=section.getfloat("amplitude", 1.0),
-        seed=section.getint("seed", 0),
-        k_min=section.getint("k_min", 1),
-        k_max=section.getint("k_max", 2),
-    )
+def _fmt(value):
+    """INI text of a value; str of a float is its shortest round-trip repr."""
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    return "from-force" if value is None else str(value)
+
+
+def _parse(raw, default):
+    """Parse INI text by the type of the key's default; a tuple holds
+    space-separated items, and a default of None means from-force or a float."""
+    if isinstance(default, tuple):
+        return tuple(map(type(default[0]), raw.split()))
+    if default is None:
+        return None if raw == "from-force" else float(raw)
+    return type(default)(raw)
+
+
+def _read(sec, name, keys, base):
+    """A present section's values, parsed in key order over `base`; None for kind = none."""
+    values = {}
+    for key in keys:
+        attr = ATTR.get(key, key)
+        value = values[attr] = _parse(sec[key], base[attr]) if key in sec else base[attr]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name}: {key} must be finite, got {value}")
+        if attr in CHOICES and value not in CHOICES[attr]:
+            raise ValueError(f"{name}: unknown {key} {value!r}")
+        if value == "none":
+            return None
+    return values
 
 
 def parse_config(text):
@@ -125,72 +125,25 @@ def parse_config(text):
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse failure: {exc}") from exc
+    schema = {name: keys for name, _, keys in SECTIONS}
+    # a [DEFAULT] key is a key of every section, and is checked in each
+    unknown = [f"[{s}]" for s in cp.sections() if s not in schema]
+    unknown += [f"[{s}] {k}" for s in cp.sections() if s in schema for k in cp[s] if k not in schema[s]]
+    if unknown:
+        raise ConfigError(f"unknown section or key: {', '.join(unknown)}")
     cfg = RunConfig()
     try:
-        if cp.has_section("grid"):
-            g = cp["grid"]
-            cfg.grid = GridSpec(
-                n=g.getint("n", 16),
-                box_len=g.getfloat("box_len", 2.0 * np.pi),
-                dealias_fraction=g.getfloat("dealias_fraction", 2.0 / 3.0),
-            )
-        if cp.has_section("params"):
-            p = cp["params"]
-            cfg.params = PhysParams(
-                alpha=p.getfloat("alpha", 1.0),
-                beta=p.getfloat("beta", 1.0),
-                nu=p.getfloat("nu", 1.0),
-                eta_c=p.getfloat("eta_c", 1.0),
-            )
-        if cp.has_section("initial"):
-            recipe = _parse_recipe(cp["initial"])
-            if recipe is None:
-                raise ConfigError("initial: kind must not be 'none'")
-            cfg.initial = recipe
-        if cp.has_section("force"):
-            cfg.force = _parse_recipe(cp["force"])
-        if cp.has_section("time"):
-            t = cp["time"]
-            cfg.dt = t.getfloat("dt", cfg.dt)
-            cfg.t_end = t.getfloat("t_end", cfg.t_end)
-            cfg.sample_every = t.getint("sample_every", cfg.sample_every)
-            if cfg.dt <= 0 or cfg.t_end < 0 or cfg.sample_every < 1:
-                raise ConfigError("time: dt > 0, t_end >= 0, sample_every >= 1 required")
-        if cp.has_section("stationary"):
-            s = cp["stationary"]
-            cfg.tol = s.getfloat("tol", cfg.tol)
-            cfg.relaxation = s.getfloat("relaxation", cfg.relaxation)
-            cfg.max_iter = s.getint("max_iter", cfg.max_iter)
-        if cp.has_section("lyapunov"):
-            ly = cp["lyapunov"]
-            if "m_list" in ly:
-                cfg.m_list = tuple(int(v) for v in ly["m_list"].split())
-            cfg.frame_seed = ly.getint("frame_seed", cfg.frame_seed)
-        if cp.has_section("gap"):
-            gp = cp["gap"]
-            cfg.perturb_amplitude = gp.getfloat(
-                "perturb_amplitude", cfg.perturb_amplitude
-            )
-            cfg.perturb_seed = gp.getint("perturb_seed", cfg.perturb_seed)
-        if cp.has_section("decay"):
-            d = cp["decay"]
-            cfg.decay_mode = d.get("mode", cfg.decay_mode)
-            if cfg.decay_mode not in ("zero_force", "steady"):
-                raise ConfigError(f"decay: unknown mode {cfg.decay_mode!r}")
-            if "p_list" in d:
-                cfg.p_list = tuple(
-                    float("inf") if v == "inf" else float(v)
-                    for v in d["p_list"].split()
-                )
-        if cp.has_section("bound"):
-            b = cp["bound"]
-            raw = b.get("f_norm", "from-force")
-            cfg.f_norm = None if raw == "from-force" else float(raw)
-            if cfg.f_norm is not None and cfg.f_norm < 0:
-                raise ConfigError("bound: f_norm must be nonnegative")
-    except ConfigError:
-        raise
-    except (ValueError, KeyError) as exc:
+        for name, attr, keys in SECTIONS:
+            if not cp.has_section(name):
+                continue
+            obj = getattr(cfg, attr) if attr else cfg
+            recipe = attr in ("initial", "force")
+            values = _read(cp[name], name, keys, RECIPE_DEFAULTS if recipe else vars(obj))
+            obj = (values and FieldRecipe(**values)) if recipe else replace(obj, **values)
+            cfg = replace(cfg, **{attr: obj}) if attr else obj
+            if name in RULES and not RULES[name][0](cfg):
+                raise ValueError(f"{name}: {RULES[name][1]}")
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
 

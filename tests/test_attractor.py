@@ -296,3 +296,9 @@ class TestZeroForceDecay:
         assert all(rep.envelopes_ok.values())
         # L2 decay at least as fast as the damping-only envelope rate
         assert rep.fitted_rates[2] <= -params.beta + 1e-8
+
+    @pytest.mark.parametrize("p_list", [(0,), (2, -1), (np.nan,), (-np.inf,), (0.5, 2)])
+    def test_rejects_p_below_one(self, grid8, params, p_list):
+        u0 = generate(FieldRecipe("shear", 1.0), grid8)
+        with pytest.raises(ValueError, match="p >= 1"):
+            zero_force_decay(u0, params, 0.1, 0.01, p_list=p_list)

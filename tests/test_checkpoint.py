@@ -87,6 +87,16 @@ class TestFullSpectrumFiles:
         with pytest.raises(ValueError, match="Hermitian"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("mode", [(1, 2, 0), (3, 5, 4)])
+    def test_rejects_non_real_self_paired_plane(self, grid8, params, tmp_path, mode):
+        # m_z = 0 and m_z = n/2 hold both m and -m in the half spectrum
+        full = _fftn_spectrum(random_field(grid8, seed=157))
+        full[(1,) + mode] += 0.5j * np.abs(full).max()
+        path = tmp_path / "plane.bard"
+        _v1_file(path, grid8, params, full)
+        with pytest.raises(ValueError, match="Hermitian"):
+            read_checkpoint(path)
+
     def test_rejects_divergent_field(self, grid8, params, tmp_path):
         x = np.arange(8) * grid8.dx
         X = np.meshgrid(x, x, x, indexing="ij")[0]

@@ -1,7 +1,11 @@
+import configparser
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bardina.cli
 import bardina.dynamics
@@ -19,8 +23,8 @@ from bardina.cli import (
 )
 from bardina.config import ConfigError, RunConfig, load_config, parse_config
 from bardina.dynamics import BlowUpError, SimState, evolve
-from bardina.fields import generate
-from bardina.spectral import CertificateError, VectorField
+from bardina.fields import KINDS, FieldRecipe, generate
+from bardina.spectral import CertificateError, GridSpec, PhysParams, VectorField
 
 BASE_INI = """\
 [grid]
@@ -91,6 +95,118 @@ class TestConfig:
         p = tmp_path / "run.ini"
         p.write_text(BASE_INI)
         assert load_config(p) == parse_config(BASE_INI)
+
+    def test_golden_digests(self):
+        # run_meta.json's config_sha256 is the digest of effective_config.ini
+        assert RunConfig().digest() == (
+            "fe2d11d8b424af9ee110c25bd73e5a9487ba0bef7d7bfa410be9afb723e9853d"
+        )
+        assert parse_config(BASE_INI).digest() == (
+            "5c5c7963a54b35a16a016e12c67df427099a2a69fb7e77e4062460190719a8e8"
+        )
+
+    @pytest.mark.parametrize("ini", [
+        "[time]\nt_end = inf\n",
+        "[time]\ndt = nan\n",
+        "[grid]\nbox_len = inf\n",
+        "[params]\nnu = -inf\n",
+        "[stationary]\ntol = nan\n",
+        "[gap]\nperturb_amplitude = inf\n",
+        "[initial]\nkind = shear\namplitude = nan\n",
+        "[bound]\nf_norm = nan\n",
+        "[bound]\nf_norm = inf\n",
+    ])
+    def test_non_finite_number_rejected(self, ini):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config(ini)
+
+    @pytest.mark.parametrize("p_list", ["0", "-1", "2 -inf", "nan", "0.5 2"])
+    def test_p_below_one_rejected(self, p_list):
+        with pytest.raises(ConfigError, match="p_list"):
+            parse_config(f"[decay]\np_list = {p_list}\n")
+
+    def test_p_list_bounds_accepted(self):
+        assert parse_config("[decay]\np_list = 1 inf\n").p_list == (1.0, np.inf)
+        assert parse_config("[decay]\np_list =\n").p_list == ()
+
+    @pytest.mark.parametrize("ini, name", [
+        ("[time]\nt_ed = 5\n", "[time] t_ed"),
+        ("[tme]\ndt = 0.1\n", "[tme]"),
+        ("[Grid]\nn = 8\n", "[Grid]"),
+        ("[DEFAULT]\nseed = 3\n[time]\ndt = 0.1\n", "[time] seed"),
+    ])
+    def test_unknown_section_or_key_rejected(self, ini, name):
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            parse_config(ini)
+
+    def test_default_section_key_of_present_section(self):
+        assert parse_config("[DEFAULT]\nn = 8\n[grid]\n").grid.n == 8
+
+    def test_recipe_defaults(self):
+        assert parse_config("[time]\ndt = 0.1\n").initial == FieldRecipe("taylor_green", 0.1)
+        assert parse_config("[initial]\nkind = shear\n").initial == FieldRecipe("shear")
+        with pytest.raises(ConfigError, match="initial: kind must not be 'none'"):
+            parse_config("[initial]\namplitude = 0.5\n")
+        assert parse_config("[force]\nkind = random_band\n").force == FieldRecipe("random_band")
+        # kind = none ends the section: the keys after it are not read
+        assert parse_config("[force]\nkind = none\namplitude = x\n").force is None
+
+
+# Every key drawn from its type within the rules parse_config checks.
+_ints = st.integers(-(2**63), 2**63)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+_recipes = st.builds(
+    FieldRecipe, kind=st.sampled_from(KINDS), amplitude=_finite, seed=_ints,
+    k_min=st.integers(-3, 3), k_max=st.integers(3, 9),
+)
+_configs = st.builds(
+    RunConfig,
+    grid=st.builds(
+        GridSpec, n=st.integers(2, 256).map(lambda k: 2 * k), box_len=_positive,
+        dealias_fraction=st.floats(0.0, 1.0, exclude_min=True),
+    ),
+    params=st.builds(PhysParams, alpha=_positive, beta=_positive, nu=_positive, eta_c=_positive),
+    initial=_recipes,
+    force=st.none() | _recipes,
+    dt=_positive,
+    t_end=_nonnegative,
+    sample_every=st.integers(1, 2**31),
+    tol=_finite,
+    relaxation=_finite,
+    max_iter=_ints,
+    m_list=st.lists(_ints, max_size=5).map(tuple),
+    frame_seed=_ints,
+    perturb_amplitude=_finite,
+    perturb_seed=_ints,
+    decay_mode=st.sampled_from(("zero_force", "steady")),
+    p_list=st.lists(st.floats(min_value=1.0), max_size=5).map(tuple),
+    f_norm=st.none() | _nonnegative,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs)
+def test_serialize_parse_round_trip(cfg):
+    text = cfg.serialize()
+    again = parse_config(text)
+    assert again == cfg
+    assert again.serialize() == text
+
+
+def test_readme_example_config():
+    """The README's example INI parses to the values it shows."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    ini = re.search(r"Example config.*?```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = parse_config(ini)
+    assert (cfg.grid.n, cfg.params.nu, cfg.initial.seed, cfg.force.kind) == (32, 0.5, 7, "shear")
+    shown, written = configparser.ConfigParser(), configparser.ConfigParser()
+    shown.read_string(ini)
+    written.read_string(cfg.serialize())
+    for section in shown.sections():
+        for key, value in shown[section].items():
+            assert written[section][key] == value, (section, key)
 
 
 def run_cli(tmp_path, subcommand, ini, out_name="out"):
@@ -239,6 +355,16 @@ class TestCliErrors:
         cfg.write_text("[grid]\nn = 7\n")
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("subcommand, ini", [
+        ("simulate", BASE_INI.replace("t_end = 0.5", "t_end = inf")),
+        ("decay", BASE_INI + "[decay]\np_list = 0\n"),
+        ("bound", BASE_INI + "[bound]\nf_norm = nan\n"),
+    ])
+    def test_bad_number_exits_before_any_report(self, tmp_path, subcommand, ini):
+        code, out = run_cli(tmp_path, subcommand, ini)
+        assert code == EXIT_CONFIG
+        assert not list(out.glob("*_report.json"))
 
     def test_nonconvergence_exit(self, tmp_path):
         ini = BASE_INI.replace(
