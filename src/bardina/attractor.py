@@ -12,8 +12,8 @@ from .spectral import (
     CertificateError,
     VectorField,
     bilinear,
-    dealiased_physical,
     h1alpha_inner,
+    inverse_transform,
     modes,
     norms,
 )
@@ -288,8 +288,8 @@ class ZeroForceDecayReport:
 
 
 def _magnitude(u):
-    """|u(x)| on the grid; for a box field, dealiased_physical is its samples."""
-    return np.sqrt(np.sum(dealiased_physical(u) ** 2, axis=0))
+    """|u(x)| on the grid."""
+    return np.sqrt(np.sum(inverse_transform(u) ** 2, axis=0))
 
 
 def _lp_norm(mag, p, dx):

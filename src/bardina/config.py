@@ -120,7 +120,7 @@ def _read(sec, name, keys, base):
 
 
 def parse_config(text):
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # a % is plain text
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -129,6 +129,8 @@ def parse_config(text):
     # a [DEFAULT] key is a key of every section, and is checked in each
     unknown = [f"[{s}]" for s in cp.sections() if s not in schema]
     unknown += [f"[{s}] {k}" for s in cp.sections() if s in schema for k in cp[s] if k not in schema[s]]
+    if cp.defaults() and not schema.keys() & cp.sections():  # no section reads them
+        unknown.append(f"[DEFAULT] {', '.join(cp.defaults())}")
     if unknown:
         raise ConfigError(f"unknown section or key: {', '.join(unknown)}")
     cfg = RunConfig()

@@ -20,9 +20,9 @@ from .spectral import (
     dealias,
     dealiased_physical,
     h1alpha_inner,
+    inverse_transform,
     modes,
     norms,
-    vector_to_physical,
 )
 
 __all__ = [
@@ -151,7 +151,7 @@ def _rhs_nonlinear(u, force, alpha, u_phys=None):
 def cfl_cap(u, grid, u_phys=None):
     """Advective CFL limit 0.5 * dx / max|u| (inf when the field is zero);
     u_phys, when given, are the physical samples of u."""
-    umax = np.abs(vector_to_physical(u) if u_phys is None else u_phys).max()
+    umax = np.abs(inverse_transform(u) if u_phys is None else u_phys).max()
     if umax == 0:
         return np.inf
     return 0.5 * grid.dx / umax

@@ -6,11 +6,11 @@ import numpy as np
 
 from .spectral import (
     VectorField,
+    _forward,
     _project,
     mode_indices,
     modes,
     norms,
-    vector_from_physical,
 )
 
 __all__ = ["FieldRecipe", "generate"]
@@ -49,7 +49,7 @@ def _axes(grid):
 
 def _certified(samples, grid):
     """Physical samples -> box field with a checked div_free certificate."""
-    return VectorField(grid, vector_from_physical(samples, grid).box, div_free=True)
+    return VectorField(grid, _forward(samples, grid, grid.box_shape), div_free=True)
 
 
 def generate(recipe, grid, alpha=1.0):

@@ -15,9 +15,14 @@ Conventions used throughout:
       the half spectrum.
     Every field the solver makes lives in the box, so dealiasing is a
     property of the layout.  The half spectrum remains at the edges:
-    transforms of samples, checkpoint I/O, vector_to_physical and the
-    ``half`` and ``coeffs`` views.  Per-mode operators work in either layout
-    with its symbols, modes(grid, shape), and agree bitwise mode by mode.
+    forward_transform, checkpoint I/O and the ``half`` and ``coeffs``
+    views.  Per-mode operators work in either layout with its symbols,
+    modes(grid, shape), and agree bitwise mode by mode.
+  * One transform pair converts between samples and coefficients, scalar
+    or vector, in either layout: inverse_transform and the forward helper
+    behind forward_transform and the kernel.  Both split the axes: the
+    real transform runs over z, the x and y transforms on the planes m_z
+    the layout holds only.
   * Coefficients are normalized so that u(x) = sum_m c_m exp(i k.x), k =
     2 pi m / L, i.e. c = fftn(samples) / n^3.  Parseval reads integral
     |u|^2 dx = L^3 * sum_m |c_m|^2; a mode with 0 < m_z < n/2 counts twice.
@@ -25,11 +30,10 @@ Conventions used throughout:
     layout; a field's ``coeffs`` property is its full spectrum (for I/O).
   * Dealiasing keeps |m_i| <= c = floor(dealias_fraction*n/2) on every axis
     (2/3-rule truncation by default): dealias(v) is v in the box layout.
-  * The bilinear kernel reads the box of its inputs, runs its x and y
-    transforms on the m_z <= c planes only, and returns a box field.  It
-    transforms the 5 entries of the traceless product T - T33 I instead of
-    the 6 of T; that is exact, because div(s I) = grad s and the Leray
-    projection removes a gradient mode by mode.
+  * The bilinear kernel reads the box of its inputs and returns a box
+    field.  It transforms the 5 entries of the traceless product T - T33 I
+    instead of the 6 of T; that is exact, because div(s I) = grad s and the
+    Leray projection removes a gradient mode by mode.
 """
 
 from collections import namedtuple
@@ -299,39 +303,41 @@ class NormBundle:
     h1alpha_sq: float
 
 
-def _to_physical(hat, n):
-    """Batched inverse transform of half spectra over the last three axes."""
-    return sfft.irfftn(hat, s=(n, n, n), axes=AXES, norm="forward")
+def _forward(samples, grid, shape):
+    """Coefficients in the layout of spectral shape `shape` of physical
+    samples (..., n, n, n): the real transform over z, then the x and y
+    transforms of the shape[-1] planes m_z the layout holds only."""
+    a = sfft.rfftn(samples, axes=(-1,), norm="forward")[..., : shape[-1]]
+    a = sfft.fftn(a, axes=(-3, -2), norm="forward", overwrite_x=True)
+    return _relayout(a, grid, shape)
 
 
 def forward_transform(physical_samples, grid=None):
-    """Physical samples on the n^3 grid -> SpectralField."""
+    """Physical samples on the n^3 grid, (n, n, n) or (3, n, n, n) -> their
+    SpectralField or VectorField in the half-spectrum layout."""
     samples = np.asarray(physical_samples, dtype=np.float64)
-    if samples.ndim != 3 or len(set(samples.shape)) != 1:
-        raise ValueError(f"expected a cubic sample array, got shape {samples.shape}")
-    n = samples.shape[0]
-    if n % 2 != 0:
-        raise ValueError(f"sample array size must be even, got {n}")
-    if grid is None:
-        grid = GridSpec(n)
-    elif grid.n != n:
-        raise ValueError(f"sample array size {n} does not match grid n={grid.n}")
-    return SpectralField(grid, sfft.rfftn(samples, norm="forward"))
+    lead, cube = samples.shape[:-3], samples.shape[-3:]
+    if samples.ndim < 3 or lead not in ((), (3,)) or len(set(cube)) != 1:
+        raise ValueError(f"expected (n, n, n) or (3, n, n, n) samples, got {samples.shape}")
+    grid = GridSpec(cube[0]) if grid is None else grid  # GridSpec requires an even n
+    if grid.n != cube[0]:
+        raise ValueError(f"sample array size {cube[0]} does not match grid n={grid.n}")
+    kind = VectorField if lead else SpectralField
+    return kind(grid, _forward(samples, grid, grid.half_shape))
 
 
 def inverse_transform(field):
-    """SpectralField -> real physical samples on the n^3 grid."""
-    return _to_physical(field.half, field.grid.n)
-
-
-def vector_from_physical(samples, grid):
-    """Stack of 3 physical component arrays -> VectorField (half spectra)."""
-    return VectorField(grid, sfft.rfftn(samples, axes=AXES, norm="forward"))
-
-
-def vector_to_physical(v):
-    """VectorField -> physical component arrays, shape (3, n, n, n)."""
-    return _to_physical(v.half, v.grid.n)
+    """Real samples on the n^3 grid of a scalar or vector field in either
+    layout.  A copy in a new half spectrum is transformed, never the field's
+    own hat (at dealias_fraction 1 the box is the half spectrum): over x and
+    y on the planes m_z the layout holds, then over z."""
+    hat, grid = field.hat, field.grid
+    a = hat.copy() if hat.shape[-3:] == grid.half_shape else _relayout(hat, grid, grid.half_shape)
+    held = a[..., : hat.shape[-1]]
+    xy = sfft.ifftn(held, axes=(-3, -2), norm="forward", overwrite_x=True)
+    if not np.may_share_memory(xy, held):  # the transform did not run in place
+        held[...] = xy
+    return sfft.irfftn(a, s=(grid.n,), axes=(-1,), norm="forward", overwrite_x=True)
 
 
 def _check_shared_grid(*fields):
@@ -407,28 +413,8 @@ def h1alpha_inner(v, w, alpha):
 
 def dealiased_physical(v):
     """Physical samples (3, n, n, n) of the dealiased field: the form in which
-    the bilinear kernel reads its inputs.  The box of v, in either layout, is
-    copied into zero half spectra; its m_z <= cutoff planes are transformed
-    over x and y in place, then the whole over z by the real inverse
-    transform."""
-    n, c = v.grid.n, v.grid.dealias_cutoff
-    a = np.zeros(v.hat.shape[:-3] + v.grid.half_shape, dtype=v.hat.dtype)
-    for dst, src in zip(_blocks(a, v.grid), _blocks(v.hat, v.grid)):
-        dst[...] = src
-    box = a[..., : c + 1]
-    xy = sfft.ifftn(box, axes=(-3, -2), norm="forward", overwrite_x=True)
-    if not np.may_share_memory(xy, box):  # the transform did not run in place
-        box[...] = xy
-    return sfft.irfftn(a, s=(n,), axes=(-1,), norm="forward", overwrite_x=True)
-
-
-def _box_spectra(samples, grid):
-    """Retained-box spectra (s, b, b, cutoff+1) of physical samples
-    (s, n, n, n): the x and y transforms run on the m_z <= cutoff planes
-    only."""
-    a = sfft.rfftn(samples, axes=(-1,), norm="forward")[..., : grid.dealias_cutoff + 1]
-    a = sfft.fftn(a, axes=(-3, -2), norm="forward", overwrite_x=True)
-    return _relayout(a, grid, grid.box_shape)
+    the bilinear kernel reads its inputs."""
+    return inverse_transform(dealias(v))
 
 
 def _traceless_products(a, b):
@@ -462,7 +448,7 @@ def tensor_product_spectra(u, w, u_phys=None):
     """
     a = dealiased_physical(u) if u_phys is None else u_phys
     b = a if w is u else dealiased_physical(w)
-    return _box_spectra(_traceless_products(a, b), u.grid)
+    return _forward(_traceless_products(a, b), u.grid, u.grid.box_shape)
 
 
 @lru_cache(maxsize=32)
@@ -512,7 +498,7 @@ def pressure_from_velocity(u, alpha):
     grid = u.grid
     a = dealiased_physical(u)
     t = tensor_product_spectra(u, u, a)
-    t33 = _box_spectra(a[2:] * a[2:], grid)[0]
+    t33 = _forward(a[2:] * a[2:], grid, grid.box_shape)[0]
     k, kk, g = _bilinear_symbols(grid, alpha)
     v = _contract(t, k)
     p = 1j * g * (kk[0] * v[0] + kk[1] * v[1] + kk[2] * v[2] + t33)

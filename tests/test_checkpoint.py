@@ -9,7 +9,7 @@ from bardina.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from bardina.spectral import half_spectrum, vector_to_physical
+from bardina.spectral import half_spectrum, inverse_transform
 
 from conftest import random_field
 
@@ -62,7 +62,7 @@ def _v1_file(path, grid, params, full, time=0.0):
 
 def _fftn_spectrum(u):
     """Full spectrum of a field computed with numpy's complex fftn."""
-    phys = vector_to_physical(u)
+    phys = inverse_transform(u)
     return np.stack([np.fft.fftn(phys[i]) / u.grid.n**3 for i in range(3)])
 
 

@@ -134,9 +134,19 @@ class TestConfig:
         ("[tme]\ndt = 0.1\n", "[tme]"),
         ("[Grid]\nn = 8\n", "[Grid]"),
         ("[DEFAULT]\nseed = 3\n[time]\ndt = 0.1\n", "[time] seed"),
+        ("[DEFAULT]\nn = 8\nt_ed = 3\n", "[DEFAULT] n, t_ed"),
     ])
     def test_unknown_section_or_key_rejected(self, ini, name):
         with pytest.raises(ConfigError, match=re.escape(name)):
+            parse_config(ini)
+
+    @pytest.mark.parametrize("ini", [
+        "[initial]\nkind = 50%\n",
+        "[grid]\nn = 8%\n",
+        "[time]\ndt = %(t_end)s\n",
+    ])
+    def test_percent_is_plain_text(self, ini):
+        with pytest.raises(ConfigError):
             parse_config(ini)
 
     def test_default_section_key_of_present_section(self):
@@ -363,6 +373,12 @@ class TestCliErrors:
     ])
     def test_bad_number_exits_before_any_report(self, tmp_path, subcommand, ini):
         code, out = run_cli(tmp_path, subcommand, ini)
+        assert code == EXIT_CONFIG
+        assert not list(out.glob("*_report.json"))
+
+    @pytest.mark.parametrize("ini", ["[initial]\nkind = 50%\n", "[DEFAULT]\nn = 8\nt_ed = 3\n"])
+    def test_refused_text_exits_before_any_report(self, tmp_path, ini):
+        code, out = run_cli(tmp_path, "bound", ini)
         assert code == EXIT_CONFIG
         assert not list(out.glob("*_report.json"))
 

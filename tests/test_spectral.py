@@ -1,10 +1,14 @@
-from dataclasses import astuple
+import ast
+import re
+from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import fft as sfft
 
+import bardina
 from bardina import (
     GridSpec,
     SpectralField,
@@ -33,8 +37,6 @@ from bardina.spectral import (
     half_spectrum,
     mode_indices,
     modes,
-    vector_from_physical,
-    vector_to_physical,
     wavenumber_sq,
     wavevectors,
 )
@@ -340,7 +342,7 @@ class TestPressure:
         alpha = 0.9
         p = pressure_from_velocity(u, alpha)
         gp = gradient(p)
-        phys = vector_to_physical(u)
+        phys = inverse_transform(u)
         bessel = 1.0 / (1.0 + alpha**2 * wavenumber_sq(grid8))
         k = wavevectors(grid8)
         div = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
@@ -393,7 +395,7 @@ class TestHalfSpectrum:
 
     def test_vector_layout(self, grid8):
         u = random_field(grid8, seed=29)
-        phys = vector_to_physical(u)
+        phys = inverse_transform(u)
         expected = np.stack([np.fft.fftn(phys[i]) / 8**3 for i in range(3)])
         assert np.abs(u.coeffs - expected).max() <= 1e-15
 
@@ -442,7 +444,7 @@ class TestBilinear:
 def general_field(grid, seed):
     """A real field with every mode set: neither dealiased nor divergence-free."""
     samples = np.random.default_rng(seed).standard_normal((3,) + (grid.n,) * 3)
-    return vector_from_physical(samples, grid)
+    return forward_transform(samples, grid)
 
 
 FRACTIONS = [0.5, 2 / 3, 1.0]
@@ -552,7 +554,7 @@ class TestLayouts:
         assert box.hermitian_defect() == half.hermitian_defect()
 
         expected = sfft.irfftn(half.hat, s=(n,) * 3, axes=(-3, -2, -1), norm="forward")
-        assert vector_to_physical(box).tobytes() == expected.tobytes()
+        assert inverse_transform(box).tobytes() == expected.tobytes()
 
     def test_mixed_layouts_meet_on_the_box(self, grid8):
         box, half = dealiased_layouts(grid8, 39)
@@ -576,3 +578,136 @@ class TestCachedSymbols:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1
         assert wavenumber_sq(grid8)[0, 0, 0] == 0.0
+
+
+def random_samples(n, seed, vector, log_scale):
+    """Random physical samples (n, n, n), or (3, n, n, n) when `vector`,
+    scaled by 10**log_scale."""
+    shape = ((3,) if vector else ()) + (n,) * 3
+    return 10.0**log_scale * np.random.default_rng(seed).standard_normal(shape)
+
+
+samples_cases = settings(max_examples=20, deadline=None)
+sample_args = dict(seed=st.integers(0, 2**32 - 1), vector=st.booleans(),
+                   log_scale=st.integers(-6, 6))
+
+
+class TestTransformPair:
+    """Properties of forward_transform / inverse_transform on random samples."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
+    @samples_cases
+    @given(**sample_args)
+    def test_round_trip(self, n, seed, vector, log_scale):
+        x = random_samples(n, seed, vector, log_scale)
+        f = forward_transform(x)
+        assert isinstance(f, VectorField) == vector
+        assert np.abs(inverse_transform(f) - x).max() <= 1e-13 * np.abs(x).max()
+
+    @pytest.mark.parametrize("n, exact", [(8, True), (16, True), (6, False), (12, False)])
+    @samples_cases
+    @given(**sample_args)
+    def test_forward_matches_rfftn(self, n, exact, seed, vector, log_scale):
+        x = random_samples(n, seed, vector, log_scale)
+        expected = sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")
+        got = forward_transform(x).hat
+        if exact:
+            assert got.tobytes() == expected.tobytes()
+        else:
+            assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @samples_cases
+    @given(**sample_args)
+    def test_inverse_of_dealiased_field(self, n, fraction, seed, vector, log_scale):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        box = dealias(forward_transform(random_samples(n, seed, vector, log_scale), grid))
+        half = replace(box, hat=box.half)
+        expected = sfft.irfftn(half.hat, s=(n,) * 3, axes=(-3, -2, -1), norm="forward")
+        assert inverse_transform(box).tobytes() == expected.tobytes()
+        assert inverse_transform(half).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("fraction", [2 / 3, 1.0])
+    @samples_cases
+    @given(**sample_args)
+    def test_inverse_leaves_its_input(self, fraction, seed, vector, log_scale):
+        grid = GridSpec(8, dealias_fraction=fraction)
+        half = forward_transform(random_samples(8, seed, vector, log_scale), grid)
+        # at fraction 1 the box is the half spectrum
+        for f in (half, dealias(half)):
+            before = f.hat.copy()
+            inverse_transform(f)
+            assert f.hat.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
+    @samples_cases
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-6, 6),
+           alpha=st.floats(0.1, 2.0))
+    def test_parseval(self, n, seed, log_scale, alpha):
+        x = random_samples(n, seed, True, log_scale)
+        u = forward_transform(x)
+        expected = u.grid.dx**3 * np.sum(x**2)
+        assert abs(norms(u, alpha).l2_sq - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @samples_cases
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-6, 6),
+           alpha=st.floats(0.1, 2.0))
+    def test_symbol_algebra(self, n, fraction, seed, log_scale, alpha):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        half = forward_transform(random_samples(n, seed, True, log_scale), grid)
+        for v in (half, dealias(half)):
+            scale = np.abs(v.hat).max()
+            p = leray_project(v)
+            assert np.abs(leray_project(p).hat - p.hat).max() <= 1e-15 * scale
+            assert dealias(dealias(v)).hat.tobytes() == dealias(v).hat.tobytes()
+            filtered_first = leray_project(helmholtz_filter(v, alpha)).hat
+            assert np.abs(helmholtz_filter(p, alpha).hat - filtered_first).max() <= 1e-15 * scale
+
+
+FFT_TRANSFORM = re.compile(r"^(numpy|scipy)\.fft\.(i?r?fft[2n]?)$")
+
+
+def fft_call_sites(path):
+    """(function, transform) for every numpy.fft / scipy.fft transform call
+    in a source file, names resolved through the file's imports."""
+    tree = ast.parse(path.read_text())
+    alias = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            alias.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom):
+            alias.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+
+    def dotted(expr):
+        if isinstance(expr, ast.Name):
+            return alias.get(expr.id, expr.id)
+        if isinstance(expr, ast.Attribute):
+            return f"{dotted(expr.value)}.{expr.attr}"
+        return ""
+
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            match = FFT_TRANSFORM.match(dotted(node.func))
+            if match:
+                sites.append((func, match.group(2)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sites
+
+
+def test_transforms_live_in_one_pair():
+    # every transform goes through inverse_transform and the forward helper,
+    # and only through the n-d entry points
+    src = Path(bardina.__file__).parent
+    sites = [site for path in sorted(src.glob("*.py")) for site in fft_call_sites(path)]
+    assert {func for func, _ in sites} == {"inverse_transform", "_forward"}
+    assert {name for _, name in sites} <= {"rfftn", "irfftn", "fftn", "ifftn"}
