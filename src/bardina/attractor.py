@@ -7,14 +7,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SimState, _etd_weights, sampled_states
+from .dynamics import SimState, _etd_weights, damping_symbol, sampled_states
 from .spectral import (
     CertificateError,
     VectorField,
     bilinear,
     h1alpha_inner,
     inverse_transform,
-    modes,
     norms,
 )
 
@@ -36,6 +35,7 @@ __all__ = [
 ]
 
 GRAM_TOL = 1e-8
+RANK_TOL = 1e-10  # relative norm below which orthonormalize calls a field dependent
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,8 @@ def linearized_rhs(w, u, params, u_phys=None):
     """L(t, u0) w = -P(((w.grad)u + (u.grad)w)_alpha) + nu Lap w - beta w
     = -2 B(u, w) - (nu |k|^2 + beta) w on the retained box (a box field).
     u_phys: see bilinear."""
-    grid = u.grid
-    lin = params.nu * modes(grid, grid.box_shape).ksq + params.beta
-    out = -2.0 * bilinear(u, w, params.alpha, u_phys).hat - lin * w.box
-    return VectorField(grid, out)
+    out = -2.0 * bilinear(u, w, params.alpha, u_phys).hat
+    return VectorField(u.grid, out - damping_symbol(u.grid, params) * w.box)
 
 
 def lyapunov_sum(frame, u, params, u_phys=None):
@@ -171,7 +169,7 @@ def transport_frame(frame, state_u, params, dt, n_steps, u_phys=None):
     return orthonormalize(evolved, params.alpha)
 
 
-def orthonormalize(fields, alpha, rank_tol=1e-10):
+def orthonormalize(fields, alpha):
     """Modified Gram-Schmidt in the H^1_alpha inner product."""
     if not fields:
         raise ValueError("empty field list")
@@ -188,7 +186,7 @@ def orthonormalize(fields, alpha, rank_tol=1e-10):
             w -= h1alpha_inner(VectorField(grid, w), q, alpha) * q.hat
         cand = VectorField(grid, w)
         nrm = np.sqrt(norms(cand, alpha).h1alpha_sq)
-        if nrm <= rank_tol * scale:
+        if nrm <= RANK_TOL * scale:
             raise ValueError("rank-deficient input: dependent field encountered")
         out.append(VectorField(grid, w / nrm))
     return OrthoFrame(out, alpha)
@@ -214,10 +212,9 @@ def trajectory_gap(u0_a, u0_b, force_a, force_b, params, t_end, dt, sample_every
     With identical forces the report also carries the orbital-stability flag
     (g nonincreasing relative to g(0)) and a log-linear fit of the decay rate.
     """
-    n_steps = max(int(round(t_end / dt)), 1)
     runs = zip(
-        sampled_states(SimState(u0_a, 0.0, params, force_a), n_steps, dt, sample_every),
-        sampled_states(SimState(u0_b, 0.0, params, force_b), n_steps, dt, sample_every),
+        sampled_states(SimState(u0_a, 0.0, params, force_a), t_end, dt, sample_every),
+        sampled_states(SimState(u0_b, 0.0, params, force_b), t_end, dt, sample_every),
     )
     times, gaps = [], []
     for sa, sb in runs:
@@ -256,9 +253,8 @@ def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
     expected to verify the regime.  The whole-space t^{-3/4} profile is
     checked as an upper envelope only (box decay is exponential).
     """
-    n_steps = max(int(round(t_end / dt)), 1)
     times, rs, rinfs = [], [], []
-    for s in sampled_states(SimState(u0, 0.0, params, force), n_steps, dt, sample_every):
+    for s in sampled_states(SimState(u0, 0.0, params, force), t_end, dt, sample_every):
         d = VectorField(u0.grid, s.u.hat - U.box)
         times.append(s.t)
         rs.append(np.sqrt(norms(d, params.alpha).h1alpha_sq))
@@ -305,9 +301,8 @@ def zero_force_decay(u0, params, t_end, dt, p_list=(2, 4, np.inf), sample_every=
     if not all(p >= 1 for p in p_list):
         raise ValueError(f"L^p norms need p >= 1 or inf, got p_list = {p_list}")
     force = VectorField(u0.grid, np.zeros((3,) + u0.grid.box_shape, complex), div_free=True)
-    n_steps = max(int(round(t_end / dt)), 1)
     times, series = [], {p: [] for p in p_list}
-    for state in sampled_states(SimState(u0, 0.0, params, force), n_steps, dt, sample_every):
+    for state in sampled_states(SimState(u0, 0.0, params, force), t_end, dt, sample_every):
         times.append(state.t)
         mag = _magnitude(state.u)
         for p in p_list:

@@ -42,6 +42,7 @@ from .dynamics import (
     energy_budget_residual,
     evolve,
     sampled_states,
+    step_count,
 )
 from .fields import FieldRecipe, generate
 from .spectral import VectorField, dealiased_physical, norms
@@ -208,7 +209,9 @@ def cmd_bound(runner):
 def cmd_lyapunov(runner):
     """One base trajectory serves every frame size: at each sampled state the
     base velocity is transformed once, for the Lyapunov sums and the frame
-    transport.  The base steps check the CFL cap."""
+    transport.  Each frame is moved by the base steps up to the next sample:
+    sample_every, fewer in a short last window, none after the last sample.
+    The base steps check the CFL cap."""
     cfg = runner.cfg
     p, dt, every = cfg.params, cfg.dt, cfg.sample_every
     force = runner.force_field()
@@ -216,15 +219,16 @@ def cmd_lyapunov(runner):
     rng = np.random.default_rng(cfg.frame_seed)
     frames = [_random_frame(cfg, rng, m) for m in cfg.m_list]
     rows = [[] for _ in frames]  # one group per frame size
-    n_windows = max(int(round(cfg.t_end / (dt * every))), 1)
-    for k, st in enumerate(sampled_states(base, n_windows * every, dt, every)):
+    n_steps = step_count(base.t, cfg.t_end, dt)
+    for k, st in enumerate(sampled_states(base, cfg.t_end, dt, every)):
         u_phys = dealiased_physical(st.u)
+        window = min(every, n_steps - k * every)
         for i, m in enumerate(cfg.m_list):
             total = lyapunov_sum(frames[i], st.u, p, u_phys)
             bound = lyapunov_sum_bound(m, st.u, p)
             rows[i].append([m, st.t, total, bound, bound - total])
-            if k < n_windows:
-                frames[i] = transport_frame(frames[i], st.u, p, dt, every, u_phys)
+            if window > 0:
+                frames[i] = transport_frame(frames[i], st.u, p, dt, window, u_phys)
     rows = [row for group in rows for row in group]
     all_ok = all(total <= bound + 1e-10 * p.beta * m for m, _, total, bound, _ in rows)
     runner.csv("lyapunov.csv", ["m", "t", "lyapunov_sum", "bound", "slack"], rows)

@@ -33,6 +33,8 @@ __all__ = [
     "CFLError",
     "nonlinear_term",
     "step",
+    "step_count",
+    "damping_symbol",
     "sampled_states",
     "evolve",
     "cfl_cap",
@@ -135,11 +137,17 @@ def _phi2(z):
 
 
 @lru_cache(maxsize=32)
+def damping_symbol(grid, params):
+    """nu |k|^2 + beta = -lambda on the retained box: the Stokes operator
+    plus the damping; cached and read-only."""
+    return _frozen(params.nu * modes(grid, grid.box_shape).ksq + params.beta)
+
+
+@lru_cache(maxsize=32)
 def _etd_weights(grid, params, dt):
     """exp(z), dt phi_1(z), dt phi_2(z) on the retained box, z = lambda dt;
     cached, because a run takes every step with one grid, params and dt."""
-    lam = -(params.nu * modes(grid, grid.box_shape).ksq + params.beta)
-    z = lam * dt
+    z = -damping_symbol(grid, params) * dt
     return tuple(_frozen(w) for w in (np.exp(z), dt * _phi1(z), dt * _phi2(z)))
 
 
@@ -190,11 +198,23 @@ def step(state, dt):
     return SimState(u_new, state.t + dt, state.params, state.force)
 
 
-def sampled_states(state, n_steps, dt, sample_every=1):
-    """Yield the state, then the state after every sample_every-th of n_steps
-    ETD2RK steps and after the last one.  The velocity and the force are
-    taken on the retained box (dealias) from the start, so every yielded
-    state is a box field."""
+def step_count(t, t_end, dt):
+    """ETD2RK steps of dt from t to t_end: round((t_end - t) / dt), at least
+    one when t_end > t and none when t_end == t.  The one place a run's
+    length is decided."""
+    if t_end < t:
+        raise ValueError("t_end precedes current state time")
+    return max(int(round((t_end - t) / dt)), int(t_end > t))
+
+
+def sampled_states(state, t_end, dt, sample_every=1):
+    """Yield the state, then the state after every sample_every-th of the
+    step_count(state.t, t_end, dt) ETD2RK steps and after the last one, so
+    the last yielded state is the one at t_end (summed step by step).  The
+    velocity and the force are taken on the retained box (dealias) from the
+    start, so every yielded state is a box field.  Raises ValueError when
+    t_end precedes state.t."""
+    n_steps = step_count(state.t, t_end, dt)
     state = replace(state, u=dealias(state.u), force=dealias(state.force))
     yield state
     for i in range(1, n_steps + 1):
@@ -219,18 +239,14 @@ def sample_diagnostics(state):
 
 
 def evolve(state, t_end, dt, sample_every=1):
-    """Repeated stepping with diagnostics sampling every sample_every steps.
+    """Step from state.t to t_end (step_count steps) with diagnostics at
+    every state sampled_states yields.
 
     Returns (final_state, Trajectory).  The trajectory always contains the
-    initial and the final sample.
+    initial and the final sample, which are one sample when t_end == state.t.
     """
-    if t_end < state.t:
-        raise ValueError("t_end precedes current state time")
-    n_steps = int(round((t_end - state.t) / dt))
-    if n_steps == 0 and t_end > state.t:
-        n_steps = 1
     traj = Trajectory()
-    for state in sampled_states(state, n_steps, dt, sample_every):
+    for state in sampled_states(state, t_end, dt, sample_every):
         traj.samples.append(sample_diagnostics(state))
     return state, traj
 

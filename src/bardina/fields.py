@@ -15,7 +15,22 @@ from .spectral import (
 
 __all__ = ["FieldRecipe", "generate"]
 
-KINDS = ("shear", "taylor_green", "abc", "random_band")
+# The analytic kinds: (amplitude a, wavenumber q = 2 pi / box_len, x, y, z)
+# -> the three physical components.
+_ANALYTIC = {
+    "shear": lambda a, q, x, y, z: (a * np.sin(q * y), np.zeros_like(y), np.zeros_like(y)),
+    "taylor_green": lambda a, q, x, y, z: (
+        a * np.cos(q * x) * np.sin(q * y) * np.sin(q * z),
+        -a * np.sin(q * x) * np.cos(q * y) * np.sin(q * z),
+        np.zeros_like(x),
+    ),
+    "abc": lambda a, q, x, y, z: (
+        a * (np.sin(q * z) + np.cos(q * y)),
+        a * (np.sin(q * x) + np.cos(q * z)),
+        a * (np.sin(q * y) + np.cos(q * x)),
+    ),
+}
+KINDS = (*_ANALYTIC, "random_band")
 
 
 @dataclass(frozen=True)
@@ -42,70 +57,19 @@ class FieldRecipe:
             raise ValueError(f"empty band: k_min={self.k_min} > k_max={self.k_max}")
 
 
-def _axes(grid):
-    x = np.arange(grid.n) * grid.dx
-    return np.meshgrid(x, x, x, indexing="ij")
-
-
-def _certified(samples, grid):
-    """Physical samples -> box field with a checked div_free certificate."""
-    return VectorField(grid, _forward(samples, grid, grid.box_shape), div_free=True)
-
-
 def generate(recipe, grid, alpha=1.0):
     """Build the vector field described by a recipe on a grid.
 
     All outputs are real, divergence-free (certificate set) box fields.
     For random_band, alpha enters the target-norm rescaling.
     """
-    if recipe.kind == "shear":
-        return _shear(recipe, grid)
-    if recipe.kind == "taylor_green":
-        return _taylor_green(recipe, grid)
-    if recipe.kind == "abc":
-        return _abc(recipe, grid)
-    return _random_band(recipe, grid, alpha)
-
-
-def _shear(recipe, grid):
-    x, y, z = _axes(grid)
-    two_pi_l = 2.0 * np.pi / grid.box_len
-    u = np.stack(
-        [
-            recipe.amplitude * np.sin(two_pi_l * y),
-            np.zeros_like(y),
-            np.zeros_like(y),
-        ]
-    )
-    return _certified(u, grid)
-
-
-def _taylor_green(recipe, grid):
-    x, y, z = _axes(grid)
-    q = 2.0 * np.pi / grid.box_len
-    a = recipe.amplitude
-    u = np.stack(
-        [
-            a * np.cos(q * x) * np.sin(q * y) * np.sin(q * z),
-            -a * np.sin(q * x) * np.cos(q * y) * np.sin(q * z),
-            np.zeros_like(x),
-        ]
-    )
-    return _certified(u, grid)
-
-
-def _abc(recipe, grid):
-    x, y, z = _axes(grid)
-    q = 2.0 * np.pi / grid.box_len
-    a = recipe.amplitude
-    u = np.stack(
-        [
-            a * (np.sin(q * z) + np.cos(q * y)),
-            a * (np.sin(q * x) + np.cos(q * z)),
-            a * (np.sin(q * y) + np.cos(q * x)),
-        ]
-    )
-    return _certified(u, grid)
+    formula = _ANALYTIC.get(recipe.kind)
+    if formula is None:
+        return _random_band(recipe, grid, alpha)
+    x = np.arange(grid.n) * grid.dx
+    axes = np.meshgrid(x, x, x, indexing="ij")
+    u = np.stack(formula(recipe.amplitude, 2.0 * np.pi / grid.box_len, *axes))
+    return VectorField(grid, _forward(u, grid, grid.box_shape), div_free=True)
 
 
 def _random_band(recipe, grid, alpha):

@@ -3,11 +3,12 @@ on the fixed-point form U = (-nu Lap + beta)^{-1} [ f - P div((U (x) U)_alpha) ]
 posed on the retained box: every iterate is a box field."""
 
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
-from .dynamics import nonlinear_term
-from .spectral import VectorField, modes, norms
+from .dynamics import damping_symbol, nonlinear_term
+from .spectral import VectorField, norms
 
 __all__ = [
     "StationaryResult",
@@ -36,17 +37,12 @@ class StationaryResult:
     residual_history: list = field(default_factory=list)
 
 
-def _linear_symbol(grid, params):
-    """nu |k|^2 + beta on the retained box."""
-    return params.nu * modes(grid, grid.box_shape).ksq + params.beta
-
-
 def stationary_map(U, force, params):
     """One application of the fixed-point operator T; a box field."""
     if U.grid != force.grid:
         raise ValueError("U and force do not share a grid")
     rhs = force.box - nonlinear_term(U, params.alpha).hat
-    return VectorField(U.grid, rhs * (1.0 / _linear_symbol(U.grid, params)))
+    return VectorField(U.grid, rhs * (1.0 / damping_symbol(U.grid, params)))
 
 
 def _diff_norm(a, b, alpha):
@@ -69,23 +65,19 @@ def solve_stationary(force, params, relaxation=1.0, tol=1e-12, max_iter=200):
     U = VectorField(grid, np.zeros((3,) + grid.box_shape, complex), div_free=True)
     omega = relaxation
     history = []
-    for it in range(1, max_iter + 1):
+    for it in count(1):  # pass max_iter + 1 only checks U
         TU = stationary_map(U, force, params)
         res = _diff_norm(U, TU, params.alpha)
         history.append(res)
         if res <= tol:
-            return _finish(U, force, params, res, it, history)
+            return _finish(U, force, params, res, min(it, max_iter), history)
+        if it > max_iter:
+            raise NonConvergenceError(history)
         if len(history) >= 2 and history[-1] > history[-2]:
             omega = max(omega / 2.0, 1.0 / 64.0)
         U = VectorField(
             grid, (1.0 - omega) * U.hat + omega * TU.hat, div_free=True
         )
-    TU = stationary_map(U, force, params)
-    res = _diff_norm(U, TU, params.alpha)
-    history.append(res)
-    if res <= tol:
-        return _finish(U, force, params, res, max_iter, history)
-    raise NonConvergenceError(history)
 
 
 def _finish(U, force, params, res, iterations, history):
@@ -100,6 +92,6 @@ def _finish(U, force, params, res, iterations, history):
 def stationary_residual_pde(U, force, params):
     """L2 norm of -nu Lap U + P div((U (x) U)_alpha) + beta U - f on the
     retained box, where the Galerkin steady state solves it."""
-    lin = _linear_symbol(U.grid, params) * U.box
+    lin = damping_symbol(U.grid, params) * U.box
     res = lin + nonlinear_term(U, params.alpha).hat - force.box
     return np.sqrt(norms(VectorField(U.grid, res), 0.0).l2_sq)

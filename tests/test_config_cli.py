@@ -355,6 +355,46 @@ class TestLyapunovLoop:
         assert sampled[:-1] == [s.t for s in stepped[::5]]
 
 
+def sample_times(path, column=0):
+    return [line.split(",")[column] for line in path.read_text().splitlines()[1:]]
+
+
+class TestRunLength:
+    # every sampled subcommand samples the run simulate samples: one rule sets
+    # the step count, so every run stops at t_end, also at t_end = 0 and when
+    # t_end ends in a part window
+    RUNS = [
+        ("gap", "", "gap.csv", 0),
+        ("decay", "[decay]\nmode = zero_force\n", "decay.csv", 0),
+        ("decay", "[decay]\nmode = steady\n", "decay.csv", 0),
+        ("lyapunov", "[lyapunov]\nm_list = 1\n", "lyapunov.csv", 1),
+    ]
+
+    @pytest.mark.parametrize("t_end, n_steps", [("0", 0), ("0.005", 1), ("0.5", 25)])
+    @pytest.mark.parametrize("every", [5, 7])
+    def test_sample_times_match_simulate(self, tmp_path, monkeypatch, t_end, n_steps, every):
+        ini = BASE_INI.replace("t_end = 0.5", f"t_end = {t_end}")
+        ini = ini.replace("sample_every = 5", f"sample_every = {every}")
+        code, out = run_cli(tmp_path, "simulate", ini, out_name="simulate")
+        assert code == EXIT_OK
+        times = sample_times(out / "trajectory.csv")
+        assert len(times) == 1 + -(-n_steps // every)
+        windows = []
+        transport = bardina.cli.transport_frame
+
+        def record(frame, state_u, params, dt, n_steps, u_phys=None):
+            windows.append(n_steps)
+            return transport(frame, state_u, params, dt, n_steps, u_phys)
+
+        monkeypatch.setattr(bardina.cli, "transport_frame", record)
+        for k, (subcommand, extra, csv, column) in enumerate(self.RUNS):
+            code, out = run_cli(tmp_path, subcommand, ini + extra, out_name=f"run{k}")
+            assert code == EXIT_OK, (subcommand, extra)
+            assert sample_times(out / csv, column) == times, (subcommand, extra)
+        # the frames move with the base: whole windows, then the part window
+        assert windows == [min(every, n_steps - k * every) for k in range(len(times) - 1)]
+
+
 class TestCliErrors:
     def test_missing_config_file(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])

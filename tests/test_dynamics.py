@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bardina
 from bardina import (
     FieldRecipe,
     GridSpec,
@@ -16,7 +20,15 @@ from bardina import (
     norms,
     step,
 )
-from bardina.dynamics import PHI_SERIES_BELOW, BlowUpError, CFLError, cfl_cap, _phi1, _phi2
+from bardina.dynamics import (
+    PHI_SERIES_BELOW,
+    BlowUpError,
+    CFLError,
+    cfl_cap,
+    step_count,
+    _phi1,
+    _phi2,
+)
 
 from conftest import random_field
 from oracles import oracle_nonlinear
@@ -179,6 +191,60 @@ class TestEvolve:
         _, traj = evolve(SimState(u0, 0.0, params, zero_force(grid8)), 1.0, 0.01, 5)
         e = traj.series("h1alpha_sq")
         assert np.all(np.diff(e) < 0)
+
+
+class TestStepCount:
+    def test_rule(self):
+        assert step_count(0.0, 0.0, 0.02) == 0
+        assert step_count(0.0, 0.005, 0.02) == 1
+        assert step_count(0.0, 0.5, 0.02) == 25
+        assert step_count(0.25, 0.5, 0.02) == 12  # round(12.5), half to even
+
+    def test_end_before_start_rejected(self):
+        with pytest.raises(ValueError, match="precedes"):
+            step_count(0.5, 0.25, 0.02)
+
+
+ROUNDING = {"round", "rint", "ceil", "floor", "int"}
+
+
+def _divides_by_dt(expr):
+    """True if expr holds a division whose divisor mentions dt."""
+    return any(
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, (ast.Div, ast.FloorDiv))
+        and any(
+            getattr(n, "id", None) == "dt" or getattr(n, "attr", None) == "dt"
+            for n in ast.walk(node.right)
+        )
+        for node in ast.walk(expr)
+    )
+
+
+def rounding_sites(path):
+    """The enclosing function of every rounding call (round, int, ...) in a
+    source file whose argument divides by dt."""
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ROUNDING and any(_divides_by_dt(a) for a in node.args):
+                sites.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_step_counts_live_in_step_count():
+    # one rule decides how many steps a run takes, whichever subcommand runs it
+    src = Path(bardina.__file__).parent
+    sites = [site for path in sorted(src.glob("*.py")) for site in rounding_sites(path)]
+    assert set(sites) == {"step_count"}
 
 
 class TestEnergyBudget:
