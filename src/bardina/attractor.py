@@ -13,6 +13,7 @@ from .spectral import (
     VectorField,
     bilinear,
     h1alpha_inner,
+    h1alpha_weights,
     inverse_transform,
     norms,
 )
@@ -62,15 +63,13 @@ class OrthoFrame:
         """The m x m matrix of h1alpha_inner products: one weighted copy of
         each field and m(m+1)/2 dot products over every mode of the fields'
         common layout."""
-        grid, symbols = self.fields[0].grid, self.fields[0].symbols
-        weight = (1.0 + self.alpha**2 * symbols.ksq) * symbols.weights
-        weight = grid.box_len**3 * np.repeat(weight, 2, axis=-1)  # re, im interleaved
-        x = [f.hat.view(np.float64) for f in self.fields]
+        x = [f.hat for f in self.fields]
+        weight = h1alpha_weights(self.fields[0].grid, x[0].shape[-3:], self.alpha)
         g = np.empty((len(x), len(x)))
         for i, xi in enumerate(x):
-            wxi = xi * weight
+            wxi = weight * xi
             for j in range(i + 1):
-                g[i, j] = g[j, i] = np.vdot(wxi, x[j])
+                g[i, j] = g[j, i] = np.vdot(wxi, x[j]).real
         return g
 
     def gram_defect(self):
@@ -170,26 +169,25 @@ def transport_frame(frame, state_u, params, dt, n_steps, u_phys=None):
 
 
 def orthonormalize(fields, alpha):
-    """Modified Gram-Schmidt in the H^1_alpha inner product."""
+    """Modified Gram-Schmidt in the H^1_alpha inner product, on the fields'
+    common layout: each projection is one Re vdot(weights * q, w)."""
     if not fields:
         raise ValueError("empty field list")
     grid = fields[0].grid
-    scale = max(
-        np.sqrt(norms(v, alpha).h1alpha_sq) for v in fields
-    )
+    weight = h1alpha_weights(grid, fields[0].hat.shape[-3:], alpha)
+    scale = max(np.sqrt(np.vdot(weight * v.hat, v.hat).real) for v in fields)
     if scale == 0:
         raise ValueError("rank-deficient input: all fields vanish")
     out = []
     for v in fields:
         w = v.hat.copy()
         for q in out:
-            w -= h1alpha_inner(VectorField(grid, w), q, alpha) * q.hat
-        cand = VectorField(grid, w)
-        nrm = np.sqrt(norms(cand, alpha).h1alpha_sq)
+            w -= np.vdot(weight * q, w).real * q
+        nrm = np.sqrt(np.vdot(weight * w, w).real)
         if nrm <= RANK_TOL * scale:
             raise ValueError("rank-deficient input: dependent field encountered")
-        out.append(VectorField(grid, w / nrm))
-    return OrthoFrame(out, alpha)
+        out.append(w / nrm)
+    return OrthoFrame([VectorField(grid, q) for q in out], alpha)
 
 
 @dataclass

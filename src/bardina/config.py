@@ -13,6 +13,7 @@ import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from .dynamics import step_count
 from .fields import FieldRecipe
 from .spectral import GridSpec, PhysParams
 
@@ -80,8 +81,9 @@ RECIPE_DEFAULTS = {f.name: f.default for f in fields(FieldRecipe)} | {"kind": "n
 # FieldRecipe.  _read requires finite scalar floats; list entries are checked here.
 RULES = {
     "initial": (lambda c: c.initial is not None, "kind must not be 'none'"),
-    "time": (lambda c: c.dt > 0 and c.t_end >= 0 and c.sample_every >= 1,
-             "dt > 0, t_end >= 0, sample_every >= 1 required"),
+    "time": (lambda c: c.dt > 0 and c.t_end >= 0 and c.sample_every >= 1
+             and abs(step_count(0.0, c.t_end, c.dt) * c.dt - c.t_end) <= 1e-9 * c.t_end,
+             "dt > 0, t_end >= 0, sample_every >= 1 and t_end a whole number of dt steps required"),
     "decay": (lambda c: all(p >= 1 for p in c.p_list), "every p in p_list must be >= 1 or inf"),
     "bound": (lambda c: c.f_norm is None or c.f_norm >= 0, "f_norm must be nonnegative"),
 }

@@ -156,18 +156,18 @@ def _rhs_nonlinear(u, force, alpha, u_phys=None):
     return force.box - nonlinear_term(u, alpha, u_phys).hat
 
 
-def cfl_cap(u, grid, u_phys=None):
+def cfl_cap(u, u_phys=None):
     """Advective CFL limit 0.5 * dx / max|u| (inf when the field is zero);
     u_phys, when given, are the physical samples of u."""
     umax = np.abs(inverse_transform(u) if u_phys is None else u_phys).max()
     if umax == 0:
         return np.inf
-    return 0.5 * grid.dx / umax
+    return 0.5 * u.grid.dx / umax
 
 
 def check_cfl(state, dt, u_phys=None):
     """Raise CFLError if dt exceeds the CFL cap of the state."""
-    cap = cfl_cap(state.u, state.u.grid, u_phys)
+    cap = cfl_cap(state.u, u_phys)
     if dt > cap:
         raise CFLError(state.t, dt, cap)
 
@@ -201,9 +201,10 @@ def step(state, dt):
 def step_count(t, t_end, dt):
     """ETD2RK steps of dt from t to t_end: round((t_end - t) / dt), at least
     one when t_end > t and none when t_end == t.  The one place a run's
-    length is decided."""
-    if t_end < t:
-        raise ValueError("t_end precedes current state time")
+    length is decided; ValueError if t_end < t or (t_end - t) / dt is not finite."""
+    if t_end < t or not math.isfinite((t_end - t) / dt):
+        raise ValueError(f"no step count from t={t} to t_end={t_end} by dt={dt}: "
+                         "t_end precedes t, or (t_end - t) / dt is not finite")
     return max(int(round((t_end - t) / dt)), int(t_end > t))
 
 
@@ -298,12 +299,8 @@ def decay_envelope_check(trajectory, force, params, slack_tol=None):
     i_h2 = trajectory.integral("h2dot_sq")
     lhs_total = p.nu * i_h1 + p.alpha**2 * i_h2
     # windows [t_i, t_end] for every sample i
-    windowed = -np.inf
-    for i in range(len(t)):
-        lhs = lhs_total[-1] - lhs_total[i]
-        rhs = (2.0 * (t[-1] - t[i]) / p.beta) * f_sq + e[i]
-        windowed = max(windowed, lhs - rhs)
-    windowed = float(windowed)
+    rhs = (2.0 * (t[-1] - t) / p.beta) * f_sq + e
+    windowed = float(((lhs_total[-1] - lhs_total) - rhs).max())
 
     return EnvelopeReport(
         pointwise_slack=pointwise,

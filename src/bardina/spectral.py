@@ -26,6 +26,8 @@ Conventions used throughout:
   * Coefficients are normalized so that u(x) = sum_m c_m exp(i k.x), k =
     2 pi m / L, i.e. c = fftn(samples) / n^3.  Parseval reads integral
     |u|^2 dx = L^3 * sum_m |c_m|^2; a mode with 0 < m_z < n/2 counts twice.
+    The H^1_alpha inner product is Re vdot(h1alpha_weights * v_hat, w_hat),
+    and h1alpha_weights is the one place its per-mode weights are formed.
   * full_spectrum / half_spectrum convert to and from the full (n, n, n)
     layout; a field's ``coeffs`` property is its full spectrum (for I/O).
   * Dealiasing keeps |m_i| <= c = floor(dealias_fraction*n/2) on every axis
@@ -61,6 +63,7 @@ __all__ = [
     "laplacian",
     "dealias",
     "norms",
+    "h1alpha_weights",
     "h1alpha_inner",
     "dealiased_physical",
     "bilinear",
@@ -384,31 +387,29 @@ def dealias(v):
     return v if v.hat.shape[-3:] == v.grid.box_shape else replace(v, hat=v.box)
 
 
-def _real_dot(v, w):
-    """Per-mode Re sum_i conj(v_i) w_i, weighted by the mode's multiplicity,
-    and the symbols of its layout.  A box field vanishes outside the box, so
-    a box field meets a half field on the box."""
-    a, b = (v.hat, w.hat) if v.hat.shape == w.hat.shape else (v.box, w.box)
-    symbols = modes(v.grid, a.shape[-3:])
-    dots = np.sum(a.real * b.real + a.imag * b.imag, axis=0)
-    return symbols.weights * dots, symbols
-
-
 def norms(v, alpha):
     """Parseval norms of a vector field: L^3 * sum |k|^{2s} |u_hat|^2."""
-    vol = v.grid.box_len**3
-    mag2, symbols = _real_dot(v, v)
+    vol, c, symbols = v.grid.box_len**3, v.hat, v.symbols
+    mag2 = symbols.weights * np.sum(c.real * c.real + c.imag * c.imag, axis=0)
     l2 = vol * float(np.sum(mag2))
     h1 = vol * float(np.sum(symbols.ksq * mag2))
     h2 = vol * float(np.sum(symbols.ksq**2 * mag2))
     return NormBundle(l2, h1, h2, l2 + alpha**2 * h1)
 
 
+def h1alpha_weights(grid, shape, alpha):
+    """L^3 (1 + alpha^2 |k|^2) times the multiplicity of each mode of the layout
+    of spectral shape `shape`; built per call, as a cache would grow the RSS."""
+    symbols = modes(grid, shape)
+    return grid.box_len**3 * (1.0 + alpha**2 * symbols.ksq) * symbols.weights
+
+
 def h1alpha_inner(v, w, alpha):
-    """Energy-space inner product (v,w)_L2 + alpha^2 (grad v, grad w)_L2."""
+    """Energy-space inner product (v,w)_L2 + alpha^2 (grad v, grad w)_L2; a
+    box field meets a half field on the box, outside which it vanishes."""
     grid = _check_shared_grid(v, w)
-    dots, symbols = _real_dot(v, w)
-    return grid.box_len**3 * float(np.sum((1.0 + alpha**2 * symbols.ksq) * dots))
+    a, b = (v.hat, w.hat) if v.hat.shape == w.hat.shape else (v.box, w.box)
+    return float(np.vdot(h1alpha_weights(grid, a.shape[-3:], alpha) * a, b).real)
 
 
 def dealiased_physical(v):

@@ -2,10 +2,11 @@
 
 Everything here is deliberately slow and simple: direct DFT sums and direct
 convolution sums over retained modes, with no shared code paths with the
-package implementation.  Two former implementations are kept as references
-for their faster replacements: the full-transform bilinear kernel and the
+package implementation.  Three former implementations are kept as references
+for their faster replacements: the full-transform bilinear kernel, the
 full-spectrum random_band construction (which reuses the package's Leray
-projection and norms, the part its replacement did not change).
+projection and norms, the part its replacement did not change) and the
+modified Gram-Schmidt built from the package's norms and h1alpha_inner.
 """
 
 import numpy as np
@@ -167,3 +168,18 @@ def random_band_full_spectrum(recipe, grid, alpha):
     if current > 0:
         v = VectorField(grid, v.hat * (recipe.amplitude / np.sqrt(current)), div_free=True)
     return v
+
+
+def gram_schmidt_reference(fields, alpha):
+    """Modified Gram-Schmidt in the H^1_alpha inner product through the
+    package's norms and h1alpha_inner, one field per projection: the hats
+    of the orthonormal fields, in order."""
+    from bardina.spectral import VectorField, h1alpha_inner, norms
+
+    out = []
+    for v in fields:
+        w = v.hat.copy()
+        for q in out:
+            w -= h1alpha_inner(VectorField(v.grid, w), VectorField(v.grid, q), alpha) * q
+        out.append(w / np.sqrt(norms(VectorField(v.grid, w), alpha).h1alpha_sq))
+    return out

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import bardina.attractor
 from bardina import (
     FieldRecipe,
+    GridSpec,
     PhysParams,
     VectorField,
     dimension_bound,
@@ -21,10 +23,10 @@ from bardina import (
     zero_force_decay,
 )
 from bardina.attractor import OrthoFrame, transport_frame
-from bardina.spectral import CertificateError, half_spectrum, wavenumber_sq
+from bardina.spectral import CertificateError, dealias, half_spectrum, wavenumber_sq
 
 from conftest import random_field
-from oracles import dealias_mask, oracle_linearized_transport
+from oracles import dealias_mask, gram_schmidt_reference, oracle_linearized_transport
 
 
 def zero_field(grid):
@@ -155,7 +157,34 @@ class TestOrthonormalize:
         loop = np.array(
             [[h1alpha_inner(v, w, params.alpha) for w in fields] for v in fields]
         )
-        assert np.abs(frame.gram() - loop).max() <= 1e-14 * np.abs(loop).max()
+        g = frame.gram()
+        assert np.array_equal(np.tril(g), np.tril(loop))  # one weight, one dot product
+        assert np.abs(g - loop).max() <= 1e-14 * np.abs(loop).max()
+
+    @pytest.mark.parametrize("fraction", [0.5, 2.0 / 3.0, 1.0])
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_matches_reference_gram_schmidt(self, params, m, n, fraction):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        fields = [dealias(random_field(grid, seed=130 + i)) for i in range(m)]
+        frame = orthonormalize(fields, params.alpha)
+        for got, ref in zip(frame.fields, gram_schmidt_reference(fields, params.alpha)):
+            assert np.abs(got.hat - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_no_norms_or_inner_product_calls(self, monkeypatch, grid8, params):
+        calls = []
+        for name in ("norms", "h1alpha_inner"):
+            wrapped = getattr(bardina.attractor, name)
+
+            def counted(*args, _name=name, _f=wrapped, **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(bardina.attractor, name, counted)
+        fields = [random_field(grid8, seed=140 + i) for i in range(4)]
+        frame = orthonormalize(fields, params.alpha)
+        assert calls == []  # through them, Gram-Schmidt makes 2m and m(m-1)/2 calls
+        assert frame.gram_defect() <= 1e-12
 
     def test_all_zero_rejected(self, grid8, params):
         with pytest.raises(ValueError):

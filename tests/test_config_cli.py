@@ -1,11 +1,13 @@
 import configparser
 import json
+import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bardina.cli
 import bardina.dynamics
@@ -181,7 +183,6 @@ _configs = st.builds(
     initial=_recipes,
     force=st.none() | _recipes,
     dt=_positive,
-    t_end=_nonnegative,
     sample_every=st.integers(1, 2**31),
     tol=_finite,
     relaxation=_finite,
@@ -197,8 +198,10 @@ _configs = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_configs)
-def test_serialize_parse_round_trip(cfg):
+@given(_configs, st.integers(0, 2**20))
+def test_serialize_parse_round_trip(cfg, k):
+    assume(math.isfinite(k * cfg.dt))
+    cfg = replace(cfg, t_end=k * cfg.dt)  # [time] takes a whole number of steps
     text = cfg.serialize()
     again = parse_config(text)
     assert again == cfg
@@ -370,7 +373,7 @@ class TestRunLength:
         ("lyapunov", "[lyapunov]\nm_list = 1\n", "lyapunov.csv", 1),
     ]
 
-    @pytest.mark.parametrize("t_end, n_steps", [("0", 0), ("0.005", 1), ("0.5", 25)])
+    @pytest.mark.parametrize("t_end, n_steps", [("0", 0), ("0.02", 1), ("0.5", 25)])
     @pytest.mark.parametrize("every", [5, 7])
     def test_sample_times_match_simulate(self, tmp_path, monkeypatch, t_end, n_steps, every):
         ini = BASE_INI.replace("t_end = 0.5", f"t_end = {t_end}")
@@ -415,6 +418,16 @@ class TestCliErrors:
         code, out = run_cli(tmp_path, subcommand, ini)
         assert code == EXIT_CONFIG
         assert not list(out.glob("*_report.json"))
+
+    @pytest.mark.parametrize("dt, t_end", [
+        ("0.02", "0.005"), ("0.02", "0.25"), ("0.02", "0.07"), ("1e-300", "1e300"),
+    ])
+    def test_t_end_off_the_step_grid_exits_before_any_artifact(self, tmp_path, dt, t_end):
+        # a run stops at t_end: t_end must be a whole number of finitely many steps
+        ini = BASE_INI.replace("dt = 0.02", f"dt = {dt}").replace("t_end = 0.5", f"t_end = {t_end}")
+        code, out = run_cli(tmp_path, "simulate", ini)
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
     @pytest.mark.parametrize("ini", ["[initial]\nkind = 50%\n", "[DEFAULT]\nn = 8\nt_ed = 3\n"])
     def test_refused_text_exits_before_any_report(self, tmp_path, ini):

@@ -180,11 +180,11 @@ class TestEvolve:
         with pytest.raises(CFLError) as info:
             evolve(st, 1.0, 0.5)
         assert (info.value.t, info.value.dt) == (0.25, 0.5)
-        assert info.value.cap == cfl_cap(u0, grid8)
+        assert info.value.cap == cfl_cap(u0)
 
     def test_cfl_cap_formula(self, grid8):
         u = generate(FieldRecipe("shear", 2.0), grid8)
-        assert abs(cfl_cap(u, grid8) - 0.5 * grid8.dx / 2.0) <= 1e-12
+        assert abs(cfl_cap(u) - 0.5 * grid8.dx / 2.0) <= 1e-12
 
     def test_energy_decreasing_without_force(self, grid8, params):
         u0 = random_field(grid8, seed=39, amplitude=1.0)
@@ -203,6 +203,11 @@ class TestStepCount:
     def test_end_before_start_rejected(self):
         with pytest.raises(ValueError, match="precedes"):
             step_count(0.5, 0.25, 0.02)
+
+    def test_infinite_step_count_rejected(self):
+        # a ValueError (a config error at the CLI), not round()'s OverflowError
+        with pytest.raises(ValueError, match="not finite"):
+            step_count(0.0, 1e300, 1e-300)
 
 
 ROUNDING = {"round", "rint", "ceil", "floor", "int"}

@@ -320,6 +320,16 @@ class TestH1AlphaInner:
         w = random_field(grid8, seed=25)
         assert abs(h1alpha_inner(v, w, 1.1) - h1alpha_inner(w, v, 1.1)) <= 1e-12
 
+    def test_non_contiguous_last_axis(self, grid8):
+        v = random_field(grid8, seed=26)
+        w = random_field(grid8, seed=27)
+        spread = np.zeros(v.hat.shape[:-1] + (2 * v.hat.shape[-1],), dtype=v.hat.dtype)
+        spread[..., ::2] = v.hat
+        strided = VectorField(grid8, spread[..., ::2])
+        assert not strided.hat.flags.c_contiguous
+        assert h1alpha_inner(strided, w, 0.9) == h1alpha_inner(v, w, 0.9)
+        assert h1alpha_inner(w, strided, 0.9) == h1alpha_inner(w, v, 0.9)
+
 
 class TestPressure:
     def test_zero_velocity(self, grid8):
