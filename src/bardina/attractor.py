@@ -12,6 +12,7 @@ from .spectral import (
     CertificateError,
     VectorField,
     bilinear,
+    h1alpha_diff_sq,
     h1alpha_inner,
     h1alpha_weights,
     inverse_transform,
@@ -26,6 +27,7 @@ __all__ = [
     "lieb_thirring_constant",
     "dimension_bound",
     "linearized_rhs",
+    "frame_advection",
     "lyapunov_sum",
     "lyapunov_sum_bound",
     "orthonormalize",
@@ -116,24 +118,34 @@ def dimension_bound(params, f_norm):
     return DimensionBound(c_lt, c_abn, bound)
 
 
-def linearized_rhs(w, u, params, u_phys=None):
+def linearized_rhs(w, u, params, u_phys=None, advection=None):
     """L(t, u0) w = -P(((w.grad)u + (u.grad)w)_alpha) + nu Lap w - beta w
     = -2 B(u, w) - (nu |k|^2 + beta) w on the retained box (a box field).
-    u_phys: see bilinear."""
-    out = -2.0 * bilinear(u, w, params.alpha, u_phys).hat
-    return VectorField(u.grid, out - damping_symbol(u.grid, params) * w.box)
+    u_phys: see bilinear; advection: -2 B(u, w), when the caller has it."""
+    if advection is None:
+        advection = -2.0 * bilinear(u, w, params.alpha, u_phys).hat
+    return VectorField(u.grid, advection - damping_symbol(u.grid, params) * w.box)
 
 
-def lyapunov_sum(frame, u, params, u_phys=None):
-    """Sum over the frame of [L(t,u0) w_i, w_i]_alpha.  u_phys: see bilinear.
-    The frames this program builds are orthonormal, so a frame that is not
-    raises CertificateError."""
+def frame_advection(frame, u, params, u_phys=None):
+    """-2 B(u, w_i), the transport part of L(t, u0) w_i, for each frame field
+    w_i: one kernel call each, for lyapunov_sum and transport_frame to share."""
+    return [-2.0 * bilinear(u, w, params.alpha, u_phys).hat for w in frame.fields]
+
+
+def lyapunov_sum(frame, u, params, advection=None):
+    """Sum over the frame of [L(t,u0) w_i, w_i]_alpha.  advection:
+    frame_advection(frame, u, params), when the caller has it.  The frames
+    this program builds are orthonormal, so a frame that is not raises
+    CertificateError."""
     defect = frame.gram_defect()
     if defect > GRAM_TOL:
         raise CertificateError(f"frame is not orthonormal (Gram deviation {defect:.3e})")
+    if advection is None:
+        advection = frame_advection(frame, u, params)
     total = 0.0
-    for w in frame.fields:
-        lw = linearized_rhs(w, u, params, u_phys)
+    for w, adv in zip(frame.fields, advection):
+        lw = linearized_rhs(w, u, params, advection=adv)
         total += h1alpha_inner(lw, w, params.alpha)
     return total
 
@@ -151,20 +163,20 @@ def lyapunov_sum_bound(m, u, params):
     )
 
 
-def transport_frame(frame, state_u, params, dt, n_steps, u_phys=None):
+def transport_frame(frame, state_u, params, dt, n_steps, advection, u_phys=None):
     """Advance frame fields with the linearized flow (exponential Euler on the
     frozen base state), then re-orthonormalize in the energy inner product.
-    u_phys: see bilinear."""
+    advection: frame_advection(frame, state_u, params), the first step's
+    transport terms; u_phys: see bilinear."""
     grid = state_u.grid
     expz, w1, _ = _etd_weights(grid, params, dt)
     evolved = []
-    for w in frame.fields:
-        cur = w
-        for _ in range(n_steps):
+    for w, nl in zip(frame.fields, advection):
+        for k in range(n_steps):
             # transport part only; expz treats the linear decay exactly
-            nl = -2.0 * bilinear(state_u, cur, params.alpha, u_phys).hat
-            cur = VectorField(grid, expz * cur.box + w1 * nl)
-        evolved.append(cur)
+            nl = nl if k == 0 else -2.0 * bilinear(state_u, w, params.alpha, u_phys).hat
+            w = VectorField(grid, expz * w.box + w1 * nl)
+        evolved.append(w)
     return orthonormalize(evolved, params.alpha)
 
 
@@ -199,11 +211,6 @@ class GapReport:
     decay_rate: float | None     # fitted slope of log g(t); negative = contraction
 
 
-def _gap_sq(ua, ub, alpha):
-    d = VectorField(ua.grid, ua.hat - ub.hat)
-    return norms(d, alpha).h1alpha_sq
-
-
 def trajectory_gap(u0_a, u0_b, force_a, force_b, params, t_end, dt, sample_every=1):
     """Run two simulations in lockstep and track the squared energy-norm gap.
 
@@ -217,7 +224,7 @@ def trajectory_gap(u0_a, u0_b, force_a, force_b, params, t_end, dt, sample_every
     times, gaps = [], []
     for sa, sb in runs:
         times.append(sa.t)
-        gaps.append(_gap_sq(sa.u, sb.u, params.alpha))
+        gaps.append(h1alpha_diff_sq(sa.u, sb.u, params.alpha))
     times = np.array(times)
     gaps = np.array(gaps)
 
@@ -253,10 +260,9 @@ def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
     """
     times, rs, rinfs = [], [], []
     for s in sampled_states(SimState(u0, 0.0, params, force), t_end, dt, sample_every):
-        d = VectorField(u0.grid, s.u.hat - U.box)
         times.append(s.t)
-        rs.append(np.sqrt(norms(d, params.alpha).h1alpha_sq))
-        rinfs.append(_magnitude(d).max())
+        rs.append(np.sqrt(h1alpha_diff_sq(s.u, U, params.alpha)))
+        rinfs.append(_magnitude(VectorField(u0.grid, s.u.hat - U.box)).max())
     times = np.array(times)
     rs = np.array(rs)
     rinfs = np.array(rinfs)

@@ -12,10 +12,10 @@ Little-endian layout:
 followed by 3 * n^3 complex64 values in row-major order of the mode index m
 (each axis sorted ascending from -n/2 to n/2 - 1).
 
-A time of -1.0 marks a steady state.  The writer expands a box field
-through its full spectrum (``coeffs``).  The reader returns the half
-spectrum (see bardina.spectral), never truncated to the box, after checking
-that the stored field is real and divergence-free to complex64 precision.
+A time of -1.0 marks a steady state.  The writer streams the body one
+component at a time, each through its full spectrum (``coeffs``).  The
+reader returns the half spectrum (see bardina.spectral), never truncated
+to the box, after checking it is real and divergence-free in complex64.
 """
 
 import struct
@@ -37,22 +37,12 @@ STORAGE_TOL = 1e-6
 
 def write_checkpoint(path, u, params, time):
     """Write a velocity field with its parameters to a checkpoint file."""
-    grid = u.grid
-    header = HEADER.pack(
-        MAGIC,
-        VERSION,
-        grid.n,
-        grid.box_len,
-        params.alpha,
-        params.beta,
-        params.nu,
-        time,
-    )
-    # full spectrum in numpy FFT ordering -> ascending m order, row major
-    shifted = np.fft.fftshift(u.coeffs, axes=(1, 2, 3)).astype("<c8")
+    grid, p = u.grid, params
+    header = HEADER.pack(MAGIC, VERSION, grid.n, grid.box_len, p.alpha, p.beta, p.nu, time)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(shifted.tobytes())
+        for i in range(3):  # full spectrum in FFT ordering -> ascending m, row major
+            fh.write(np.fft.fftshift(u.component(i).coeffs).astype("<c8"))
 
 
 def read_checkpoint(path):

@@ -22,6 +22,7 @@ from . import __version__
 from .attractor import (
     dimension_bound,
     eta,
+    frame_advection,
     lyapunov_sum,
     lyapunov_sum_bound,
     orthonormalize,
@@ -208,10 +209,11 @@ def cmd_bound(runner):
 
 def cmd_lyapunov(runner):
     """One base trajectory serves every frame size: at each sampled state the
-    base velocity is transformed once, for the Lyapunov sums and the frame
-    transport.  Each frame is moved by the base steps up to the next sample:
-    sample_every, fewer in a short last window, none after the last sample.
-    The base steps check the CFL cap."""
+    base velocity is transformed once, and each frame field's -2 B(u, w_i)
+    is formed once, for the Lyapunov sums and the frame transport.  Each
+    frame is moved by the base steps up to the next sample: sample_every,
+    fewer in a short last window, none after the last sample.  The base
+    steps check the CFL cap."""
     cfg = runner.cfg
     p, dt, every = cfg.params, cfg.dt, cfg.sample_every
     force = runner.force_field()
@@ -224,11 +226,12 @@ def cmd_lyapunov(runner):
         u_phys = dealiased_physical(st.u)
         window = min(every, n_steps - k * every)
         for i, m in enumerate(cfg.m_list):
-            total = lyapunov_sum(frames[i], st.u, p, u_phys)
+            adv = frame_advection(frames[i], st.u, p, u_phys)
+            total = lyapunov_sum(frames[i], st.u, p, adv)
             bound = lyapunov_sum_bound(m, st.u, p)
             rows[i].append([m, st.t, total, bound, bound - total])
             if window > 0:
-                frames[i] = transport_frame(frames[i], st.u, p, dt, window, u_phys)
+                frames[i] = transport_frame(frames[i], st.u, p, dt, window, adv, u_phys)
     rows = [row for group in rows for row in group]
     all_ok = all(total <= bound + 1e-10 * p.beta * m for m, _, total, bound, _ in rows)
     runner.csv("lyapunov.csv", ["m", "t", "lyapunov_sum", "bound", "slack"], rows)

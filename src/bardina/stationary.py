@@ -8,7 +8,7 @@ from itertools import count
 import numpy as np
 
 from .dynamics import damping_symbol, nonlinear_term
-from .spectral import VectorField, norms
+from .spectral import VectorField, h1alpha_diff_sq, norms
 
 __all__ = [
     "StationaryResult",
@@ -45,11 +45,6 @@ def stationary_map(U, force, params):
     return VectorField(U.grid, rhs * (1.0 / damping_symbol(U.grid, params)))
 
 
-def _diff_norm(a, b, alpha):
-    d = VectorField(a.grid, a.hat - b.hat)
-    return np.sqrt(norms(d, alpha).h1alpha_sq)
-
-
 def solve_stationary(force, params, relaxation=1.0, tol=1e-12, max_iter=200):
     """Damped Picard iteration from U = 0 until |U - T(U)|_{H1_alpha} <= tol.
 
@@ -67,7 +62,7 @@ def solve_stationary(force, params, relaxation=1.0, tol=1e-12, max_iter=200):
     history = []
     for it in count(1):  # pass max_iter + 1 only checks U
         TU = stationary_map(U, force, params)
-        res = _diff_norm(U, TU, params.alpha)
+        res = np.sqrt(h1alpha_diff_sq(U, TU, params.alpha))
         history.append(res)
         if res <= tol:
             return _finish(U, force, params, res, min(it, max_iter), history)

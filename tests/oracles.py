@@ -183,3 +183,15 @@ def gram_schmidt_reference(fields, alpha):
             w -= h1alpha_inner(VectorField(v.grid, w), VectorField(v.grid, q), alpha) * q
         out.append(w / np.sqrt(norms(VectorField(v.grid, w), alpha).h1alpha_sq))
     return out
+
+
+def hermitian_defect(field):
+    """Max |c(-m) - conj(c(m))| of a half-spectrum or box field relative to its
+    largest coefficient.  Only the planes m_z = 0 and m_z = n/2 (Parseval
+    weight 1) hold both m and -m; m -> -m on x and y is a flip and a shift by
+    one row, in the FFT ordering of either layout."""
+    hat, n = field.hat, field.grid.n
+    planes = hat[..., np.arange(hat.shape[-1]) % (n // 2) == 0]
+    flipped = np.roll(np.flip(planes, axis=(-3, -2)), 1, axis=(-3, -2))
+    scale = max(np.abs(hat).max(), 1e-300)
+    return np.abs(flipped - np.conj(planes)).max() / scale

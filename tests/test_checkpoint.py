@@ -3,13 +3,14 @@ import struct
 import numpy as np
 import pytest
 
-from bardina import PhysParams
+from bardina import GridSpec, PhysParams
 from bardina.checkpoint import (
+    HEADER,
     STEADY_STATE_TIME,
     read_checkpoint,
     write_checkpoint,
 )
-from bardina.spectral import half_spectrum, inverse_transform
+from bardina.spectral import dealias, forward_transform, half_spectrum, inverse_transform
 
 from conftest import random_field
 
@@ -48,6 +49,21 @@ class TestRoundTrip:
         assert raw[:4] == b"BARD"
         # header (4 + 4 + 4 + 5*8 bytes) plus 3 n^3 complex64 payload
         assert len(raw) == 52 + 3 * 8**3 * 8
+
+
+class TestStreamedBody:
+    # the body is written one component at a time, with the bytes of the
+    # whole shifted full spectrum, for a field with every mode set and its box
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("fraction", [0.5, 2 / 3, 1.0])
+    def test_body_is_the_shifted_full_spectrum(self, params, tmp_path, n, fraction):
+        samples = np.random.default_rng(154).standard_normal((3,) + (n,) * 3)
+        u = forward_transform(samples, GridSpec(n, dealias_fraction=fraction))
+        for i, field in enumerate((u, dealias(u))):
+            path = tmp_path / f"{i}.bard"
+            write_checkpoint(path, field, params, 0.5)
+            expected = np.fft.fftshift(field.coeffs, axes=(1, 2, 3)).astype("<c8").tobytes()
+            assert path.read_bytes()[HEADER.size:] == expected
 
 
 def _v1_file(path, grid, params, full, time=0.0):

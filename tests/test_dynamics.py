@@ -31,7 +31,7 @@ from bardina.dynamics import (
 )
 
 from conftest import random_field
-from oracles import oracle_nonlinear
+from oracles import hermitian_defect, oracle_nonlinear
 
 
 def zero_force(grid):
@@ -146,7 +146,7 @@ class TestStep:
             st = step(st, 0.02)
         assert st.u.hat.shape == (3,) + grid8.box_shape
         assert st.u.div_defect() <= 1e-10
-        assert st.u.hermitian_defect() <= 1e-12
+        assert hermitian_defect(st.u) <= 1e-12
 
 
 class TestEvolve:
