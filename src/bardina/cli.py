@@ -46,7 +46,7 @@ from .dynamics import (
     step_count,
 )
 from .fields import FieldRecipe, generate
-from .spectral import VectorField, dealiased_physical, norms
+from .spectral import VectorField, norms
 from .stationary import NonConvergenceError, solve_stationary
 
 EXIT_OK = 0
@@ -208,12 +208,12 @@ def cmd_bound(runner):
 
 
 def cmd_lyapunov(runner):
-    """One base trajectory serves every frame size: at each sampled state the
-    base velocity is transformed once, and each frame field's -2 B(u, w_i)
-    is formed once, for the Lyapunov sums and the frame transport.  Each
-    frame is moved by the base steps up to the next sample: sample_every,
-    fewer in a short last window, none after the last sample.  The base
-    steps check the CFL cap."""
+    """One base trajectory serves every frame size: each sampled state's
+    u_phys, formed once, serves the frame work and the next base step, and
+    each frame field's -2 B(u, w_i) is formed once, for the Lyapunov sums and
+    the frame transport.  Each frame is moved by the base steps up to the
+    next sample: sample_every, fewer in a short last window, none after the
+    last sample.  The base steps check the CFL cap."""
     cfg = runner.cfg
     p, dt, every = cfg.params, cfg.dt, cfg.sample_every
     force = runner.force_field()
@@ -223,15 +223,14 @@ def cmd_lyapunov(runner):
     rows = [[] for _ in frames]  # one group per frame size
     n_steps = step_count(base.t, cfg.t_end, dt)
     for k, st in enumerate(sampled_states(base, cfg.t_end, dt, every)):
-        u_phys = dealiased_physical(st.u)
         window = min(every, n_steps - k * every)
         for i, m in enumerate(cfg.m_list):
-            adv = frame_advection(frames[i], st.u, p, u_phys)
+            adv = frame_advection(frames[i], st.u, p, st.u_phys)
             total = lyapunov_sum(frames[i], st.u, p, adv)
             bound = lyapunov_sum_bound(m, st.u, p)
             rows[i].append([m, st.t, total, bound, bound - total])
             if window > 0:
-                frames[i] = transport_frame(frames[i], st.u, p, dt, window, adv, u_phys)
+                frames[i] = transport_frame(frames[i], st.u, p, dt, window, adv, st.u_phys)
     rows = [row for group in rows for row in group]
     all_ok = all(total <= bound + 1e-10 * p.beta * m for m, _, total, bound, _ in rows)
     runner.csv("lyapunov.csv", ["m", "t", "lyapunov_sum", "bound", "slack"], rows)

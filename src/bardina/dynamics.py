@@ -9,7 +9,7 @@ weights.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,10 +63,16 @@ class CFLError(ValueError):
 
 @dataclass
 class SimState:
+    """A state of a run.  u_phys, its dealiased physical samples, is formed on
+    first read (by a consumer or by step) and dropped once step advances it."""
     u: VectorField
     t: float
     params: "PhysParams"
     force: VectorField
+
+    @cached_property
+    def u_phys(self):
+        return dealiased_physical(self.u)
 
 
 @dataclass(frozen=True)
@@ -159,7 +165,8 @@ def _rhs_nonlinear(u, force, alpha, u_phys=None):
 def cfl_cap(u, u_phys=None):
     """Advective CFL limit 0.5 * dx / max|u| (inf when the field is zero);
     u_phys, when given, are the physical samples of u."""
-    umax = np.abs(inverse_transform(u) if u_phys is None else u_phys).max()
+    a = inverse_transform(u) if u_phys is None else u_phys
+    umax = max(a.max(), -a.min())  # max |a| without a temporary
     if umax == 0:
         return np.inf
     return 0.5 * u.grid.dx / umax
@@ -173,20 +180,19 @@ def check_cfl(state, dt, u_phys=None):
 
 
 def step(state, dt):
-    """Advance one ETD2RK step of the Galerkin system: the state and force
-    are read on the retained box, and the new state is a box field.  Raises
-    CFLError if dt exceeds the CFL cap of the input state, BlowUpError on
-    non-finite output."""
+    """One ETD2RK step of the Galerkin system on the retained box, to a box
+    field.  The CFL check and N(u) read state.u_phys, which is then dropped
+    from the input state.  Raises CFLError if dt exceeds the CFL cap of the
+    input state, BlowUpError on non-finite output."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.u.grid
     alpha = state.params.alpha
     expz, w1, w2 = _etd_weights(grid, state.params, dt)
 
-    u_phys = dealiased_physical(state.u)  # shared by the CFL check and N(u)
-    check_cfl(state, dt, u_phys)
-    n0 = _rhs_nonlinear(state.u, state.force, alpha, u_phys)
-    del u_phys
+    check_cfl(state, dt, state.u_phys)
+    n0 = _rhs_nonlinear(state.u, state.force, alpha, state.u_phys)
+    del state.u_phys
     predictor = expz * state.u.box + w1 * n0
     upred = VectorField(grid, predictor)
     n1 = _rhs_nonlinear(upred, state.force, alpha)
@@ -213,8 +219,9 @@ def sampled_states(state, t_end, dt, sample_every=1):
     step_count(state.t, t_end, dt) ETD2RK steps and after the last one, so
     the last yielded state is the one at t_end (summed step by step).  The
     velocity and the force are taken on the retained box (dealias) from the
-    start, so every yielded state is a box field.  Raises ValueError when
-    t_end precedes state.t."""
+    start, so every yielded state is a box field.  A consumer that reads a
+    yielded state's u_phys saves the next step its transform.  Raises
+    ValueError when t_end precedes state.t."""
     n_steps = step_count(state.t, t_end, dt)
     state = replace(state, u=dealias(state.u), force=dealias(state.force))
     yield state

@@ -2,11 +2,12 @@
 
 Everything here is deliberately slow and simple: direct DFT sums and direct
 convolution sums over retained modes, with no shared code paths with the
-package implementation.  Three former implementations are kept as references
+package implementation.  Four former implementations are kept as references
 for their faster replacements: the full-transform bilinear kernel, the
 full-spectrum random_band construction (which reuses the package's Leray
-projection and norms, the part its replacement did not change) and the
-modified Gram-Schmidt built from the package's norms and h1alpha_inner.
+projection and norms, the part its replacement did not change), the
+modified Gram-Schmidt built from the package's norms and h1alpha_inner, and
+steady_convergence's r_inf through the transform of u - U.
 """
 
 import numpy as np
@@ -195,3 +196,12 @@ def hermitian_defect(field):
     flipped = np.roll(np.flip(planes, axis=(-3, -2)), 1, axis=(-3, -2))
     scale = max(np.abs(hat).max(), 1e-300)
     return np.abs(flipped - np.conj(planes)).max() / scale
+
+
+def r_inf_reference(u, U):
+    """max_x |u(x) - U(x)|: the difference u - U on the retained box, through
+    the package's inverse transform."""
+    from bardina.spectral import VectorField, inverse_transform
+
+    d = inverse_transform(VectorField(u.grid, u.box - U.box))
+    return np.sqrt(np.sum(d**2, axis=0)).max()

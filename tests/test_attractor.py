@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 import bardina.attractor
 from bardina import (
@@ -23,10 +24,16 @@ from bardina import (
     zero_force_decay,
 )
 from bardina.attractor import OrthoFrame, frame_advection, transport_frame
+from bardina.dynamics import SimState, sampled_states
 from bardina.spectral import CertificateError, dealias, half_spectrum, wavenumber_sq
 
 from conftest import random_field
-from oracles import dealias_mask, gram_schmidt_reference, oracle_linearized_transport
+from oracles import (
+    dealias_mask,
+    gram_schmidt_reference,
+    oracle_linearized_transport,
+    r_inf_reference,
+)
 
 
 def zero_field(grid):
@@ -308,6 +315,51 @@ class TestSteadyConvergence:
             steady.U, f, params, steady.U, 0.5, 0.01, sample_every=10
         )
         assert np.all(rep.r <= 1e-10)
+
+
+class TestSampledStateTransforms:
+    """Each sampled state is transformed once: the consumers read its
+    u_phys, and the next step reuses it."""
+
+    N_STEPS = 6
+
+    @pytest.fixture
+    def inverse_transforms(self, monkeypatch):
+        """Counts the inverse transforms: one irfftn each."""
+        calls = []
+        irfftn = sfft.irfftn
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return irfftn(*args, **kwargs)
+
+        monkeypatch.setattr(sfft, "irfftn", counted)
+        return calls
+
+    def test_steady_convergence_count(self, grid8, params, inverse_transforms):
+        f = random_field(grid8, seed=132, amplitude=0.2)
+        U = solve_stationary(f, params, tol=1e-13).U
+        u0 = random_field(grid8, seed=133, amplitude=0.5)
+        inverse_transforms.clear()
+        steady_convergence(u0, f, params, U, 0.01 * self.N_STEPS, 0.01)
+        # U once, each of the N + 1 samples once, each predictor once
+        assert len(inverse_transforms) == 2 * self.N_STEPS + 2
+
+    def test_zero_force_decay_count(self, grid8, params, inverse_transforms):
+        u0 = random_field(grid8, seed=141, amplitude=0.8)
+        zero_force_decay(u0, params, 0.01 * self.N_STEPS, 0.01)
+        assert len(inverse_transforms) == 2 * self.N_STEPS + 1
+
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_r_inf_matches_transform_of_difference(self, grid16, params, every):
+        f = random_field(grid16, seed=134, amplitude=0.2)
+        U = solve_stationary(f, params, tol=1e-13).U
+        u0 = random_field(grid16, seed=135, amplitude=0.5)
+        rep = steady_convergence(u0, f, params, U, 0.12, 0.01, sample_every=every)
+        states = sampled_states(SimState(u0, 0.0, params, f), 0.12, 0.01, every)
+        ref = np.array([r_inf_reference(s.u, U) for s in states])
+        assert len(rep.r_inf) == len(ref)
+        assert np.abs(rep.r_inf - ref).max() <= 1e-13 * ref.max()
 
 
 class TestZeroForceDecay:

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,12 @@ from bardina.dynamics import (
     BlowUpError,
     CFLError,
     cfl_cap,
+    sampled_states,
     step_count,
     _phi1,
     _phi2,
 )
+from bardina.spectral import dealias, dealiased_physical
 
 from conftest import random_field
 from oracles import hermitian_defect, oracle_nonlinear
@@ -191,6 +194,76 @@ class TestEvolve:
         _, traj = evolve(SimState(u0, 0.0, params, zero_force(grid8)), 1.0, 0.01, 5)
         e = traj.series("h1alpha_sq")
         assert np.all(np.diff(e) < 0)
+
+
+class TestCflCap:
+    """cfl_cap takes max |u| as max(max u, -min u), with no |u| temporary."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_abs_max_formula(self, grid8, seed):
+        rng = np.random.default_rng(seed)
+        u_phys = rng.standard_normal((3, 8, 8, 8))
+        u = random_field(grid8, seed=seed)
+        assert cfl_cap(u, u_phys) == 0.5 * grid8.dx / np.abs(u_phys).max()
+
+    def test_largest_magnitude_negative(self, grid8):
+        rng = np.random.default_rng(5)
+        u_phys = rng.uniform(-1.0, 0.5, (3, 8, 8, 8))
+        u_phys[1, 2, 3, 4] = -7.25
+        u = random_field(grid8, seed=5)
+        assert cfl_cap(u, u_phys) == 0.5 * grid8.dx / 7.25
+        assert cfl_cap(u, u_phys) == 0.5 * grid8.dx / np.abs(u_phys).max()
+
+    def test_zero_field_is_unlimited(self, grid8):
+        u = VectorField(grid8, np.zeros((3,) + grid8.box_shape, complex))
+        assert cfl_cap(u) == np.inf
+        assert cfl_cap(u, -np.zeros((3, 8, 8, 8))) == np.inf
+
+
+class TestStateSamples:
+    """A state carries its dealiased physical samples until it is stepped."""
+
+    def test_yielded_samples_are_the_dealiased_transform(self, grid8, params):
+        u0 = random_field(grid8, seed=41, amplitude=0.5)
+        f = random_field(grid8, seed=42, amplitude=0.2)
+        for st in sampled_states(SimState(u0, 0.0, params, f), 0.05, 0.01, 2):
+            assert st.u_phys.tobytes() == dealiased_physical(st.u).tobytes()
+
+    def test_step_drops_samples_and_ignores_who_formed_them(self, grid8, params):
+        u0 = dealias(random_field(grid8, seed=43, amplitude=0.5))
+        f = dealias(random_field(grid8, seed=44, amplitude=0.2))
+        fresh, held = SimState(u0, 0.0, params, f), SimState(u0, 0.0, params, f)
+        held.u_phys
+        assert "u_phys" in vars(held) and "u_phys" not in vars(fresh)
+        a, b = step(fresh, 0.01), step(held, 0.01)
+        assert "u_phys" not in vars(fresh) and "u_phys" not in vars(held)
+        assert "u_phys" not in vars(a) and "u_phys" not in vars(b)
+        assert a.u.hat.tobytes() == b.u.hat.tobytes()
+        assert a.t == b.t
+
+    def test_held_samples_do_not_raise_step_peak(self):
+        # n = 32: the samples (0.79 MB) are formed inside the traced window
+        # on both sides, and step must free them as early as on a fresh state
+        grid, p = GridSpec(32), PhysParams(alpha=1.0, beta=1.0, nu=0.1)
+        u0 = dealias(random_field(grid, seed=45, amplitude=0.3))
+        f = dealias(random_field(grid, seed=46, amplitude=0.05))
+        step(SimState(u0, 0.0, p, f), 0.01)  # warm-up: symbols and work arrays
+
+        def traced_peak(hold):
+            st = SimState(u0, 0.0, p, f)
+            tracemalloc.start()
+            try:
+                if hold:
+                    st.u_phys
+                step(st, 0.01)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Python's list free lists move the traced peak by a few hundred
+        # bytes between otherwise equal calls; samples kept through the
+        # predictor would add 786 kB
+        assert traced_peak(True) <= traced_peak(False) + 4096
 
 
 class TestStepCount:
