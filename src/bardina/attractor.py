@@ -12,10 +12,10 @@ from .spectral import (
     CertificateError,
     VectorField,
     bilinear,
-    dealiased_physical,
     h1alpha_diff_sq,
     h1alpha_inner,
     h1alpha_weights,
+    inverse_transform,
     norms,
 )
 
@@ -63,10 +63,9 @@ class OrthoFrame:
 
     def gram(self):
         """The m x m matrix of h1alpha_inner products: one weighted copy of
-        each field and m(m+1)/2 dot products over every mode of the fields'
-        common layout."""
+        each field and m(m+1)/2 dot products over every mode of the box."""
         x = [f.hat for f in self.fields]
-        weight = h1alpha_weights(self.fields[0].grid, x[0].shape[-3:], self.alpha)
+        weight = h1alpha_weights(self.fields[0].grid, self.alpha)
         g = np.empty((len(x), len(x)))
         for i, xi in enumerate(x):
             wxi = weight * xi
@@ -124,7 +123,7 @@ def linearized_rhs(w, u, params, u_phys=None, advection=None):
     u_phys: see bilinear; advection: -2 B(u, w), when the caller has it."""
     if advection is None:
         advection = -2.0 * bilinear(u, w, params.alpha, u_phys).hat
-    return VectorField(u.grid, advection - damping_symbol(u.grid, params) * w.box)
+    return VectorField(u.grid, advection - damping_symbol(u.grid, params) * w.hat)
 
 
 def frame_advection(frame, u, params, u_phys=None):
@@ -175,18 +174,18 @@ def transport_frame(frame, state_u, params, dt, n_steps, advection, u_phys=None)
         for k in range(n_steps):
             # transport part only; expz treats the linear decay exactly
             nl = nl if k == 0 else -2.0 * bilinear(state_u, w, params.alpha, u_phys).hat
-            w = VectorField(grid, expz * w.box + w1 * nl)
+            w = VectorField(grid, expz * w.hat + w1 * nl)
         evolved.append(w)
     return orthonormalize(evolved, params.alpha)
 
 
 def orthonormalize(fields, alpha):
-    """Modified Gram-Schmidt in the H^1_alpha inner product, on the fields'
-    common layout: each projection is one Re vdot(weights * q, w)."""
+    """Modified Gram-Schmidt in the H^1_alpha inner product: each projection
+    is one Re vdot(weights * q, w)."""
     if not fields:
         raise ValueError("empty field list")
     grid = fields[0].grid
-    weight = h1alpha_weights(grid, fields[0].hat.shape[-3:], alpha)
+    weight = h1alpha_weights(grid, alpha)
     scale = max(np.sqrt(np.vdot(weight * v.hat, v.hat).real) for v in fields)
     if scale == 0:
         raise ValueError("rank-deficient input: all fields vanish")
@@ -262,7 +261,7 @@ def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
     glibc trim and re-grow the heap top at every step in about half the runs.
     """
     times, rs, rinfs = [], [], []
-    U_phys = dealiased_physical(U).copy()
+    U_phys = inverse_transform(U).copy()
     for s in sampled_states(SimState(u0, 0.0, params, force), t_end, dt, sample_every):
         times.append(s.t)
         rs.append(np.sqrt(h1alpha_diff_sq(s.u, U, params.alpha)))

@@ -14,16 +14,17 @@ followed by 3 * n^3 complex64 values in row-major order of the mode index m
 
 A time of -1.0 marks a steady state.  The writer streams the body one
 component at a time, each through its full spectrum (``coeffs``).  The
-reader returns the half spectrum (see bardina.spectral), never truncated
-to the box, after checking it is real and divergence-free in complex64.
+reader returns a field on the grid of dealias_fraction 1, whose box is the
+half spectrum (see bardina.spectral), so no stored mode is dropped; it
+checks the field is real and divergence-free in complex64 first.  A run
+restricts it to its own grid with spectral.dealias.
 """
 
 import struct
 
 import numpy as np
 
-from .spectral import GridSpec, PhysParams, VectorField, _reverse_modes, half_spectrum
-from .spectral import wavenumber_sq
+from .spectral import GridSpec, PhysParams, VectorField, _reverse_modes, half_spectrum, modes
 
 __all__ = ["write_checkpoint", "read_checkpoint", "STEADY_STATE_TIME"]
 
@@ -63,7 +64,7 @@ def read_checkpoint(path):
         raise ValueError(
             f"checkpoint body holds {data.size} coefficients, expected {expected}"
         )
-    grid = GridSpec(n, box_len)
+    grid = GridSpec(n, box_len, dealias_fraction=1.0)
     shifted = data.reshape(3, n, n, n).astype(np.complex128)
     full = np.fft.ifftshift(shifted, axes=(1, 2, 3))
     # a real field has c(-m) = conj(c(m)) on every mode
@@ -71,6 +72,6 @@ def read_checkpoint(path):
     if np.abs(full - np.conj(_reverse_modes(full))).max() > STORAGE_TOL * scale:
         raise ValueError("checkpoint spectrum is not Hermitian: the field is not real")
     u = VectorField(grid, half_spectrum(full))
-    if u.div_defect() > STORAGE_TOL * np.sqrt(wavenumber_sq(grid).max()):
+    if u.div_defect() > STORAGE_TOL * np.sqrt(modes(grid).ksq.max()):
         raise ValueError("checkpoint field is not divergence-free")
     return u, PhysParams(alpha, beta, nu), time

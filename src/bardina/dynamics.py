@@ -8,17 +8,16 @@ weights.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .spectral import (
     VectorField,
+    _check_shared_grid,
     _frozen,
     bilinear,
-    dealias,
-    dealiased_physical,
     h1alpha_inner,
     inverse_transform,
     modes,
@@ -63,7 +62,7 @@ class CFLError(ValueError):
 
 @dataclass
 class SimState:
-    """A state of a run.  u_phys, its dealiased physical samples, is formed on
+    """A state of a run.  u_phys, the physical samples of u, is formed on
     first read (by a consumer or by step) and dropped once step advances it."""
     u: VectorField
     t: float
@@ -72,7 +71,7 @@ class SimState:
 
     @cached_property
     def u_phys(self):
-        return dealiased_physical(self.u)
+        return inverse_transform(self.u)
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ def _phi2(z):
 def damping_symbol(grid, params):
     """nu |k|^2 + beta = -lambda on the retained box: the Stokes operator
     plus the damping; cached and read-only."""
-    return _frozen(params.nu * modes(grid, grid.box_shape).ksq + params.beta)
+    return _frozen(params.nu * modes(grid).ksq + params.beta)
 
 
 @lru_cache(maxsize=32)
@@ -159,7 +158,7 @@ def _etd_weights(grid, params, dt):
 
 def _rhs_nonlinear(u, force, alpha, u_phys=None):
     """N(u) + f on the retained box, with N(u) = -P div((u (x) u)_alpha)."""
-    return force.box - nonlinear_term(u, alpha, u_phys).hat
+    return force.hat - nonlinear_term(u, alpha, u_phys).hat
 
 
 def cfl_cap(u, u_phys=None):
@@ -172,16 +171,16 @@ def cfl_cap(u, u_phys=None):
     return 0.5 * u.grid.dx / umax
 
 
-def check_cfl(state, dt, u_phys=None):
-    """Raise CFLError if dt exceeds the CFL cap of the state."""
-    cap = cfl_cap(state.u, u_phys)
+def check_cfl(state, dt):
+    """Raise CFLError if dt exceeds the CFL cap of the state (from state.u_phys)."""
+    cap = cfl_cap(state.u, state.u_phys)
     if dt > cap:
         raise CFLError(state.t, dt, cap)
 
 
 def step(state, dt):
-    """One ETD2RK step of the Galerkin system on the retained box, to a box
-    field.  The CFL check and N(u) read state.u_phys, which is then dropped
+    """One ETD2RK step of the Galerkin system on the grid's retained box.
+    The CFL check and N(u) read state.u_phys, which is then dropped
     from the input state.  Raises CFLError if dt exceeds the CFL cap of the
     input state, BlowUpError on non-finite output."""
     if not dt > 0:
@@ -190,10 +189,10 @@ def step(state, dt):
     alpha = state.params.alpha
     expz, w1, w2 = _etd_weights(grid, state.params, dt)
 
-    check_cfl(state, dt, state.u_phys)
+    check_cfl(state, dt)
     n0 = _rhs_nonlinear(state.u, state.force, alpha, state.u_phys)
     del state.u_phys
-    predictor = expz * state.u.box + w1 * n0
+    predictor = expz * state.u.hat + w1 * n0
     upred = VectorField(grid, predictor)
     n1 = _rhs_nonlinear(upred, state.force, alpha)
     out = predictor + w2 * (n1 - n0)
@@ -217,13 +216,12 @@ def step_count(t, t_end, dt):
 def sampled_states(state, t_end, dt, sample_every=1):
     """Yield the state, then the state after every sample_every-th of the
     step_count(state.t, t_end, dt) ETD2RK steps and after the last one, so
-    the last yielded state is the one at t_end (summed step by step).  The
-    velocity and the force are taken on the retained box (dealias) from the
-    start, so every yielded state is a box field.  A consumer that reads a
-    yielded state's u_phys saves the next step its transform.  Raises
-    ValueError when t_end precedes state.t."""
+    the last yielded state is the one at t_end (summed step by step).  A
+    consumer that reads a yielded state's u_phys saves the next step its
+    transform.  Raises ValueError, before any step, when t_end precedes
+    state.t or the velocity and the force are on different grids."""
     n_steps = step_count(state.t, t_end, dt)
-    state = replace(state, u=dealias(state.u), force=dealias(state.force))
+    _check_shared_grid(state.u, state.force)
     yield state
     for i in range(1, n_steps + 1):
         state = step(state, dt)

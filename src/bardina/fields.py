@@ -69,7 +69,7 @@ def generate(recipe, grid, alpha=1.0):
     x = np.arange(grid.n) * grid.dx
     axes = np.meshgrid(x, x, x, indexing="ij")
     u = np.stack(formula(recipe.amplitude, 2.0 * np.pi / grid.box_len, *axes))
-    return VectorField(grid, _forward(u, grid, grid.box_shape), div_free=True)
+    return VectorField(grid, _forward(u, grid), div_free=True)
 
 
 def _random_band(recipe, grid, alpha):
@@ -85,9 +85,9 @@ def _random_band(recipe, grid, alpha):
     mz = mode_indices(grid)[: cutoff + 1]
     mag = np.sqrt(mb[:, None, None] ** 2 + mb[None, :, None] ** 2 + mz[None, None, :] ** 2)
     # |m| <= k_max <= cutoff, so the band lies inside the box.  Both parts
-    # are drawn on the full spectrum, so a seed gives the same field in any
-    # layout; c(m) is Hermitian-symmetrized from the draws at the band modes
-    # m (full-spectrum index m mod n) and at their mirrors -m.
+    # are drawn on the full spectrum, so a seed gives the same field on any
+    # grid of n whose box holds the band; c(m) is Hermitian-symmetrized from
+    # the draws at the band modes m (full-spectrum index m mod n) and -m.
     bx, by, bz = np.nonzero((mag >= recipe.k_min) & (mag <= recipe.k_max))
     x, y, z = mb[bx] % n, mb[by] % n, mz[bz] % n
     mx, my, mz = -x % n, -y % n, -z % n
@@ -98,7 +98,7 @@ def _random_band(recipe, grid, alpha):
     im, im_m = draw[:, x, y, z], draw[:, mx, my, mz]
     hat = np.zeros((3,) + grid.box_shape, dtype=np.complex128)
     hat[:, bx, by, bz] = 0.5 * ((re + 1j * im) + np.conj(re_m + 1j * im_m))
-    hat = _project(hat, modes(grid, grid.box_shape))
+    hat = _project(hat, modes(grid))
     current = norms(VectorField(grid, hat), alpha).h1alpha_sq
     if current > 0:
         hat *= recipe.amplitude / np.sqrt(current)

@@ -2,29 +2,24 @@
 
 Conventions used throughout:
 
-  * Fields are real; ``hat`` holds their coefficients in one of two layouts,
-    told apart by its shape (per component):
-    - the half spectrum, grid.half_shape = (n, n, n//2+1), the
-      scipy.fft.rfftn coefficients.  The first two axes hold the mode index
-      m in numpy FFT ordering, the last m_z = 0 .. n/2; the modes m_z < 0
-      follow from c(-m) = conj(c(m)), so Hermitian symmetry holds by
-      construction except inside the planes m_z = 0 and m_z = n/2;
-    - the retained box, grid.box_shape = (b, b, c+1): the modes with every
-      |m_i| <= c, the dealias cutoff, with x and y rows m = 0 .. c, -c .. -1
-      (the FFT ordering of b = 2c+1 points).  At dealias_fraction 1 it is
-      the half spectrum.
-    Every field the solver makes lives in the box, so dealiasing is a
-    property of the layout.  The half spectrum remains at the edges:
-    forward_transform, checkpoint I/O and the ``half`` and ``coeffs``
-    views.  Per-mode operators work in either layout with its symbols,
-    modes(grid, shape), and agree bitwise mode by mode.
+  * Fields are real; ``hat`` holds their coefficients in their grid's
+    retained box, grid.box_shape = (b, b, c+1) per component: the modes
+    with every |m_i| <= c = floor(dealias_fraction*n/2), the dealias cutoff
+    (2/3-rule truncation by default).  The x and y rows hold m = 0 .. c,
+    -c .. -1 (the FFT ordering of b = 2c+1 points), the planes m_z = 0 .. c;
+    the modes m_z < 0 follow from c(-m) = conj(c(m)), so Hermitian symmetry
+    holds by construction except inside the planes m_z = 0 and m_z = n/2.
+    At dealias_fraction 1 the box is the half spectrum, grid.half_shape =
+    (n, n, n//2+1), the scipy.fft.rfftn coefficients.  One layout per grid,
+    so dealiasing is a restriction between grids: dealias(v, grid).
+    Per-mode operators read their grid's symbols, modes(grid).
   * One transform pair converts between samples and coefficients, scalar
-    or vector, in either layout: inverse_transform and the forward helper
-    behind forward_transform and the kernel.  Both split the axes: the
-    real transform runs over z, the x and y transforms on the planes m_z
-    the layout holds only.  They call scipy.fft, as numpy.fft 2.4 costs more
-    per call on these small strided arrays (x-y pass on (5, 16, 16, 6): 88
-    against 56 us with scipy 1.17 on a 2-vCPU x86-64 host).
+    or vector: inverse_transform and the forward helper behind
+    forward_transform and the kernel.  Both split the axes: the real
+    transform runs over z, the x and y transforms on the planes m_z the box
+    holds only.  They call scipy.fft, as numpy.fft 2.4 costs more per call
+    on these small strided arrays (x-y pass on (5, 16, 16, 6): 88 against
+    56 us with scipy 1.17 on a 2-vCPU x86-64 host).
   * Work arrays, allocated once per shape (_work): the kernel's 5 products
     fill a (5, n, n, n) buffer, with an (n, n, n) scratch, and
     inverse_transform pads into the same buffer, idle then.  No call maps
@@ -37,12 +32,9 @@ Conventions used throughout:
     and h1alpha_weights is the one place its per-mode weights are formed.
   * full_spectrum / half_spectrum convert to and from the full (n, n, n)
     layout; a field's ``coeffs`` property is its full spectrum (for I/O).
-  * Dealiasing keeps |m_i| <= c = floor(dealias_fraction*n/2) on every axis
-    (2/3-rule truncation by default): dealias(v) is v in the box layout.
-  * The bilinear kernel reads the box of its inputs and returns a box
-    field.  It transforms the 5 entries of the traceless product T - T33 I
-    instead of the 6 of T; that is exact, because div(s I) = grad s and the
-    Leray projection removes a gradient mode by mode.
+  * The bilinear kernel transforms the 5 entries of the traceless product
+    T - T33 I instead of the 6 of T; that is exact, because div(s I) =
+    grad s and the Leray projection removes a gradient mode by mode.
 """
 
 from collections import namedtuple
@@ -73,7 +65,6 @@ __all__ = [
     "h1alpha_diff_sq",
     "h1alpha_weights",
     "h1alpha_inner",
-    "dealiased_physical",
     "bilinear",
     "pressure_from_velocity",
 ]
@@ -139,35 +130,20 @@ def mode_indices(grid):
     return _frozen(np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64))
 
 
-@lru_cache(maxsize=32)
-def wavevectors(grid):
-    """Physical wavevector components on the half spectrum, shape (3, n, n, n//2+1)."""
-    k1 = 2.0 * np.pi * mode_indices(grid) / grid.box_len
-    kx, ky, kz = np.meshgrid(k1, k1, k1[: grid.n // 2 + 1], indexing="ij")
-    return _frozen(np.stack([kx, ky, kz]))
-
-
-def wavenumber_sq(grid):
-    """|k|^2 on the half spectrum."""
-    return modes(grid, grid.half_shape).ksq
-
-
 def _blocks(a, grid):
     """Views of the retained box in `a` as 4 blocks, one per pair of the
-    contiguous x and y row runs m >= 0 and m < 0; `a` holds all n rows or
-    only the box's b rows along x and y, and at least c+1 planes m_z."""
+    contiguous x and y row runs m >= 0 and m < 0; `a` holds the box of a
+    grid of the same n with a cutoff of at least c (all n rows at
+    dealias_fraction 1), or the half spectrum."""
     c, rows = grid.dealias_cutoff, a.shape[-3]
     runs = (slice(0, c + 1), slice(rows - (grid.box_shape[0] - c - 1), rows))
     return [a[..., x, y, : c + 1] for x in runs for y in runs]
 
 
-def _relayout(hat, grid, shape):
-    """`hat` in the layout of spectral shape `shape`: the box modes copied
-    block by block, every other mode zero.  Returns `hat` itself when it is
-    already in that layout."""
-    if hat.shape[-3:] == shape:
-        return hat
-    out = np.zeros(hat.shape[:-3] + shape, dtype=hat.dtype)
+def _copy_box(hat, grid, out):
+    """Copy the modes of grid's retained box from `hat` into `out` block by
+    block and return `out`; the modes of `out` outside that box are left as
+    they are."""
     for dst, src in zip(_blocks(out, grid), _blocks(hat, grid)):
         dst[...] = src
     return out
@@ -179,18 +155,20 @@ _work = lru_cache(maxsize=8)(np.empty)  # _work(shape, dtype): see "Work arrays"
 Modes = namedtuple("Modes", "k ksq weights leray")
 
 
-@lru_cache(maxsize=64)
-def modes(grid, shape):
-    """The per-mode symbols of the layout with spectral shape `shape`
-    (grid.half_shape or grid.box_shape): wavevector k, |k|^2, the
+@lru_cache(maxsize=32)
+def modes(grid):
+    """The per-mode symbols of the grid's box: wavevector k, |k|^2, the
     multiplicity of each m_z plane in the full spectrum, and k / |k|^2 (zero
-    at k = 0, where the Leray projection is the identity).  Box symbols are
-    gathered from the half-spectrum ones, so both layouts hold the same
-    values mode by mode."""
-    k = _relayout(wavevectors(grid), grid, shape)
+    at k = 0, where the Leray projection is the identity).  k is gathered
+    from the half spectrum's, so two grids of one n and box_len hold the
+    same values on the modes their boxes share."""
+    k1 = 2.0 * np.pi * mode_indices(grid) / grid.box_len
+    half = np.stack(np.meshgrid(k1, k1, k1[: grid.n // 2 + 1], indexing="ij"))
+    k = _copy_box(half, grid, np.zeros((3,) + grid.box_shape))
     ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
     leray = k / np.where(ksq == 0.0, 1.0, ksq)
-    weights = np.where(np.arange(shape[-1]) % (grid.n // 2) == 0, 1.0, 2.0)  # m_z = 0, n/2
+    planes = np.arange(grid.box_shape[-1])
+    weights = np.where(planes % (grid.n // 2) == 0, 1.0, 2.0)  # m_z = 0, n/2
     return Modes(*(_frozen(a) for a in (k, ksq, weights, leray)))
 
 
@@ -214,7 +192,7 @@ def full_spectrum(hat):
 
 @dataclass
 class SpectralField:
-    """One real scalar field, hat of shape grid.half_shape or grid.box_shape."""
+    """One real scalar field, hat of shape grid.box_shape."""
 
     grid: GridSpec
     hat: np.ndarray
@@ -222,29 +200,20 @@ class SpectralField:
     _lead = ()  # leading axes before the spectral ones
 
     def __post_init__(self):
-        shapes = [self._lead + s for s in (self.grid.half_shape, self.grid.box_shape)]
-        if self.hat.shape not in shapes:
-            raise ValueError(f"spectrum shape {self.hat.shape} is not one of {shapes}")
+        shape = self._lead + self.grid.box_shape
+        if self.hat.shape != shape:
+            raise ValueError(f"spectrum shape {self.hat.shape} is not the grid's box {shape}")
 
     @property
     def symbols(self):
-        """The symbols of this field's layout."""
-        return modes(self.grid, self.hat.shape[-3:])
-
-    @property
-    def box(self):
-        """The coefficients in the box layout (hat itself for a box field)."""
-        return _relayout(self.hat, self.grid, self.grid.box_shape)
-
-    @property
-    def half(self):
-        """The coefficients in the half-spectrum layout (hat itself for a half field)."""
-        return _relayout(self.hat, self.grid, self.grid.half_shape)
+        """The symbols of this field's grid."""
+        return modes(self.grid)
 
     @property
     def coeffs(self):
-        """The full spectrum, in numpy FFT ordering."""
-        return full_spectrum(self.half)
+        """The full spectrum, in numpy FFT ordering: zero outside the box."""
+        half = np.zeros(self.hat.shape[:-3] + self.grid.half_shape, dtype=self.hat.dtype)
+        return full_spectrum(_copy_box(self.hat, self.grid, half))
 
     def copy(self):
         return replace(self, hat=self.hat.copy())
@@ -252,8 +221,7 @@ class SpectralField:
 
 @dataclass
 class VectorField(SpectralField):
-    """Three real scalar fields on a shared grid, hat of shape (3,) + the
-    half-spectrum or the box shape.
+    """Three real scalar fields on a shared grid, hat of shape (3,) + grid.box_shape.
 
     div_free=True is a certificate, checked on construction; the solver sets
     it on carried-forward states (step output, Picard iterate) and on inputs
@@ -309,18 +277,19 @@ class NormBundle:
     h1alpha_sq: float
 
 
-def _forward(samples, grid, shape):
-    """Coefficients in the layout of spectral shape `shape` of physical
-    samples (..., n, n, n): the real transform over z, then the x and y
-    transforms of the shape[-1] planes m_z the layout holds only."""
-    a = sfft.rfftn(samples, axes=(-1,), norm="forward")[..., : shape[-1]]
+def _forward(samples, grid):
+    """The box coefficients of physical samples (..., n, n, n): the real
+    transform over z, then the x and y transforms of the planes m_z the box
+    holds only."""
+    a = sfft.rfftn(samples, axes=(-1,), norm="forward")[..., : grid.box_shape[-1]]
     a = sfft.fftn(a, axes=(-3, -2), norm="forward", overwrite_x=True)
-    return _relayout(a, grid, shape)
+    return _copy_box(a, grid, np.zeros(a.shape[:-3] + grid.box_shape, dtype=a.dtype))
 
 
 def forward_transform(physical_samples, grid=None):
     """Physical samples on the n^3 grid, (n, n, n) or (3, n, n, n) -> their
-    SpectralField or VectorField in the half-spectrum layout."""
+    SpectralField or VectorField on `grid` (default GridSpec(n)): its box,
+    every mode beyond the dealias cutoff dropped."""
     samples = np.asarray(physical_samples, dtype=np.float64)
     lead, cube = samples.shape[:-3], samples.shape[-3:]
     if samples.ndim < 3 or lead not in ((), (3,)) or len(set(cube)) != 1:
@@ -329,24 +298,18 @@ def forward_transform(physical_samples, grid=None):
     if grid.n != cube[0]:
         raise ValueError(f"sample array size {cube[0]} does not match grid n={grid.n}")
     kind = VectorField if lead else SpectralField
-    return kind(grid, _forward(samples, grid, grid.half_shape))
+    return kind(grid, _forward(samples, grid))
 
 
 def inverse_transform(field):
-    """Real samples on the n^3 grid of a scalar or vector field in either
-    layout, a new array.  The field is padded into the product work array,
-    never transformed in its own hat (at dealias_fraction 1 the box is the half
-    spectrum): over x and y on the planes m_z the layout holds, then over z."""
+    """Real samples on the n^3 grid of a scalar or vector field, a new array.
+    The box is padded into the product work array, never transformed in its
+    own hat: over x and y on the planes m_z the box holds, then over z."""
     hat, grid = field.hat, field.grid
     shape = hat.shape[:-3] + grid.half_shape  # in the product buffer: see "Work arrays"
     a = _work((5,) + (grid.n,) * 3, float).ravel().view(complex)[: np.prod(shape)].reshape(shape)
-    if hat.shape[-3:] == grid.half_shape:
-        a[...] = hat
-    else:
-        a.fill(0)  # the transforms below may have overwritten any of it
-        for dst, src in zip(_blocks(a, grid), _blocks(hat, grid)):
-            dst[...] = src
-    held = a[..., : hat.shape[-1]]
+    a.fill(0)  # the transforms below may have overwritten any of it
+    held = _copy_box(hat, grid, a)[..., : grid.box_shape[-1]]
     xy = sfft.ifftn(held, axes=(-3, -2), norm="forward", overwrite_x=True)
     if not np.may_share_memory(xy, held):  # the transform did not run in place
         held[...] = xy
@@ -354,10 +317,11 @@ def inverse_transform(field):
 
 
 def _check_shared_grid(*fields):
+    """The grid of the fields; ValueError naming two grids that differ."""
     g = fields[0].grid
     for f in fields[1:]:
         if f.grid != g:
-            raise ValueError("fields do not share a grid")
+            raise ValueError(f"fields do not share a grid: {g} and {f.grid}")
     return g
 
 
@@ -367,7 +331,7 @@ def helmholtz_filter(v, alpha):
 
 
 def _project(hat, symbols):
-    """u_hat - k (k.u_hat)/|k|^2 for hat in the layout of `symbols`."""
+    """u_hat - k (k.u_hat)/|k|^2 for hat on the grid of `symbols`."""
     return hat - symbols.leray * np.sum(symbols.k * hat, axis=0)
 
 
@@ -391,10 +355,18 @@ def laplacian(field):
     return replace(field, hat=-field.symbols.ksq * field.hat)
 
 
-def dealias(v):
-    """v in the box layout: every mode with any |m_i| beyond the dealias
-    cutoff dropped.  A box field is returned as it is."""
-    return v if v.hat.shape[-3:] == v.grid.box_shape else replace(v, hat=v.box)
+def dealias(v, grid):
+    """v restricted to `grid`: every mode of v outside grid's box dropped.
+    grid must share v's n and box_len and have a cutoff no larger than v's,
+    else ValueError; v itself when grid is v's."""
+    if grid == v.grid:
+        return v
+    if (grid.n, grid.box_len) != (v.grid.n, v.grid.box_len) or (
+        grid.dealias_cutoff > v.grid.dealias_cutoff
+    ):
+        raise ValueError(f"a field on {v.grid} does not restrict to {grid}")
+    out = np.zeros(v.hat.shape[:-3] + grid.box_shape, dtype=v.hat.dtype)
+    return replace(v, grid=grid, hat=_copy_box(v.hat, grid, out))
 
 
 def norms(v, alpha):
@@ -408,29 +380,21 @@ def norms(v, alpha):
 
 
 def h1alpha_diff_sq(v, w, alpha):
-    """|v - w|^2_{H1_alpha}, the squared energy norm of a difference, on the box."""
-    return norms(VectorField(v.grid, v.box - w.box), alpha).h1alpha_sq
+    """|v - w|^2_{H1_alpha}, the squared energy norm of a difference."""
+    return norms(VectorField(_check_shared_grid(v, w), v.hat - w.hat), alpha).h1alpha_sq
 
 
-def h1alpha_weights(grid, shape, alpha):
-    """L^3 (1 + alpha^2 |k|^2) times the multiplicity of each mode of the layout
-    of spectral shape `shape`; built per call, as a cache would grow the RSS."""
-    symbols = modes(grid, shape)
+def h1alpha_weights(grid, alpha):
+    """L^3 (1 + alpha^2 |k|^2) times the multiplicity of each mode of the
+    grid's box; built per call, as a cache would grow the RSS."""
+    symbols = modes(grid)
     return grid.box_len**3 * (1.0 + alpha**2 * symbols.ksq) * symbols.weights
 
 
 def h1alpha_inner(v, w, alpha):
-    """Energy-space inner product (v,w)_L2 + alpha^2 (grad v, grad w)_L2; a
-    box field meets a half field on the box, outside which it vanishes."""
+    """Energy-space inner product (v,w)_L2 + alpha^2 (grad v, grad w)_L2."""
     grid = _check_shared_grid(v, w)
-    a, b = (v.hat, w.hat) if v.hat.shape == w.hat.shape else (v.box, w.box)
-    return float(np.vdot(h1alpha_weights(grid, a.shape[-3:], alpha) * a, b).real)
-
-
-def dealiased_physical(v):
-    """Physical samples (3, n, n, n) of the dealiased field: the form in which
-    the bilinear kernel reads its inputs."""
-    return inverse_transform(dealias(v))
+    return float(np.vdot(h1alpha_weights(grid, alpha) * v.hat, w.hat).real)
 
 
 def _traceless_products(a, b):
@@ -456,23 +420,23 @@ def tensor_product_spectra(u, w, u_phys=None):
     """Retained-box spectra (5, b, b, cutoff+1) of the traceless symmetric
     product T - T33 I, T = (u (x) w + w (x) u)/2 (slots as in
     _traceless_products); one inverse transform when w is u, none for u
-    when u_phys, its dealiased_physical samples, is given.
+    when u_phys, its samples, is given.
 
-    Products of the dealiased inputs are formed in physical space, so the
+    Products of the box fields are formed in physical space, so the
     retained modes are the exact Galerkin projection; the other modes are
     dropped after the z transform.
     """
-    a = dealiased_physical(u) if u_phys is None else u_phys
-    t = _traceless_products(a, a if w is u else dealiased_physical(w))
+    a = inverse_transform(u) if u_phys is None else u_phys
+    t = _traceless_products(a, a if w is u else inverse_transform(w))
     del a  # the samples are freed before the transform allocates its output
-    return _forward(t, u.grid, u.grid.box_shape)
+    return _forward(t, u.grid)
 
 
 @lru_cache(maxsize=32)
 def _bilinear_symbols(grid, alpha):
     """Symbols of the bilinear kernel on the retained box: k, k/|k|^2 (0 at
     k = 0), and i (1 + alpha^2 |k|^2)^{-1} (derivative and filter fused)."""
-    box = modes(grid, grid.box_shape)
+    box = modes(grid)
     return box.k, box.leray, _frozen(1j / (1.0 + alpha**2 * box.ksq))
 
 
@@ -493,7 +457,7 @@ def bilinear(u, w, alpha, u_phys=None):
     distinct input, one forward transform of the 5 traceless products, and
     the symbols applied on the retained box only; the result is a box
     field.  A caller that applies B(u, .) to many fields passes
-    u_phys = dealiased_physical(u) once and saves the transform of u.
+    u_phys = inverse_transform(u) once and saves the transform of u.
     """
     grid = _check_shared_grid(u, w)
     t = tensor_product_spectra(u, w, u_phys)
@@ -513,9 +477,9 @@ def pressure_from_velocity(u, alpha):
     tensor_product_spectra lose |k|^2 T33 from the sum, so T33 is
     transformed by the same box transforms and added back."""
     grid = u.grid
-    a = dealiased_physical(u)
+    a = inverse_transform(u)
     t = tensor_product_spectra(u, u, a)
-    t33 = _forward(a[2:] * a[2:], grid, grid.box_shape)[0]
+    t33 = _forward(a[2:] * a[2:], grid)[0]
     k, kk, g = _bilinear_symbols(grid, alpha)
     v = _contract(t, k)
     p = 1j * g * (kk[0] * v[0] + kk[1] * v[1] + kk[2] * v[2] + t33)

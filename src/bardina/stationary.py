@@ -8,7 +8,7 @@ from itertools import count
 import numpy as np
 
 from .dynamics import damping_symbol, nonlinear_term
-from .spectral import VectorField, h1alpha_diff_sq, norms
+from .spectral import VectorField, _check_shared_grid, h1alpha_diff_sq, norms
 
 __all__ = [
     "StationaryResult",
@@ -38,11 +38,10 @@ class StationaryResult:
 
 
 def stationary_map(U, force, params):
-    """One application of the fixed-point operator T; a box field."""
-    if U.grid != force.grid:
-        raise ValueError("U and force do not share a grid")
-    rhs = force.box - nonlinear_term(U, params.alpha).hat
-    return VectorField(U.grid, rhs * (1.0 / damping_symbol(U.grid, params)))
+    """One application of the fixed-point operator T."""
+    grid = _check_shared_grid(U, force)
+    rhs = force.hat - nonlinear_term(U, params.alpha).hat
+    return VectorField(grid, rhs * (1.0 / damping_symbol(grid, params)))
 
 
 def solve_stationary(force, params, relaxation=1.0, tol=1e-12, max_iter=200):
@@ -87,6 +86,6 @@ def _finish(U, force, params, res, iterations, history):
 def stationary_residual_pde(U, force, params):
     """L2 norm of -nu Lap U + P div((U (x) U)_alpha) + beta U - f on the
     retained box, where the Galerkin steady state solves it."""
-    lin = damping_symbol(U.grid, params) * U.box
-    res = lin + nonlinear_term(U, params.alpha).hat - force.box
+    lin = damping_symbol(U.grid, params) * U.hat
+    res = lin + nonlinear_term(U, params.alpha).hat - force.hat
     return np.sqrt(norms(VectorField(U.grid, res), 0.0).l2_sq)

@@ -150,12 +150,15 @@ def full_transform_bilinear(u_hat, w_hat, grid, alpha):
 def random_band_full_spectrum(recipe, grid, alpha):
     """The random_band field built on the full (3, n, n, n) spectrum: both
     standard-normal draws, the band mask and Hermitian symmetrization of
-    every mode, then the package's Leray projection of the half spectrum and
-    its rescaling by the package's norm of the retained box (dealias), which
-    sums in the same order as the box construction it checks."""
+    every mode, then the package's Leray projection of the half spectrum (a
+    field on the fraction-1 grid of grid's n) and its rescaling by the
+    package's norm of its restriction to grid (dealias), which sums in the
+    same order as the box construction it checks."""
+    from dataclasses import replace
+
     from bardina.spectral import VectorField, dealias, leray_project, norms
 
-    n = grid.n
+    n, full = grid.n, replace(grid, dealias_fraction=1.0)
     rng = np.random.default_rng(recipe.seed)
     m = np.fft.fftfreq(n, 1.0 / n)
     mag = np.sqrt(m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, :] ** 2)
@@ -164,10 +167,10 @@ def random_band_full_spectrum(recipe, grid, alpha):
     coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * band
     mirrored = np.roll(np.flip(coeffs, axis=(1, 2, 3)), 1, axis=(1, 2, 3))  # m -> -m
     coeffs = 0.5 * (coeffs + np.conj(mirrored))
-    v = leray_project(VectorField(grid, np.ascontiguousarray(coeffs[..., : n // 2 + 1])))
-    current = norms(dealias(v), alpha).h1alpha_sq
+    v = leray_project(VectorField(full, np.ascontiguousarray(coeffs[..., : n // 2 + 1])))
+    current = norms(dealias(v, grid), alpha).h1alpha_sq
     if current > 0:
-        v = VectorField(grid, v.hat * (recipe.amplitude / np.sqrt(current)), div_free=True)
+        v = VectorField(full, v.hat * (recipe.amplitude / np.sqrt(current)), div_free=True)
     return v
 
 
@@ -187,10 +190,10 @@ def gram_schmidt_reference(fields, alpha):
 
 
 def hermitian_defect(field):
-    """Max |c(-m) - conj(c(m))| of a half-spectrum or box field relative to its
-    largest coefficient.  Only the planes m_z = 0 and m_z = n/2 (Parseval
-    weight 1) hold both m and -m; m -> -m on x and y is a flip and a shift by
-    one row, in the FFT ordering of either layout."""
+    """Max |c(-m) - conj(c(m))| of a field relative to its largest
+    coefficient.  Only the planes m_z = 0 and m_z = n/2 (Parseval weight 1)
+    hold both m and -m; m -> -m on x and y is a flip and a shift by one row,
+    in the FFT ordering of any grid's box."""
     hat, n = field.hat, field.grid.n
     planes = hat[..., np.arange(hat.shape[-1]) % (n // 2) == 0]
     flipped = np.roll(np.flip(planes, axis=(-3, -2)), 1, axis=(-3, -2))
@@ -199,9 +202,9 @@ def hermitian_defect(field):
 
 
 def r_inf_reference(u, U):
-    """max_x |u(x) - U(x)|: the difference u - U on the retained box, through
-    the package's inverse transform."""
+    """max_x |u(x) - U(x)|: the difference u - U, through the package's
+    inverse transform."""
     from bardina.spectral import VectorField, inverse_transform
 
-    d = inverse_transform(VectorField(u.grid, u.box - U.box))
+    d = inverse_transform(VectorField(u.grid, u.hat - U.hat))
     return np.sqrt(np.sum(d**2, axis=0)).max()

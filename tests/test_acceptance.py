@@ -8,6 +8,7 @@ before asserting, so the full verdict list survives in the test log.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bardina import (
     SimState,
     VectorField,
     absorbing_ball_entry,
+    dealias,
     decay_envelope_check,
     dimension_bound,
     energy_budget_residual,
@@ -42,9 +44,9 @@ from bardina import (
     zero_force_decay,
 )
 from bardina.cli import main as cli_main
-from bardina.spectral import half_spectrum, wavenumber_sq, wavevectors
+from bardina.spectral import half_spectrum, modes
 
-from conftest import random_field
+from conftest import half_hat, random_field
 from oracles import dealias_mask, oracle_linearized_transport, oracle_nonlinear
 
 
@@ -60,50 +62,54 @@ def _rel_err(got, expected):
 
 def _zero(grid):
     return VectorField(
-        grid, np.zeros((3,) + grid.half_shape, dtype=np.complex128), div_free=True
+        grid, np.zeros((3,) + grid.box_shape, dtype=np.complex128), div_free=True
     )
 
 
 def test_criterion_01_operator_oracles(grid8):
     alpha = 0.8
     params = PhysParams(alpha=alpha, beta=1.0, nu=0.5)
-    u = random_field(grid8, seed=300, amplitude=1.2)
-    w = random_field(grid8, seed=301, amplitude=0.9)
-    kx = wavevectors(grid8)
-    k = np.stack([kx[0], kx[1], kx[2]])
+    # fields with modes beyond grid8's cutoff 2, on the fraction-1 grid (whose
+    # box is the half spectrum); the kernel reads their restriction to grid8
+    full = replace(grid8, dealias_fraction=1.0)
+    u1 = random_field(full, seed=300, amplitude=1.2, k_max=3)
+    w1 = random_field(full, seed=301, amplitude=0.9, k_max=3)
+    u, w = dealias(u1, grid8), dealias(w1, grid8)
+    k = modes(full).k
     ksq = np.sum(k**2, axis=0)
 
     # filter: per-mode multiplier 1/(1 + alpha^2 |k|^2)
-    filt = helmholtz_filter(u, alpha)
-    expected_f = u.half / (1.0 + alpha**2 * ksq)
-    err_filter = _rel_err(filt.half, expected_f)
+    filt = helmholtz_filter(u1, alpha)
+    expected_f = u1.hat / (1.0 + alpha**2 * ksq)
+    err_filter = _rel_err(filt.hat, expected_f)
 
     # Leray: per-mode matrix I - k k^T / |k|^2 applied in a plain loop
-    raw = VectorField(grid8, random_field(grid8, seed=302).half + 0.3 * u.half)
+    raw = VectorField(full, random_field(full, seed=302).hat + 0.3 * u1.hat)
     proj = leray_project(raw)
     expected_p = np.empty_like(raw.hat)
-    for a, b, c in np.ndindex(grid8.half_shape):
+    for a, b, c in np.ndindex(full.box_shape):
         kv = np.array([k[0][a, b, c], k[1][a, b, c], k[2][a, b, c]])
         v = raw.hat[:, a, b, c]
         s = kv @ kv
         expected_p[:, a, b, c] = v if s == 0 else v - kv * (kv @ v) / s
     err_leray = _rel_err(proj.hat, expected_p)
 
-    # nonlinear term and linearized transport versus convolution sums
+    # nonlinear term and linearized transport versus convolution sums over
+    # the retained modes of the unrestricted fields: the kernel dealiases
+    # its inputs
     nl = nonlinear_term(u, alpha)
     err_nl = _rel_err(
         nl.coeffs,
-        oracle_nonlinear(u.coeffs, grid8.dealias_cutoff, grid8.box_len, alpha),
+        oracle_nonlinear(u1.coeffs, grid8.dealias_cutoff, grid8.box_len, alpha),
     )
     lin = linearized_rhs(w, u, params)
     transport = oracle_linearized_transport(
-        w.coeffs, u.coeffs, grid8.dealias_cutoff, grid8.box_len, alpha
+        w1.coeffs, u1.coeffs, grid8.dealias_cutoff, grid8.box_len, alpha
     )
     expected_l = (
-        half_spectrum(transport)
-        - (params.nu * wavenumber_sq(grid8) + params.beta) * w.half
+        half_spectrum(transport) - (params.nu * ksq + params.beta) * w1.hat
     ) * dealias_mask(grid8)
-    err_lin = _rel_err(lin.half, expected_l)
+    err_lin = _rel_err(half_hat(lin), expected_l)
 
     worst = max(err_filter, err_leray, err_nl, err_lin)
     _report(1, "operator-oracles", worst <= 1e-10)

@@ -345,9 +345,9 @@ class TestLyapunovLoop:
             stepped.append(state)
             return step(state, dt)
 
-        def record_check(state, dt, u_phys=None):
+        def record_check(state, dt):
             checked.append(state)
-            return check_cfl(state, dt, u_phys)
+            return check_cfl(state, dt)
 
         monkeypatch.setattr(bardina.dynamics, "step", record_step)
         monkeypatch.setattr(bardina.dynamics, "check_cfl", record_check)

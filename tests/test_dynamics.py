@@ -31,7 +31,7 @@ from bardina.dynamics import (
     _phi1,
     _phi2,
 )
-from bardina.spectral import dealias, dealiased_physical
+from bardina.spectral import dealias, h1alpha_diff_sq, inverse_transform
 
 from conftest import random_field
 from oracles import hermitian_defect, oracle_nonlinear
@@ -39,7 +39,7 @@ from oracles import hermitian_defect, oracle_nonlinear
 
 def zero_force(grid):
     return VectorField(
-        grid, np.zeros((3,) + grid.half_shape, dtype=np.complex128), div_free=True
+        grid, np.zeros((3,) + grid.box_shape, dtype=np.complex128), div_free=True
     )
 
 
@@ -118,7 +118,7 @@ class TestStep:
             step(st, 0.0)
 
     def test_blowup_detection(self, grid8, params):
-        coeffs = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
+        coeffs = np.zeros((3,) + grid8.box_shape, dtype=np.complex128)
         coeffs[0, 0, 0, 0] = np.nan
         bad = VectorField(grid8, coeffs)
         st = SimState(bad, 0.0, params, zero_force(grid8))
@@ -227,11 +227,11 @@ class TestStateSamples:
         u0 = random_field(grid8, seed=41, amplitude=0.5)
         f = random_field(grid8, seed=42, amplitude=0.2)
         for st in sampled_states(SimState(u0, 0.0, params, f), 0.05, 0.01, 2):
-            assert st.u_phys.tobytes() == dealiased_physical(st.u).tobytes()
+            assert st.u_phys.tobytes() == inverse_transform(st.u).tobytes()
 
     def test_step_drops_samples_and_ignores_who_formed_them(self, grid8, params):
-        u0 = dealias(random_field(grid8, seed=43, amplitude=0.5))
-        f = dealias(random_field(grid8, seed=44, amplitude=0.2))
+        u0 = random_field(grid8, seed=43, amplitude=0.5)
+        f = random_field(grid8, seed=44, amplitude=0.2)
         fresh, held = SimState(u0, 0.0, params, f), SimState(u0, 0.0, params, f)
         held.u_phys
         assert "u_phys" in vars(held) and "u_phys" not in vars(fresh)
@@ -245,8 +245,8 @@ class TestStateSamples:
         # n = 32: the samples (0.79 MB) are formed inside the traced window
         # on both sides, and step must free them as early as on a fresh state
         grid, p = GridSpec(32), PhysParams(alpha=1.0, beta=1.0, nu=0.1)
-        u0 = dealias(random_field(grid, seed=45, amplitude=0.3))
-        f = dealias(random_field(grid, seed=46, amplitude=0.05))
+        u0 = random_field(grid, seed=45, amplitude=0.3)
+        f = random_field(grid, seed=46, amplitude=0.05)
         step(SimState(u0, 0.0, p, f), 0.01)  # warm-up: symbols and work arrays
 
         def traced_peak(hold):
@@ -264,6 +264,34 @@ class TestStateSamples:
         # bytes between otherwise equal calls; samples kept through the
         # predictor would add 786 kB
         assert traced_peak(True) <= traced_peak(False) + 4096
+
+
+class TestGridMismatch:
+    """A velocity and a force on different grids are refused, naming both,
+    before any step; restricted to one grid, the run goes ahead."""
+
+    def test_sampled_states_refuses_two_grids(self, grid8, full8, params, monkeypatch):
+        u = random_field(full8, seed=47, amplitude=0.5)  # a v1 checkpoint's grid
+        f = random_field(grid8, seed=48, amplitude=0.2)
+        steps = []
+        monkeypatch.setattr(bardina.dynamics, "step", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match="do not share a grid") as info:
+            evolve(SimState(u, 0.0, params, f), 0.05, 0.01)
+        assert str(full8) in str(info.value) and str(grid8) in str(info.value)
+        assert steps == []
+        monkeypatch.undo()
+        final, traj = evolve(SimState(dealias(u, f.grid), 0.0, params, f), 0.05, 0.01)
+        assert final.u.grid == grid8 and len(traj.samples) == 6
+
+    def test_h1alpha_diff_sq_refuses_two_grids(self, grid8, full8):
+        u = random_field(full8, seed=49, k_max=3)
+        w = random_field(grid8, seed=50)
+        with pytest.raises(ValueError, match="do not share a grid") as info:
+            h1alpha_diff_sq(u, w, 1.0)
+        assert str(full8) in str(info.value) and str(grid8) in str(info.value)
+        r = dealias(u, w.grid)
+        expected = norms(VectorField(grid8, r.hat - w.hat), 1.0).h1alpha_sq
+        assert h1alpha_diff_sq(r, w, 1.0) == expected > 0
 
 
 class TestStepCount:

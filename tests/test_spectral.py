@@ -33,16 +33,13 @@ from bardina.spectral import (
     _bilinear_symbols,
     _blocks,
     bilinear,
-    dealiased_physical,
     full_spectrum,
     half_spectrum,
     mode_indices,
     modes,
-    wavenumber_sq,
-    wavevectors,
 )
 
-from conftest import random_field, random_scalar_samples
+from conftest import half_hat, random_field, random_scalar_samples
 from oracles import (
     dealias_mask,
     dft_oracle,
@@ -53,35 +50,39 @@ from oracles import (
 )
 
 
+FRACTIONS = [0.5, 2 / 3, 1.0]
+kernel_cases = settings(max_examples=12, deadline=None)
+
+
 class TestTransforms:
-    def test_zero_round_trip(self, grid8):
+    def test_zero_round_trip(self, full8):
         z = np.zeros((8, 8, 8))
-        f = forward_transform(z, grid8)
+        f = forward_transform(z, full8)
         assert np.all(f.coeffs == 0)
         assert np.all(inverse_transform(f) == 0)
 
-    def test_cosine_two_modes(self, grid8):
-        x = np.arange(8) * grid8.dx
+    def test_cosine_two_modes(self, full8):
+        x = np.arange(8) * full8.dx
         X = np.meshgrid(x, x, x, indexing="ij")[0]
-        f = forward_transform(np.cos(2 * np.pi * X / grid8.box_len), grid8)
+        f = forward_transform(np.cos(2 * np.pi * X / full8.box_len), full8)
         nz = np.abs(f.coeffs) > 1e-13
         assert nz.sum() == 2
         assert abs(f.coeffs[1, 0, 0] - 0.5) < 1e-13
         assert abs(f.coeffs[-1, 0, 0] - 0.5) < 1e-13
 
-    def test_matches_direct_dft(self, grid8):
+    def test_matches_direct_dft(self, full8):
         samples = random_scalar_samples(8, seed=1)
-        f = forward_transform(samples, grid8)
+        f = forward_transform(samples, full8)
         expected = dft_oracle(samples)
         assert np.abs(f.coeffs - expected).max() <= 1e-12
 
-    def test_round_trip_random(self, grid8):
+    def test_round_trip_random(self, full8):
         samples = random_scalar_samples(8, seed=2)
-        back = inverse_transform(forward_transform(samples, grid8))
+        back = inverse_transform(forward_transform(samples, full8))
         assert np.abs(back - samples).max() <= 1e-12
 
-    def test_inverse_matches_direct_idft(self, grid8):
-        f = forward_transform(random_scalar_samples(8, seed=3), grid8)
+    def test_inverse_matches_direct_idft(self, full8):
+        f = forward_transform(random_scalar_samples(8, seed=3), full8)
         direct = idft_oracle(f.coeffs)
         assert np.abs(inverse_transform(f) - np.real(direct)).max() <= 1e-12
 
@@ -93,15 +94,15 @@ class TestTransforms:
         with pytest.raises(ValueError):
             forward_transform(np.zeros((7, 7, 7)))
 
-    def test_hermitian_symmetry(self, grid8):
-        f = forward_transform(random_scalar_samples(8, seed=4), grid8)
+    def test_hermitian_symmetry(self, full8):
+        f = forward_transform(random_scalar_samples(8, seed=4), full8)
         assert hermitian_defect(f) <= 1e-12
 
 
 class TestHelmholtzFilter:
-    def test_constant_unchanged(self, grid8):
+    def test_constant_unchanged(self, full8):
         c = np.full((8, 8, 8), 3.7)
-        u = VectorField(grid8, np.stack([forward_transform(c, grid8).hat] * 3))
+        u = VectorField(full8, np.stack([forward_transform(c, full8).hat] * 3))
         out = helmholtz_filter(u, 2.0)
         assert np.abs(out.coeffs - u.coeffs).max() <= 1e-14
 
@@ -116,14 +117,14 @@ class TestHelmholtzFilter:
         out = helmholtz_filter(u, alpha)
         assert np.abs(out.coeffs[0] - 0.5 * field.coeffs).max() <= 1e-13
 
-    def test_per_mode_oracle(self, grid8):
-        u = random_field(grid8, seed=5)
+    def test_per_mode_oracle(self, full8):
+        u = random_field(full8, seed=5)
         alpha = 0.7
         out = helmholtz_filter(u, alpha)
-        k = wavevectors(grid8)
+        k = modes(full8).k
         ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
-        expected = u.half / (1.0 + alpha**2 * ksq)
-        assert np.abs(out.half - expected).max() <= 1e-12
+        expected = u.hat / (1.0 + alpha**2 * ksq)
+        assert np.abs(out.hat - expected).max() <= 1e-12
 
     def test_preserves_div_free(self, grid8):
         u = random_field(grid8, seed=6)
@@ -131,44 +132,44 @@ class TestHelmholtzFilter:
 
 
 class TestLerayProjection:
-    def test_annihilates_gradients(self, grid8):
-        x = np.arange(8) * grid8.dx
+    def test_annihilates_gradients(self, full8):
+        x = np.arange(8) * full8.dx
         X = np.meshgrid(x, x, x, indexing="ij")[0]
-        s = forward_transform(np.sin(2 * np.pi * X / grid8.box_len), grid8)
+        s = forward_transform(np.sin(2 * np.pi * X / full8.box_len), full8)
         g = gradient(s)
         out = leray_project(g)
         assert np.abs(out.coeffs).max() <= 1e-13
 
-    def test_fixes_shear(self, grid8):
-        x = np.arange(8) * grid8.dx
+    def test_fixes_shear(self, full8):
+        x = np.arange(8) * full8.dx
         Y = np.meshgrid(x, x, x, indexing="ij")[1]
-        u1 = forward_transform(np.sin(2 * np.pi * Y / grid8.box_len), grid8).hat
-        u = VectorField(grid8, np.stack([u1, 0 * u1, 0 * u1]))
+        u1 = forward_transform(np.sin(2 * np.pi * Y / full8.box_len), full8).hat
+        u = VectorField(full8, np.stack([u1, 0 * u1, 0 * u1]))
         out = leray_project(u)
         assert np.abs(out.coeffs - u.coeffs).max() <= 1e-13
 
-    def test_output_divergence_free(self, grid8):
+    def test_output_divergence_free(self, full8):
         rng = np.random.default_rng(11)
         raw = rng.standard_normal((3, 8, 8, 8))
         u = VectorField(
-            grid8, np.stack([forward_transform(raw[i], grid8).hat for i in range(3)])
+            full8, np.stack([forward_transform(raw[i], full8).hat for i in range(3)])
         )
         out = leray_project(u)
-        k = wavevectors(grid8)
+        k = modes(full8).k
         kdotu = np.abs(np.sum(k * out.hat, axis=0))
         assert kdotu.max() <= 1e-12
 
-    def test_componentwise_oracle(self, grid8):
+    def test_componentwise_oracle(self, full8):
         rng = np.random.default_rng(12)
         raw = rng.standard_normal((3, 8, 8, 8))
         u = VectorField(
-            grid8, np.stack([forward_transform(raw[i], grid8).hat for i in range(3)])
+            full8, np.stack([forward_transform(raw[i], full8).hat for i in range(3)])
         )
         out = leray_project(u)
-        k = wavevectors(grid8)
-        m = mode_indices(grid8)
+        k = modes(full8).k
+        m = mode_indices(full8)
         for trial in range(20):
-            idx = tuple(rng.integers(0, grid8.half_shape))
+            idx = tuple(rng.integers(0, full8.half_shape))
             kv = np.array([k[a][idx] for a in range(3)])
             uv = np.array([u.hat[a][idx] for a in range(3)])
             ksq = kv @ kv
@@ -176,26 +177,26 @@ class TestLerayProjection:
             got = np.array([out.hat[a][idx] for a in range(3)])
             assert np.abs(got - expect).max() <= 1e-12
 
-    def test_idempotent(self, grid8):
+    def test_idempotent(self, full8):
         rng = np.random.default_rng(13)
         raw = rng.standard_normal((3, 8, 8, 8))
         u = VectorField(
-            grid8, np.stack([forward_transform(raw[i], grid8).hat for i in range(3)])
+            full8, np.stack([forward_transform(raw[i], full8).hat for i in range(3)])
         )
         once = leray_project(u)
         twice = leray_project(once)
         assert np.abs(twice.coeffs - once.coeffs).max() <= 1e-13
 
-    def test_identity_on_div_free(self, grid8):
-        u = random_field(grid8, seed=14)
+    def test_identity_on_div_free(self, full8):
+        u = random_field(full8, seed=14)
         out = leray_project(u)
         assert np.abs(out.coeffs - u.coeffs).max() <= 1e-12
 
-    def test_commutes_with_filter(self, grid8):
+    def test_commutes_with_filter(self, full8):
         rng = np.random.default_rng(15)
         raw = rng.standard_normal((3, 8, 8, 8))
         u = VectorField(
-            grid8, np.stack([forward_transform(raw[i], grid8).hat for i in range(3)])
+            full8, np.stack([forward_transform(raw[i], full8).hat for i in range(3)])
         )
         a = helmholtz_filter(leray_project(u), 0.9)
         b = leray_project(helmholtz_filter(u, 0.9))
@@ -203,47 +204,48 @@ class TestLerayProjection:
 
 
 class TestDerivatives:
-    def test_laplacian_eigenfunction(self, grid8):
-        x = np.arange(8) * grid8.dx
+    def test_laplacian_eigenfunction(self, full8):
+        x = np.arange(8) * full8.dx
         X = np.meshgrid(x, x, x, indexing="ij")[0]
-        s = forward_transform(np.sin(2 * np.pi * X / grid8.box_len), grid8)
+        s = forward_transform(np.sin(2 * np.pi * X / full8.box_len), full8)
         out = laplacian(s)
-        expect = -((2 * np.pi / grid8.box_len) ** 2) * s.coeffs
+        expect = -((2 * np.pi / full8.box_len) ** 2) * s.coeffs
         assert np.abs(out.coeffs - expect).max() <= 1e-13
 
-    def test_div_grad_is_laplacian(self, grid8):
-        s = forward_transform(random_scalar_samples(8, seed=16), grid8)
+    def test_div_grad_is_laplacian(self, full8):
+        s = forward_transform(random_scalar_samples(8, seed=16), full8)
         a = divergence(gradient(s))
         b = laplacian(s)
         assert np.abs(a.coeffs - b.coeffs).max() <= 1e-12
 
-    def test_gradient_of_constant(self, grid8):
-        c = forward_transform(np.full((8, 8, 8), 2.5), grid8)
+    def test_gradient_of_constant(self, full8):
+        c = forward_transform(np.full((8, 8, 8), 2.5), full8)
         assert np.abs(gradient(c).coeffs).max() <= 1e-14
 
-    def test_div_after_leray_vanishes(self, grid8):
+    def test_div_after_leray_vanishes(self, full8):
         rng = np.random.default_rng(17)
         raw = rng.standard_normal((3, 8, 8, 8))
         u = VectorField(
-            grid8, np.stack([forward_transform(raw[i], grid8).hat for i in range(3)])
+            full8, np.stack([forward_transform(raw[i], full8).hat for i in range(3)])
         )
         d = divergence(leray_project(u))
         assert np.abs(d.coeffs).max() <= 1e-12
 
 
 class TestDealias:
-    def test_below_cutoff_unchanged(self, grid8):
-        u = random_field(grid8, seed=18, k_max=2)
-        out = dealias(u)
+    def test_below_cutoff_unchanged(self, grid8, full8):
+        u = random_field(full8, seed=18, k_max=2)
+        out = dealias(u, grid8)
+        assert out.grid == grid8
         assert np.abs(out.coeffs - u.coeffs).max() == 0.0
 
-    def test_single_high_mode_removed(self, grid8):
-        coeffs = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
+    def test_single_high_mode_removed(self, grid8, full8):
+        coeffs = np.zeros((3,) + full8.box_shape, dtype=np.complex128)
         coeffs[0, 3, 0, 0] = 1.0  # |m| = 3 > cutoff 2
-        out = dealias(VectorField(grid8, coeffs))
+        out = dealias(VectorField(full8, coeffs), grid8)
         assert np.abs(out.coeffs).max() == 0.0
 
-    def test_mask_matches_index_oracle(self, grid8):
+    def test_mask_matches_index_oracle(self, grid8, full8):
         m = mode_indices(grid8)
         cutoff = int(np.floor(grid8.dealias_fraction * grid8.n / 2))
         expected = np.zeros((8, 8, 8), dtype=bool)
@@ -254,13 +256,36 @@ class TestDealias:
                         abs(m[a]) <= cutoff and abs(m[b]) <= cutoff and abs(m[c]) <= cutoff
                     )
         assert np.array_equal(dealias_mask(grid8), half_spectrum(expected))
-        ones = VectorField(grid8, np.ones((3,) + grid8.half_shape, dtype=np.complex128))
-        assert np.array_equal(dealias(ones).half != 0, np.stack([dealias_mask(grid8)] * 3))
+        ones = VectorField(full8, np.ones((3,) + full8.box_shape, dtype=np.complex128))
+        kept = half_hat(dealias(ones, grid8)) != 0
+        assert np.array_equal(kept, np.stack([dealias_mask(grid8)] * 3))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @kernel_cases
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_restriction(self, n, fraction, seed):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        v = general_field(grid, seed)  # on the fraction-1 grid
+        r = dealias(v, grid)
+        assert np.array_equal(half_hat(r), half_hat(v) * dealias_mask(grid))
+        # 1 -> 2/3 -> 1/2 is 1 -> 1/2
+        mid, low = GridSpec(n, dealias_fraction=2 / 3), GridSpec(n, dealias_fraction=0.5)
+        assert dealias(dealias(v, mid), low).hat.tobytes() == dealias(v, low).hat.tobytes()
+        assert dealias(r, grid).hat is r.hat and dealias(v, v.grid).hat is v.hat
+        for other in (
+            GridSpec(n, dealias_fraction=1.0),  # a larger cutoff, unless grid's is n/2
+            GridSpec(n - 2, dealias_fraction=fraction),
+            GridSpec(n, box_len=1.0, dealias_fraction=fraction),
+        ):
+            if other != grid:
+                with pytest.raises(ValueError, match="does not restrict"):
+                    dealias(r, other)
 
 
 class TestNorms:
     def test_zero_field(self, grid8):
-        u = VectorField(grid8, np.zeros((3,) + grid8.half_shape, dtype=np.complex128))
+        u = VectorField(grid8, np.zeros((3,) + grid8.box_shape, dtype=np.complex128))
         nb = norms(u, 1.0)
         assert nb.l2_sq == nb.h1dot_sq == nb.h2dot_sq == nb.h1alpha_sq == 0.0
 
@@ -294,8 +319,8 @@ class TestNorms:
 
 class TestH1AlphaInner:
     def test_orthogonal_single_modes(self, grid8):
-        a = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
-        b = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
+        a = np.zeros((3,) + grid8.box_shape, dtype=np.complex128)
+        b = np.zeros((3,) + grid8.box_shape, dtype=np.complex128)
         a[0, 1, 0, 0] = a[0, -1, 0, 0] = 0.5
         b[0, 0, 2, 0] = b[0, 0, -2, 0] = 0.5
         va, vb = VectorField(grid8, a), VectorField(grid8, b)
@@ -335,7 +360,7 @@ class TestH1AlphaInner:
 
 class TestPressure:
     def test_zero_velocity(self, grid8):
-        u = VectorField(grid8, np.zeros((3,) + grid8.half_shape, dtype=np.complex128))
+        u = VectorField(grid8, np.zeros((3,) + grid8.box_shape, dtype=np.complex128))
         p = pressure_from_velocity(u, 1.0)
         assert np.abs(p.coeffs).max() == 0.0
 
@@ -348,23 +373,23 @@ class TestPressure:
         p = pressure_from_velocity(u, 1.0)
         assert np.abs(p.coeffs).max() <= 1e-13
 
-    def test_gradient_identity(self, grid8):
+    def test_gradient_identity(self, grid8, full8):
         # momentum balance: grad p = -(I - P) div((u (x) u)_alpha)
         u = random_field(grid8, seed=26)
         alpha = 0.9
         p = pressure_from_velocity(u, alpha)
         gp = gradient(p)
         phys = inverse_transform(u)
-        bessel = 1.0 / (1.0 + alpha**2 * wavenumber_sq(grid8))
-        k = wavevectors(grid8)
-        div = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
+        bessel = 1.0 / (1.0 + alpha**2 * modes(full8).ksq)
+        k = modes(full8).k
+        div = np.zeros((3,) + full8.box_shape, dtype=np.complex128)
         for i in range(3):
             for j in range(3):
-                tij = forward_transform(phys[i] * phys[j], grid8).hat * dealias_mask(grid8)
+                tij = forward_transform(phys[i] * phys[j], full8).hat * dealias_mask(grid8)
                 div[i] += 1j * k[j] * bessel * tij
-        full = VectorField(grid8, div)
+        full = VectorField(full8, div)
         complement = full.hat - leray_project(full).hat
-        assert np.abs(gp.half + complement).max() <= 1e-10
+        assert np.abs(half_hat(gp) + complement).max() <= 1e-10
 
 
 class TestGridSpec:
@@ -382,7 +407,7 @@ class TestGridSpec:
             GridSpec(8, dealias_fraction=1.5)
 
     def test_div_free_certificate_enforced(self, grid8):
-        coeffs = np.zeros((3,) + grid8.half_shape, dtype=np.complex128)
+        coeffs = np.zeros((3,) + grid8.box_shape, dtype=np.complex128)
         coeffs[0, 1, 0, 0] = 1.0  # k . u != 0 for this mode
         # a program defect, not an input error: not a ValueError
         assert not issubclass(CertificateError, ValueError)
@@ -398,9 +423,9 @@ class TestHalfSpectrum:
         assert np.abs(full_spectrum(half) - full).max() <= 1e-15
         assert np.array_equal(half_spectrum(full_spectrum(half)), half)
 
-    def test_matches_numpy_fftn(self, grid8):
+    def test_matches_numpy_fftn(self, full8):
         samples = random_scalar_samples(8, seed=28)
-        f = forward_transform(samples, grid8)
+        f = forward_transform(samples, full8)
         expected = np.fft.fftn(samples) / 8**3
         assert np.abs(f.coeffs - expected).max() <= 1e-15
         assert np.abs(f.hat - half_spectrum(expected)).max() <= 1e-15
@@ -414,15 +439,15 @@ class TestHalfSpectrum:
 
 class TestHermitianDefect:
     @pytest.mark.parametrize("plane", [0, 4])
-    def test_checks_self_conjugate_planes(self, grid8, plane):
-        f = forward_transform(random_scalar_samples(8, seed=30), grid8)
+    def test_checks_self_conjugate_planes(self, full8, plane):
+        f = forward_transform(random_scalar_samples(8, seed=30), full8)
         assert hermitian_defect(f) <= 1e-15
         bad = f.copy()
         bad.hat[1, 2, plane] += 0.5 * np.abs(f.hat).max()
         assert hermitian_defect(bad) >= 0.1
 
-    def test_other_planes_symmetric_by_layout(self, grid8):
-        f = forward_transform(random_scalar_samples(8, seed=31), grid8)
+    def test_other_planes_symmetric_by_layout(self, full8):
+        f = forward_transform(random_scalar_samples(8, seed=31), full8)
         other = f.copy()
         other.hat[1, 2, 1:4] += 0.3
         assert hermitian_defect(other) <= 1e-15
@@ -439,32 +464,30 @@ class TestBilinear:
         # nonlinearity: 2 B(u, w) = (N(u + w) - N(u - w)) / 2
         u = random_field(grid16, seed=34, amplitude=1.2, k_max=4)
         w = random_field(grid16, seed=35, amplitude=0.9, k_max=5)
-        lin = params.nu * wavenumber_sq(grid16) + params.beta
-        transport = -(linearized_rhs(w, u, params).half + lin * w.half)
+        lin = params.nu * modes(grid16).ksq + params.beta
+        transport = -(linearized_rhs(w, u, params).hat + lin * w.hat)
         plus = nonlinear_term(VectorField(grid16, u.hat + w.hat), params.alpha)
         minus = nonlinear_term(VectorField(grid16, u.hat - w.hat), params.alpha)
-        expected = 0.5 * (plus.half - minus.half)
+        expected = 0.5 * (plus.hat - minus.hat)
         assert np.abs(transport - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_precomputed_base_is_bitwise_equal(self, grid16):
         u = random_field(grid16, seed=36, amplitude=1.2, k_max=4)
         w = random_field(grid16, seed=37, amplitude=0.9, k_max=5)
         expected = bilinear(u, w, 0.6).hat
-        assert np.array_equal(bilinear(u, w, 0.6, dealiased_physical(u)).hat, expected)
+        assert np.array_equal(bilinear(u, w, 0.6, inverse_transform(u)).hat, expected)
 
 
 def general_field(grid, seed):
-    """A real field with every mode set: neither dealiased nor divergence-free."""
+    """A real field with every mode set, neither dealiased nor divergence-free:
+    on the fraction-1 grid of grid's n and box_len."""
     samples = np.random.default_rng(seed).standard_normal((3,) + (grid.n,) * 3)
-    return forward_transform(samples, grid)
-
-
-FRACTIONS = [0.5, 2 / 3, 1.0]
-kernel_cases = settings(max_examples=12, deadline=None)
+    return forward_transform(samples, replace(grid, dealias_fraction=1.0))
 
 
 class TestBoxKernel:
-    """The retained-box kernel against the full-transform formula."""
+    """The retained-box kernel against the full-transform formula, on fields
+    restricted from the fraction-1 grid."""
 
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("fraction", FRACTIONS)
@@ -473,11 +496,12 @@ class TestBoxKernel:
            same=st.booleans(), precomputed=st.booleans())
     def test_matches_full_transform(self, n, fraction, seed, alpha, same, precomputed):
         grid = GridSpec(n, dealias_fraction=fraction)
-        u = general_field(grid, seed)
-        w = u if same else general_field(grid, seed + 1)
-        u_phys = dealiased_physical(u) if precomputed else None
-        expected = full_transform_bilinear(u.hat, w.hat, grid, alpha)
-        got = bilinear(u, w, alpha, u_phys).half
+        u1 = general_field(grid, seed)
+        w1 = u1 if same else general_field(grid, seed + 1)
+        u, w = dealias(u1, grid), dealias(w1, grid)
+        u_phys = inverse_transform(u) if precomputed else None
+        expected = full_transform_bilinear(u1.hat, w1.hat, grid, alpha)
+        got = half_hat(bilinear(u, w, alpha, u_phys))
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -498,26 +522,26 @@ class TestBoxKernel:
         u = general_field(grid, seed)
         expected = sfft.irfftn(u.hat * dealias_mask(grid), s=(16,) * 3, axes=(-3, -2, -1),
                                norm="forward")
-        got = dealiased_physical(u)
+        got = inverse_transform(dealias(u, grid))
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_dealiased_physical_with_out_of_place_transform(self, grid16, monkeypatch):
         # overwrite_x permits, but does not promise, an in-place transform
-        u = general_field(grid16, 38)
-        expected = dealiased_physical(u)
+        u = dealias(general_field(grid16, 38), grid16)
+        expected = inverse_transform(u)
         ifftn = sfft.ifftn
         monkeypatch.setattr(sfft, "ifftn", lambda x, *a, **k: ifftn(x.copy(), *a, **k))
-        assert np.array_equal(dealiased_physical(u), expected)
+        assert np.array_equal(inverse_transform(u), expected)
 
     @pytest.mark.parametrize("fraction", FRACTIONS)
     @kernel_cases
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.1, 2.0))
     def test_zero_outside_box_and_symmetric(self, fraction, seed, alpha):
         grid = GridSpec(16, dealias_fraction=fraction)
-        u, w = general_field(grid, seed), general_field(grid, seed + 1)
+        u, w = (dealias(general_field(grid, s), grid) for s in (seed, seed + 1))
         b = bilinear(u, w, alpha)
         assert b.hat.shape == (3,) + grid.box_shape
-        assert np.all(b.half[:, ~dealias_mask(grid)] == 0)
+        assert np.all(half_hat(b)[:, ~dealias_mask(grid)] == 0)
         assert np.array_equal(b.hat, bilinear(w, u, alpha).hat)
 
 
@@ -527,22 +551,22 @@ class TestWorkArrays:
 
     @staticmethod
     def kernel_calls(grid, seed):
-        u, w = general_field(grid, seed), general_field(grid, seed + 1)
-        dealiased_physical(u)
+        u, w = (dealias(general_field(grid, s), grid) for s in (seed, seed + 1))
+        inverse_transform(u)
         inverse_transform(u.component(0))
         bilinear(u, w, 0.7)
-        nonlinear_term(dealias(w), 0.7)
+        nonlinear_term(w, 0.7)
         pressure_from_velocity(u, 0.7)
         forward_transform(inverse_transform(w), grid)
 
     @pytest.mark.parametrize("n, fraction", [(16, 2 / 3), (16, 1.0)])
     def test_results_survive_later_calls(self, n, fraction):
         grid = GridSpec(n, dealias_fraction=fraction)
-        u, w = general_field(grid, 70), general_field(grid, 71)
+        u, w = (dealias(general_field(grid, s), grid) for s in (70, 71))
         kept = [
-            dealiased_physical(u),
+            inverse_transform(u),
             bilinear(u, w, 0.7).hat,
-            bilinear(dealias(w), dealias(w), 0.7).hat,
+            bilinear(w, w, 0.7).hat,
             forward_transform(random_samples(n, 72, True, 0), grid).hat,
         ]
         before = [a.copy() for a in kept]
@@ -557,7 +581,7 @@ class TestWorkArrays:
         # their z transform 1.39 MB; the samples are freed before the
         # transform and the products live in the work array
         grid = GridSpec(32)
-        u, w = dealias(general_field(grid, 76)), dealias(general_field(grid, 77))
+        u, w = (dealias(general_field(grid, s), grid) for s in (76, 77))
         bilinear(u, w, 0.5)  # warm-up: symbols and work arrays
         tracemalloc.start()
         try:
@@ -569,14 +593,15 @@ class TestWorkArrays:
 
 
 def dealiased_layouts(grid, seed):
-    """A random dealiased field in the box layout, and the same field in the
-    half-spectrum layout."""
-    box = dealias(general_field(grid, seed))
-    return box, VectorField(grid, box.half)
+    """A random dealiased field on `grid`, and the same field on the
+    fraction-1 grid of its n, whose box is the half spectrum."""
+    box = dealias(general_field(grid, seed), grid)
+    return box, VectorField(replace(grid, dealias_fraction=1.0), half_hat(box))
 
 
 class TestLayouts:
-    """The box and half-spectrum layouts of dealiased fields."""
+    """One dealiased field on two grids of one n: its grid's box, and the
+    half spectrum of the fraction-1 grid."""
 
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("fraction", FRACTIONS)
@@ -587,7 +612,7 @@ class TestLayouts:
         box, half = dealiased_layouts(grid, seed)
         other_box, other_half = dealiased_layouts(grid, seed + 1)
         assert box.hat.shape == (3,) + grid.box_shape
-        assert half.box.tobytes() == box.hat.tobytes()  # box -> half -> box
+        assert dealias(half, grid).hat.tobytes() == box.hat.tobytes()  # box -> half -> box
 
         operators = [
             lambda v: helmholtz_filter(v, alpha),
@@ -597,9 +622,10 @@ class TestLayouts:
             laplacian,
         ]
         for op in operators:
+            # each per-mode operator commutes with restriction
             a, b = op(box), op(half)
-            assert a.hat.tobytes() == b.box.tobytes()
-            assert np.array_equal(a.half, b.hat)
+            assert a.hat.tobytes() == dealias(b, grid).hat.tobytes()
+            assert np.array_equal(half_hat(a), b.hat)
 
         def close(x, y, scale=None):
             return abs(x - y) <= 1e-15 * (abs(y) if scale is None else scale)
@@ -614,29 +640,28 @@ class TestLayouts:
 
         expected = sfft.irfftn(half.hat, s=(n,) * 3, axes=(-3, -2, -1), norm="forward")
         assert inverse_transform(box).tobytes() == expected.tobytes()
+        assert inverse_transform(half).tobytes() == expected.tobytes()
 
-    def test_mixed_layouts_meet_on_the_box(self, grid8):
+    def test_fields_on_two_grids_do_not_meet(self, grid8):
         box, half = dealiased_layouts(grid8, 39)
-        general = general_field(grid8, 40)
-        expected = h1alpha_inner(dealias(general), box, 0.7)
-        assert abs(h1alpha_inner(general, box, 0.7) - expected) <= 1e-15 * abs(expected)
-        assert abs(h1alpha_inner(general, half, 0.7) - expected) <= 1e-13 * abs(expected)
+        for v, w in ((box, half), (half, box)):
+            with pytest.raises(ValueError, match="do not share a grid"):
+                h1alpha_inner(v, w, 0.7)
+        assert h1alpha_inner(dealias(half, grid8), box, 0.7) == h1alpha_inner(box, box, 0.7)
 
 
 class TestCachedSymbols:
-    def test_in_place_write_raises(self, grid8):
+    def test_in_place_write_raises(self, grid8, full8):
         cached = [
             mode_indices(grid8),
-            wavevectors(grid8),
-            wavenumber_sq(grid8),
-            *modes(grid8, grid8.half_shape),
-            *modes(grid8, grid8.box_shape),
+            *modes(full8),
+            *modes(grid8),
             *_bilinear_symbols(grid8, 0.5),
         ]
         for a in cached:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1
-        assert wavenumber_sq(grid8)[0, 0, 0] == 0.0
+        assert modes(grid8).ksq[0, 0, 0] == 0.0
 
 
 def random_samples(n, seed, vector, log_scale):
@@ -659,9 +684,10 @@ class TestTransformPair:
     @given(**sample_args)
     def test_round_trip(self, n, seed, vector, log_scale):
         x = random_samples(n, seed, vector, log_scale)
-        f = forward_transform(x)
+        f = forward_transform(x, GridSpec(n, dealias_fraction=1.0))
         assert isinstance(f, VectorField) == vector
         assert np.abs(inverse_transform(f) - x).max() <= 1e-13 * np.abs(x).max()
+        assert forward_transform(x).grid == GridSpec(n)  # the default grid
 
     @pytest.mark.parametrize("n, exact", [(8, True), (16, True), (6, False), (12, False)])
     @samples_cases
@@ -669,7 +695,7 @@ class TestTransformPair:
     def test_forward_matches_rfftn(self, n, exact, seed, vector, log_scale):
         x = random_samples(n, seed, vector, log_scale)
         expected = sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")
-        got = forward_transform(x).hat
+        got = forward_transform(x, GridSpec(n, dealias_fraction=1.0)).hat
         if exact:
             assert got.tobytes() == expected.tobytes()
         else:
@@ -681,8 +707,8 @@ class TestTransformPair:
     @given(**sample_args)
     def test_inverse_of_dealiased_field(self, n, fraction, seed, vector, log_scale):
         grid = GridSpec(n, dealias_fraction=fraction)
-        box = dealias(forward_transform(random_samples(n, seed, vector, log_scale), grid))
-        half = replace(box, hat=box.half)
+        box = forward_transform(random_samples(n, seed, vector, log_scale), grid)
+        half = replace(box, grid=replace(grid, dealias_fraction=1.0), hat=half_hat(box))
         expected = sfft.irfftn(half.hat, s=(n,) * 3, axes=(-3, -2, -1), norm="forward")
         assert inverse_transform(box).tobytes() == expected.tobytes()
         assert inverse_transform(half).tobytes() == expected.tobytes()
@@ -692,9 +718,10 @@ class TestTransformPair:
     @given(**sample_args)
     def test_inverse_leaves_its_input(self, fraction, seed, vector, log_scale):
         grid = GridSpec(8, dealias_fraction=fraction)
-        half = forward_transform(random_samples(8, seed, vector, log_scale), grid)
+        full = GridSpec(8, dealias_fraction=1.0)
+        half = forward_transform(random_samples(8, seed, vector, log_scale), full)
         # at fraction 1 the box is the half spectrum
-        for f in (half, dealias(half)):
+        for f in (half, dealias(half, grid)):
             before = f.hat.copy()
             inverse_transform(f)
             assert f.hat.tobytes() == before.tobytes()
@@ -705,7 +732,7 @@ class TestTransformPair:
            alpha=st.floats(0.1, 2.0))
     def test_parseval(self, n, seed, log_scale, alpha):
         x = random_samples(n, seed, True, log_scale)
-        u = forward_transform(x)
+        u = forward_transform(x, GridSpec(n, dealias_fraction=1.0))
         expected = u.grid.dx**3 * np.sum(x**2)
         assert abs(norms(u, alpha).l2_sq - expected) <= 1e-13 * expected
 
@@ -716,12 +743,14 @@ class TestTransformPair:
            alpha=st.floats(0.1, 2.0))
     def test_symbol_algebra(self, n, fraction, seed, log_scale, alpha):
         grid = GridSpec(n, dealias_fraction=fraction)
-        half = forward_transform(random_samples(n, seed, True, log_scale), grid)
-        for v in (half, dealias(half)):
+        full = GridSpec(n, dealias_fraction=1.0)
+        half = forward_transform(random_samples(n, seed, True, log_scale), full)
+        for v in (half, dealias(half, grid)):
             scale = np.abs(v.hat).max()
             p = leray_project(v)
             assert np.abs(leray_project(p).hat - p.hat).max() <= 1e-15 * scale
-            assert dealias(dealias(v)).hat.tobytes() == dealias(v).hat.tobytes()
+            once = dealias(v, grid)
+            assert dealias(once, grid).hat.tobytes() == once.hat.tobytes()
             filtered_first = leray_project(helmholtz_filter(v, alpha)).hat
             assert np.abs(helmholtz_filter(p, alpha).hat - filtered_first).max() <= 1e-15 * scale
 

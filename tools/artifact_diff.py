@@ -10,9 +10,10 @@ one single-threaded process that imports bardina from that tree and calls
 bardina.cli.main in-process, as the benchmark's child processes do.
 
 The configs are stated once, in configs(): the benchmark's workload INIs
-(perfbench/workloads.py) at seeds 0 and 1, and the analytic initial fields
+(perfbench/workloads.py) at seeds 0 and 1, the analytic initial fields
 shear, taylor_green and abc at n = 16 under every subcommand, decay in both
-modes.
+modes, and abc at n = 16 with dealias_fraction 0.5 and 1.0 (where the box
+is the half spectrum) under every subcommand, decay in steady mode.
 
 For each config the report prints both exit codes, then, for each artifact
 but run_meta.json (which holds a timestamp): `identical`, or the largest
@@ -86,6 +87,12 @@ def configs():
                 name = f"{kind}-n16-{sub}" + (f"-{mode}" if sub == "decay" else "")
                 every = 1 if mode == "steady" else 2
                 out.append((name, sub, ANALYTIC_INI.format(kind=kind, every=every, mode=mode)))
+    for fraction in (0.5, 1.0):
+        for sub in SUBCOMMANDS:
+            mode = "steady" if sub == "decay" else "zero_force"
+            ini = ANALYTIC_INI.format(kind="abc", every=1 if sub == "decay" else 2, mode=mode)
+            ini = ini.replace("n = 16\n", f"n = 16\ndealias_fraction = {fraction}\n")
+            out.append((f"abc-n16-fraction{fraction:g}-{sub}", sub, ini))
     return out
 
 # Runs (name, argv) pairs through bardina.cli.main in one process and prints
