@@ -11,6 +11,7 @@ from .dynamics import SimState, _etd_weights, damping_symbol, sampled_states
 from .spectral import (
     CertificateError,
     VectorField,
+    _check_shared_grid,
     bilinear,
     h1alpha_diff_sq,
     h1alpha_inner,
@@ -120,10 +121,12 @@ def dimension_bound(params, f_norm):
 def linearized_rhs(w, u, params, u_phys=None, advection=None):
     """L(t, u0) w = -P(((w.grad)u + (u.grad)w)_alpha) + nu Lap w - beta w
     = -2 B(u, w) - (nu |k|^2 + beta) w on the retained box (a box field).
-    u_phys: see bilinear; advection: -2 B(u, w), when the caller has it."""
+    u_phys: see bilinear; advection: -2 B(u, w), when the caller has it.
+    ValueError if u and w are on different grids."""
+    grid = _check_shared_grid(u, w)
     if advection is None:
         advection = -2.0 * bilinear(u, w, params.alpha, u_phys).hat
-    return VectorField(u.grid, advection - damping_symbol(u.grid, params) * w.hat)
+    return VectorField(grid, advection - damping_symbol(grid, params) * w.hat)
 
 
 def frame_advection(frame, u, params, u_phys=None):

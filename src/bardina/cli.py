@@ -4,9 +4,10 @@ Usage: bardina <subcommand> --config <path> [--out <dir>]
 
 Exit codes: 0 success, 2 config error, 3 numerical blow-up,
 4 stationary non-convergence, 5 assertion/report failure,
-6 time step above the CFL cap.  A violated divergence certificate or a
-non-orthonormal Lyapunov frame (spectral.CertificateError) is a defect of
-the program and propagates.
+6 time step above the CFL cap, 7 a violated divergence certificate or a
+non-orthonormal Lyapunov frame (spectral.CertificateError, a defect of the
+program, not of its input).  Codes 3, 6 and 7 write blowup_report.json,
+cfl_report.json or certificate_report.json.
 """
 
 import argparse
@@ -46,7 +47,7 @@ from .dynamics import (
     step_count,
 )
 from .fields import FieldRecipe, generate
-from .spectral import VectorField, norms
+from .spectral import CertificateError, VectorField, norms
 from .stationary import NonConvergenceError, solve_stationary
 
 EXIT_OK = 0
@@ -55,6 +56,7 @@ EXIT_BLOWUP = 3
 EXIT_NONCONV = 4
 EXIT_CHECK = 5
 EXIT_CFL = 6
+EXIT_CERTIFICATE = 7
 
 
 def _fmt(x):
@@ -343,19 +345,17 @@ def main(argv=None):
     runner = Runner(cfg, args.out)
     try:
         code = COMMANDS[args.subcommand](runner)
-    except (BlowUpError, CFLError) as exc:
-        cfl = isinstance(exc, CFLError)
+    except (BlowUpError, CFLError, CertificateError) as exc:
+        if isinstance(exc, CFLError):
+            name, code, fields = "cfl", EXIT_CFL, {"time": exc.t, "dt": exc.dt, "cap": exc.cap}
+        elif isinstance(exc, BlowUpError):
+            name, code, fields = "blow_up", EXIT_BLOWUP, {"time": exc.t}
+        else:  # the solver broke its own invariant: no time to report
+            name, code, fields = "certificate", EXIT_CERTIFICATE, {}
         _write_json(
-            runner.path("cfl_report.json" if cfl else "blowup_report.json"),
-            {
-                "check_name": "cfl" if cfl else "blow_up",
-                "pass": False,
-                "time": exc.t,
-                "detail": str(exc),
-                **({"dt": exc.dt, "cap": exc.cap} if cfl else {}),
-            },
+            runner.path(name.replace("_", "") + "_report.json"),
+            {"check_name": name, "pass": False, "detail": str(exc), **fields},
         )
-        code = EXIT_CFL if cfl else EXIT_BLOWUP
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

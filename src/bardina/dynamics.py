@@ -182,10 +182,11 @@ def step(state, dt):
     """One ETD2RK step of the Galerkin system on the grid's retained box.
     The CFL check and N(u) read state.u_phys, which is then dropped
     from the input state.  Raises CFLError if dt exceeds the CFL cap of the
-    input state, BlowUpError on non-finite output."""
+    input state, BlowUpError on non-finite output, ValueError if the
+    velocity and the force are on different grids."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    grid = state.u.grid
+    grid = _check_shared_grid(state.u, state.force)
     alpha = state.params.alpha
     expz, w1, w2 = _etd_weights(grid, state.params, dt)
 

@@ -85,7 +85,9 @@ def _finish(U, force, params, res, iterations, history):
 
 def stationary_residual_pde(U, force, params):
     """L2 norm of -nu Lap U + P div((U (x) U)_alpha) + beta U - f on the
-    retained box, where the Galerkin steady state solves it."""
-    lin = damping_symbol(U.grid, params) * U.hat
+    retained box, where the Galerkin steady state solves it; ValueError if U
+    and the force are on different grids."""
+    grid = _check_shared_grid(U, force)
+    lin = damping_symbol(grid, params) * U.hat
     res = lin + nonlinear_term(U, params.alpha).hat - force.hat
-    return np.sqrt(norms(VectorField(U.grid, res), 0.0).l2_sq)
+    return np.sqrt(norms(VectorField(grid, res), 0.0).l2_sq)

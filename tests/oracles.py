@@ -6,9 +6,12 @@ package implementation.  Four former implementations are kept as references
 for their faster replacements: the full-transform bilinear kernel, the
 full-spectrum random_band construction (which reuses the package's Leray
 projection and norms, the part its replacement did not change), the
-modified Gram-Schmidt built from the package's norms and h1alpha_inner, and
-steady_convergence's r_inf through the transform of u - U.
+modified Gram-Schmidt built from the package's norms and h1alpha_inner,
+steady_convergence's r_inf through the transform of u - U, and the version 1
+checkpoint writer, which makes the files the version 1 reader is tested on.
 """
+
+import struct
 
 import numpy as np
 
@@ -208,3 +211,17 @@ def r_inf_reference(u, U):
 
     d = inverse_transform(VectorField(u.grid, u.hat - U.hat))
     return np.sqrt(np.sum(d**2, axis=0)).max()
+
+
+def write_checkpoint_v1(path, u, params, time):
+    """The version 1 checkpoint writer: the common header, then each
+    component's full spectrum (the package's coeffs) shifted to ascending
+    mode order and cast to complex64, streamed one component at a time."""
+    grid, p = u.grid, params
+    header = struct.pack(
+        "<4sIIddddd", b"BARD", 1, grid.n, grid.box_len, p.alpha, p.beta, p.nu, time
+    )
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for i in range(3):
+            fh.write(np.fft.fftshift(u.component(i).coeffs).astype("<c8"))

@@ -7,6 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from bardina import GridSpec, PhysParams
+from bardina.checkpoint import write_checkpoint
+
+from conftest import random_field
+from oracles import write_checkpoint_v1
+
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("artifact_diff", ROOT / "tools" / "artifact_diff.py")
 artifact_diff = importlib.util.module_from_spec(spec)
@@ -72,3 +78,44 @@ def test_changed_csv_cell_reported_by_column(self_diff, tmp_path):
     assert math.isclose(dev["l2_sq"], float(rows[3][col]) / (1 + 1e-9) * 1e-9 / largest,
                         rel_tol=1e-3)
     assert report["simulate_report.json"] == {}
+
+
+@pytest.fixture
+def checkpoint_dirs(tmp_path):
+    """base/ and head/ output directories for one field's checkpoints."""
+    grid, params = GridSpec(16), PhysParams(alpha=0.7, beta=1.3, nu=0.05, eta_c=2.0)
+    u = random_field(grid, seed=170, k_max=grid.dealias_cutoff)
+    dirs = tmp_path / "base", tmp_path / "head"
+
+    def write(*writers):
+        for d, writer in zip(dirs, writers):
+            d.mkdir(exist_ok=True)
+            writer(d / "final_state.bard", u, params, 0.75)
+        return dict(artifact_diff.compare_dirs(*dirs))["final_state.bard"]
+
+    return write
+
+
+def test_checkpoint_versions_decoded_to_their_coefficients(checkpoint_dirs):
+    # version 1 holds complex64 and no eta_c or fraction; version 2 the box in complex128
+    dev = checkpoint_dirs(write_checkpoint_v1, write_checkpoint)
+    assert set(dev) == {"coeffs", "n", "box_len", "time", "alpha", "beta", "nu"}
+    assert 0 < dev["coeffs"] <= 2**-24
+    assert all(v == 0 for k, v in dev.items() if k != "coeffs")
+
+
+def test_identical_v2_checkpoints(checkpoint_dirs, tmp_path):
+    assert checkpoint_dirs(write_checkpoint, write_checkpoint) == {}
+    a, b = tmp_path / "base" / "final_state.bard", tmp_path / "head" / "final_state.bard"
+    dev = artifact_diff.bard_deviations(a, b)
+    assert set(dev) == {"coeffs", "n", "box_len", "time", "alpha", "beta", "nu",
+                        "eta_c", "dealias_fraction"}
+    assert max(dev.values()) == 0
+
+
+def test_undecodable_checkpoint_is_an_infinite_deviation(checkpoint_dirs, tmp_path):
+    checkpoint_dirs(write_checkpoint, write_checkpoint)
+    head = tmp_path / "head" / "final_state.bard"
+    head.write_bytes(head.read_bytes()[:-1])
+    assert artifact_diff.bard_deviations(tmp_path / "base" / "final_state.bard", head) == {
+        "<layout>": math.inf}

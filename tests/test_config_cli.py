@@ -15,6 +15,7 @@ from bardina.attractor import OrthoFrame, lyapunov_sum, lyapunov_sum_bound, tran
 from bardina.checkpoint import STEADY_STATE_TIME, read_checkpoint
 from bardina.cli import (
     EXIT_BLOWUP,
+    EXIT_CERTIFICATE,
     EXIT_CFL,
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -26,7 +27,7 @@ from bardina.cli import (
 from bardina.config import ConfigError, RunConfig, load_config, parse_config
 from bardina.dynamics import BlowUpError, SimState, evolve
 from bardina.fields import KINDS, FieldRecipe, generate
-from bardina.spectral import CertificateError, GridSpec, PhysParams, VectorField, bilinear
+from bardina.spectral import GridSpec, PhysParams, VectorField, bilinear
 
 BASE_INI = """\
 [grid]
@@ -498,8 +499,7 @@ class TestCliErrors:
             return VectorField(u.grid, hat)
 
         monkeypatch.setattr(bardina.dynamics, "bilinear", non_solenoidal)
-        with pytest.raises(CertificateError):
-            run_cli(tmp_path, "simulate", BASE_INI)
+        assert_certificate_report(*run_cli(tmp_path, "simulate", BASE_INI), "div_free")
 
     def test_non_orthonormal_frame_is_not_a_config_error(self, tmp_path, monkeypatch):
         def stretched(frame, state_u, params, dt, n_steps, *rest):
@@ -507,8 +507,33 @@ class TestCliErrors:
             return OrthoFrame(fields, frame.alpha)
 
         monkeypatch.setattr(bardina.cli, "transport_frame", stretched)
-        with pytest.raises(CertificateError):
-            run_cli(tmp_path, "lyapunov", BASE_INI + "[lyapunov]\nm_list = 1 2\n")
+        code, out = run_cli(tmp_path, "lyapunov", BASE_INI + "[lyapunov]\nm_list = 1 2\n")
+        assert_certificate_report(code, out, "orthonormal")
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "gap", "decay", "lyapunov"])
+    def test_divergent_initial_field_ends_with_a_certificate_report(
+        self, tmp_path, monkeypatch, subcommand
+    ):
+        # a generator that hands the run a divergent field: the first step's
+        # output fails its certificate
+        def divergent(recipe, grid, alpha):
+            hat = np.zeros((3,) + grid.box_shape, dtype=np.complex128)
+            hat[0, 1, 0, 0] = hat[0, -1, 0, 0] = 0.1  # u = (0.2 cos x, 0, 0)
+            return VectorField(grid, hat)
+
+        monkeypatch.setattr(bardina.cli, "generate", divergent)
+        code, out = run_cli(tmp_path, subcommand, BASE_INI + "[lyapunov]\nm_list = 1\n")
+        assert_certificate_report(code, out, "div_free")
+
+
+def assert_certificate_report(code, out, detail):
+    """The run ended with exit code 7 and a listed certificate_report.json."""
+    assert code == EXIT_CERTIFICATE
+    report = json.loads((out / "certificate_report.json").read_text())
+    assert report == {"check_name": "certificate", "pass": False, "detail": report["detail"]}
+    assert detail in report["detail"]
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert "certificate_report.json" in meta["artifacts"]
 
     @pytest.mark.parametrize("m", [12, 13])
     def test_frame_beyond_its_band_is_a_config_error(self, tmp_path, m):

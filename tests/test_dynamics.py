@@ -31,7 +31,9 @@ from bardina.dynamics import (
     _phi1,
     _phi2,
 )
+from bardina.attractor import linearized_rhs
 from bardina.spectral import dealias, h1alpha_diff_sq, inverse_transform
+from bardina.stationary import stationary_residual_pde
 
 from conftest import random_field
 from oracles import hermitian_defect, oracle_nonlinear
@@ -292,6 +294,33 @@ class TestGridMismatch:
         r = dealias(u, w.grid)
         expected = norms(VectorField(grid8, r.hat - w.hat), 1.0).h1alpha_sq
         assert h1alpha_diff_sq(r, w, 1.0) == expected > 0
+
+    # called directly, without sampled_states' check: the same typed refusal,
+    # not a numpy broadcast error
+    def test_step_refuses_two_grids(self, grid8, full8, params):
+        u = random_field(full8, seed=51, amplitude=0.5)
+        f = random_field(grid8, seed=52, amplitude=0.2)
+        with pytest.raises(ValueError, match="do not share a grid") as info:
+            step(SimState(u, 0.0, params, f), 0.01)
+        assert str(full8) in str(info.value) and str(grid8) in str(info.value)
+        assert step(SimState(dealias(u, grid8), 0.0, params, f), 0.01).u.grid == grid8
+
+    def test_stationary_residual_pde_refuses_two_grids(self, grid8, full8, params):
+        U = random_field(full8, seed=53, amplitude=0.5)
+        f = random_field(grid8, seed=54, amplitude=0.2)
+        with pytest.raises(ValueError, match="do not share a grid") as info:
+            stationary_residual_pde(U, f, params)
+        assert str(full8) in str(info.value) and str(grid8) in str(info.value)
+        assert stationary_residual_pde(dealias(U, grid8), f, params) > 0
+
+    def test_linearized_rhs_with_advection_refuses_two_grids(self, grid8, full8, params):
+        u = random_field(grid8, seed=55, amplitude=0.5)
+        w = random_field(full8, seed=56)
+        advection = np.zeros((3,) + grid8.box_shape, dtype=complex)
+        with pytest.raises(ValueError, match="do not share a grid") as info:
+            linearized_rhs(w, u, params, advection=advection)
+        assert str(full8) in str(info.value) and str(grid8) in str(info.value)
+        assert linearized_rhs(dealias(w, grid8), u, params, advection=advection).grid == grid8
 
 
 class TestStepCount:

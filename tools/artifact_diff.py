@@ -18,9 +18,15 @@ is the half spectrum) under every subcommand, decay in steady mode.
 For each config the report prints both exit codes, then, for each artifact
 but run_meta.json (which holds a timestamp): `identical`, or the largest
 relative deviation of each CSV column (|delta| over the column's largest
-magnitude) and of each JSON number (over its own magnitude).  A binary
-artifact that differs, a changed header, row count, string or JSON layout
-counts as an infinite deviation.  The exit status is 1 when an exit code
+magnitude), of each JSON number (over its own magnitude) and of each
+checkpoint.  Both sides of a .bard are decoded with the working tree's
+bardina.checkpoint.read_checkpoint, which reads versions 1 and 2: the
+deviation of the coefficients is the largest |delta c| of the full spectra
+over the largest |c|, that of each header number (n, box_len, alpha, beta,
+nu, time; eta_c and dealias_fraction only when both files are version 2,
+as version 1 does not store them) is relative to its own magnitude.  Any
+other binary artifact that differs, a file that does not decode, a changed
+header, row count, string or JSON layout counts as an infinite deviation.  The exit status is 1 when an exit code
 differs, an artifact is missing on one side, or a deviation exceeds --rtol
 (default 0: any difference counts).
 """
@@ -32,6 +38,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tarfile
@@ -207,6 +214,34 @@ def json_deviations(a_text, b_text):
     return out
 
 
+def bard_deviations(path_a, path_b):
+    """{"coeffs": largest |c_a - c_b| over the largest |c_a|, header number:
+    |a - b| over max(|a|, |b|)} of two checkpoints, decoded with the working
+    tree's reader; a file that does not decode or another n is {"<layout>": inf}."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from bardina.checkpoint import read_checkpoint
+
+    try:
+        (ua, pa, ta), (ub, pb, tb) = read_checkpoint(path_a), read_checkpoint(path_b)
+    except ValueError:
+        return {"<layout>": math.inf}
+    if ua.grid.n != ub.grid.n:
+        return {"<layout>": math.inf}
+    ca, cb = ua.coeffs, ub.coeffs
+    scale = float(abs(ca).max())
+    out = {"coeffs": _rel(0.0, float(abs(ca - cb).max()), scale)}
+    headers = [("n", ua.grid.n, ub.grid.n), ("box_len", ua.grid.box_len, ub.grid.box_len),
+               ("time", ta, tb)]
+    headers += [(k, getattr(pa, k), getattr(pb, k)) for k in ("alpha", "beta", "nu")]
+    if all(struct.unpack_from("<I", p.read_bytes(), 4)[0] == 2 for p in (path_a, path_b)):
+        headers += [("eta_c", pa.eta_c, pb.eta_c),
+                    ("dealias_fraction", ua.grid.dealias_fraction, ub.grid.dealias_fraction)]
+    for key, x, y in headers:
+        out[key] = _rel(x, y, max(abs(x), abs(y)))
+    return out
+
+
 def compare_dirs(a, b):
     """[(artifact, deviations or None when missing on one side)] for the
     artifacts of two output directories; deviations is {} when identical."""
@@ -224,6 +259,8 @@ def compare_dirs(a, b):
             out.append((name, csv_deviations(xa.decode(), xb.decode())))
         elif name.endswith(".json"):
             out.append((name, json_deviations(xa.decode(), xb.decode())))
+        elif name.endswith(".bard"):
+            out.append((name, bard_deviations(pa, pb)))
         else:
             out.append((name, {"<bytes>": math.inf}))
     return out
