@@ -38,15 +38,8 @@ import zlib
 
 import numpy as np
 
-from .spectral import (
-    DIV_FREE_TOL,
-    GridSpec,
-    PhysParams,
-    VectorField,
-    _reverse_modes,
-    half_spectrum,
-    modes,
-)
+from .spectral import DIV_FREE_TOL, GridSpec, PhysParams, VectorField
+from .spectral import _reverse_modes, half_spectrum, modes
 
 __all__ = ["write_checkpoint", "read_checkpoint", "STEADY_STATE_TIME"]
 

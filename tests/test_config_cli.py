@@ -231,6 +231,16 @@ def run_cli(tmp_path, subcommand, ini, out_name="out"):
     return code, out
 
 
+def assert_certificate_report(code, out, detail):
+    """The run ended with exit code 7 and a listed certificate_report.json."""
+    assert code == EXIT_CERTIFICATE
+    report = json.loads((out / "certificate_report.json").read_text())
+    assert report == {"check_name": "certificate", "pass": False, "detail": report["detail"]}
+    assert detail in report["detail"]
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert "certificate_report.json" in meta["artifacts"]
+
+
 class TestCliSubcommands:
     def test_simulate(self, tmp_path):
         code, out = run_cli(tmp_path, "simulate", BASE_INI)
@@ -524,16 +534,6 @@ class TestCliErrors:
         monkeypatch.setattr(bardina.cli, "generate", divergent)
         code, out = run_cli(tmp_path, subcommand, BASE_INI + "[lyapunov]\nm_list = 1\n")
         assert_certificate_report(code, out, "div_free")
-
-
-def assert_certificate_report(code, out, detail):
-    """The run ended with exit code 7 and a listed certificate_report.json."""
-    assert code == EXIT_CERTIFICATE
-    report = json.loads((out / "certificate_report.json").read_text())
-    assert report == {"check_name": "certificate", "pass": False, "detail": report["detail"]}
-    assert detail in report["detail"]
-    meta = json.loads((out / "run_meta.json").read_text())
-    assert "certificate_report.json" in meta["artifacts"]
 
     @pytest.mark.parametrize("m", [12, 13])
     def test_frame_beyond_its_band_is_a_config_error(self, tmp_path, m):
