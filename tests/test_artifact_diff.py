@@ -99,7 +99,7 @@ def checkpoint_dirs(tmp_path):
 def test_checkpoint_versions_decoded_to_their_coefficients(checkpoint_dirs):
     # version 1 holds complex64 and no eta_c or fraction; version 2 the box in complex128
     dev = checkpoint_dirs(write_checkpoint_v1, write_checkpoint)
-    assert set(dev) == {"coeffs", "n", "box_len", "time", "alpha", "beta", "nu"}
+    assert set(dev) == {"coeffs", "box_len", "time", "alpha", "beta", "nu"}
     assert 0 < dev["coeffs"] <= 2**-24
     assert all(v == 0 for k, v in dev.items() if k != "coeffs")
 
@@ -108,7 +108,7 @@ def test_identical_v2_checkpoints(checkpoint_dirs, tmp_path):
     assert checkpoint_dirs(write_checkpoint, write_checkpoint) == {}
     a, b = tmp_path / "base" / "final_state.bard", tmp_path / "head" / "final_state.bard"
     dev = artifact_diff.bard_deviations(a, b)
-    assert set(dev) == {"coeffs", "n", "box_len", "time", "alpha", "beta", "nu",
+    assert set(dev) == {"coeffs", "box_len", "time", "alpha", "beta", "nu",
                         "eta_c", "dealias_fraction"}
     assert max(dev.values()) == 0
 

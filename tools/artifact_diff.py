@@ -22,13 +22,14 @@ magnitude), of each JSON number (over its own magnitude) and of each
 checkpoint.  Both sides of a .bard are decoded with the working tree's
 bardina.checkpoint.read_checkpoint, which reads versions 1 and 2: the
 deviation of the coefficients is the largest |delta c| of the full spectra
-over the largest |c|, that of each header number (n, box_len, alpha, beta,
-nu, time; eta_c and dealias_fraction only when both files are version 2,
-as version 1 does not store them) is relative to its own magnitude.  Any
-other binary artifact that differs, a file that does not decode, a changed
-header, row count, string or JSON layout counts as an infinite deviation.  The exit status is 1 when an exit code
-differs, an artifact is missing on one side, or a deviation exceeds --rtol
-(default 0: any difference counts).
+over the largest |c|, that of each header number (box_len, alpha, beta, nu,
+time; eta_c and dealias_fraction only when both files are version 2, as
+version 1 does not store them) is relative to its own magnitude.  Any other
+binary artifact that differs, a checkpoint that does not decode or holds
+another n, a changed header, row count, string or JSON layout counts as an
+infinite deviation.  The exit status is 1 when an exit code differs, an
+artifact is missing on one side, or a deviation exceeds --rtol (default 0:
+any difference counts).
 """
 
 import argparse
@@ -231,8 +232,7 @@ def bard_deviations(path_a, path_b):
     ca, cb = ua.coeffs, ub.coeffs
     scale = float(abs(ca).max())
     out = {"coeffs": _rel(0.0, float(abs(ca - cb).max()), scale)}
-    headers = [("n", ua.grid.n, ub.grid.n), ("box_len", ua.grid.box_len, ub.grid.box_len),
-               ("time", ta, tb)]
+    headers = [("box_len", ua.grid.box_len, ub.grid.box_len), ("time", ta, tb)]
     headers += [(k, getattr(pa, k), getattr(pb, k)) for k in ("alpha", "beta", "nu")]
     if all(struct.unpack_from("<I", p.read_bytes(), 4)[0] == 2 for p in (path_a, path_b)):
         headers += [("eta_c", pa.eta_c, pb.eta_c),
