@@ -46,9 +46,9 @@ from .attractor import (
     lieb_thirring_constant,
     dimension_bound,
     linearized_rhs,
-    lyapunov_sum,
     lyapunov_sum_bound,
     orthonormalize,
+    transport_frame,
     trajectory_gap,
     steady_convergence,
     zero_force_decay,

@@ -1,6 +1,6 @@
 """Explicit attractor diagnostics: the eta(beta) regime quantity, contraction
-and convergence checks, zero-force decay envelopes, Lyapunov sums for the
-linearized flow, and the closed-form fractal-dimension bound."""
+and convergence checks, zero-force decay envelopes, Lyapunov sums and frame
+transport for the linearized flow, and the closed-form fractal-dimension bound."""
 
 import math
 from dataclasses import dataclass, field
@@ -28,8 +28,6 @@ __all__ = [
     "lieb_thirring_constant",
     "dimension_bound",
     "linearized_rhs",
-    "frame_advection",
-    "lyapunov_sum",
     "lyapunov_sum_bound",
     "orthonormalize",
     "transport_frame",
@@ -118,38 +116,13 @@ def dimension_bound(params, f_norm):
     return DimensionBound(c_lt, c_abn, bound)
 
 
-def linearized_rhs(w, u, params, u_phys=None, advection=None):
+def linearized_rhs(w, u, params):
     """L(t, u0) w = -P(((w.grad)u + (u.grad)w)_alpha) + nu Lap w - beta w
     = -2 B(u, w) - (nu |k|^2 + beta) w on the retained box (a box field).
-    u_phys: see bilinear; advection: -2 B(u, w), when the caller has it.
     ValueError if u and w are on different grids."""
     grid = _check_shared_grid(u, w)
-    if advection is None:
-        advection = -2.0 * bilinear(u, w, params.alpha, u_phys).hat
+    advection = -2.0 * bilinear(u, w, params.alpha).hat
     return VectorField(grid, advection - damping_symbol(grid, params) * w.hat)
-
-
-def frame_advection(frame, u, params, u_phys=None):
-    """-2 B(u, w_i), the transport part of L(t, u0) w_i, for each frame field
-    w_i: one kernel call each, for lyapunov_sum and transport_frame to share."""
-    return [-2.0 * bilinear(u, w, params.alpha, u_phys).hat for w in frame.fields]
-
-
-def lyapunov_sum(frame, u, params, advection=None):
-    """Sum over the frame of [L(t,u0) w_i, w_i]_alpha.  advection:
-    frame_advection(frame, u, params), when the caller has it.  The frames
-    this program builds are orthonormal, so a frame that is not raises
-    CertificateError."""
-    defect = frame.gram_defect()
-    if defect > GRAM_TOL:
-        raise CertificateError(f"frame is not orthonormal (Gram deviation {defect:.3e})")
-    if advection is None:
-        advection = frame_advection(frame, u, params)
-    total = 0.0
-    for w, adv in zip(frame.fields, advection):
-        lw = linearized_rhs(w, u, params, advection=adv)
-        total += h1alpha_inner(lw, w, params.alpha)
-    return total
 
 
 def lyapunov_sum_bound(m, u, params):
@@ -165,21 +138,32 @@ def lyapunov_sum_bound(m, u, params):
     )
 
 
-def transport_frame(frame, state_u, params, dt, n_steps, advection, u_phys=None):
-    """Advance frame fields with the linearized flow (exponential Euler on the
-    frozen base state), then re-orthonormalize in the energy inner product.
-    advection: frame_advection(frame, state_u, params), the first step's
-    transport terms; u_phys: see bilinear."""
-    grid = state_u.grid
-    expz, w1, _ = _etd_weights(grid, params, dt)
-    evolved = []
-    for w, nl in zip(frame.fields, advection):
+def transport_frame(frame, state, dt, n_steps):
+    """The frame's Lyapunov sum at the state, sum_i [L(t, u0) w_i, w_i]_alpha,
+    and the frame moved n_steps exponential-Euler steps of dt by the flow
+    linearized about the frozen state and re-orthonormalized (the frame
+    itself when n_steps is 0): (frame, sum).  Each -2 B(u, w_i) is formed
+    once, with state.u_phys, for the sum and the first step.
+    CertificateError if the frame is not orthonormal, as every frame this
+    program builds is; ValueError if it is not on the state's grid."""
+    defect = frame.gram_defect()
+    if not defect <= GRAM_TOL:
+        raise CertificateError(f"frame is not orthonormal (Gram deviation {defect:.3e})")
+    u, p = state.u, state.params
+    grid = _check_shared_grid(u, *frame.fields)
+    damping = damping_symbol(grid, p)
+    expz, w1, _ = _etd_weights(grid, p, dt)
+    total, evolved = 0.0, []
+    for w in frame.fields:
+        nl = -2.0 * bilinear(u, w, p.alpha, state.u_phys).hat
+        total += h1alpha_inner(VectorField(grid, nl - damping * w.hat), w, p.alpha)
         for k in range(n_steps):
             # transport part only; expz treats the linear decay exactly
-            nl = nl if k == 0 else -2.0 * bilinear(state_u, w, params.alpha, u_phys).hat
+            if k:
+                nl = -2.0 * bilinear(u, w, p.alpha, state.u_phys).hat
             w = VectorField(grid, expz * w.hat + w1 * nl)
         evolved.append(w)
-    return orthonormalize(evolved, params.alpha)
+    return (orthonormalize(evolved, p.alpha) if n_steps else frame), total
 
 
 def orthonormalize(fields, alpha):

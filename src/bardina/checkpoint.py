@@ -19,18 +19,19 @@ and the body: the field's own hat, 3 * prod(grid.box_shape) complex128
 values in row-major order of its box (FFT ordering, see bardina.spectral),
 in one write with no other copy.  The reader returns the field bit for bit
 on GridSpec(n, L, dealias_fraction), with PhysParams(alpha, beta, nu,
-eta_c).  It refuses with ValueError a body of the wrong length, a CRC
-mismatch, an invalid grid, a field that is not real (a self-paired plane,
-m_z = 0 or m_z = n/2 where the box holds it, off c(-m) = conj(c(m)) by more
-than HERMITIAN_TOL of the largest coefficient, where round-off leaves 1e-16
-or less) and a divergence defect above spectral.DIV_FREE_TOL.
+eta_c).  It refuses with ValueError a body of the wrong length, a
+non-finite coefficient, a CRC mismatch, an invalid grid, a field that is
+not real (a self-paired plane, m_z = 0 or m_z = n/2 where the box holds
+it, off c(-m) = conj(c(m)) by more than HERMITIAN_TOL of the largest
+coefficient, where round-off leaves 1e-16 or less) and a divergence defect
+above spectral.DIV_FREE_TOL.
 
 Version 1 is read only: after the common header, 3 * n^3 complex64 values in
 row-major order of the mode index m (each axis sorted ascending from -n/2 to
 n/2 - 1).  The reader returns the field on the grid of dealias_fraction 1,
 whose box is the half spectrum, so no stored mode is dropped, with the
-default eta_c; it checks the field is real and divergence-free in complex64
-first.  A run restricts it to its own grid with spectral.dealias.
+default eta_c; it checks the field is finite, real and divergence-free in
+complex64 first.  A run restricts it to its own grid with spectral.dealias.
 """
 
 import struct
@@ -72,13 +73,16 @@ def _unpack(layout, fh):
 
 
 def _coefficients(body, shape, dtype):
-    """The body's values as a new complex128 array of `shape`."""
+    """The body's values as a new complex128 array of `shape`, all finite."""
     count, size = int(np.prod(shape)), np.dtype(dtype).itemsize
     if len(body) != count * size:
         raise ValueError(
             f"checkpoint body holds {len(body)} bytes, expected {count} coefficients of {size}"
         )
-    return np.frombuffer(body, dtype=dtype).reshape(shape).astype(np.complex128)
+    hat = np.frombuffer(body, dtype=dtype).reshape(shape).astype(np.complex128)
+    if not np.isfinite(hat).all():
+        raise ValueError("checkpoint body holds a non-finite coefficient")
+    return hat
 
 
 def read_checkpoint(path):

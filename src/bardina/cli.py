@@ -23,8 +23,6 @@ from . import __version__
 from .attractor import (
     dimension_bound,
     eta,
-    frame_advection,
-    lyapunov_sum,
     lyapunov_sum_bound,
     orthonormalize,
     transport_frame,
@@ -179,12 +177,12 @@ def cmd_stationary(runner):
 
 def _solve_stationary(runner, force, report, check_name):
     """The steady state for `force`; None once a solve that did not converge
-    has been reported under `report`."""
+    has been reported under `report`, a non-finite residual as null."""
     cfg = runner.cfg
     try:
         return solve_stationary(force, cfg.params, cfg.relaxation, cfg.tol, cfg.max_iter)
     except NonConvergenceError as exc:
-        history = [float(r) for r in exc.residual_history]
+        history = [float(r) if np.isfinite(r) else None for r in exc.residual_history]
         runner.report(report, check_name, False, converged=False, residual_history=history)
         return None
 
@@ -211,11 +209,11 @@ def cmd_bound(runner):
 
 def cmd_lyapunov(runner):
     """One base trajectory serves every frame size: each sampled state's
-    u_phys, formed once, serves the frame work and the next base step, and
-    each frame field's -2 B(u, w_i) is formed once, for the Lyapunov sums and
-    the frame transport.  Each frame is moved by the base steps up to the
-    next sample: sample_every, fewer in a short last window, none after the
-    last sample.  The base steps check the CFL cap."""
+    u_phys, formed once, serves the frame work and the next base step.  At
+    each sampled state, transport_frame gives each frame's Lyapunov sum and
+    moves the frame by the base steps up to the next sample: sample_every,
+    fewer in a short last window, none after the last sample.  The base
+    steps check the CFL cap."""
     cfg = runner.cfg
     p, dt, every = cfg.params, cfg.dt, cfg.sample_every
     force = runner.force_field()
@@ -225,14 +223,11 @@ def cmd_lyapunov(runner):
     rows = [[] for _ in frames]  # one group per frame size
     n_steps = step_count(base.t, cfg.t_end, dt)
     for k, st in enumerate(sampled_states(base, cfg.t_end, dt, every)):
-        window = min(every, n_steps - k * every)
+        window = min(every, max(n_steps - k * every, 0))
         for i, m in enumerate(cfg.m_list):
-            adv = frame_advection(frames[i], st.u, p, st.u_phys)
-            total = lyapunov_sum(frames[i], st.u, p, adv)
+            frames[i], total = transport_frame(frames[i], st, dt, window)
             bound = lyapunov_sum_bound(m, st.u, p)
             rows[i].append([m, st.t, total, bound, bound - total])
-            if window > 0:
-                frames[i] = transport_frame(frames[i], st.u, p, dt, window, adv, st.u_phys)
     rows = [row for group in rows for row in group]
     all_ok = all(total <= bound + 1e-10 * p.beta * m for m, _, total, bound, _ in rows)
     runner.csv("lyapunov.csv", ["m", "t", "lyapunov_sum", "bound", "slack"], rows)

@@ -156,24 +156,19 @@ def _etd_weights(grid, params, dt):
     return tuple(_frozen(w) for w in (np.exp(z), dt * _phi1(z), dt * _phi2(z)))
 
 
-def _rhs_nonlinear(u, force, alpha, u_phys=None):
-    """N(u) + f on the retained box, with N(u) = -P div((u (x) u)_alpha)."""
-    return force.hat - nonlinear_term(u, alpha, u_phys).hat
-
-
-def cfl_cap(u, u_phys=None):
-    """Advective CFL limit 0.5 * dx / max|u| (inf when the field is zero);
-    u_phys, when given, are the physical samples of u."""
-    a = inverse_transform(u) if u_phys is None else u_phys
+def cfl_cap(state):
+    """Advective CFL limit 0.5 * dx / max|u| of a state, from state.u_phys
+    (inf when the field is zero)."""
+    a = state.u_phys
     umax = max(a.max(), -a.min())  # max |a| without a temporary
     if umax == 0:
         return np.inf
-    return 0.5 * u.grid.dx / umax
+    return 0.5 * state.u.grid.dx / umax
 
 
 def check_cfl(state, dt):
     """Raise CFLError if dt exceeds the CFL cap of the state (from state.u_phys)."""
-    cap = cfl_cap(state.u, state.u_phys)
+    cap = cfl_cap(state)
     if dt > cap:
         raise CFLError(state.t, dt, cap)
 
@@ -191,11 +186,10 @@ def step(state, dt):
     expz, w1, w2 = _etd_weights(grid, state.params, dt)
 
     check_cfl(state, dt)
-    n0 = _rhs_nonlinear(state.u, state.force, alpha, state.u_phys)
+    n0 = state.force.hat - nonlinear_term(state.u, alpha, state.u_phys).hat
     del state.u_phys
     predictor = expz * state.u.hat + w1 * n0
-    upred = VectorField(grid, predictor)
-    n1 = _rhs_nonlinear(upred, state.force, alpha)
+    n1 = state.force.hat - nonlinear_term(VectorField(grid, predictor), alpha).hat
     out = predictor + w2 * (n1 - n0)
 
     if not np.all(np.isfinite(out)):

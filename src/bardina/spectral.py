@@ -235,7 +235,7 @@ class VectorField(SpectralField):
         super().__post_init__()
         if self.div_free:
             d = self.div_defect()
-            if d > DIV_FREE_TOL:
+            if not d <= DIV_FREE_TOL:  # a NaN defect fails too
                 raise CertificateError(
                     f"div_free certificate violated: max mode divergence {d:.3e}"
                 )

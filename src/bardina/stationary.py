@@ -49,7 +49,8 @@ def solve_stationary(force, params, relaxation=1.0, tol=1e-12, max_iter=200):
 
     The relaxation weight is halved whenever the residual increases; outside
     the small-force contractive regime the iteration may legitimately fail,
-    which raises NonConvergenceError carrying the residual history.
+    which raises NonConvergenceError carrying the residual history, as does
+    a diverging iteration at its first non-finite residual.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -65,7 +66,7 @@ def solve_stationary(force, params, relaxation=1.0, tol=1e-12, max_iter=200):
         history.append(res)
         if res <= tol:
             return _finish(U, force, params, res, min(it, max_iter), history)
-        if it > max_iter:
+        if it > max_iter or not np.isfinite(res):
             raise NonConvergenceError(history)
         if len(history) >= 2 and history[-1] > history[-2]:
             omega = max(omega / 2.0, 1.0 / 64.0)

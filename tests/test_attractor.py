@@ -14,7 +14,6 @@ from bardina import (
     h1alpha_inner,
     lieb_thirring_constant,
     linearized_rhs,
-    lyapunov_sum,
     lyapunov_sum_bound,
     norms,
     orthonormalize,
@@ -23,7 +22,7 @@ from bardina import (
     trajectory_gap,
     zero_force_decay,
 )
-from bardina.attractor import OrthoFrame, frame_advection, transport_frame
+from bardina.attractor import OrthoFrame, transport_frame
 from bardina.dynamics import SimState, sampled_states
 from bardina.spectral import CertificateError, half_spectrum, modes
 
@@ -40,6 +39,16 @@ def zero_field(grid):
     return VectorField(
         grid, np.zeros((3,) + grid.box_shape, dtype=np.complex128), div_free=True
     )
+
+
+def base_state(u, params):
+    """An unforced state at u: transport_frame reads its u, u_phys and params."""
+    return SimState(u, 0.0, params, zero_field(u.grid))
+
+
+def lyapunov_sum(frame, u, params):
+    """The frame's Lyapunov sum at u, with the frame left where it is."""
+    return transport_frame(frame, base_state(u, params), 0.01, 0)[1]
 
 
 class TestEta:
@@ -250,16 +259,33 @@ class TestTransportFrame:
         fields = [random_field(grid8, seed=s) for s in (110, 111)]
         frame = orthonormalize(fields, params.alpha)
         u = random_field(grid8, seed=112, amplitude=0.5)
-        out = transport_frame(frame, u, params, 0.01, 5, frame_advection(frame, u, params))
+        out, _ = transport_frame(frame, base_state(u, params), 0.01, 5)
         assert out.gram_defect() <= 1e-10
 
     def test_zero_base_preserves_span_direction(self, grid8, params):
         v = generate(FieldRecipe("shear", 1.0), grid8)
         frame = orthonormalize([v], params.alpha)
-        u = zero_field(grid8)
-        out = transport_frame(frame, u, params, 0.01, 3, frame_advection(frame, u, params))
+        out, _ = transport_frame(frame, base_state(zero_field(grid8), params), 0.01, 3)
         # pure decay rescales a single mode, so renormalizing recovers it
         assert np.abs(np.abs(out.fields[0].coeffs) - np.abs(frame.fields[0].coeffs)).max() <= 1e-10
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_no_steps_keeps_the_frame_and_sums_the_operator(self, grid8, params, m):
+        frame = orthonormalize([random_field(grid8, seed=113 + i) for i in range(m)], params.alpha)
+        u = random_field(grid8, seed=117, amplitude=0.5)
+        out, total = transport_frame(frame, base_state(u, params), 0.01, 0)
+        assert out is frame
+        expected = 0.0
+        for w in frame.fields:
+            expected += h1alpha_inner(linearized_rhs(w, u, params), w, params.alpha)
+        assert total == expected  # bit for bit: the one operator, summed in order
+
+    def test_sum_is_taken_before_the_steps(self, grid8, params):
+        frame = orthonormalize([random_field(grid8, seed=s) for s in (118, 119)], params.alpha)
+        st = base_state(random_field(grid8, seed=120, amplitude=0.5), params)
+        moved, total = transport_frame(frame, st, 0.01, 4)
+        assert total == transport_frame(frame, st, 0.01, 0)[1]
+        assert moved is not frame and moved.gram_defect() <= 1e-10
 
 
 class TestTrajectoryGap:

@@ -201,6 +201,17 @@ class TestFullSpectrumFiles:
         with pytest.raises(ValueError, match="Hermitian"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_coefficient(self, full8, params, tmp_path, value):
+        # inf - inf is NaN, so the Hermitian and divergence checks alone pass it
+        u = random_field(full8, seed=158)
+        hat = u.hat.copy()
+        hat[1, 2, 3, 1] = value
+        path = tmp_path / "inf.bard"
+        write_checkpoint_v1(path, VectorField(full8, hat), params, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            read_checkpoint(path)
+
     def test_rejects_divergent_field(self, grid8, params, tmp_path):
         x = np.arange(8) * grid8.dx
         X = np.meshgrid(x, x, x, indexing="ij")[0]
@@ -301,6 +312,15 @@ class TestV2Errors:
         assert v.div_defect() <= 1e-15
         path = self._write(tmp_path, v, params)
         with pytest.raises(ValueError, match="Hermitian"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_coefficient(self, grid8, params, tmp_path, value):
+        # every other check compares with ">", which a NaN passes
+        hat = random_field(grid8, seed=166).hat.copy()
+        hat[1, 2, 1, 1] = value
+        path = self._write(tmp_path, VectorField(grid8, hat), params)
+        with pytest.raises(ValueError, match="non-finite"):
             read_checkpoint(path)
 
     def test_divergent_field(self, grid8, params, tmp_path):

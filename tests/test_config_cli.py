@@ -11,7 +11,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bardina.cli
 import bardina.dynamics
-from bardina.attractor import OrthoFrame, lyapunov_sum, lyapunov_sum_bound, transport_frame
+from bardina.attractor import (
+    OrthoFrame,
+    linearized_rhs,
+    lyapunov_sum_bound,
+    orthonormalize,
+)
 from bardina.checkpoint import STEADY_STATE_TIME, read_checkpoint
 from bardina.cli import (
     EXIT_BLOWUP,
@@ -25,9 +30,9 @@ from bardina.cli import (
     main,
 )
 from bardina.config import ConfigError, RunConfig, load_config, parse_config
-from bardina.dynamics import BlowUpError, SimState, evolve
+from bardina.dynamics import BlowUpError, SimState, _etd_weights, evolve
 from bardina.fields import KINDS, FieldRecipe, generate
-from bardina.spectral import GridSpec, PhysParams, VectorField, bilinear
+from bardina.spectral import GridSpec, PhysParams, VectorField, bilinear, h1alpha_inner
 
 BASE_INI = """\
 [grid]
@@ -314,24 +319,32 @@ class TestCliSubcommands:
 
 def per_frame_size_rows(cfg):
     """lyapunov.csv rows as computed by a separate base trajectory per frame
-    size, advanced window by window with evolve."""
+    size, advanced window by window with evolve: each sum from the public
+    linearized operator, and each frame moved by exponential-Euler steps that
+    make their own kernel calls, the first step's included."""
     p, dt, every = cfg.params, cfg.dt, cfg.sample_every
     force = generate(cfg.force, cfg.grid, p.alpha)
     u0 = generate(cfg.initial, cfg.grid, p.alpha)
     rng = np.random.default_rng(cfg.frame_seed)
     n_windows = max(int(round(cfg.t_end / (dt * every))), 1)
+    expz, w1, _ = _etd_weights(cfg.grid, p, dt)
     rows = []
     for m in cfg.m_list:
         frame = _random_frame(cfg, rng, m)
         st = SimState(u0.copy(), 0.0, p, force)
         for _ in range(n_windows + 1):
-            total = lyapunov_sum(frame, st.u, p)
+            total = 0.0
+            for w in frame.fields:
+                total += h1alpha_inner(linearized_rhs(w, st.u, p), w, p.alpha)
             bound = lyapunov_sum_bound(m, st.u, p)
             rows.append([m, st.t, total, bound, bound - total])
-            # the transport's first step makes its own kernel calls, as the
-            # loop did before the sums shared them
-            first = [-2.0 * bilinear(st.u, w, p.alpha).hat for w in frame.fields]
-            frame = transport_frame(frame, st.u, p, dt, every, first)
+            moved = []
+            for w in frame.fields:
+                for _ in range(every):
+                    nl = -2.0 * bilinear(st.u, w, p.alpha).hat
+                    w = VectorField(cfg.grid, expz * w.hat + w1 * nl)
+                moved.append(w)
+            frame = orthonormalize(moved, p.alpha)
             st, _ = evolve(st, st.t + dt * every, dt, every)
     return rows
 
@@ -399,17 +412,19 @@ class TestRunLength:
         windows = []
         transport = bardina.cli.transport_frame
 
-        def record(frame, state_u, params, dt, n_steps, *rest):
+        def record(frame, state, dt, n_steps):
             windows.append(n_steps)
-            return transport(frame, state_u, params, dt, n_steps, *rest)
+            return transport(frame, state, dt, n_steps)
 
         monkeypatch.setattr(bardina.cli, "transport_frame", record)
         for k, (subcommand, extra, csv, column) in enumerate(self.RUNS):
             code, out = run_cli(tmp_path, subcommand, ini + extra, out_name=f"run{k}")
             assert code == EXIT_OK, (subcommand, extra)
             assert sample_times(out / csv, column) == times, (subcommand, extra)
-        # the frames move with the base: whole windows, then the part window
-        assert windows == [min(every, n_steps - k * every) for k in range(len(times) - 1)]
+        # the frames move with the base: whole windows, then the part window,
+        # and the last sample's sum leaves its frame where it is
+        moves = [min(every, n_steps - k * every) for k in range(len(times) - 1)]
+        assert windows == moves + [0]
 
 
 class TestCliErrors:
@@ -474,6 +489,28 @@ class TestCliErrors:
         meta = json.loads((out / "run_meta.json").read_text())
         assert "decay_report.json" in meta["artifacts"]
 
+    @pytest.mark.parametrize("subcommand, extra, name", [
+        ("stationary", "", "stationary_report.json"),
+        ("decay", "[decay]\nmode = steady\n", "decay_report.json"),
+    ])
+    def test_diverging_solve_exits_4_with_a_valid_report(self, tmp_path, subcommand, extra, name):
+        # the Picard iterates overflow: the solve stops at its first
+        # non-finite residual, which the report writes as null
+        ini = BASE_INI.replace("beta = 1.0\nnu = 0.5", "beta = 0.1\nnu = 0.01").replace(
+            "kind = shear\namplitude = 0.2",
+            "kind = random_band\namplitude = 1e3\nseed = 3\nk_min = 1\nk_max = 2",
+        ) + "[stationary]\nmax_iter = 400\n" + extra
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out = run_cli(tmp_path, subcommand, ini)
+        assert code == EXIT_NONCONV
+        report = json.loads((out / name).read_text())
+        assert report["pass"] is False and report["converged"] is False
+        history = report["residual_history"]
+        assert history[-1] is None and all(r > 0 for r in history[:-1])
+        assert len(history) < 400
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert name in meta["artifacts"]
+
     @pytest.mark.parametrize("subcommand", ["simulate", "lyapunov", "gap", "decay"])
     def test_dt_above_cfl_cap(self, tmp_path, subcommand):
         # max |u| = 50 puts the cap at 0.5 dx / 50 ~ 0.0079 < dt = 0.02
@@ -512,9 +549,12 @@ class TestCliErrors:
         assert_certificate_report(*run_cli(tmp_path, "simulate", BASE_INI), "div_free")
 
     def test_non_orthonormal_frame_is_not_a_config_error(self, tmp_path, monkeypatch):
-        def stretched(frame, state_u, params, dt, n_steps, *rest):
+        transport = bardina.cli.transport_frame
+
+        def stretched(frame, state, dt, n_steps):
+            frame, total = transport(frame, state, dt, n_steps)
             fields = [VectorField(f.grid, 2.0 * f.hat) for f in frame.fields]
-            return OrthoFrame(fields, frame.alpha)
+            return OrthoFrame(fields, frame.alpha), total
 
         monkeypatch.setattr(bardina.cli, "transport_frame", stretched)
         code, out = run_cli(tmp_path, "lyapunov", BASE_INI + "[lyapunov]\nm_list = 1 2\n")

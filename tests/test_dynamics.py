@@ -31,7 +31,7 @@ from bardina.dynamics import (
     _phi1,
     _phi2,
 )
-from bardina.attractor import linearized_rhs
+from bardina.attractor import orthonormalize, transport_frame
 from bardina.spectral import dealias, h1alpha_diff_sq, inverse_transform
 from bardina.stationary import stationary_residual_pde
 
@@ -185,11 +185,12 @@ class TestEvolve:
         with pytest.raises(CFLError) as info:
             evolve(st, 1.0, 0.5)
         assert (info.value.t, info.value.dt) == (0.25, 0.5)
-        assert info.value.cap == cfl_cap(u0)
+        assert info.value.cap == cfl_cap(SimState(u0, 0.25, params, zero_force(grid8)))
 
-    def test_cfl_cap_formula(self, grid8):
+    def test_cfl_cap_formula(self, grid8, params):
         u = generate(FieldRecipe("shear", 2.0), grid8)
-        assert abs(cfl_cap(u) - 0.5 * grid8.dx / 2.0) <= 1e-12
+        st = SimState(u, 0.0, params, zero_force(grid8))
+        assert abs(cfl_cap(st) - 0.5 * grid8.dx / 2.0) <= 1e-12
 
     def test_energy_decreasing_without_force(self, grid8, params):
         u0 = random_field(grid8, seed=39, amplitude=1.0)
@@ -199,27 +200,35 @@ class TestEvolve:
 
 
 class TestCflCap:
-    """cfl_cap takes max |u| as max(max u, -min u), with no |u| temporary."""
+    """cfl_cap takes max |u| as max(max u, -min u) of state.u_phys, with no
+    |u| temporary; the synthetic samples below are set on the state."""
+
+    @staticmethod
+    def state(u, params, u_phys=None):
+        st = SimState(u, 0.0, params, zero_force(u.grid))
+        if u_phys is not None:
+            st.u_phys = u_phys
+        return st
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_equals_abs_max_formula(self, grid8, seed):
+    def test_equals_abs_max_formula(self, grid8, params, seed):
         rng = np.random.default_rng(seed)
         u_phys = rng.standard_normal((3, 8, 8, 8))
         u = random_field(grid8, seed=seed)
-        assert cfl_cap(u, u_phys) == 0.5 * grid8.dx / np.abs(u_phys).max()
+        assert cfl_cap(self.state(u, params, u_phys)) == 0.5 * grid8.dx / np.abs(u_phys).max()
 
-    def test_largest_magnitude_negative(self, grid8):
+    def test_largest_magnitude_negative(self, grid8, params):
         rng = np.random.default_rng(5)
         u_phys = rng.uniform(-1.0, 0.5, (3, 8, 8, 8))
         u_phys[1, 2, 3, 4] = -7.25
-        u = random_field(grid8, seed=5)
-        assert cfl_cap(u, u_phys) == 0.5 * grid8.dx / 7.25
-        assert cfl_cap(u, u_phys) == 0.5 * grid8.dx / np.abs(u_phys).max()
+        st = self.state(random_field(grid8, seed=5), params, u_phys)
+        assert cfl_cap(st) == 0.5 * grid8.dx / 7.25
+        assert cfl_cap(st) == 0.5 * grid8.dx / np.abs(u_phys).max()
 
-    def test_zero_field_is_unlimited(self, grid8):
+    def test_zero_field_is_unlimited(self, grid8, params):
         u = VectorField(grid8, np.zeros((3,) + grid8.box_shape, complex))
-        assert cfl_cap(u) == np.inf
-        assert cfl_cap(u, -np.zeros((3, 8, 8, 8))) == np.inf
+        assert cfl_cap(self.state(u, params)) == np.inf
+        assert cfl_cap(self.state(u, params, -np.zeros((3, 8, 8, 8)))) == np.inf
 
 
 class TestStateSamples:
@@ -313,14 +322,14 @@ class TestGridMismatch:
         assert str(full8) in str(info.value) and str(grid8) in str(info.value)
         assert stationary_residual_pde(dealias(U, grid8), f, params) > 0
 
-    def test_linearized_rhs_with_advection_refuses_two_grids(self, grid8, full8, params):
-        u = random_field(grid8, seed=55, amplitude=0.5)
-        w = random_field(full8, seed=56)
-        advection = np.zeros((3,) + grid8.box_shape, dtype=complex)
+    def test_transport_frame_refuses_two_grids(self, grid8, full8, params):
+        st = SimState(random_field(grid8, seed=55, amplitude=0.5), 0.0, params, zero_force(grid8))
+        w = random_field(full8, seed=56, k_max=3)
         with pytest.raises(ValueError, match="do not share a grid") as info:
-            linearized_rhs(w, u, params, advection=advection)
+            transport_frame(orthonormalize([w], params.alpha), st, 0.01, 2)
         assert str(full8) in str(info.value) and str(grid8) in str(info.value)
-        assert linearized_rhs(dealias(w, grid8), u, params, advection=advection).grid == grid8
+        frame, _ = transport_frame(orthonormalize([dealias(w, grid8)], params.alpha), st, 0.01, 2)
+        assert frame.fields[0].grid == grid8
 
 
 class TestStepCount:

@@ -414,6 +414,16 @@ class TestGridSpec:
         with pytest.raises(CertificateError):
             VectorField(grid8, coeffs, div_free=True)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("index", [(0, 0, 0, 0), (1, 1, 2, 1)])
+    def test_non_finite_field_fails_its_certificate(self, grid8, value, index):
+        # a NaN defect compares false with the tolerance, so the certificate
+        # asks for a defect at or below it
+        hat = random_field(grid8, seed=31).hat.copy()
+        hat[index] = value
+        with np.errstate(invalid="ignore"), pytest.raises(CertificateError):
+            VectorField(grid8, hat, div_free=True)
+
 
 class TestHalfSpectrum:
     def test_round_trip(self, grid8):
@@ -799,3 +809,43 @@ def test_transforms_live_in_one_pair():
     sites = [site for path in sorted(src.glob("*.py")) for site in fft_call_sites(path)]
     assert {func for func, _ in sites} == {"inverse_transform", "_forward"}
     assert {name for _, name in sites} <= {"rfftn", "irfftn", "fftn", "ifftn"}
+
+
+def scoped_nodes(path):
+    """(enclosing class and function names, dotted, node) for every node of a
+    source file."""
+    out = []
+
+    def visit(node, scope):
+        out.append((scope, node))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return out
+
+
+def test_samples_travel_only_on_the_state():
+    # above the kernel a base state's samples are its SimState.u_phys: no
+    # function of the attractor checks or the CLI takes samples or advection
+    # terms, and outside spectral.py a field is transformed only by its state
+    # and by steady_convergence, for its copy of U's samples
+    src = Path(bardina.__file__).parent
+    for name in ("attractor.py", "cli.py"):
+        for _, node in scoped_nodes(src / name):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+                assert not params & {"u_phys", "advection"}, (name, node.name)
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for scope, node in scoped_nodes(path):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee == "inverse_transform":
+                    callers.add(f"{path.stem}.{scope}")
+    assert callers == {"dynamics.SimState.u_phys", "attractor.steady_convergence"}

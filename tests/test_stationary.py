@@ -4,6 +4,7 @@ import pytest
 from bardina import (
     FieldRecipe,
     NonConvergenceError,
+    PhysParams,
     VectorField,
     generate,
     norms,
@@ -93,6 +94,18 @@ class TestSolveStationary:
         with pytest.raises(NonConvergenceError) as exc:
             solve_stationary(f, params, max_iter=40)
         assert len(exc.value.residual_history) >= 2
+
+    def test_diverging_iteration_stops_at_the_first_non_finite_residual(self, grid8):
+        # beta = 0.1 and nu = 0.01 give the map no contraction for this
+        # force: the iterates overflow within a few passes
+        p = PhysParams(alpha=1.0, beta=0.1, nu=0.01)
+        f = generate(FieldRecipe("random_band", 1e3, seed=3, k_min=1, k_max=2), grid8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergenceError) as exc:
+                solve_stationary(f, p, max_iter=400)
+        history = exc.value.residual_history
+        assert not np.isfinite(history[-1]) and np.isfinite(history[:-1]).all()
+        assert len(history) < 400
 
     def test_parameter_validation(self, grid8, params):
         f = zero_field(grid8)
