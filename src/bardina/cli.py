@@ -58,15 +58,14 @@ EXIT_CERTIFICATE = 7
 
 
 def _fmt(x):
-    if isinstance(x, float) and np.isinf(x):
-        return "inf"
-    return repr(float(x))
+    return repr(float(x))  # inf, -inf and nan included
 
 
 def _write_json(path, obj):
+    # encode first, so a report that json refuses (a non-finite number) leaves no file
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 class Runner:

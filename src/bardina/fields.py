@@ -61,15 +61,25 @@ def generate(recipe, grid, alpha=1.0):
     """Build the vector field described by a recipe on a grid.
 
     All outputs are real, divergence-free (certificate set) box fields.
-    For random_band, alpha enters the target-norm rescaling.
+    For random_band, alpha enters the target-norm rescaling.  A field whose
+    H^1_alpha energy overflows to inf or NaN is a ValueError.
     """
     formula = _ANALYTIC.get(recipe.kind)
-    if formula is None:
-        return _random_band(recipe, grid, alpha)
-    x = np.arange(grid.n) * grid.dx
-    axes = np.meshgrid(x, x, x, indexing="ij")
-    u = np.stack(formula(recipe.amplitude, 2.0 * np.pi / grid.box_len, *axes))
-    return VectorField(grid, _forward(u, grid), div_free=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        if formula is None:
+            hat = _random_band(recipe, grid, alpha)
+        else:
+            x = np.arange(grid.n) * grid.dx
+            axes = np.meshgrid(x, x, x, indexing="ij")
+            u = np.stack(formula(recipe.amplitude, 2.0 * np.pi / grid.box_len, *axes))
+            hat = _forward(u, grid)
+        energy = norms(VectorField(grid, hat), alpha).h1alpha_sq
+    if not np.isfinite(energy):
+        raise ValueError(
+            f"the {recipe.kind} field of amplitude {recipe.amplitude:g} has an H1_alpha "
+            "energy beyond the float range"
+        )
+    return VectorField(grid, hat, div_free=True)  # the one certificate check
 
 
 def _random_band(recipe, grid, alpha):
@@ -102,4 +112,4 @@ def _random_band(recipe, grid, alpha):
     current = norms(VectorField(grid, hat), alpha).h1alpha_sq
     if current > 0:
         hat *= recipe.amplitude / np.sqrt(current)
-    return VectorField(grid, hat, div_free=True)  # the one certificate check
+    return hat

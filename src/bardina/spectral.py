@@ -30,8 +30,8 @@ Conventions used throughout:
     |u|^2 dx = L^3 * sum_m |c_m|^2; a mode with 0 < m_z < n/2 counts twice.
     The H^1_alpha inner product is Re vdot(h1alpha_weights * v_hat, w_hat),
     and h1alpha_weights is the one place its per-mode weights are formed.
-  * full_spectrum / half_spectrum convert to and from the full (n, n, n)
-    layout; a field's ``coeffs`` property is its full spectrum (for I/O).
+  * full_spectrum converts a half spectrum to the full (n, n, n) layout;
+    a field's ``coeffs`` property is its full spectrum.
   * The bilinear kernel transforms the 5 entries of the traceless product
     T - T33 I instead of the 6 of T; that is exact, because div(s I) =
     grad s and the Leray projection removes a gradient mode by mode.
@@ -52,7 +52,6 @@ __all__ = [
     "PhysParams",
     "NormBundle",
     "full_spectrum",
-    "half_spectrum",
     "forward_transform",
     "inverse_transform",
     "helmholtz_filter",
@@ -175,11 +174,6 @@ def modes(grid):
 def _reverse_modes(coeffs, axes=AXES):
     """Map mode index m -> -m on the given FFT-ordered axes."""
     return np.roll(np.flip(coeffs, axis=axes), 1, axis=axes)
-
-
-def half_spectrum(full):
-    """Full spectrum (..., n, n, n) of a real field -> its half spectrum."""
-    return np.ascontiguousarray(full[..., : full.shape[-1] // 2 + 1])
 
 
 def full_spectrum(hat):

@@ -60,19 +60,21 @@ def solve_stationary(force, params, relaxation=1.0, tol=1e-12, max_iter=200):
     U = VectorField(grid, np.zeros((3,) + grid.box_shape, complex), div_free=True)
     omega = relaxation
     history = []
-    for it in count(1):  # pass max_iter + 1 only checks U
-        TU = stationary_map(U, force, params)
-        res = np.sqrt(h1alpha_diff_sq(U, TU, params.alpha))
-        history.append(res)
-        if res <= tol:
-            return _finish(U, force, params, res, min(it, max_iter), history)
-        if it > max_iter or not np.isfinite(res):
-            raise NonConvergenceError(history)
-        if len(history) >= 2 and history[-1] > history[-2]:
-            omega = max(omega / 2.0, 1.0 / 64.0)
-        U = VectorField(
-            grid, (1.0 - omega) * U.hat + omega * TU.hat, div_free=True
-        )
+    # a diverging iterate overflows, silently, up to its first non-finite residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in count(1):  # pass max_iter + 1 only checks U
+            TU = stationary_map(U, force, params)
+            res = np.sqrt(h1alpha_diff_sq(U, TU, params.alpha))
+            history.append(res)
+            if res <= tol:
+                return _finish(U, force, params, res, min(it, max_iter), history)
+            if it > max_iter or not np.isfinite(res):
+                raise NonConvergenceError(history)
+            if len(history) >= 2 and history[-1] > history[-2]:
+                omega = max(omega / 2.0, 1.0 / 64.0)
+            U = VectorField(
+                grid, (1.0 - omega) * U.hat + omega * TU.hat, div_free=True
+            )
 
 
 def _finish(U, force, params, res, iterations, history):

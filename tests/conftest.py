@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bardina import FieldRecipe, GridSpec, PhysParams, generate
-from bardina.spectral import half_spectrum
+from oracles import half_spectrum
 
 
 @pytest.fixture

@@ -7,13 +7,15 @@ for their faster replacements: the full-transform bilinear kernel, the
 full-spectrum random_band construction (which reuses the package's Leray
 projection and norms, the part its replacement did not change), the
 modified Gram-Schmidt built from the package's norms and h1alpha_inner,
-steady_convergence's r_inf through the transform of u - U, and the version 1
-checkpoint writer, which makes the files the version 1 reader is tested on.
+and steady_convergence's r_inf through the transform of u - U.
 """
 
-import struct
-
 import numpy as np
+
+
+def half_spectrum(full):
+    """Full spectrum (..., n, n, n) of a real field -> its half spectrum."""
+    return np.ascontiguousarray(full[..., : full.shape[-1] // 2 + 1])
 
 
 def dealias_mask(grid):
@@ -211,17 +213,3 @@ def r_inf_reference(u, U):
 
     d = inverse_transform(VectorField(u.grid, u.hat - U.hat))
     return np.sqrt(np.sum(d**2, axis=0)).max()
-
-
-def write_checkpoint_v1(path, u, params, time):
-    """The version 1 checkpoint writer: the common header, then each
-    component's full spectrum (the package's coeffs) shifted to ascending
-    mode order and cast to complex64, streamed one component at a time."""
-    grid, p = u.grid, params
-    header = struct.pack(
-        "<4sIIddddd", b"BARD", 1, grid.n, grid.box_len, p.alpha, p.beta, p.nu, time
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for i in range(3):
-            fh.write(np.fft.fftshift(u.component(i).coeffs).astype("<c8"))

@@ -44,10 +44,10 @@ from bardina import (
     zero_force_decay,
 )
 from bardina.cli import main as cli_main
-from bardina.spectral import half_spectrum, modes
+from bardina.spectral import modes
 
 from conftest import half_hat, random_field
-from oracles import dealias_mask, oracle_linearized_transport, oracle_nonlinear
+from oracles import dealias_mask, half_spectrum, oracle_linearized_transport, oracle_nonlinear
 
 
 def _report(num, name, ok):

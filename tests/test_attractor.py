@@ -24,12 +24,13 @@ from bardina import (
 )
 from bardina.attractor import OrthoFrame, transport_frame
 from bardina.dynamics import SimState, sampled_states
-from bardina.spectral import CertificateError, half_spectrum, modes
+from bardina.spectral import CertificateError, modes
 
 from conftest import half_hat, random_field
 from oracles import (
     dealias_mask,
     gram_schmidt_reference,
+    half_spectrum,
     oracle_linearized_transport,
     r_inf_reference,
 )

@@ -26,7 +26,9 @@ from bardina.cli import (
     EXIT_CONFIG,
     EXIT_NONCONV,
     EXIT_OK,
+    _fmt,
     _random_frame,
+    _write_json,
     main,
 )
 from bardina.config import ConfigError, RunConfig, load_config, parse_config
@@ -464,6 +466,29 @@ class TestCliErrors:
         assert code == EXIT_CONFIG
         assert not list(out.glob("*_report.json"))
 
+    @pytest.mark.parametrize("old, new", [
+        ("kind = random_band\namplitude = 0.3", "kind = shear\namplitude = 1e200"),
+        ("kind = shear\namplitude = 0.2", "kind = shear\namplitude = 1e200"),
+    ], ids=["initial", "force"])
+    def test_energy_overflow_exits_before_any_artifact(self, tmp_path, old, new):
+        # a finite amplitude whose field's energy overflows is refused before
+        # the run writes anything, a NaN trajectory or half a report included
+        ini = BASE_INI.replace(old, new).replace("t_end = 0.5", "t_end = 0")
+        code, out = run_cli(tmp_path, "simulate", ini)
+        assert code == EXIT_CONFIG
+        assert not list(out.iterdir())
+
+    def test_csv_cells_keep_the_sign_of_an_infinity(self):
+        cells = [_fmt(x) for x in (math.inf, -math.inf, math.nan, 1, np.float64(0.1))]
+        assert cells == ["inf", "-inf", "nan", "1.0", "0.1"]
+        assert float(cells[1]) == -math.inf
+
+    def test_refused_json_leaves_no_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_json(path, {"energy": float("nan")})
+        assert not path.exists()
+
     def test_nonconvergence_exit(self, tmp_path):
         ini = BASE_INI.replace(
             "kind = shear\namplitude = 0.2",
@@ -500,8 +525,7 @@ class TestCliErrors:
             "kind = shear\namplitude = 0.2",
             "kind = random_band\namplitude = 1e3\nseed = 3\nk_min = 1\nk_max = 2",
         ) + "[stationary]\nmax_iter = 400\n" + extra
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out = run_cli(tmp_path, subcommand, ini)
+        code, out = run_cli(tmp_path, subcommand, ini)
         assert code == EXIT_NONCONV
         report = json.loads((out / name).read_text())
         assert report["pass"] is False and report["converged"] is False

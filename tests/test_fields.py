@@ -73,6 +73,16 @@ class TestGenerate:
         u = generate(FieldRecipe("random_band", 1.0, seed=8, k_min=1, k_max=4), grid16)
         assert calls == [u] and u.hat.shape == (3,) + grid16.box_shape
 
+    @pytest.mark.parametrize("kind", ["shear", "taylor_green", "abc", "random_band"])
+    def test_energy_overflow_rejected(self, grid8, kind):
+        # finite coefficients, but an H1_alpha energy beyond the float range
+        with pytest.raises(ValueError, match="energy beyond the float range"):
+            generate(FieldRecipe(kind, 1e200), grid8)
+
+    def test_large_finite_energy_accepted(self, grid8):
+        u = generate(FieldRecipe("shear", 1e150), grid8)
+        assert 1e300 < norms(u, 1.0).h1alpha_sq < np.inf
+
     def test_band_outside_cutoff_rejected(self, grid8):
         with pytest.raises(ValueError):
             generate(FieldRecipe("random_band", 1.0, k_min=1, k_max=3), grid8)

@@ -34,7 +34,6 @@ from bardina.spectral import (
     _blocks,
     bilinear,
     full_spectrum,
-    half_spectrum,
     mode_indices,
     modes,
 )
@@ -44,6 +43,7 @@ from oracles import (
     dealias_mask,
     dft_oracle,
     full_transform_bilinear,
+    half_spectrum,
     hermitian_defect,
     idft_oracle,
     oracle_parseval_l2,

@@ -20,16 +20,16 @@ but run_meta.json (which holds a timestamp): `identical`, or the largest
 relative deviation of each CSV column (|delta| over the column's largest
 magnitude), of each JSON number (over its own magnitude) and of each
 checkpoint.  Both sides of a .bard are decoded with the working tree's
-bardina.checkpoint.read_checkpoint, which reads versions 1 and 2: the
+bardina.checkpoint.read_checkpoint, which reads the one checkpoint version
+the program writes, version 2 (so the base must be b488f31 or later): the
 deviation of the coefficients is the largest |delta c| of the full spectra
 over the largest |c|, that of each header number (box_len, alpha, beta, nu,
-time; eta_c and dealias_fraction only when both files are version 2, as
-version 1 does not store them) is relative to its own magnitude.  Any other
-binary artifact that differs, a checkpoint that does not decode or holds
-another n, a changed header, row count, string or JSON layout counts as an
-infinite deviation.  The exit status is 1 when an exit code differs, an
-artifact is missing on one side, or a deviation exceeds --rtol (default 0:
-any difference counts).
+time, eta_c, dealias_fraction) is relative to its own magnitude.  Any other
+binary artifact that differs, a checkpoint that does not decode (one of an
+older version included) or holds another n, a changed header, row count,
+string or JSON layout counts as an infinite deviation.  The exit status is 1
+when an exit code differs, an artifact is missing on one side, or a
+deviation exceeds --rtol (default 0: any difference counts).
 """
 
 import argparse
@@ -39,7 +39,6 @@ import io
 import json
 import math
 import os
-import struct
 import subprocess
 import sys
 import tarfile
@@ -233,10 +232,8 @@ def bard_deviations(path_a, path_b):
     scale = float(abs(ca).max())
     out = {"coeffs": _rel(0.0, float(abs(ca - cb).max()), scale)}
     headers = [("box_len", ua.grid.box_len, ub.grid.box_len), ("time", ta, tb)]
-    headers += [(k, getattr(pa, k), getattr(pb, k)) for k in ("alpha", "beta", "nu")]
-    if all(struct.unpack_from("<I", p.read_bytes(), 4)[0] == 2 for p in (path_a, path_b)):
-        headers += [("eta_c", pa.eta_c, pb.eta_c),
-                    ("dealias_fraction", ua.grid.dealias_fraction, ub.grid.dealias_fraction)]
+    headers += [(k, getattr(pa, k), getattr(pb, k)) for k in ("alpha", "beta", "nu", "eta_c")]
+    headers.append(("dealias_fraction", ua.grid.dealias_fraction, ub.grid.dealias_fraction))
     for key, x, y in headers:
         out[key] = _rel(x, y, max(abs(x), abs(y)))
     return out
