@@ -17,7 +17,10 @@ Conventions used throughout:
     or vector: inverse_transform and the forward helper behind
     forward_transform and the kernel.  Both split the axes: the real
     transform runs over z, the x and y transforms on the planes m_z the box
-    holds only.  They call scipy.fft, as numpy.fft 2.4 costs more per call
+    holds only.  They call pocketfft's r2c, c2c and c2r from scipy's
+    compiled module, loaded by path (_load_pocketfft): importing scipy.fft
+    would run scipy's package init, most of the set-up time of a short CLI
+    run, for none of what bardina uses.  numpy.fft 2.4 costs more per call
     on these small strided arrays (x-y pass on (5, 16, 16, 6): 88 against
     56 us with scipy 1.17 on a 2-vCPU x86-64 host).
   * Work arrays, allocated once per shape (_work): the kernel's 5 products
@@ -37,12 +40,14 @@ Conventions used throughout:
     grad s and the Leray projection removes a gradient mode by mode.
 """
 
+import importlib.machinery
+import importlib.util
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from pathlib import Path
 
 import numpy as np
-from scipy import fft as sfft
 
 __all__ = [
     "CertificateError",
@@ -238,11 +243,12 @@ class VectorField(SpectralField):
         return SpectralField(self.grid, self.hat[i])
 
     def div_defect(self):
-        """Max over modes of |k . u_hat(k)| / max(1, |u_hat(k)|)."""
+        """Max over modes of |k . u_hat(k)| / max(1, max |u_hat|), scaled by
+        the field's largest coefficient, so that round-off on a large field
+        stays relative to its size."""
         k, c = self.symbols.k, self.hat
-        kdotu = np.abs(k[0] * c[0] + k[1] * c[1] + k[2] * c[2])
-        mag = np.sqrt(np.sum(c.real**2 + c.imag**2, axis=0))
-        return (kdotu / np.maximum(1.0, mag)).max()
+        kdotu = np.abs(k[0] * c[0] + k[1] * c[1] + k[2] * c[2]).max()
+        return kdotu / np.maximum(1.0, np.abs(c).max())
 
 
 @dataclass(frozen=True)
@@ -271,12 +277,36 @@ class NormBundle:
     h1alpha_sq: float
 
 
+def _load_pocketfft():
+    """r2c, c2c and c2r of scipy's compiled pocketfft module, loaded from its
+    file in scipy's directory, which find_spec locates without importing
+    scipy.  The transforms take (array, axes, forward, inorm[, out]), inorm
+    2 dividing by the number of points and 0 leaving the sum unscaled, as
+    norm="forward" does; a given out is written in place.  ImportError
+    naming the path when the file is missing."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("bardina needs scipy, whose wheel ships pocketfft")
+    name = "pypocketfft" + importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = Path(spec.origin).parent / "fft" / "_pocketfft" / name
+    if not path.is_file():
+        raise ImportError(f"scipy's pocketfft module is missing: {path}", path=str(path))
+    ext = importlib.util.spec_from_file_location("scipy.fft._pocketfft.pypocketfft", path)
+    module = importlib.util.module_from_spec(ext)
+    ext.loader.exec_module(module)
+    return module.r2c, module.c2c, module.c2r
+
+
+r2c, c2c, c2r = _load_pocketfft()
+
+
 def _forward(samples, grid):
     """The box coefficients of physical samples (..., n, n, n): the real
     transform over z, then the x and y transforms of the planes m_z the box
     holds only."""
-    a = sfft.rfftn(samples, axes=(-1,), norm="forward")[..., : grid.box_shape[-1]]
-    a = sfft.fftn(a, axes=(-3, -2), norm="forward", overwrite_x=True)
+    ndim = samples.ndim
+    a = r2c(samples, (ndim - 1,), True, 2)[..., : grid.box_shape[-1]]
+    c2c(a, (ndim - 3, ndim - 2), True, 2, a)  # in place: out is a
     return _copy_box(a, grid, np.zeros(a.shape[:-3] + grid.box_shape, dtype=a.dtype))
 
 
@@ -304,10 +334,9 @@ def inverse_transform(field):
     a = _work((5,) + (grid.n,) * 3, float).ravel().view(complex)[: np.prod(shape)].reshape(shape)
     a.fill(0)  # the transforms below may have overwritten any of it
     held = _copy_box(hat, grid, a)[..., : grid.box_shape[-1]]
-    xy = sfft.ifftn(held, axes=(-3, -2), norm="forward", overwrite_x=True)
-    if not np.may_share_memory(xy, held):  # the transform did not run in place
-        held[...] = xy
-    return sfft.irfftn(a, s=(grid.n,), axes=(-1,), norm="forward", overwrite_x=True)
+    ndim = a.ndim
+    c2c(held, (ndim - 3, ndim - 2), False, 0, held)  # in place: out is held
+    return c2r(a, (ndim - 1,), grid.n, False, 0)
 
 
 def _check_shared_grid(*fields):

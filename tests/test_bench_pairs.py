@@ -1,0 +1,72 @@
+"""Self-test of tools/bench_pairs.py: pair order, the summary, one tiny pair."""
+
+import importlib.util
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))  # bench_pairs imports artifact_diff beside it
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def side(correct=True, **metrics):
+    return {"correct": correct, "attempted": 4, "failed": 0 if correct else 1,
+            "kernel_ms": 1.8, "metrics": metrics}
+
+
+def test_sides_alternate_which_goes_first(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_side",
+                        lambda tree, w, seed, seconds: calls.append((w, tree)) or side())
+    runs = bench_pairs.bench_pairs({"base": "B", "head": "H"}, ["w1", "w2"], 3, 0.1, 0,
+                                   log=lambda line: None)
+    assert calls == [("w1", "B"), ("w1", "H"), ("w2", "B"), ("w2", "H"),
+                     ("w1", "H"), ("w1", "B"), ("w2", "H"), ("w2", "B"),
+                     ("w1", "B"), ("w1", "H"), ("w2", "B"), ("w2", "H")]
+    assert [r["first"] for r in runs["w2"]] == ["base", "head", "base"]
+
+
+def test_summary_counts_wins_by_direction():
+    walls = [(1.0, 0.8), (1.2, 0.9), (0.9, 1.0), (1.1, 0.7)]
+    runs = [{"pair": i, "first": "base", "base": side(wall_cal_s=b, peak_rss_mb=60.0),
+             "head": side(i != 3, wall_cal_s=h, peak_rss_mb=61.0)}
+            for i, (b, h) in enumerate(walls)]
+    out = bench_pairs.summarize(runs, {"wall_cal_s": "s"}, {"wall_cal_s": "lower",
+                                                             "peak_rss_mb": "lower"})
+    wall = out["wall_cal_s"]
+    assert (wall["unit"], wall["better"]) == ("s", "lower")
+    assert (wall["base"]["wins"], wall["head"]["wins"]) == (1, 3)
+    assert wall["base"]["median"] == 1.05 and wall["head"]["median"] == pytest.approx(0.85)
+    assert wall["base"]["q1"] <= wall["base"]["median"] <= wall["base"]["q3"]
+    assert (wall["base"]["failed_runs"], wall["head"]["failed_runs"]) == (0, 1)
+    assert wall["rel_change"] == pytest.approx(-0.2 / 1.05)
+    assert (out["peak_rss_mb"]["base"]["wins"], out["peak_rss_mb"]["head"]["wins"]) == (4, 0)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_one_tiny_pair_against_head(tmp_path, monkeypatch):
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout")
+    monkeypatch.setattr(bench_pairs, "OUT", tmp_path)
+    code = bench_pairs.main(["--base", "HEAD", "--pairs", "1", "--seconds", "0.01",
+                             "--workload", "lyapunov-n16", "--label", "selftest"])
+    assert code == 0
+    result = json.loads((tmp_path / "BENCH_selftest.json").read_text())
+    assert result["pairs"] == 1 and result["cpu_count"] >= 1
+    assert result["base"]["sha"] == result["head"]["sha"] or result["head"]["dirty"]
+    (run,) = result["workloads"]["lyapunov-n16"]["runs"]
+    assert run["first"] == "base" and run["base"]["correct"] and run["head"]["correct"]
+    assert run["head"]["kernel_ms"] > 0
+    metrics = result["workloads"]["lyapunov-n16"]["metrics"]
+    assert set(metrics) == {"setup_s", "wall_cal_s", "steps_per_cal_s", "peak_rss_mb"}
+    for m in metrics.values():
+        assert m["head"]["wins"] + m["base"]["wins"] <= 1
+        assert m["base"]["median"] > 0 and m["head"]["failed_runs"] == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bardina import FieldRecipe, GridSpec, VectorField, generate, norms
-from bardina.spectral import inverse_transform
+from bardina.spectral import DIV_FREE_TOL, inverse_transform
 
 from conftest import half_hat
 from oracles import hermitian_defect, random_band_full_spectrum
@@ -82,6 +82,13 @@ class TestGenerate:
     def test_large_finite_energy_accepted(self, grid8):
         u = generate(FieldRecipe("shear", 1e150), grid8)
         assert 1e300 < norms(u, 1.0).h1alpha_sq < np.inf
+
+    @pytest.mark.parametrize("kind", ["shear", "taylor_green", "abc"])
+    def test_large_analytic_field_certified(self, grid8, kind):
+        # the defect is relative to the largest coefficient: round-off of a
+        # field of amplitude 1e7 (|k.u_hat| ~ 1e-10) passes
+        u = generate(FieldRecipe(kind, 1e7), grid8)
+        assert u.div_free and u.div_defect() <= DIV_FREE_TOL
 
     def test_band_outside_cutoff_rejected(self, grid8):
         with pytest.raises(ValueError):

@@ -1,5 +1,11 @@
 import ast
+import importlib.machinery
+import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -10,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import fft as sfft
 
 import bardina
+import bardina.spectral as spectral
 from bardina import (
     GridSpec,
     SpectralField,
@@ -535,14 +542,6 @@ class TestBoxKernel:
         got = inverse_transform(dealias(u, grid))
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
-    def test_dealiased_physical_with_out_of_place_transform(self, grid16, monkeypatch):
-        # overwrite_x permits, but does not promise, an in-place transform
-        u = dealias(general_field(grid16, 38), grid16)
-        expected = inverse_transform(u)
-        ifftn = sfft.ifftn
-        monkeypatch.setattr(sfft, "ifftn", lambda x, *a, **k: ifftn(x.copy(), *a, **k))
-        assert np.array_equal(inverse_transform(u), expected)
-
     @pytest.mark.parametrize("fraction", FRACTIONS)
     @kernel_cases
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.1, 2.0))
@@ -765,12 +764,13 @@ class TestTransformPair:
             assert np.abs(helmholtz_filter(p, alpha).hat - filtered_first).max() <= 1e-15 * scale
 
 
-FFT_TRANSFORM = re.compile(r"^(numpy|scipy)\.fft\.(i?r?fft[2n]?)$")
+FFT_TRANSFORM = re.compile(r"^(?:(?:numpy|scipy)\.fft\.(i?r?fft[2n]?)|(r2c|c2c|c2r))$")
 
 
 def fft_call_sites(path):
     """(function, transform) for every numpy.fft / scipy.fft transform call
-    in a source file, names resolved through the file's imports."""
+    and every call of a pocketfft name r2c, c2c or c2r in a source file,
+    names resolved through the file's imports."""
     tree = ast.parse(path.read_text())
     alias = {}
     for node in ast.walk(tree):
@@ -794,7 +794,7 @@ def fft_call_sites(path):
         if isinstance(node, ast.Call):
             match = FFT_TRANSFORM.match(dotted(node.func))
             if match:
-                sites.append((func, match.group(2)))
+                sites.append((func, match.group(1) or match.group(2)))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -804,11 +804,77 @@ def fft_call_sites(path):
 
 def test_transforms_live_in_one_pair():
     # every transform goes through inverse_transform and the forward helper,
-    # and only through the n-d entry points
+    # and only through pocketfft's three transforms
     src = Path(bardina.__file__).parent
     sites = [site for path in sorted(src.glob("*.py")) for site in fft_call_sites(path)]
     assert {func for func, _ in sites} == {"inverse_transform", "_forward"}
-    assert {name for _, name in sites} <= {"rfftn", "irfftn", "fftn", "ifftn"}
+    assert {name for _, name in sites} == {"r2c", "c2c", "c2r"}
+    assert {name for func, name in sites if func == "_forward"} == {"r2c", "c2c"}
+    assert {name for func, name in sites if func == "inverse_transform"} == {"c2c", "c2r"}
+
+
+def box_rows(grid):
+    """The half-spectrum rows along x (and y) that grid's box holds, in box order."""
+    c, b, n = grid.dealias_cutoff, grid.box_shape[0], grid.n
+    return np.r_[0 : c + 1, n - (b - c - 1) : n]
+
+
+class TestScipyOracle:
+    """The transform pair equals scipy.fft's public n-d transforms, composed
+    the same way, bit for bit: rfftn over z, fftn over x and y on the planes
+    the box holds; ifftn over x and y on those planes of the padded half
+    spectrum, then irfftn over z.  It is the same pocketfft code, so a
+    difference means scipy changed the module the program loads."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), vector=st.booleans(), log_scale=st.integers(-6, 6))
+    def test_pair_matches_scipy_fft(self, n, fraction, seed, vector, log_scale):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        x = random_samples(n, seed, vector, log_scale)
+        planes, rows = grid.box_shape[-1], box_rows(grid)
+
+        z = sfft.rfftn(x, axes=(-1,), norm="forward")[..., :planes]
+        xy = sfft.fftn(z, axes=(-3, -2), norm="forward")
+        expected = xy[..., rows, :, :][..., rows, :]
+        f = forward_transform(x, grid)
+        assert f.hat.tobytes() == expected.tobytes()
+
+        half = np.zeros(x.shape[:-3] + grid.half_shape, dtype=complex)
+        half[..., rows[:, None], rows, :planes] = f.hat
+        half[..., :planes] = sfft.ifftn(half[..., :planes], axes=(-3, -2), norm="forward")
+        expected = sfft.irfftn(half, s=(n,), axes=(-1,), norm="forward")
+        assert inverse_transform(f).tobytes() == expected.tobytes()
+
+
+IMPORTS = """\
+import json, sys
+import bardina.cli
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_importing_the_cli_leaves_scipy_out():
+    src = str(Path(bardina.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", IMPORTS], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out.strip().splitlines()[-1]) == []
+
+
+def test_missing_pocketfft_names_its_path(tmp_path, monkeypatch):
+    origin = tmp_path / "scipy" / "__init__.py"
+    origin.parent.mkdir()
+    origin.touch()
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *a: (
+        importlib.machinery.ModuleSpec("scipy", None, origin=str(origin))
+        if name == "scipy" else find_spec(name, *a)))
+    name = "pypocketfft" + importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = tmp_path / "scipy" / "fft" / "_pocketfft" / name
+    with pytest.raises(ImportError, match=re.escape(str(path))) as excinfo:
+        spectral._load_pocketfft()
+    assert excinfo.value.path == str(path)
 
 
 def scoped_nodes(path):

@@ -120,13 +120,14 @@ print(json.dumps(codes))
 """
 
 
-def extract_src(rev, dest):
-    """The src/ directory of git revision rev, unpacked under dest."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+def extract_tree(rev, dest, paths=("src",)):
+    """The given top-level paths of git revision rev, unpacked under dest;
+    returns dest."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, *paths],
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
-    return Path(dest) / "src"
+    return Path(dest)
 
 
 def start_tree(src, runs, work):
@@ -295,7 +296,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     runs = configs()
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
-        base_src = extract_src(args.base, tmp)
+        base_src = extract_tree(args.base, tmp) / "src"
         lines, ok = diff_trees(base_src, ROOT / "src", runs, Path(tmp) / "runs", args.rtol)
     print("\n".join(lines))
     print(f"{len(runs)} configs against {args.base}: " + ("OK" if ok else "DIFFERENCES"))

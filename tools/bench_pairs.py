@@ -1,0 +1,190 @@
+"""Alternating benchmark pairs: the working tree against a git revision.
+
+Usage, from anywhere inside the repository:
+
+    python3 tools/bench_pairs.py --base REV --pairs N --seconds S
+        [--workload W ...] [--seed K] --label L
+
+The base revision's src/ and perfbench/ are extracted with `git archive`
+into a temporary directory, as tools/artifact_diff.py extracts src/.  Each
+side runs its own `perfbench/run.py --workload W --seed K --seconds S
+--trace 0` in its own tree, one run at a time.  A pair is one run per side;
+the base goes first in even-numbered pairs and the working tree in odd
+ones, so a drift of the host's speed over the session weighs on both sides
+alike.  The workloads (default: all of perfbench's) take their pairs in
+turn, pair 0 of each, then pair 1 of each, and so on.
+
+The result is written to BENCH_<label>.json at the root of the repository,
+in one schema:
+
+  * label, command, seconds, seed, pairs; base {rev, sha}; head {sha,
+    dirty}, dirty when src/ or perfbench/ differ from HEAD; python, numpy,
+    scipy, cpu_count, machine;
+  * workloads: {W: {runs, metrics}}.  Each run is {pair, first, base,
+    head}, each side {correct, attempted, failed, kernel_ms, metrics}, its
+    metrics the values of run.py's result line and kernel_ms the reference
+    kernel's median (refclock.kernel_ms).  Each metric is {unit, better,
+    base, head, rel_change}: per side the median, q1 and q3 over the runs
+    that reported it, the pairs it won and the runs that were not correct;
+    rel_change is (head median - base median) / base median.  `better`
+    comes from BENCHMARK.json; a metric it does not list wins no pair.
+
+The exit status is 1 when a run of either side was not correct.
+"""
+
+import argparse
+import importlib.metadata
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+
+from artifact_diff import ROOT, extract_tree
+
+SIDES = ("base", "head")
+OUT = ROOT  # the directory of BENCH_<label>.json
+KERNEL = re.compile(r"^# reference kernel: median ([0-9.]+) ms")
+RUN_TIMEOUT_S = 600
+
+
+def run_side(tree, workload, seed, seconds):
+    """One perfbench run in `tree`: {correct, attempted, failed, kernel_ms,
+    metrics}; a run that ends without a result line is not correct."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    try:
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+        lines = proc.stdout.strip().splitlines()
+        result = json.loads(lines[-1])
+    except (subprocess.TimeoutExpired, IndexError, ValueError):
+        return {"correct": False, "attempted": 0, "failed": 0, "kernel_ms": None, "metrics": {}}
+    kernel = [float(m.group(1)) for m in map(KERNEL.match, lines) if m]
+    return {
+        "correct": result["correct"] is True and proc.returncode == 0,
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "kernel_ms": kernel[0] if kernel else None,
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+    }
+
+
+def _spread(values):
+    """{median, q1, q3} of a non-empty list."""
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarize(runs, units, better):
+    """Per-metric summary of the runs of one workload (see the module docstring)."""
+    names = sorted({m for r in runs for side in SIDES for m in r[side]["metrics"]})
+    out = {}
+    for name in names:
+        entry = {"unit": units.get(name), "better": better.get(name)}
+        for side in SIDES:
+            values = [r[side]["metrics"][name] for r in runs if name in r[side]["metrics"]]
+            entry[side] = dict(_spread(values) if values else {}, wins=0,
+                               failed_runs=sum(not r[side]["correct"] for r in runs))
+        sign = {"lower": -1, "higher": 1}.get(entry["better"], 0)
+        for r in runs:
+            a, b = (r[side]["metrics"].get(name) for side in SIDES)
+            if sign and a is not None and b is not None and a != b:
+                entry["head" if sign * (b - a) > 0 else "base"]["wins"] += 1
+        base, head = entry["base"].get("median"), entry["head"].get("median")
+        entry["rel_change"] = (head - base) / base if base and head is not None else None
+        out[name] = entry
+    return out
+
+
+def bench_pairs(trees, workloads, pairs, seconds, seed, log=print):
+    """{workload: [run]}: `pairs` alternating pairs per workload on the
+    {"base": path, "head": path} trees."""
+    runs = {w: [] for w in workloads}
+    for i in range(pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for w in workloads:
+            run = {"pair": i, "first": order[0]}
+            for side in order:
+                run[side] = run_side(trees[side], w, seed, seconds)
+            runs[w].append(run)
+            log(f"# {w} pair {i}: " + ", ".join(
+                f"{side} wall_cal_s {run[side]['metrics'].get('wall_cal_s', float('nan')):.4f}"
+                + ("" if run[side]["correct"] else " NOT CORRECT") for side in SIDES))
+    return runs
+
+
+def _git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def _versions():
+    def version(pkg):
+        try:
+            return importlib.metadata.version(pkg)
+        except importlib.metadata.PackageNotFoundError:
+            return None
+
+    return {"python": platform.python_version(), "numpy": version("numpy"),
+            "scipy": version("scipy"), "cpu_count": os.cpu_count(),
+            "machine": platform.machine()}
+
+
+def _benchmark_metrics():
+    """({metric: unit}, {metric: "lower" | "higher"}) of BENCHMARK.json's end-to-end metrics."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return ({m["name"]: m["unit"] for m in spec["end_to_end"]},
+            {m["name"]: m["better"] for m in spec["end_to_end"]})
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True, help="per perfbench run")
+    parser.add_argument("--workload", action="append", help="repeatable; default: all")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    workloads = args.workload or list(WORKLOADS)
+    unknown = sorted(set(workloads) - set(WORKLOADS))
+    if unknown or args.pairs < 1:
+        parser.error(f"unknown workload {unknown[0]}" if unknown else "--pairs must be >= 1")
+    units, better = _benchmark_metrics()
+    dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench"))
+    result = {
+        "label": args.label,
+        "command": "python3 tools/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
+        "seconds": args.seconds, "seed": args.seed, "pairs": args.pairs,
+        "base": {"rev": args.base, "sha": _git("rev-parse", args.base + "^{commit}")},
+        "head": {"sha": _git("rev-parse", "HEAD"), "dirty": dirty},
+        **_versions(),
+    }
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        base = extract_tree(args.base, tmp, ["src", "perfbench"])
+        runs = bench_pairs({"base": base, "head": ROOT}, workloads, args.pairs,
+                           args.seconds, args.seed)
+    result["workloads"] = {w: {"runs": r, "metrics": summarize(r, units, better)}
+                           for w, r in runs.items()}
+    path = OUT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(result, indent=1) + "\n")
+    for w, entry in result["workloads"].items():
+        for name, m in entry["metrics"].items():
+            print(f"{w:14s} {name:16s} base {m['base'].get('median', float('nan')):10.4f}"
+                  f"  head {m['head'].get('median', float('nan')):10.4f}"
+                  f"  head wins {m['head']['wins']}/{len(entry['runs'])}")
+    print(f"wrote {path}")
+    ok = all(r[side]["correct"] for rs in runs.values() for r in rs for side in SIDES)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
