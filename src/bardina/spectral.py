@@ -243,9 +243,8 @@ class VectorField(SpectralField):
         return SpectralField(self.grid, self.hat[i])
 
     def div_defect(self):
-        """Max over modes of |k . u_hat(k)| / max(1, max |u_hat|), scaled by
-        the field's largest coefficient, so that round-off on a large field
-        stays relative to its size."""
+        """Max over modes of |k . u_hat(k)|, over max(1, the field's largest
+        coefficient): round-off on a large field stays relative to its size."""
         k, c = self.symbols.k, self.hat
         kdotu = np.abs(k[0] * c[0] + k[1] * c[1] + k[2] * c[2]).max()
         return kdotu / np.maximum(1.0, np.abs(c).max())
@@ -278,12 +277,11 @@ class NormBundle:
 
 
 def _load_pocketfft():
-    """r2c, c2c and c2r of scipy's compiled pocketfft module, loaded from its
-    file in scipy's directory, which find_spec locates without importing
-    scipy.  The transforms take (array, axes, forward, inorm[, out]), inorm
-    2 dividing by the number of points and 0 leaving the sum unscaled, as
-    norm="forward" does; a given out is written in place.  ImportError
-    naming the path when the file is missing."""
+    """r2c, c2c and c2r of scipy's compiled pocketfft module, loaded by path
+    (find_spec locates scipy without importing it); ImportError naming the
+    path when the file is missing.  Each takes (array, axes, forward, inorm
+    [, out]): inorm 2 divides by the number of points, 0 does not, as
+    norm="forward" does, and a given out is written in place."""
     spec = importlib.util.find_spec("scipy")
     if spec is None:
         raise ImportError("bardina needs scipy, whose wheel ships pocketfft")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+
 import bardina.attractor
 import bardina.spectral
 from bardina import (

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import fft as sfft
 
 import bardina
-import bardina.spectral as spectral
 from bardina import (
     GridSpec,
     SpectralField,
@@ -39,6 +38,7 @@ from bardina.spectral import (
     CertificateError,
     _bilinear_symbols,
     _blocks,
+    _load_pocketfft,
     bilinear,
     full_spectrum,
     mode_indices,
@@ -873,7 +873,7 @@ def test_missing_pocketfft_names_its_path(tmp_path, monkeypatch):
     name = "pypocketfft" + importlib.machinery.EXTENSION_SUFFIXES[0]
     path = tmp_path / "scipy" / "fft" / "_pocketfft" / name
     with pytest.raises(ImportError, match=re.escape(str(path))) as excinfo:
-        spectral._load_pocketfft()
+        _load_pocketfft()
     assert excinfo.value.path == str(path)
 
 
