@@ -23,11 +23,31 @@ Conventions used throughout:
     run, for none of what bardina uses.  numpy.fft 2.4 costs more per call
     on these small strided arrays (x-y pass on (5, 16, 16, 6): 88 against
     56 us with scipy 1.17 on a 2-vCPU x86-64 host).
-  * Work arrays, allocated once per shape (_work): the kernel's 5 products
-    fill a (5, n, n, n) buffer, with an (n, n, n) scratch, and
-    inverse_transform pads into the same buffer, idle then.  No call maps
-    fresh pages for them, and every result is a new array, but neither the
-    pair nor the kernel is re-entrant: one thread at a time, as in the CLI.
+    Where a grid's 5 product slots exceed SLAB_BYTES (2 MiB, one core's L2
+    on that host), i.e. at n >= 64, the pair and the kernel run slab by
+    slab of x rows, as many as fit in SLAB_BYTES with all a kernel slab
+    holds (3 at n = 64), with the passes pruned to the box.  The inverse pads the
+    box along x only and transforms over x its b y rows only (_inverse_x),
+    then pads each slab along y and transforms it over y and z
+    (_inverse_yz); the samples are the one pass's to the bit, as x still
+    runs before y.  The forward (_forward_slabs) transforms each slab over
+    z, then over y on the box's planes, keeps the box's y rows, and after
+    the last slab transforms those over x; as y now runs before x, the
+    coefficients move in round-off (<= 5e-16 of the largest at n = 64).
+    The kernel feeds it the products slab by slab, so no (5, n, n, n)
+    array, z spectrum or sample array is made.  Smaller grids keep the one
+    pass: their products already fit in that cache, and a slab path there
+    made steady-n32 13-40 % slower, its per-step temporaries then crossing
+    glibc's dynamic heap-trim threshold (11-45 k minor page faults a run
+    instead of ~750).
+  * Work arrays, one per name and shape, zeros when made (_work): the one
+    pass's 5 products fill a (5, n, n, n) buffer, with an (n, n, n)
+    scratch, and its inverse_transform pads into the same buffer, idle
+    then.  The slab path keeps apart the x passes' (..., n, b, c+1)
+    arrays and, a slab each, the samples, products, z spectrum and y pad.
+    No call maps fresh pages for them, and every result is a new array,
+    but neither the pair nor the kernel is re-entrant: one thread at a
+    time, as in the CLI.
   * Coefficients are normalized so that u(x) = sum_m c_m exp(i k.x), k =
     2 pi m / L, i.e. c = fftn(samples) / n^3.  Parseval reads integral
     |u|^2 dx = L^3 * sum_m |c_m|^2; a mode with 0 < m_z < n/2 counts twice.
@@ -42,6 +62,7 @@ Conventions used throughout:
 
 import importlib.machinery
 import importlib.util
+import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -134,14 +155,19 @@ def mode_indices(grid):
     return _frozen(np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64))
 
 
+def _runs(grid, rows):
+    """The contiguous runs of the box's rows m >= 0 and m < 0 along x or y,
+    on an axis of `rows` rows: the box's own b, or those of the box of a
+    grid of the same n with a cutoff of at least c (all n at fraction 1)."""
+    c = grid.dealias_cutoff
+    return slice(0, c + 1), slice(rows - (grid.box_shape[0] - c - 1), rows)
+
+
 def _blocks(a, grid):
-    """Views of the retained box in `a` as 4 blocks, one per pair of the
-    contiguous x and y row runs m >= 0 and m < 0; `a` holds the box of a
-    grid of the same n with a cutoff of at least c (all n rows at
-    dealias_fraction 1), or the half spectrum."""
-    c, rows = grid.dealias_cutoff, a.shape[-3]
-    runs = (slice(0, c + 1), slice(rows - (grid.box_shape[0] - c - 1), rows))
-    return [a[..., x, y, : c + 1] for x in runs for y in runs]
+    """Views of the retained box in `a` as 4 blocks, one per pair of the x
+    and y row runs; `a` holds a box as in _runs, or the half spectrum."""
+    runs = _runs(grid, a.shape[-3])
+    return [a[..., x, y, : grid.dealias_cutoff + 1] for x in runs for y in runs]
 
 
 def _copy_box(hat, grid, out):
@@ -153,7 +179,33 @@ def _copy_box(hat, grid, out):
     return out
 
 
-_work = lru_cache(maxsize=8)(np.empty)  # _work(shape, dtype): see "Work arrays" above
+@lru_cache(maxsize=16)
+def _work(key, shape, dtype):
+    """The work array named `key`, zeros when made: see "Work arrays" above."""
+    return np.zeros(shape, dtype)
+
+
+SLAB_BYTES = 2 << 20  # cache budget of a slab: see "One transform pair" above
+
+
+def _slab_row_bytes(n):
+    """What a kernel slab holds per x row on an n-grid: 5 products and 3
+    samples (float64), and as many z spectra and y pads (complex128)."""
+    return 8 * n * (8 * n + 16 * (n // 2 + 1))
+
+
+def _slab_rows(n):
+    """x rows per slab on an n-grid: None (one pass) while its 5 product
+    slots fit in SLAB_BYTES, else as many rows as fit there, at least one."""
+    if 5 * n**3 * 8 <= SLAB_BYTES:
+        return None
+    return max(1, SLAB_BYTES // _slab_row_bytes(n))
+
+
+def _slabs(n, rows):
+    """Slices of `rows` consecutive x rows covering n; the last is shorter
+    when rows does not divide n."""
+    return [slice(x, min(x + rows, n)) for x in range(0, n, rows)]
 
 
 Modes = namedtuple("Modes", "k ksq weights leray")
@@ -301,11 +353,36 @@ r2c, c2c, c2r = _load_pocketfft()
 def _forward(samples, grid):
     """The box coefficients of physical samples (..., n, n, n): the real
     transform over z, then the x and y transforms of the planes m_z the box
-    holds only."""
+    holds only; slab by slab (_forward_slabs) on grids beyond SLAB_BYTES."""
+    rows = _slab_rows(grid.n)
+    if rows is not None:
+        slabs = ((s, samples[..., s, :, :]) for s in _slabs(grid.n, rows))
+        return _forward_slabs(slabs, samples.shape[:-3], grid, rows)
     ndim = samples.ndim
     a = r2c(samples, (ndim - 1,), True, 2)[..., : grid.box_shape[-1]]
     c2c(a, (ndim - 3, ndim - 2), True, 2, a)  # in place: out is a
     return _copy_box(a, grid, np.zeros(a.shape[:-3] + grid.box_shape, dtype=a.dtype))
+
+
+def _forward_slabs(slabs, lead, grid, rows):
+    """The box coefficients of samples given as (x rows, their samples)
+    pairs of at most `rows` rows: per slab the real transform over z and,
+    on the box's planes, the one over y, whose box rows are kept; then over
+    x on those rows only, and the box's x rows."""
+    n, (b, p) = grid.n, grid.box_shape[1:]
+    z = _work("z slab", lead + (rows, n, n // 2 + 1), complex)
+    acc = _work("x forward", lead + (n, b, p), complex)
+    runs = list(zip(_runs(grid, n), _runs(grid, b)))  # (rows of n, rows of the box)
+    for s, t in slabs:
+        held = r2c(t, (t.ndim - 1,), True, 2, z[..., : s.stop - s.start, :, :])[..., :p]
+        c2c(held, (held.ndim - 2,), True, 2, held)  # in place
+        for full, box in runs:
+            acc[..., s, box, :] = held[..., full, :]
+    c2c(acc, (acc.ndim - 3,), True, 2, acc)  # in place
+    out = np.empty(lead + grid.box_shape, complex)
+    for full, box in runs:
+        out[..., box, :, :] = acc[..., full, :, :]
+    return out
 
 
 def forward_transform(physical_samples, grid=None):
@@ -325,16 +402,55 @@ def forward_transform(physical_samples, grid=None):
 
 def inverse_transform(field):
     """Real samples on the n^3 grid of a scalar or vector field, a new array.
-    The box is padded into the product work array, never transformed in its
-    own hat: over x and y on the planes m_z the box holds, then over z."""
+    The box is padded into a work array, never transformed in its own hat:
+    over x and y on the planes m_z the box holds, then over z; slab by slab
+    after the x transform on grids beyond SLAB_BYTES."""
     hat, grid = field.hat, field.grid
+    rows = _slab_rows(grid.n)
+    if rows is not None:
+        a = _inverse_x(hat, grid, "x inverse")
+        out = np.empty(hat.shape[:-3] + (grid.n,) * 3)
+        for s in _slabs(grid.n, rows):
+            _inverse_yz(a, grid, s, rows, out[..., s, :, :])
+        return out
     shape = hat.shape[:-3] + grid.half_shape  # in the product buffer: see "Work arrays"
-    a = _work((5,) + (grid.n,) * 3, float).ravel().view(complex)[: np.prod(shape)].reshape(shape)
+    buffer = _work("products", (5,) + (grid.n,) * 3, float)
+    a = buffer.ravel().view(complex)[: math.prod(shape)].reshape(shape)
     a.fill(0)  # the transforms below may have overwritten any of it
     held = _copy_box(hat, grid, a)[..., : grid.box_shape[-1]]
     ndim = a.ndim
     c2c(held, (ndim - 3, ndim - 2), False, 0, held)  # in place: out is held
     return c2r(a, (ndim - 1,), grid.n, False, 0)
+
+
+def _inverse_x(hat, grid, key):
+    """The box `hat` padded along x to n rows and transformed over x, in the
+    work array `key`, (..., n, b, c+1): the y rows outside the box are zero,
+    so their x transforms are skipped."""
+    a = _work(key, hat.shape[:-3] + (grid.n,) + grid.box_shape[1:], complex)
+    pos, neg = _runs(grid, grid.n)
+    for full, box in zip((pos, neg), _runs(grid, hat.shape[-3])):
+        a[..., full, :, :] = hat[..., box, :, :]
+    a[..., pos.stop : neg.start, :, :] = 0  # the rows between the runs
+    c2c(a, (a.ndim - 3,), False, 0, a)  # in place
+    return a
+
+
+def _inverse_yz(a, grid, s, rows, out):
+    """The samples of the x rows `s` (at most `rows`) into `out`, from
+    _inverse_x's `a`: those rows padded along y, transformed over y on the
+    box's planes, then over z.  The pad's planes above the box stay zero from
+    its making: its key holds the plane count."""
+    p = grid.box_shape[-1]
+    pad = _work(("y pad", p), a.shape[:-3] + (rows, grid.n, grid.n // 2 + 1), complex)
+    pad = pad[..., : s.stop - s.start, :, :]
+    pos, neg = _runs(grid, grid.n)
+    for full, box in zip((pos, neg), _runs(grid, a.shape[-2])):
+        pad[..., full, :p] = a[..., s, box, :]
+    pad[..., pos.stop : neg.start, :p] = 0
+    held = pad[..., :p]
+    c2c(held, (pad.ndim - 2,), False, 0, held)  # in place
+    return c2r(pad, (pad.ndim - 1,), grid.n, False, 0, out)
 
 
 def _check_shared_grid(*fields):
@@ -418,20 +534,19 @@ def h1alpha_inner(v, w, alpha):
     return float(np.vdot(h1alpha_weights(grid, alpha) * v.hat, w.hat).real)
 
 
-def _traceless_products(a, b):
+def _traceless_products(a, b, out, tmp):
     """Physical samples of T - T33 I for T = (a (x) b + b (x) a)/2, as the 5
-    slots T11 - T33, T22 - T33, T12, T13, T23 of the product work array.
-    Shifting T by T33 I changes div T by grad T33, which the Leray projection
-    removes mode by mode, so B needs only these 5 slots."""
-    out = _work((5,) + a.shape[1:], float)
+    slots T11 - T33, T22 - T33, T12, T13, T23 of `out`; `tmp`, of one slot's
+    shape, is scratch when b is not a.  Shifting T by T33 I changes div T by
+    grad T33, which the Leray projection removes mode by mode, so B needs
+    only these 5 slots."""
     np.multiply(a[2], b[2], out=out[4])  # T33, until T23 takes its slot
     for s in (0, 1):
         np.multiply(a[s], b[s], out=out[s])
         out[s] -= out[4]
-    tmp = None if b is a else _work(a.shape[1:], float)
     for s, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)), start=2):
         np.multiply(a[i], b[j], out=out[s])
-        if tmp is not None:
+        if b is not a:
             out[s] += np.multiply(b[i], a[j], out=tmp)
             out[s] *= 0.5
     return out
@@ -447,10 +562,36 @@ def tensor_product_spectra(u, w, u_phys=None):
     retained modes are the exact Galerkin projection; the other modes are
     dropped after the z transform.
     """
+    grid = u.grid
+    rows = _slab_rows(grid.n)
+    if rows is not None:
+        return _forward_slabs(_product_slabs(u, w, u_phys, rows), (5,), grid, rows)
     a = inverse_transform(u) if u_phys is None else u_phys
-    t = _traceless_products(a, a if w is u else inverse_transform(w))
-    del a  # the samples are freed before the transform allocates its output
-    return _forward(t, u.grid)
+    b = a if w is u else inverse_transform(w)
+    shape = (grid.n,) * 3
+    t = _traceless_products(a, b, _work("products", (5,) + shape, float),
+                            None if b is a else _work("scratch", shape, float))
+    del a, b  # the samples are freed before the transform allocates its output
+    return _forward(t, grid)
+
+
+def _product_slabs(u, w, u_phys, rows):
+    """(x rows, the 5 traceless product slots on them) for each slab of at
+    most `rows` rows, in one work array: the samples of each slab are sliced
+    from u_phys or formed by _inverse_yz from the x transforms of u and w."""
+    grid, n = u.grid, u.grid.n
+    xu = None if u_phys is not None else _inverse_x(u.hat, grid, "x inverse")
+    xw = None if w is u else _inverse_x(w.hat, grid, "x w")
+    shape = (rows, n, n)
+    ua = None if xu is None else _work("u slab", (3,) + shape, float)
+    wa = None if xw is None else _work("w slab", (3,) + shape, float)
+    tmp = None if xw is None else _work("scratch slab", shape, float)
+    t = _work("products slab", (5,) + shape, float)
+    for s in _slabs(n, rows):
+        k = s.stop - s.start
+        a = u_phys[:, s] if xu is None else _inverse_yz(xu, grid, s, rows, ua[:, :k])
+        b = a if xw is None else _inverse_yz(xw, grid, s, rows, wa[:, :k])
+        yield s, _traceless_products(a, b, t[:, :k], None if tmp is None else tmp[:k])
 
 
 @lru_cache(maxsize=32)

@@ -16,9 +16,9 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def side(correct=True, **metrics):
+def side(correct=True, minor_faults=4000, **metrics):
     return {"correct": correct, "attempted": 4, "failed": 0 if correct else 1,
-            "kernel_ms": 1.8, "metrics": metrics}
+            "kernel_ms": 1.8, "minor_faults": minor_faults, "metrics": metrics}
 
 
 def test_sides_alternate_which_goes_first(monkeypatch):
@@ -50,6 +50,17 @@ def test_summary_counts_wins_by_direction():
     assert (out["peak_rss_mb"]["base"]["wins"], out["peak_rss_mb"]["head"]["wins"]) == (4, 0)
 
 
+def test_fault_summary_per_side():
+    counts = [(4000, 8000), (4400, 6000), (3600, None)]
+    runs = [{"pair": i, "first": "base", "base": side(minor_faults=b),
+             "head": side(minor_faults=h)} for i, (b, h) in enumerate(counts)]
+    out = bench_pairs.summarize_faults(runs)
+    assert out["base"]["median"] == 4000 and out["base"]["per_process"] == 1000
+    assert out["base"]["q1"] <= 4000 <= out["base"]["q3"]
+    assert out["head"]["median"] == 7000 and out["head"]["per_process"] == 1750
+    assert bench_pairs.summarize_faults(runs[2:])["head"] == {}
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_one_tiny_pair_against_head(tmp_path, monkeypatch):
     if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
@@ -65,6 +76,12 @@ def test_one_tiny_pair_against_head(tmp_path, monkeypatch):
     (run,) = result["workloads"]["lyapunov-n16"]["runs"]
     assert run["first"] == "base" and run["base"]["correct"] and run["head"]["correct"]
     assert run["head"]["kernel_ms"] > 0
+    # every run maps pages: the interpreter, numpy, the fields
+    assert run["base"]["minor_faults"] > 0 and run["head"]["minor_faults"] > 0
+    faults = result["workloads"]["lyapunov-n16"]["minor_faults"]
+    for s in ("base", "head"):
+        assert faults[s]["median"] == run[s]["minor_faults"]
+        assert faults[s]["per_process"] == run[s]["minor_faults"] / run[s]["attempted"]
     metrics = result["workloads"]["lyapunov-n16"]["metrics"]
     assert set(metrics) == {"setup_s", "wall_cal_s", "steps_per_cal_s", "peak_rss_mb"}
     for m in metrics.values():

@@ -18,6 +18,8 @@ from scipy import fft as sfft
 import bardina
 from bardina import (
     GridSpec,
+    PhysParams,
+    SimState,
     SpectralField,
     VectorField,
     dealias,
@@ -33,13 +35,19 @@ from bardina import (
     nonlinear_term,
     norms,
     pressure_from_velocity,
+    step,
 )
+from bardina import spectral
 from bardina.spectral import (
     CertificateError,
     _bilinear_symbols,
     _blocks,
     _load_pocketfft,
+    _slab_row_bytes,
+    _slab_rows,
+    _work,
     bilinear,
+    tensor_product_spectra,
     full_spectrum,
     mode_indices,
     modes,
@@ -554,6 +562,12 @@ class TestBoxKernel:
         assert np.array_equal(b.hat, bilinear(w, u, alpha).hat)
 
 
+def slab_budget(monkeypatch, n, rows):
+    """Lower SLAB_BYTES so that an n-grid runs slabs of `rows` x rows."""
+    monkeypatch.setattr(spectral, "SLAB_BYTES", rows * _slab_row_bytes(n))
+    assert _slab_rows(n) == rows
+
+
 class TestWorkArrays:
     """The transform pair and the kernel keep their large temporaries in work
     arrays reused across calls; no result is, or views, one of them."""
@@ -569,21 +583,26 @@ class TestWorkArrays:
         forward_transform(inverse_transform(w), grid)
 
     @pytest.mark.parametrize("n, fraction", [(16, 2 / 3), (16, 1.0)])
-    def test_results_survive_later_calls(self, n, fraction):
-        grid = GridSpec(n, dealias_fraction=fraction)
-        u, w = (dealias(general_field(grid, s), grid) for s in (70, 71))
-        kept = [
-            inverse_transform(u),
-            bilinear(u, w, 0.7).hat,
-            bilinear(w, w, 0.7).hat,
-            forward_transform(random_samples(n, 72, True, 0), grid).hat,
-        ]
-        before = [a.copy() for a in kept]
-        # the same grid, then another n and dealias fraction
-        for g, seed in ((grid, 73), (GridSpec(12, dealias_fraction=0.5), 75)):
-            self.kernel_calls(g, seed)
-            for a, b in zip(kept, before):
-                assert a.tobytes() == b.tobytes()
+    def test_results_survive_later_calls(self, n, fraction, monkeypatch):
+        # in one pass, then in slabs of 3 x rows and of 1 (with the budget
+        # that gives 3 or 1 at n, the later n = 12 grid takes one pass or 1)
+        for rows in (None, 3, 1):
+            if rows:
+                slab_budget(monkeypatch, n, rows)
+            grid = GridSpec(n, dealias_fraction=fraction)
+            u, w = (dealias(general_field(grid, s), grid) for s in (70, 71))
+            kept = [
+                inverse_transform(u),
+                bilinear(u, w, 0.7).hat,
+                bilinear(w, w, 0.7).hat,
+                forward_transform(random_samples(n, 72, True, 0), grid).hat,
+            ]
+            before = [a.copy() for a in kept]
+            # the same grid, then another n and dealias fraction
+            for g, seed in ((grid, 73), (GridSpec(12, dealias_fraction=0.5), 75)):
+                self.kernel_calls(g, seed)
+                for a, b in zip(kept, before):
+                    assert a.tobytes() == b.tobytes()
 
     def test_kernel_peak_memory(self):
         # n = 32: one sample array is 0.79 MB, the 5 products 1.31 MB and
@@ -599,6 +618,91 @@ class TestWorkArrays:
         finally:
             tracemalloc.stop()
         assert peak <= 3.4e6
+
+    def test_slab_kernel_peak_memory(self):
+        # n = 64: the 5 products are 10.5 MB, their z transform 10.8 MB and
+        # one sample array 6.3 MB; slab by slab they all live in work arrays
+        # of a few x rows, and a call allocates only its 3.26 MB result
+        grid = GridSpec(64)
+        u, w = (dealias(general_field(grid, s), grid) for s in (78, 79))
+        u_phys = inverse_transform(u)
+        for args in ((u, w), (u, u), (u, w, u_phys)):
+            tensor_product_spectra(*args)  # warm-up: work arrays
+            tracemalloc.start()
+            try:
+                tensor_product_spectra(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3.5e6
+
+    def test_warm_step_makes_no_work_array(self, params):
+        grid = GridSpec(64)
+        assert _slab_rows(grid.n) is not None  # the slab path
+        u, force = (random_field(grid, params.alpha, seed, k_max=6) for seed in (80, 81))
+        state = step(SimState(u, 0.0, params, force), 0.001)  # warm-up
+        misses = _work.cache_info().misses
+        step(state, 0.001)
+        assert _work.cache_info().misses == misses
+
+
+class TestSlabPath:
+    """Grids whose 5 product slots exceed SLAB_BYTES run the transform pair
+    and the kernel slab by slab.  With the budget lowered, small grids take
+    that path, in 1-row slabs and in slabs that do not divide n (3 rows at
+    n = 16, 5 at n = 32; at most 3 fit at n = 12), and give the one-pass
+    results: the inverse to the bit, as its x pass still runs before its y
+    pass; the forward ones to round-off, as the slabs run y before x."""
+
+    def test_only_grids_beyond_the_budget_take_slabs(self):
+        assert _slab_rows(16) is None and _slab_rows(32) is None
+        assert _slab_rows(64) == 3  # 2 MiB over 520 KiB a row
+        assert _slab_rows(256) == 1
+
+    @staticmethod
+    def results(u, w, samples):
+        u_phys = inverse_transform(u)
+        inverse = [u_phys, inverse_transform(w.component(1))]
+        forward = [
+            forward_transform(samples, u.grid).hat,
+            forward_transform(samples[0], u.grid).hat,
+            bilinear(u, w, 0.7).hat,
+            bilinear(u, w, 0.7, u_phys).hat,
+            bilinear(u, u, 0.7).hat,
+            bilinear(u, u, 0.7, u_phys).hat,
+        ]
+        return inverse, forward, pressure_from_velocity(u, 0.7).hat
+
+    @pytest.mark.parametrize("n, rows", [(12, 1), (12, 3), (16, 1), (16, 3), (32, 1), (32, 5)])
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    def test_slabs_match_one_pass(self, n, rows, fraction, monkeypatch):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        u, w = (dealias(general_field(grid, s), grid) for s in (90, 91))
+        samples = random_samples(n, 92, True, 0)
+        inverse, forward, pressure = self.results(u, w, samples)
+        products = np.abs(tensor_product_spectra(u, u)).max()
+        slab_budget(monkeypatch, n, rows)
+        slab_inverse, slab_forward, slab_pressure = self.results(u, w, samples)
+        for a, b in zip(inverse, slab_inverse):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(forward, slab_forward):
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
+        # the pressure is a sum of signed terms, each the product spectra
+        # times symbols of modulus <= 1: round-off is relative to those
+        assert np.abs(pressure - slab_pressure).max() <= 1e-15 * products
+
+    def test_fewer_planes_after_more(self, monkeypatch):
+        # the y pad's planes above the box stay zero from its making: a grid
+        # of one n and slab size but fewer planes must not read what a grid
+        # with more planes left there
+        fields = []
+        for fraction in (1.0, 2 / 3, 0.5):
+            grid = GridSpec(16, dealias_fraction=fraction)
+            fields.append(dealias(general_field(grid, 93), grid))
+        expected = [inverse_transform(u) for u in fields]
+        slab_budget(monkeypatch, 16, 3)
+        for u, e in zip(fields, expected):
+            assert inverse_transform(u).tobytes() == e.tobytes()
 
 
 def dealiased_layouts(grid, seed):
@@ -802,15 +906,21 @@ def fft_call_sites(path):
     return sites
 
 
+FORWARD_HELPERS = {"_forward": {"r2c", "c2c"}, "_forward_slabs": {"r2c", "c2c"}}
+INVERSE_HELPERS = {"inverse_transform": {"c2c", "c2r"}, "_inverse_x": {"c2c"},
+                   "_inverse_yz": {"c2c", "c2r"}}
+
+
 def test_transforms_live_in_one_pair():
     # every transform goes through inverse_transform and the forward helper,
-    # and only through pocketfft's three transforms
+    # or the slab steps they share with the kernel, and only through
+    # pocketfft's three transforms: r2c and c2c forward, c2c and c2r inverse
     src = Path(bardina.__file__).parent
     sites = [site for path in sorted(src.glob("*.py")) for site in fft_call_sites(path)]
-    assert {func for func, _ in sites} == {"inverse_transform", "_forward"}
-    assert {name for _, name in sites} == {"r2c", "c2c", "c2r"}
-    assert {name for func, name in sites if func == "_forward"} == {"r2c", "c2c"}
-    assert {name for func, name in sites if func == "inverse_transform"} == {"c2c", "c2r"}
+    called = {}
+    for func, name in sites:
+        called.setdefault(func, set()).add(name)
+    assert called == FORWARD_HELPERS | INVERSE_HELPERS
 
 
 def box_rows(grid):

@@ -20,14 +20,20 @@ in one schema:
   * label, command, seconds, seed, pairs; base {rev, sha}; head {sha,
     dirty}, dirty when src/ or perfbench/ differ from HEAD; python, numpy,
     scipy, cpu_count, machine;
-  * workloads: {W: {runs, metrics}}.  Each run is {pair, first, base,
-    head}, each side {correct, attempted, failed, kernel_ms, metrics}, its
-    metrics the values of run.py's result line and kernel_ms the reference
-    kernel's median (refclock.kernel_ms).  Each metric is {unit, better,
-    base, head, rel_change}: per side the median, q1 and q3 over the runs
-    that reported it, the pairs it won and the runs that were not correct;
-    rel_change is (head median - base median) / base median.  `better`
-    comes from BENCHMARK.json; a metric it does not list wins no pair.
+  * workloads: {W: {runs, metrics, minor_faults}}.  Each run is {pair,
+    first, base, head}, each side {correct, attempted, failed, kernel_ms,
+    minor_faults, metrics}, its metrics the values of run.py's result line,
+    kernel_ms the reference kernel's median (refclock.kernel_ms) and
+    minor_faults the minor page faults of the whole perfbench run, all its
+    processes (the change of getrusage(RUSAGE_CHILDREN).ru_minflt around
+    it).  Each metric is {unit, better, base, head, rel_change}: per side
+    the median, q1 and q3 over the runs that reported it, the pairs it won
+    and the runs that were not correct; rel_change is (head median - base
+    median) / base median.  `better` comes from BENCHMARK.json; a metric it
+    does not list wins no pair.  minor_faults is per side the median, q1
+    and q3 of the runs' counts, and per_process, the median of each run's
+    count over its processes (`attempted`, the warm-up included): a side
+    that runs faster fits more processes into the same seconds.
 
 The exit status is 1 when a run of either side was not correct.
 """
@@ -38,6 +44,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -56,19 +63,23 @@ def run_side(tree, workload, seed, seconds):
     metrics}; a run that ends without a result line is not correct."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     try:
         proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                               timeout=RUN_TIMEOUT_S)
         lines = proc.stdout.strip().splitlines()
         result = json.loads(lines[-1])
     except (subprocess.TimeoutExpired, IndexError, ValueError):
-        return {"correct": False, "attempted": 0, "failed": 0, "kernel_ms": None, "metrics": {}}
+        return {"correct": False, "attempted": 0, "failed": 0, "kernel_ms": None,
+                "minor_faults": None, "metrics": {}}
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     kernel = [float(m.group(1)) for m in map(KERNEL.match, lines) if m]
     return {
         "correct": result["correct"] is True and proc.returncode == 0,
         "attempted": result["attempted"],
         "failed": result["failed"],
         "kernel_ms": kernel[0] if kernel else None,
+        "minor_faults": faults,
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
 
@@ -97,6 +108,20 @@ def summarize(runs, units, better):
         base, head = entry["base"].get("median"), entry["head"].get("median")
         entry["rel_change"] = (head - base) / base if base and head is not None else None
         out[name] = entry
+    return out
+
+
+def summarize_faults(runs):
+    """Per side the spread of the runs' minor_faults and their median count
+    per process (see the module docstring); {} for a side without counts."""
+    out = {}
+    for side in SIDES:
+        counted = [r[side] for r in runs if r[side]["minor_faults"] is not None]
+        if not counted:
+            out[side] = {}
+            continue
+        per_process = statistics.median(c["minor_faults"] / c["attempted"] for c in counted)
+        out[side] = dict(_spread([c["minor_faults"] for c in counted]), per_process=per_process)
     return out
 
 
@@ -172,8 +197,8 @@ def main(argv=None):
         base = extract_tree(args.base, tmp, ["src", "perfbench"])
         runs = bench_pairs({"base": base, "head": ROOT}, workloads, args.pairs,
                            args.seconds, args.seed)
-    result["workloads"] = {w: {"runs": r, "metrics": summarize(r, units, better)}
-                           for w, r in runs.items()}
+    result["workloads"] = {w: {"runs": r, "metrics": summarize(r, units, better),
+                               "minor_faults": summarize_faults(r)} for w, r in runs.items()}
     path = OUT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     for w, entry in result["workloads"].items():
@@ -181,6 +206,10 @@ def main(argv=None):
             print(f"{w:14s} {name:16s} base {m['base'].get('median', float('nan')):10.4f}"
                   f"  head {m['head'].get('median', float('nan')):10.4f}"
                   f"  head wins {m['head']['wins']}/{len(entry['runs'])}")
+        faults = entry["minor_faults"]
+        print(f"{w:14s} {'minor_faults':16s} per process: base "
+              f"{faults['base'].get('per_process', float('nan')):10.0f}"
+              f"  head {faults['head'].get('per_process', float('nan')):10.0f}")
     print(f"wrote {path}")
     ok = all(r[side]["correct"] for rs in runs.values() for r in rs for side in SIDES)
     return 0 if ok else 1
