@@ -84,6 +84,8 @@ RULES = {
     "time": (lambda c: c.dt > 0 and c.t_end >= 0 and c.sample_every >= 1
              and abs(step_count(0.0, c.t_end, c.dt) * c.dt - c.t_end) <= 1e-9 * c.t_end,
              "dt > 0, t_end >= 0, sample_every >= 1 and t_end a whole number of dt steps required"),
+    "lyapunov": (lambda c: len(c.m_list) >= 1 and min(c.m_list) >= 1,
+                 "m_list must hold at least one frame size, each >= 1"),
     "decay": (lambda c: all(p >= 1 for p in c.p_list), "every p in p_list must be >= 1 or inf"),
     "bound": (lambda c: c.f_norm is None or c.f_norm >= 0, "f_norm must be nonnegative"),
 }

@@ -176,8 +176,9 @@ def check_cfl(state, dt):
 def step(state, dt):
     """One ETD2RK step of the Galerkin system on the grid's retained box.
     The CFL check and N(u) read state.u_phys, which is then dropped
-    from the input state.  Raises CFLError if dt exceeds the CFL cap of the
-    input state, BlowUpError on non-finite output, ValueError if the
+    from the input state.  The combine runs with out= in the predictor and
+    the second kernel's result.  Raises CFLError if dt exceeds the CFL cap
+    of the input state, BlowUpError on non-finite output, ValueError if the
     velocity and the force are on different grids."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -188,9 +189,13 @@ def step(state, dt):
     check_cfl(state, dt)
     n0 = state.force.hat - nonlinear_term(state.u, alpha, state.u_phys).hat
     del state.u_phys
-    predictor = expz * state.u.hat + w1 * n0
-    n1 = state.force.hat - nonlinear_term(VectorField(grid, predictor), alpha).hat
-    out = predictor + w2 * (n1 - n0)
+    predictor = expz * state.u.hat
+    predictor += w1 * n0
+    n1 = nonlinear_term(VectorField(grid, predictor), alpha).hat  # N(u)'s 5 slots are freed by now
+    np.subtract(state.force.hat, n1, out=n1)
+    n1 -= n0
+    np.multiply(w2, n1, out=n1)
+    out = np.add(predictor, n1, out=predictor)  # owns its 3 slots
 
     if not np.all(np.isfinite(out)):
         raise BlowUpError(state.t + dt)

@@ -47,7 +47,8 @@ Conventions used throughout:
     arrays and, a slab each, the samples, products, z spectrum and y pad.
     No call maps fresh pages for them, and every result is a new array,
     but neither the pair nor the kernel is re-entrant: one thread at a
-    time, as in the CLI.
+    time, as in the CLI.  The kernel's symbol stage runs in place in the
+    new 5 slots of product spectra, with one slot of scratch (bilinear).
   * Coefficients are normalized so that u(x) = sum_m c_m exp(i k.x), k =
     2 pi m / L, i.e. c = fftn(samples) / n^3.  Parseval reads integral
     |u|^2 dx = L^3 * sum_m |c_m|^2; a mode with 0 < m_z < n/2 counts twice.
@@ -602,13 +603,20 @@ def _bilinear_symbols(grid, alpha):
     return box.k, box.leray, _frozen(1j / (1.0 + alpha**2 * box.ksq))
 
 
-def _contract(t, k):
-    """(sum_j k_j T_ij)_i for the traceless tensor held as 5 slots."""
-    return [
-        k[0] * t[0] + k[1] * t[2] + k[2] * t[3],
-        k[0] * t[2] + k[1] * t[1] + k[2] * t[4],
-        k[0] * t[3] + k[1] * t[4],
-    ]
+def _div_in_place(t, k, s):
+    """div T / i = (sum_j k_j T_ij)_i for the traceless tensor held as the 5
+    slots of `t`, written into slots 0-2 once no later sum reads them, with
+    `s`, one slot, as scratch; returns the 5 slot views."""
+    t0, t1, t2, t3, t4 = t
+    k0, k1, k2 = k
+    np.multiply(k0, t0, out=t0)
+    t0 += np.multiply(k1, t2, out=s)
+    t0 += np.multiply(k2, t3, out=s)
+    np.add(np.multiply(k0, t2, out=s), np.multiply(k1, t1, out=t1), out=t1)
+    t1 += np.multiply(k2, t4, out=s)
+    np.multiply(k0, t3, out=t2)  # t2 read by the two sums above
+    t2 += np.multiply(k1, t4, out=s)
+    return t0, t1, t2, t3, t4
 
 
 def bilinear(u, w, alpha, u_phys=None):
@@ -617,19 +625,23 @@ def bilinear(u, w, alpha, u_phys=None):
     B(u, u) is the Bardina nonlinearity; for divergence-free u and w,
     2 B(u, w) = P(((w.grad)u + (u.grad)w)_alpha).  One inverse transform per
     distinct input, one forward transform of the 5 traceless products, and
-    the symbols applied on the retained box only; the result is a box
-    field.  A caller that applies B(u, .) to many fields passes
+    the symbols applied on the retained box only, in place in those 5 new
+    slots with one slot of scratch: the result's hat is slots 0-2.  A
+    caller that applies B(u, .) to many fields passes
     u_phys = inverse_transform(u) once and saves the transform of u.
     """
     grid = _check_shared_grid(u, w)
     t = tensor_product_spectra(u, w, u_phys)
     k, kk, g = _bilinear_symbols(grid, alpha)
-    v = _contract(t, k)  # div T / i
-    q = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]
-    box = np.empty((3,) + t.shape[1:], dtype=t.dtype)
-    for i in range(3):
-        np.multiply(v[i] - kk[i] * q, g, out=box[i])
-    return VectorField(grid, box)
+    s = np.empty_like(t[0])
+    v0, v1, v2, q, _ = _div_in_place(t, k, s)
+    np.multiply(k[0], v0, out=q)  # k . v, in T13's slot
+    q += np.multiply(k[1], v1, out=s)
+    q += np.multiply(k[2], v2, out=s)
+    for v, kki in zip((v0, v1, v2), kk):
+        v -= np.multiply(kki, q, out=s)
+        v *= g
+    return VectorField(grid, t[:3])
 
 
 def pressure_from_velocity(u, alpha):
@@ -643,7 +655,7 @@ def pressure_from_velocity(u, alpha):
     t = tensor_product_spectra(u, u, a)
     t33 = _forward(a[2:] * a[2:], grid)[0]
     k, kk, g = _bilinear_symbols(grid, alpha)
-    v = _contract(t, k)
+    v = _div_in_place(t, k, np.empty_like(t[0]))
     p = 1j * g * (kk[0] * v[0] + kk[1] * v[1] + kk[2] * v[2] + t33)
     p[0, 0, 0] = 0.0  # k = 0: the box rows start at m = 0
     return SpectralField(grid, p)

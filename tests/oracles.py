@@ -2,12 +2,14 @@
 
 Everything here is deliberately slow and simple: direct DFT sums and direct
 convolution sums over retained modes, with no shared code paths with the
-package implementation.  Four former implementations are kept as references
+package implementation.  Five former implementations are kept as references
 for their faster replacements: the full-transform bilinear kernel, the
-full-spectrum random_band construction (which reuses the package's Leray
-projection and norms, the part its replacement did not change), the
-modified Gram-Schmidt built from the package's norms and h1alpha_inner,
-and steady_convergence's r_inf through the transform of u - U.
+kernel's symbol stage with each sum in a new array (which reuses the
+package's product spectra and symbols, the part its replacement did not
+change), the full-spectrum random_band construction (which reuses the
+package's Leray projection and norms), the modified Gram-Schmidt built
+from the package's norms and h1alpha_inner, and steady_convergence's r_inf
+through the transform of u - U.
 """
 
 import numpy as np
@@ -150,6 +152,47 @@ def full_transform_bilinear(u_hat, w_hat, grid, alpha):
     kk = k / np.where(ksq == 0.0, 1.0, ksq)
     proj = div - kk * np.sum(k * div, axis=0)
     return 1j * proj * mask / (1.0 + alpha**2 * ksq)
+
+
+def _contract(t, k):
+    """(sum_j k_j T_ij)_i for the traceless tensor held as 5 slots."""
+    return [
+        k[0] * t[0] + k[1] * t[2] + k[2] * t[3],
+        k[0] * t[2] + k[1] * t[1] + k[2] * t[4],
+        k[0] * t[3] + k[1] * t[4],
+    ]
+
+
+def bilinear_symbol_stage(u, w, alpha, u_phys=None):
+    """The hat of B(u, w) from the package's product spectra and symbols,
+    through the symbol stage that formed the contraction, k . v and each
+    projected, filtered component in new arrays."""
+    from bardina.spectral import _bilinear_symbols, tensor_product_spectra
+
+    t = tensor_product_spectra(u, w, u_phys)
+    k, kk, g = _bilinear_symbols(u.grid, alpha)
+    v = _contract(t, k)  # div T / i
+    q = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]
+    box = np.empty((3,) + t.shape[1:], dtype=t.dtype)
+    for i in range(3):
+        np.multiply(v[i] - kk[i] * q, g, out=box[i])
+    return box
+
+
+def pressure_symbol_stage(u, alpha):
+    """The hat of pressure_from_velocity(u, alpha) through that stage's
+    contraction, T33 transformed by the package's forward transform."""
+    from bardina.spectral import (
+        _bilinear_symbols, _forward, inverse_transform, tensor_product_spectra)
+
+    a = inverse_transform(u)
+    t = tensor_product_spectra(u, u, a)
+    t33 = _forward(a[2:] * a[2:], u.grid)[0]
+    k, kk, g = _bilinear_symbols(u.grid, alpha)
+    v = _contract(t, k)
+    p = 1j * g * (kk[0] * v[0] + kk[1] * v[1] + kk[2] * v[2] + t33)
+    p[0, 0, 0] = 0.0
+    return p
 
 
 def random_band_full_spectrum(recipe, grid, alpha):

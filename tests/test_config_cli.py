@@ -135,6 +135,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="p_list"):
             parse_config(f"[decay]\np_list = {p_list}\n")
 
+    @pytest.mark.parametrize("m_list", ["", "0", "-2", "1 0"])
+    def test_bad_m_list_rejected(self, m_list):
+        with pytest.raises(ConfigError, match="m_list"):
+            parse_config(f"[lyapunov]\nm_list = {m_list}\n")
+
     def test_p_list_bounds_accepted(self):
         assert parse_config("[decay]\np_list = 1 inf\n").p_list == (1.0, np.inf)
         assert parse_config("[decay]\np_list =\n").p_list == ()
@@ -195,7 +200,7 @@ _configs = st.builds(
     tol=_finite,
     relaxation=_finite,
     max_iter=_ints,
-    m_list=st.lists(_ints, max_size=5).map(tuple),
+    m_list=st.lists(st.integers(1, 2**63), min_size=1, max_size=5).map(tuple),
     frame_seed=_ints,
     perturb_amplitude=_finite,
     perturb_seed=_ints,
@@ -449,6 +454,13 @@ class TestCliErrors:
         code, out = run_cli(tmp_path, subcommand, ini)
         assert code == EXIT_CONFIG
         assert not list(out.glob("*_report.json"))
+
+    @pytest.mark.parametrize("m_list", ["", "0", "-2", "1 0"])
+    def test_bad_m_list_exits_before_any_artifact(self, tmp_path, capsys, m_list):
+        code, out = run_cli(tmp_path, "lyapunov", BASE_INI + f"[lyapunov]\nm_list = {m_list}\n")
+        assert code == EXIT_CONFIG
+        assert "m_list" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("dt, t_end", [
         ("0.02", "0.005"), ("0.02", "0.25"), ("0.02", "0.07"), ("1e-300", "1e300"),

@@ -55,6 +55,7 @@ from bardina.spectral import (
 
 from conftest import half_hat, random_field, random_scalar_samples
 from oracles import (
+    bilinear_symbol_stage,
     dealias_mask,
     dft_oracle,
     full_transform_bilinear,
@@ -62,6 +63,7 @@ from oracles import (
     hermitian_defect,
     idft_oracle,
     oracle_parseval_l2,
+    pressure_symbol_stage,
 )
 
 
@@ -636,6 +638,37 @@ class TestWorkArrays:
                 tracemalloc.stop()
             assert peak <= 3.5e6
 
+    def test_slab_bilinear_peak_memory(self):
+        # n = 64: the symbol stage runs in the 3.26 MB 5-slot spectra the
+        # transform returns, with one 0.65 MB slot of scratch
+        grid = GridSpec(64)
+        u, w = (dealias(general_field(grid, s), grid) for s in (78, 79))
+        u_phys = inverse_transform(u)
+        for v, phys in ((w, None), (u, None), (w, u_phys)):
+            bilinear(u, v, 0.5, phys)  # warm-up: symbols and work arrays
+            tracemalloc.start()
+            try:
+                bilinear(u, v, 0.5, phys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4.1e6
+
+    def test_warm_step_peak_memory(self, params):
+        # n = 64: n0, the predictor and the combine's temporary (1.95 MB
+        # each) beside one kernel call; the new hat owns its 3 slots
+        grid = GridSpec(64)
+        u, force = (random_field(grid, params.alpha, seed, k_max=6) for seed in (80, 81))
+        state = step(SimState(u, 0.0, params, force), 0.001)  # warm-up
+        tracemalloc.start()
+        try:
+            state = step(state, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
+        assert state.u.hat.base is None and state.u.hat.shape == (3,) + grid.box_shape
+
     def test_warm_step_makes_no_work_array(self, params):
         grid = GridSpec(64)
         assert _slab_rows(grid.n) is not None  # the slab path
@@ -644,6 +677,34 @@ class TestWorkArrays:
         misses = _work.cache_info().misses
         step(state, 0.001)
         assert _work.cache_info().misses == misses
+
+
+class TestSymbolStage:
+    """bilinear and pressure_from_velocity run the symbol stage in place,
+    in the spectra tensor_product_spectra returns: byte for byte the stage
+    that formed each sum in a new array, in one pass and in slabs, and
+    with the inputs left as they were."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), fraction=st.sampled_from(FRACTIONS),
+           case=st.sampled_from(["u, w", "u, w, u_phys", "u, u"]),
+           rows=st.sampled_from([None, 1, 2]), alpha=st.floats(0.01, 4.0),
+           seed=st.integers(0, 2**32 - 2))
+    def test_bitwise_equal_to_reference(self, n, fraction, case, rows, alpha, seed):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        u, w = (dealias(general_field(grid, s), grid) for s in (seed, seed + 1))
+        args = {"u, w": (u, w), "u, w, u_phys": (u, w, inverse_transform(u)),
+                "u, u": (u, u)}[case]
+        inputs = [u.hat, w.hat] + list(args[2:])
+        before = [a.tobytes() for a in inputs]
+        with pytest.MonkeyPatch.context() as mp:
+            if rows:
+                slab_budget(mp, n, rows)
+            got = bilinear(*args[:2], alpha, *args[2:]).hat
+            assert got.tobytes() == bilinear_symbol_stage(*args[:2], alpha, *args[2:]).tobytes()
+            p = pressure_from_velocity(u, alpha).hat
+            assert p.tobytes() == pressure_symbol_stage(u, alpha).tobytes()
+        assert [a.tobytes() for a in inputs] == before
 
 
 class TestSlabPath:
