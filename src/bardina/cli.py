@@ -125,8 +125,11 @@ class Runner:
 def cmd_simulate(runner):
     cfg = runner.cfg
     force = runner.force_field()
-    state = SimState(runner.initial_field(), 0.0, cfg.params, force)
-    state, traj = evolve(state, cfg.t_end, cfg.dt, cfg.sample_every)
+    # no local holds the initial state: evolve drops it at its first step
+    state, traj = evolve(
+        SimState(runner.initial_field(), 0.0, cfg.params, force),
+        cfg.t_end, cfg.dt, cfg.sample_every,
+    )
     residuals = energy_budget_residual(traj)
     runner.csv(
         "trajectory.csv",

@@ -15,8 +15,10 @@ import numpy as np
 
 from .spectral import (
     VectorField,
+    _abs_max,
     _check_shared_grid,
     _frozen,
+    _nonlinear_sup,
     bilinear,
     h1alpha_inner,
     inverse_transform,
@@ -63,7 +65,11 @@ class CFLError(ValueError):
 @dataclass
 class SimState:
     """A state of a run.  u_phys, the physical samples of u, is formed on
-    first read (by a consumer or by step) and dropped once step advances it."""
+    first read by a consumer; step reads it if formed, never forms it, and
+    drops it once it advances the state.  u_max, max |u| over those
+    samples, is set by step from the samples its kernel read (slab by slab
+    on grids beyond spectral.SLAB_BYTES), else formed from u_phys on first
+    read."""
     u: VectorField
     t: float
     params: "PhysParams"
@@ -72,6 +78,10 @@ class SimState:
     @cached_property
     def u_phys(self):
         return inverse_transform(self.u)
+
+    @cached_property
+    def u_max(self):
+        return _abs_max(self.u_phys)
 
 
 @dataclass(frozen=True)
@@ -157,17 +167,17 @@ def _etd_weights(grid, params, dt):
 
 
 def cfl_cap(state):
-    """Advective CFL limit 0.5 * dx / max|u| of a state, from state.u_phys
-    (inf when the field is zero)."""
-    a = state.u_phys
-    umax = max(a.max(), -a.min())  # max |a| without a temporary
+    """Advective CFL limit 0.5 * dx / max|u| of a state, from state.u_max:
+    the sup step's kernel reported, else that of state.u_phys (inf when the
+    field is zero)."""
+    umax = state.u_max
     if umax == 0:
         return np.inf
     return 0.5 * state.u.grid.dx / umax
 
 
 def check_cfl(state, dt):
-    """Raise CFLError if dt exceeds the CFL cap of the state (from state.u_phys)."""
+    """Raise CFLError if dt exceeds the CFL cap of the state (cfl_cap)."""
     cap = cfl_cap(state)
     if dt > cap:
         raise CFLError(state.t, dt, cap)
@@ -175,20 +185,26 @@ def check_cfl(state, dt):
 
 def step(state, dt):
     """One ETD2RK step of the Galerkin system on the grid's retained box.
-    The CFL check and N(u) read state.u_phys, which is then dropped
-    from the input state.  The combine runs with out= in the predictor and
-    the second kernel's result.  Raises CFLError if dt exceeds the CFL cap
-    of the input state, BlowUpError on non-finite output, ValueError if the
-    velocity and the force are on different grids."""
+    N(u) reads state.u_phys if a consumer formed it, and the step then
+    drops it from the input state; else the kernel forms u's samples, slab
+    by slab beyond spectral.SLAB_BYTES, so the step makes no sample array
+    there.  The kernel's max |u| over the samples it read becomes
+    state.u_max, which the CFL check compares with dt before N(u) is used.
+    The combine runs with out= in the predictor and the second kernel's
+    result.  Raises CFLError if dt exceeds the CFL cap of the input state,
+    BlowUpError on non-finite output, ValueError if the velocity and the
+    force are on different grids."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = _check_shared_grid(state.u, state.force)
     alpha = state.params.alpha
     expz, w1, w2 = _etd_weights(grid, state.params, dt)
 
+    nl, state.u_max = _nonlinear_sup(state.u, alpha, vars(state).get("u_phys"))
     check_cfl(state, dt)
-    n0 = state.force.hat - nonlinear_term(state.u, alpha, state.u_phys).hat
-    del state.u_phys
+    n0 = state.force.hat - nl.hat
+    del nl  # N(u)'s 5 slots are freed before a consumer's samples
+    vars(state).pop("u_phys", None)
     predictor = expz * state.u.hat
     predictor += w1 * n0
     n1 = nonlinear_term(VectorField(grid, predictor), alpha).hat  # N(u)'s 5 slots are freed by now
@@ -216,10 +232,11 @@ def step_count(t, t_end, dt):
 def sampled_states(state, t_end, dt, sample_every=1):
     """Yield the state, then the state after every sample_every-th of the
     step_count(state.t, t_end, dt) ETD2RK steps and after the last one, so
-    the last yielded state is the one at t_end (summed step by step).  A
-    consumer that reads a yielded state's u_phys saves the next step its
-    transform.  Raises ValueError, before any step, when t_end precedes
-    state.t or the velocity and the force are on different grids."""
+    the last yielded state is the one at t_end (summed step by step), which
+    is also the generator's return value.  A consumer that reads a yielded
+    state's u_phys saves the next step its transform.  Raises ValueError,
+    before any step, when t_end precedes state.t or the velocity and the
+    force are on different grids."""
     n_steps = step_count(state.t, t_end, dt)
     _check_shared_grid(state.u, state.force)
     yield state
@@ -227,6 +244,7 @@ def sampled_states(state, t_end, dt, sample_every=1):
         state = step(state, dt)
         if i % sample_every == 0 or i == n_steps:
             yield state
+    return state
 
 
 def sample_diagnostics(state):
@@ -250,11 +268,17 @@ def evolve(state, t_end, dt, sample_every=1):
 
     Returns (final_state, Trajectory).  The trajectory always contains the
     initial and the final sample, which are one sample when t_end == state.t.
+    No state is held here between samples: each is dropped once sampled,
+    and the initial one is held by the generator only, until its step.
     """
+    states = sampled_states(state, t_end, dt, sample_every)
+    del state
     traj = Trajectory()
-    for state in sampled_states(state, t_end, dt, sample_every):
-        traj.samples.append(sample_diagnostics(state))
-    return state, traj
+    try:
+        while True:
+            traj.samples.append(sample_diagnostics(next(states)))
+    except StopIteration as stop:
+        return stop.value, traj
 
 
 def energy_budget_residual(trajectory):

@@ -35,11 +35,13 @@ Conventions used throughout:
     the last slab transforms those over x; as y now runs before x, the
     coefficients move in round-off (<= 5e-16 of the largest at n = 64).
     The kernel feeds it the products slab by slab, so no (5, n, n, n)
-    array, z spectrum or sample array is made.  Smaller grids keep the one
-    pass: their products already fit in that cache, and a slab path there
-    made steady-n32 13-40 % slower, its per-step temporaries then crossing
-    glibc's dynamic heap-trim threshold (11-45 k minor page faults a run
-    instead of ~750).
+    array, z spectrum or sample array is made; for a time step it also
+    reports max |u| over the slabs of u's samples it forms
+    (_nonlinear_sup), so the step's CFL check forms no samples of its own.
+    Smaller grids keep the one pass: their products already fit in that
+    cache, and a slab path there made steady-n32 13-40 % slower, its
+    per-step temporaries then crossing glibc's dynamic heap-trim threshold
+    (11-45 k minor page faults a run instead of ~750).
   * Work arrays, one per name and shape, zeros when made (_work): the one
     pass's 5 products fill a (5, n, n, n) buffer, with an (n, n, n)
     scratch, and its inverse_transform pads into the same buffer, idle
@@ -563,11 +565,25 @@ def tensor_product_spectra(u, w, u_phys=None):
     retained modes are the exact Galerkin projection; the other modes are
     dropped after the z transform.
     """
+    return _product_spectra(u, w, u_phys, None)
+
+
+def _abs_max(a):
+    """max |a| without an |a| temporary."""
+    return max(a.max(), -a.min())
+
+
+def _product_spectra(u, w, u_phys, sups):
+    """tensor_product_spectra(u, w, u_phys); when `sups` is a list, the
+    kernel appends to it max |.| of u's samples, of each slab on grids
+    beyond SLAB_BYTES."""
     grid = u.grid
     rows = _slab_rows(grid.n)
     if rows is not None:
-        return _forward_slabs(_product_slabs(u, w, u_phys, rows), (5,), grid, rows)
+        return _forward_slabs(_product_slabs(u, w, u_phys, rows, sups), (5,), grid, rows)
     a = inverse_transform(u) if u_phys is None else u_phys
+    if sups is not None:
+        sups.append(_abs_max(a))
     b = a if w is u else inverse_transform(w)
     shape = (grid.n,) * 3
     t = _traceless_products(a, b, _work("products", (5,) + shape, float),
@@ -576,10 +592,11 @@ def tensor_product_spectra(u, w, u_phys=None):
     return _forward(t, grid)
 
 
-def _product_slabs(u, w, u_phys, rows):
+def _product_slabs(u, w, u_phys, rows, sups):
     """(x rows, the 5 traceless product slots on them) for each slab of at
     most `rows` rows, in one work array: the samples of each slab are sliced
-    from u_phys or formed by _inverse_yz from the x transforms of u and w."""
+    from u_phys or formed by _inverse_yz from the x transforms of u and w;
+    max |.| of u's is appended to `sups` unless it is None."""
     grid, n = u.grid, u.grid.n
     xu = None if u_phys is not None else _inverse_x(u.hat, grid, "x inverse")
     xw = None if w is u else _inverse_x(w.hat, grid, "x w")
@@ -591,6 +608,8 @@ def _product_slabs(u, w, u_phys, rows):
     for s in _slabs(n, rows):
         k = s.stop - s.start
         a = u_phys[:, s] if xu is None else _inverse_yz(xu, grid, s, rows, ua[:, :k])
+        if sups is not None:
+            sups.append(_abs_max(a))
         b = a if xw is None else _inverse_yz(xw, grid, s, rows, wa[:, :k])
         yield s, _traceless_products(a, b, t[:, :k], None if tmp is None else tmp[:k])
 
@@ -631,7 +650,11 @@ def bilinear(u, w, alpha, u_phys=None):
     u_phys = inverse_transform(u) once and saves the transform of u.
     """
     grid = _check_shared_grid(u, w)
-    t = tensor_product_spectra(u, w, u_phys)
+    return _symbol_stage(tensor_product_spectra(u, w, u_phys), grid, alpha)
+
+
+def _symbol_stage(t, grid, alpha):
+    """B's field from the 5 product spectra `t`, formed in place in them."""
     k, kk, g = _bilinear_symbols(grid, alpha)
     s = np.empty_like(t[0])
     v0, v1, v2, q, _ = _div_in_place(t, k, s)
@@ -642,6 +665,20 @@ def bilinear(u, w, alpha, u_phys=None):
         v -= np.multiply(kki, q, out=s)
         v *= g
     return VectorField(grid, t[:3])
+
+
+def _nonlinear_sup(u, alpha, u_phys):
+    """(bilinear(u, u, alpha, u_phys), max |u| over the samples of u the
+    kernel read): a time step's N(u) and the sup its CFL check needs.  The
+    samples are u_phys when given; else, on one-pass grids,
+    inverse_transform(u), formed here so that they live until N(u) is
+    formed, as given ones do; on grids beyond SLAB_BYTES the kernel's slabs,
+    so that no sample array is made."""
+    if u_phys is None and _slab_rows(u.grid.n) is None:
+        u_phys = inverse_transform(u)
+    sups = []
+    t = _product_spectra(u, u, u_phys, sups)
+    return _symbol_stage(t, u.grid, alpha), np.max(sups)
 
 
 def pressure_from_velocity(u, alpha):

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bardina import FieldRecipe, GridSpec, PhysParams, generate
+from bardina import FieldRecipe, GridSpec, PhysParams, generate, spectral
 from oracles import half_spectrum
 
 
@@ -39,6 +39,12 @@ def random_field(grid, alpha=1.0, seed=0, amplitude=1.0, k_min=1, k_max=2):
         grid,
         alpha,
     )
+
+
+def slab_budget(monkeypatch, n, rows):
+    """Lower SLAB_BYTES so that an n-grid runs slabs of `rows` x rows."""
+    monkeypatch.setattr(spectral, "SLAB_BYTES", rows * spectral._slab_row_bytes(n))
+    assert spectral._slab_rows(n) == rows
 
 
 def random_scalar_samples(n, seed=0):

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from bardina import GridSpec, PhysParams
+from bardina import GridSpec, PhysParams, SimState, generate
 from bardina.checkpoint import write_checkpoint
+from bardina.config import parse_config
+from bardina.dynamics import cfl_cap
+from bardina.spectral import _slab_rows
 
 from conftest import random_field
 
@@ -108,3 +111,12 @@ def test_undecodable_checkpoint_is_an_infinite_deviation(checkpoint_dirs, damage
     base, head = (d / "final_state.bard" for d in checkpoint_dirs)
     head.write_bytes(damage(head.read_bytes()))
     assert artifact_diff.bard_deviations(base, head) == {"<layout>": math.inf}
+
+
+def test_configs_reach_the_cfl_refusal_on_a_slab_grid():
+    runs = artifact_diff.configs()
+    assert len(runs) == 40 and len({name for name, _, _ in runs}) == 40
+    (cfg,) = [parse_config(ini) for name, sub, ini in runs if name == "random-n64-simulate-cfl"]
+    assert _slab_rows(cfg.grid.n) is not None
+    u0 = generate(cfg.initial, cfg.grid, cfg.params.alpha)
+    assert cfl_cap(SimState(u0, 0.0, cfg.params, u0)) < cfg.dt  # exit 6 at t = 0

@@ -1,11 +1,13 @@
 import ast
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bardina
+import bardina.cli
 from bardina import (
     FieldRecipe,
     GridSpec,
@@ -35,7 +37,7 @@ from bardina.attractor import orthonormalize, transport_frame
 from bardina.spectral import dealias, h1alpha_diff_sq, inverse_transform
 from bardina.stationary import stationary_residual_pde
 
-from conftest import random_field
+from conftest import random_field, slab_budget
 from oracles import hermitian_defect, oracle_nonlinear
 
 
@@ -241,16 +243,22 @@ class TestStateSamples:
             assert st.u_phys.tobytes() == inverse_transform(st.u).tobytes()
 
     def test_step_drops_samples_and_ignores_who_formed_them(self, grid8, params):
+        # in one pass, then in slabs of 2 x rows, where a fresh state's
+        # samples are formed by the kernel slab by slab
         u0 = random_field(grid8, seed=43, amplitude=0.5)
         f = random_field(grid8, seed=44, amplitude=0.2)
-        fresh, held = SimState(u0, 0.0, params, f), SimState(u0, 0.0, params, f)
-        held.u_phys
-        assert "u_phys" in vars(held) and "u_phys" not in vars(fresh)
-        a, b = step(fresh, 0.01), step(held, 0.01)
-        assert "u_phys" not in vars(fresh) and "u_phys" not in vars(held)
-        assert "u_phys" not in vars(a) and "u_phys" not in vars(b)
-        assert a.u.hat.tobytes() == b.u.hat.tobytes()
-        assert a.t == b.t
+        for rows in (None, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                if rows:
+                    slab_budget(mp, grid8.n, rows)
+                fresh, held = SimState(u0, 0.0, params, f), SimState(u0, 0.0, params, f)
+                held.u_phys
+                assert "u_phys" in vars(held) and "u_phys" not in vars(fresh)
+                a, b = step(fresh, 0.01), step(held, 0.01)
+            assert "u_phys" not in vars(fresh) and "u_phys" not in vars(held)
+            assert "u_phys" not in vars(a) and "u_phys" not in vars(b)
+            assert a.u.hat.tobytes() == b.u.hat.tobytes()
+            assert a.t == b.t
 
     def test_held_samples_do_not_raise_step_peak(self):
         # n = 32: the samples (0.79 MB) are formed inside the traced window
@@ -275,6 +283,82 @@ class TestStateSamples:
         # bytes between otherwise equal calls; samples kept through the
         # predictor would add 786 kB
         assert traced_peak(True) <= traced_peak(False) + 4096
+
+
+class TestStepCfl:
+    """step takes max |u| from the samples its kernel reads, slab by slab
+    on grids beyond SLAB_BYTES, and refuses a dt above the cap with the t,
+    dt and cap that cfl_cap gives on inverse_transform(u), bit for bit."""
+
+    @staticmethod
+    def negative_peak_state(grid, params, seed):
+        # u or -u: the one whose largest |u| is a negative sample
+        u = random_field(grid, params.alpha, seed, amplitude=0.5, k_max=3)
+        a = inverse_transform(u)
+        if a.max() >= -a.min():
+            u = VectorField(grid, -u.hat, div_free=True)
+        f = random_field(grid, params.alpha, seed + 1, amplitude=0.2)
+        return SimState(u, 0.125, params, f)
+
+    @pytest.mark.parametrize("n, rows", [(16, None), (16, 1), (16, 3), (32, 2), (64, None)])
+    def test_cap_and_step_match_the_samples(self, params, monkeypatch, n, rows):
+        if rows:
+            slab_budget(monkeypatch, n, rows)
+        grid = GridSpec(n)
+        st = self.negative_peak_state(grid, params, 60 + n)
+        a = inverse_transform(st.u)
+        assert -a.min() > a.max()
+        cap = cfl_cap(SimState(st.u, st.t, params, st.force))
+        assert cap == 0.5 * grid.dx / -a.min()
+
+        for dt in (2.0 * cap, np.nextafter(cap, np.inf)):
+            with pytest.raises(CFLError) as info:
+                step(SimState(st.u, st.t, params, st.force), dt)
+            assert (info.value.t, info.value.dt, info.value.cap) == (st.t, dt, cap)
+
+        dt = cap / 2.0
+        held = SimState(st.u, st.t, params, st.force)
+        held.u_phys
+        fresh = step(SimState(st.u, st.t, params, st.force), dt)
+        assert fresh.u.hat.tobytes() == step(held, dt).u.hat.tobytes()
+        assert held.u_max == -a.min()
+        fresh = step(SimState(st.u, st.t, params, st.force), cap)  # dt == cap passes
+        assert fresh.t == st.t + cap
+
+
+class TestStateReferences:
+    """evolve and cmd_simulate hold no state but the current one while a
+    step runs: every state older than the step's input, the initial one
+    included, is freed by reference counting, with no collection."""
+
+    @pytest.fixture
+    def stepped(self, monkeypatch):
+        refs, step_ = [], bardina.dynamics.step
+
+        def record(state, dt):
+            assert [r() for r in refs] == [None] * len(refs)
+            refs.append(weakref.ref(state))
+            return step_(state, dt)
+
+        monkeypatch.setattr(bardina.dynamics, "step", record)
+        return refs
+
+    def test_evolve(self, grid8, params, stepped):
+        u0 = random_field(grid8, seed=49, amplitude=0.5)
+        f = random_field(grid8, seed=50, amplitude=0.2)
+        final, traj = evolve(SimState(u0, 0.0, params, f), 0.1, 0.01, 3)
+        assert len(stepped) == 10 and traj.samples[-1].t == final.t
+        assert len(traj.samples) == 5  # 0, 3, 6, 9 and 10 steps
+
+    def test_cmd_simulate(self, tmp_path, stepped):
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            "[grid]\nn = 8\n[initial]\nkind = random_band\namplitude = 0.5\n"
+            "[force]\nkind = shear\namplitude = 0.2\n"
+            "[time]\ndt = 0.01\nt_end = 0.1\nsample_every = 3\n"
+        )
+        assert bardina.cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == 0
+        assert len(stepped) == 10
 
 
 class TestGridMismatch:

@@ -2,6 +2,7 @@ import ast
 import importlib.machinery
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -43,7 +44,6 @@ from bardina.spectral import (
     _bilinear_symbols,
     _blocks,
     _load_pocketfft,
-    _slab_row_bytes,
     _slab_rows,
     _work,
     bilinear,
@@ -53,7 +53,7 @@ from bardina.spectral import (
     modes,
 )
 
-from conftest import half_hat, random_field, random_scalar_samples
+from conftest import half_hat, random_field, random_scalar_samples, slab_budget
 from oracles import (
     bilinear_symbol_stage,
     dealias_mask,
@@ -564,12 +564,6 @@ class TestBoxKernel:
         assert np.array_equal(b.hat, bilinear(w, u, alpha).hat)
 
 
-def slab_budget(monkeypatch, n, rows):
-    """Lower SLAB_BYTES so that an n-grid runs slabs of `rows` x rows."""
-    monkeypatch.setattr(spectral, "SLAB_BYTES", rows * _slab_row_bytes(n))
-    assert _slab_rows(n) == rows
-
-
 class TestWorkArrays:
     """The transform pair and the kernel keep their large temporaries in work
     arrays reused across calls; no result is, or views, one of them."""
@@ -656,7 +650,8 @@ class TestWorkArrays:
 
     def test_warm_step_peak_memory(self, params):
         # n = 64: n0, the predictor and the combine's temporary (1.95 MB
-        # each) beside one kernel call; the new hat owns its 3 slots
+        # each) beside one kernel call, 8.59 MB in all; the new hat owns its
+        # 3 slots, and no sample array is made
         grid = GridSpec(64)
         u, force = (random_field(grid, params.alpha, seed, k_max=6) for seed in (80, 81))
         state = step(SimState(u, 0.0, params, force), 0.001)  # warm-up
@@ -666,8 +661,30 @@ class TestWorkArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12e6
+        assert peak <= 8.8e6
         assert state.u.hat.base is None and state.u.hat.shape == (3,) + grid.box_shape
+
+    def test_fresh_step_forms_no_samples(self, params, monkeypatch):
+        # n = 64: a state no consumer has read is stepped with no u_phys put
+        # on it and no inverse_transform call; the step's traced peak stays
+        # below one (3, n, n, n) sample array plus the kernel's 5-slot result
+        grid = GridSpec(64)
+        u, force = (random_field(grid, params.alpha, seed, k_max=6) for seed in (80, 81))
+        step(SimState(u, 0.0, params, force), 0.001)  # warm-up
+        calls = []
+        for module in (spectral, bardina.dynamics):  # the kernel, SimState.u_phys
+            monkeypatch.setattr(module, "inverse_transform", lambda f: calls.append(f))
+        state = SimState(u, 0.0, params, force)
+        tracemalloc.start()
+        try:
+            step(state, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [] and "u_phys" not in vars(state)
+        samples = 3 * grid.n**3 * 8
+        result = 5 * math.prod(grid.box_shape) * 16
+        assert peak < samples + result
 
     def test_warm_step_makes_no_work_array(self, params):
         grid = GridSpec(64)

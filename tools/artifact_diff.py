@@ -12,8 +12,11 @@ bardina.cli.main in-process, as the benchmark's child processes do.
 The configs are stated once, in configs(): the benchmark's workload INIs
 (perfbench/workloads.py) at seeds 0 and 1, the analytic initial fields
 shear, taylor_green and abc at n = 16 under every subcommand, decay in both
-modes, and abc at n = 16 with dealias_fraction 0.5 and 1.0 (where the box
-is the half spectrum) under every subcommand, decay in steady mode.
+modes, abc at n = 16 with dealias_fraction 0.5 and 1.0 (where the box
+is the half spectrum) under every subcommand, decay in steady mode, and one
+n = 64 simulate whose dt exceeds the CFL cap at t = 0 (exit 6), so that the
+refusal on a grid the kernel runs slab by slab writes a cfl_report.json to
+compare.
 
 For each config the report prints both exit codes, then, for each artifact
 but run_meta.json (which holds a timestamp): `identical`, or the largest
@@ -75,6 +78,31 @@ frame_seed = 7
 mode = {mode}
 """
 SUBCOMMANDS = ["simulate", "stationary", "bound", "lyapunov", "gap", "decay"]
+# max |u| = 0.0535 at t = 0, negative and in x row 22 (a middle slab), puts
+# the CFL cap at 0.918 < dt
+CFL_N64_INI = """\
+[grid]
+n = 64
+[params]
+alpha = 0.5
+beta = 1.0
+nu = 0.05
+[initial]
+kind = random_band
+amplitude = 0.8
+seed = 5
+k_min = 1
+k_max = 6
+[force]
+kind = random_band
+amplitude = 1.0
+seed = 6
+k_min = 1
+k_max = 3
+[time]
+dt = 1.0
+t_end = 2.0
+"""
 
 
 def _workloads():
@@ -100,6 +128,7 @@ def configs():
             ini = ANALYTIC_INI.format(kind="abc", every=1 if sub == "decay" else 2, mode=mode)
             ini = ini.replace("n = 16\n", f"n = 16\ndealias_fraction = {fraction}\n")
             out.append((f"abc-n16-fraction{fraction:g}-{sub}", sub, ini))
+    out.append(("random-n64-simulate-cfl", "simulate", CFL_N64_INI))
     return out
 
 # Runs (name, argv) pairs through bardina.cli.main in one process and prints
