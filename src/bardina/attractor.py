@@ -207,12 +207,7 @@ def trajectory_gap(u0_a, u0_b, force_a, force_b, params, t_end, dt, sample_every
         sampled_states(SimState(u0_a, 0.0, params, force_a), t_end, dt, sample_every),
         sampled_states(SimState(u0_b, 0.0, params, force_b), t_end, dt, sample_every),
     )
-    times, gaps = [], []
-    for sa, sb in runs:
-        times.append(sa.t)
-        gaps.append(h1alpha_diff_sq(sa.u, sb.u, params.alpha))
-    times = np.array(times)
-    gaps = np.array(gaps)
+    times, gaps = np.array([(a.t, h1alpha_diff_sq(a.u, b.u, params.alpha)) for a, b in runs]).T
 
     same_force = np.array_equal(force_a.hat, force_b.hat)
     eta_value = orbital = rate = None
@@ -247,15 +242,11 @@ def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
     of U's samples: held for the run, the transform's own output array made
     glibc trim and re-grow the heap top at every step in about half the runs.
     """
-    times, rs, rinfs = [], [], []
     U_phys = inverse_transform(U).copy()
-    for s in sampled_states(SimState(u0, 0.0, params, force), t_end, dt, sample_every):
-        times.append(s.t)
-        rs.append(np.sqrt(h1alpha_diff_sq(s.u, U, params.alpha)))
-        rinfs.append(_magnitude(s.u_phys - U_phys).max())
-    times = np.array(times)
-    rs = np.array(rs)
-    rinfs = np.array(rinfs)
+    times, rs, rinfs = np.array([
+        (s.t, np.sqrt(h1alpha_diff_sq(s.u, U, params.alpha)), _magnitude(s.u_phys - U_phys).max())
+        for s in sampled_states(SimState(u0, 0.0, params, force), t_end, dt, sample_every)
+    ]).T
 
     monotone = bool(np.all(np.diff(rs) <= 1e-12 * max(rs[0], 1e-300)))
     late = times >= 1.0
@@ -295,14 +286,12 @@ def zero_force_decay(u0, params, t_end, dt, p_list=(2, 4, np.inf), sample_every=
     if not all(p >= 1 for p in p_list):
         raise ValueError(f"L^p norms need p >= 1 or inf, got p_list = {p_list}")
     force = VectorField(u0.grid, np.zeros((3,) + u0.grid.box_shape, complex), div_free=True)
-    times, series = [], {p: [] for p in p_list}
+    rows = []
     for state in sampled_states(SimState(u0, 0.0, params, force), t_end, dt, sample_every):
-        times.append(state.t)
         mag = _magnitude(state.u_phys)
-        for p in p_list:
-            series[p].append(_lp_norm(mag, p, u0.grid.dx))
-    times = np.array(times)
-    series = {p: np.array(v) for p, v in series.items()}
+        rows.append([state.t, *(_lp_norm(mag, p, u0.grid.dx) for p in p_list)])
+    times, *columns = np.array(rows).T
+    series = dict(zip(p_list, columns))
 
     rates, ok = {}, {}
     late = times >= 1.0

@@ -41,8 +41,8 @@ from .dynamics import (
     decay_envelope_check,
     energy_budget_residual,
     evolve,
+    sample_steps,
     sampled_states,
-    step_count,
 )
 from .fields import FieldRecipe, generate
 from .spectral import CertificateError, VectorField, norms
@@ -72,10 +72,10 @@ class Runner:
     def __init__(self, cfg, out_dir):
         self.cfg = cfg
         self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.artifacts = []
 
     def path(self, name):
+        self.out.mkdir(parents=True, exist_ok=True)  # at the first artifact, not before
         self.artifacts.append(name)
         return self.out / name
 
@@ -213,19 +213,17 @@ def cmd_lyapunov(runner):
     """One base trajectory serves every frame size: each sampled state's
     u_phys, formed once, serves the frame work and the next base step.  At
     each sampled state, transport_frame gives each frame's Lyapunov sum and
-    moves the frame by the base steps up to the next sample: sample_every,
-    fewer in a short last window, none after the last sample.  The base
-    steps check the CFL cap."""
+    moves the frame by the base steps up to the next sample (sample_steps),
+    none after the last sample.  The base steps check the CFL cap."""
     cfg = runner.cfg
     p, dt, every = cfg.params, cfg.dt, cfg.sample_every
     force = runner.force_field()
-    base = SimState(runner.initial_field(), 0.0, p, force)
     rng = np.random.default_rng(cfg.frame_seed)
     frames = [_random_frame(cfg, rng, m) for m in cfg.m_list]
     rows = [[] for _ in frames]  # one group per frame size
-    n_steps = step_count(base.t, cfg.t_end, dt)
-    for k, st in enumerate(sampled_states(base, cfg.t_end, dt, every)):
-        window = min(every, max(n_steps - k * every, 0))
+    windows = [*np.diff(sample_steps(0.0, cfg.t_end, dt, every)), 0]
+    base = sampled_states(SimState(runner.initial_field(), 0.0, p, force), cfg.t_end, dt, every)
+    for window, st in zip(windows, base):
         for i, m in enumerate(cfg.m_list):
             frames[i], total = transport_frame(frames[i], st, dt, window)
             bound = lyapunov_sum_bound(m, st.u, p)

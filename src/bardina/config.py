@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .dynamics import step_count
+from .dynamics import step_index
 from .fields import FieldRecipe
 from .spectral import GridSpec, PhysParams
 
@@ -82,10 +82,11 @@ RECIPE_DEFAULTS = {f.name: f.default for f in fields(FieldRecipe)} | {"kind": "n
 RULES = {
     "initial": (lambda c: c.initial is not None, "kind must not be 'none'"),
     "time": (lambda c: c.dt > 0 and c.t_end >= 0 and c.sample_every >= 1
-             and abs(step_count(0.0, c.t_end, c.dt) * c.dt - c.t_end) <= 1e-9 * c.t_end,
-             "dt > 0, t_end >= 0, sample_every >= 1 and t_end a whole number of dt steps required"),
-    "lyapunov": (lambda c: len(c.m_list) >= 1 and min(c.m_list) >= 1,
-                 "m_list must hold at least one frame size, each >= 1"),
+             and step_index(c.t_end, c.dt) >= 0,  # ValueError off the grid of dt
+             "dt > 0, t_end >= 0 and sample_every >= 1 required"),
+    "lyapunov": (lambda c: len(c.m_list) >= 1 and min(c.m_list) >= 1 and c.frame_seed >= 0,
+                 "m_list must hold at least one frame size, each >= 1; frame_seed >= 0"),
+    "gap": (lambda c: c.perturb_seed >= 0, "perturb_seed must be >= 0"),
     "decay": (lambda c: all(p >= 1 for p in c.p_list), "every p in p_list must be >= 1 or inf"),
     "bound": (lambda c: c.f_norm is None or c.f_norm >= 0, "f_norm must be nonnegative"),
 }

@@ -35,6 +35,8 @@ __all__ = [
     "nonlinear_term",
     "step",
     "step_count",
+    "step_index",
+    "sample_steps",
     "damping_symbol",
     "sampled_states",
     "evolve",
@@ -171,9 +173,7 @@ def cfl_cap(state):
     the sup step's kernel reported, else that of state.u_phys (inf when the
     field is zero)."""
     umax = state.u_max
-    if umax == 0:
-        return np.inf
-    return 0.5 * state.u.grid.dx / umax
+    return 0.5 * state.u.grid.dx / umax if umax else np.inf
 
 
 def check_cfl(state, dt):
@@ -184,18 +184,16 @@ def check_cfl(state, dt):
 
 
 def step(state, dt):
-    """One ETD2RK step of the Galerkin system on the grid's retained box.
-    N(u) reads state.u_phys if a consumer formed it, and the step then
-    drops it from the input state; else the kernel forms u's samples, slab
-    by slab beyond spectral.SLAB_BYTES, so the step makes no sample array
-    there.  The kernel's max |u| over the samples it read becomes
-    state.u_max, which the CFL check compares with dt before N(u) is used.
-    The combine runs with out= in the predictor and the second kernel's
-    result.  Raises CFLError if dt exceeds the CFL cap of the input state,
-    BlowUpError on non-finite output, ValueError if the velocity and the
-    force are on different grids."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    """One ETD2RK step of the Galerkin system on the grid's retained box, from
+    step i = step_index(state.t, dt) to time (i + 1) dt.  N(u) reads state.u_phys
+    if a consumer formed it, and the step then drops it from the input state;
+    else the kernel forms u's samples, slab by slab beyond spectral.SLAB_BYTES,
+    so the step makes no sample array there.  The kernel's max |u| over the
+    samples it read becomes state.u_max, which the CFL check compares with dt
+    before N(u) is used.  The combine runs with out= in the predictor and the
+    second kernel's result.  Raises ValueError as step_index or on two grids,
+    CFLError if dt exceeds the input's CFL cap, BlowUpError on non-finite output."""
+    t = (step_index(state.t, dt) + 1) * dt
     grid = _check_shared_grid(state.u, state.force)
     alpha = state.params.alpha
     expz, w1, w2 = _etd_weights(grid, state.params, dt)
@@ -214,36 +212,50 @@ def step(state, dt):
     out = np.add(predictor, n1, out=predictor)  # owns its 3 slots
 
     if not np.all(np.isfinite(out)):
-        raise BlowUpError(state.t + dt)
+        raise BlowUpError(t)
     u_new = VectorField(grid, out, div_free=True)
-    return SimState(u_new, state.t + dt, state.params, state.force)
+    return SimState(u_new, t, state.params, state.force)
 
 
 def step_count(t, t_end, dt):
     """ETD2RK steps of dt from t to t_end: round((t_end - t) / dt), at least
-    one when t_end > t and none when t_end == t.  The one place a run's
-    length is decided; ValueError if t_end < t or (t_end - t) / dt is not finite."""
-    if t_end < t or not math.isfinite((t_end - t) / dt):
-        raise ValueError(f"no step count from t={t} to t_end={t_end} by dt={dt}: "
-                         "t_end precedes t, or (t_end - t) / dt is not finite")
+    one when t_end > t, none when t_end == t.  The one place a run's length
+    is decided; ValueError if dt <= 0, t_end < t or (t_end - t) / dt is not finite."""
+    if not dt > 0 or t_end < t or not math.isfinite((t_end - t) / dt):
+        raise ValueError(f"no step count from t={t} to t_end={t_end} by dt={dt}: dt is not "
+                         "positive, t_end precedes t, or (t_end - t) / dt is not finite")
     return max(int(round((t_end - t) / dt)), int(t_end > t))
 
 
+def step_index(t, dt):
+    """The step index i with i dt = t to 1e-9 relative (the t_end rule), else ValueError."""
+    i = step_count(0.0, t, dt)
+    if abs(i * dt - t) > 1e-9 * t:
+        raise ValueError(f"time {t} is not a whole number of dt={dt} steps")
+    return i
+
+
+def sample_steps(t, t_end, dt, every):
+    """The sample rule: the step indices of the states a run from t to t_end
+    samples, its first, every every-th after it and its last (one if t_end == t)."""
+    first = step_index(t, dt)
+    last = first + step_count(t, t_end, dt)
+    return [*range(first, last, every), last]
+
+
 def sampled_states(state, t_end, dt, sample_every=1):
-    """Yield the state, then the state after every sample_every-th of the
-    step_count(state.t, t_end, dt) ETD2RK steps and after the last one, so
-    the last yielded state is the one at t_end (summed step by step), which
-    is also the generator's return value.  A consumer that reads a yielded
-    state's u_phys saves the next step its transform.  Raises ValueError,
-    before any step, when t_end precedes state.t or the velocity and the
-    force are on different grids."""
-    n_steps = step_count(state.t, t_end, dt)
+    """Yield the state at each index of sample_steps(state.t, t_end, dt,
+    sample_every), stepping between them; the last is also the return value.
+    A consumer that reads a yielded state's u_phys saves the next step its
+    transform.  Raises ValueError, before any step, as sample_steps or when
+    the velocity and the force are on different grids."""
+    marks = sample_steps(state.t, t_end, dt, sample_every)
     _check_shared_grid(state.u, state.force)
     yield state
-    for i in range(1, n_steps + 1):
-        state = step(state, dt)
-        if i % sample_every == 0 or i == n_steps:
-            yield state
+    for i, j in zip(marks, marks[1:]):
+        for _ in range(i, j):
+            state = step(state, dt)
+        yield state
     return state
 
 
@@ -264,7 +276,7 @@ def sample_diagnostics(state):
 
 def evolve(state, t_end, dt, sample_every=1):
     """Step from state.t to t_end (step_count steps) with diagnostics at
-    every state sampled_states yields.
+    every state sampled_states yields, each at time i dt for its step index i.
 
     Returns (final_state, Trajectory).  The trajectory always contains the
     initial and the final sample, which are one sample when t_end == state.t.

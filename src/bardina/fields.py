@@ -53,6 +53,8 @@ class FieldRecipe:
             raise ValueError(f"unknown field kind {self.kind!r}, expected one of {KINDS}")
         if not np.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.kind == "random_band" and self.k_min > self.k_max:
             raise ValueError(f"empty band: k_min={self.k_min} > k_max={self.k_max}")
 
@@ -85,10 +87,8 @@ def generate(recipe, grid, alpha=1.0):
 def _random_band(recipe, grid, alpha):
     cutoff = grid.dealias_cutoff
     if recipe.k_max > cutoff or recipe.k_min < 0:
-        raise ValueError(
-            f"band [{recipe.k_min}, {recipe.k_max}] outside retained modes "
-            f"(cutoff {cutoff})"
-        )
+        raise ValueError(f"band k_min={recipe.k_min}, k_max={recipe.k_max} outside the "
+                         f"retained modes 0..{cutoff} of n={grid.n}")
     rng = np.random.default_rng(recipe.seed)
     n, b = grid.n, grid.box_shape[0]
     mb = np.fft.fftfreq(b, 1.0 / b).astype(np.int64)  # box rows: FFT order of b points

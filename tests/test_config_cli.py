@@ -179,11 +179,12 @@ class TestConfig:
 
 # Every key drawn from its type within the rules parse_config checks.
 _ints = st.integers(-(2**63), 2**63)
+_seeds = st.integers(0, 2**63)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _nonnegative = st.floats(min_value=0.0, allow_infinity=False)
 _recipes = st.builds(
-    FieldRecipe, kind=st.sampled_from(KINDS), amplitude=_finite, seed=_ints,
+    FieldRecipe, kind=st.sampled_from(KINDS), amplitude=_finite, seed=_seeds,
     k_min=st.integers(-3, 3), k_max=st.integers(3, 9),
 )
 _configs = st.builds(
@@ -201,9 +202,9 @@ _configs = st.builds(
     relaxation=_finite,
     max_iter=_ints,
     m_list=st.lists(st.integers(1, 2**63), min_size=1, max_size=5).map(tuple),
-    frame_seed=_ints,
+    frame_seed=_seeds,
     perturb_amplitude=_finite,
-    perturb_seed=_ints,
+    perturb_seed=_seeds,
     decay_mode=st.sampled_from(("zero_force", "steady")),
     p_list=st.lists(st.floats(min_value=1.0), max_size=5).map(tuple),
     f_norm=st.none() | _nonnegative,
@@ -307,6 +308,15 @@ class TestCliSubcommands:
         assert report["check_name"] == "zero_force_decay"
         assert report["pass"]
 
+    def test_decay_zero_force_repeated_p(self, tmp_path):
+        # a p listed twice once gave a series twice as long as the times, an
+        # IndexError once two samples reach t >= 1, where the envelope is fit
+        ini = BASE_INI.replace("t_end = 0.5", "t_end = 2.0")
+        code, out = run_cli(tmp_path, "decay", ini + "[decay]\nmode = zero_force\np_list = 2 2\n")
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in (out / "decay.csv").read_text().splitlines()]
+        assert rows[0] == ["t", "p2", "p2"] and all(r[1] == r[2] for r in rows)
+
     def test_simulate_initial_energy_above_one(self, tmp_path):
         # an initial H1_alpha energy >= 1 once left a numpy bool in the report
         ini = BASE_INI.replace("amplitude = 0.3", "amplitude = 1.5")
@@ -328,7 +338,8 @@ def per_frame_size_rows(cfg):
     """lyapunov.csv rows as computed by a separate base trajectory per frame
     size, advanced window by window with evolve: each sum from the public
     linearized operator, and each frame moved by exponential-Euler steps that
-    make their own kernel calls, the first step's included."""
+    make their own kernel calls, the first step's included.  The t column is
+    i dt, i the base run's step index."""
     p, dt, every = cfg.params, cfg.dt, cfg.sample_every
     force = generate(cfg.force, cfg.grid, p.alpha)
     u0 = generate(cfg.initial, cfg.grid, p.alpha)
@@ -339,12 +350,12 @@ def per_frame_size_rows(cfg):
     for m in cfg.m_list:
         frame = _random_frame(cfg, rng, m)
         st = SimState(u0.copy(), 0.0, p, force)
-        for _ in range(n_windows + 1):
+        for k in range(n_windows + 1):
             total = 0.0
             for w in frame.fields:
                 total += h1alpha_inner(linearized_rhs(w, st.u, p), w, p.alpha)
             bound = lyapunov_sum_bound(m, st.u, p)
-            rows.append([m, st.t, total, bound, bound - total])
+            rows.append([m, k * every * dt, total, bound, bound - total])
             moved = []
             for w in frame.fields:
                 for _ in range(every):
@@ -352,7 +363,7 @@ def per_frame_size_rows(cfg):
                     w = VectorField(cfg.grid, expz * w.hat + w1 * nl)
                 moved.append(w)
             frame = orthonormalize(moved, p.alpha)
-            st, _ = evolve(st, st.t + dt * every, dt, every)
+            st, _ = evolve(st, (k + 1) * every * dt, dt, every)
     return rows
 
 
@@ -462,6 +473,20 @@ class TestCliErrors:
         assert "m_list" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand, ini, key", [
+        ("simulate", BASE_INI.replace("seed = 4", "seed = -1"), "seed"),
+        ("simulate", BASE_INI.replace("k_max = 2", "k_max = 9"), "k_max"),  # cutoff 2 at n = 8
+        ("lyapunov", BASE_INI + "[lyapunov]\nframe_seed = -1\n", "frame_seed"),
+        ("gap", BASE_INI + "[gap]\nperturb_seed = -1\n", "perturb_seed"),
+    ], ids=["seed", "k_max", "frame_seed", "perturb_seed"])
+    def test_bad_recipe_exits_before_any_artifact(self, tmp_path, capsys, subcommand, ini, key):
+        # refused at parse time or when the field is generated: either way
+        # the message names the key and no output directory is made
+        code, out = run_cli(tmp_path, subcommand, ini)
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("dt, t_end", [
         ("0.02", "0.005"), ("0.02", "0.25"), ("0.02", "0.07"), ("1e-300", "1e300"),
     ])
@@ -488,7 +513,7 @@ class TestCliErrors:
         ini = BASE_INI.replace(old, new).replace("t_end = 0.5", "t_end = 0")
         code, out = run_cli(tmp_path, "simulate", ini)
         assert code == EXIT_CONFIG
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_csv_cells_keep_the_sign_of_an_infinity(self):
         cells = [_fmt(x) for x in (math.inf, -math.inf, math.nan, 1, np.float64(0.1))]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bardina
 import bardina.cli
@@ -28,8 +29,10 @@ from bardina.dynamics import (
     BlowUpError,
     CFLError,
     cfl_cap,
+    sample_steps,
     sampled_states,
     step_count,
+    step_index,
     _phi1,
     _phi2,
 )
@@ -183,11 +186,11 @@ class TestEvolve:
 
     def test_cfl_enforced(self, grid8, params):
         u0 = generate(FieldRecipe("shear", 50.0), grid8)
-        st = SimState(u0, 0.25, params, zero_force(grid8))
+        st = SimState(u0, 0.5, params, zero_force(grid8))  # step 1 of dt = 0.5
         with pytest.raises(CFLError) as info:
-            evolve(st, 1.0, 0.5)
-        assert (info.value.t, info.value.dt) == (0.25, 0.5)
-        assert info.value.cap == cfl_cap(SimState(u0, 0.25, params, zero_force(grid8)))
+            evolve(st, 1.5, 0.5)
+        assert (info.value.t, info.value.dt) == (0.5, 0.5)
+        assert info.value.cap == cfl_cap(SimState(u0, 0.5, params, zero_force(grid8)))
 
     def test_cfl_cap_formula(self, grid8, params):
         u = generate(FieldRecipe("shear", 2.0), grid8)
@@ -298,7 +301,7 @@ class TestStepCfl:
         if a.max() >= -a.min():
             u = VectorField(grid, -u.hat, div_free=True)
         f = random_field(grid, params.alpha, seed + 1, amplitude=0.2)
-        return SimState(u, 0.125, params, f)
+        return SimState(u, 0.0, params, f)
 
     @pytest.mark.parametrize("n, rows", [(16, None), (16, 1), (16, 3), (32, 2), (64, None)])
     def test_cap_and_step_match_the_samples(self, params, monkeypatch, n, rows):
@@ -312,9 +315,9 @@ class TestStepCfl:
         assert cap == 0.5 * grid.dx / -a.min()
 
         for dt in (2.0 * cap, np.nextafter(cap, np.inf)):
-            with pytest.raises(CFLError) as info:
-                step(SimState(st.u, st.t, params, st.force), dt)
-            assert (info.value.t, info.value.dt, info.value.cap) == (st.t, dt, cap)
+            with pytest.raises(CFLError) as info:  # from the state at step 3
+                step(SimState(st.u, 3 * dt, params, st.force), dt)
+            assert (info.value.t, info.value.dt, info.value.cap) == (3 * dt, dt, cap)
 
         dt = cap / 2.0
         held = SimState(st.u, st.t, params, st.force)
@@ -322,8 +325,8 @@ class TestStepCfl:
         fresh = step(SimState(st.u, st.t, params, st.force), dt)
         assert fresh.u.hat.tobytes() == step(held, dt).u.hat.tobytes()
         assert held.u_max == -a.min()
-        fresh = step(SimState(st.u, st.t, params, st.force), cap)  # dt == cap passes
-        assert fresh.t == st.t + cap
+        fresh = step(SimState(st.u, 3 * cap, params, st.force), cap)  # dt == cap passes
+        assert fresh.t == 4 * cap  # the step index times dt
 
 
 class TestStateReferences:
@@ -431,6 +434,79 @@ class TestStepCount:
         # a ValueError (a config error at the CLI), not round()'s OverflowError
         with pytest.raises(ValueError, match="not finite"):
             step_count(0.0, 1e300, 1e-300)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_nonpositive_dt_rejected_before_any_yield(self, grid8, params, monkeypatch, dt):
+        # a ValueError, not a ZeroDivisionError, from the clock itself
+        with pytest.raises(ValueError, match="not positive"):
+            step_count(0.0, 1.0, dt)
+        steps = []
+        monkeypatch.setattr(bardina.dynamics, "step", lambda *args: steps.append(args))
+        st = SimState(random_field(grid8, seed=57), 0.0, params, zero_force(grid8))
+        with pytest.raises(ValueError, match="not positive"):
+            next(sampled_states(st, 1.0, dt))
+        with pytest.raises(ValueError, match="not positive"):
+            evolve(st, 1.0, dt)
+        assert steps == []
+
+
+class TestClock:
+    """The global step index i is the one clock: a run's states are at
+    times i dt, its samples at the indices sample_steps gives."""
+
+    def test_off_grid_start_refused_before_any_step(self, grid8, params, monkeypatch):
+        # from t = 0.25 by dt = 0.5 a run once ended at 1.25, past t_end = 1
+        steps = []
+        monkeypatch.setattr(bardina.dynamics, "step", lambda *args: steps.append(args))
+        st = SimState(random_field(grid8, seed=58), 0.25, params, zero_force(grid8))
+        with pytest.raises(ValueError, match="not a whole number of dt=0.5 steps"):
+            evolve(st, 1.0, 0.5)
+        assert steps == []
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="not a whole number"):
+            step(st, 0.5)
+        assert step(st, 0.25).t == 0.5  # on the grid of dt = 0.25: step 1 to step 2
+
+    def test_start_within_the_t_end_rule(self):
+        # 0.3 is 3 steps of 0.1 within 1e-9 relative, though 3 * 0.1 != 0.3
+        assert step_index(0.3, 0.1) == 3 and 3 * 0.1 != 0.3
+        assert step_index(0.0, 0.1) == 0
+        with pytest.raises(ValueError, match="not a whole number"):
+            step_index(0.3 * (1 + 2e-9), 0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dt=st.floats(1e-6, 1.0),
+        start=st.integers(0, 12),
+        n_steps=st.integers(0, 40),
+        every=st.integers(1, 7),
+    )
+    def test_every_state_at_its_index_times_dt(self, dt, start, n_steps, every):
+        grid, params = GridSpec(8), PhysParams(alpha=1.0, beta=1.0, nu=0.5)
+        u0 = random_field(grid, seed=59, amplitude=1e-3)
+        f = random_field(grid, seed=60, amplitude=1e-3)
+        t0, t_end = start * dt, (start + n_steps) * dt
+        marks = sample_steps(t0, t_end, dt, every)
+        # the start, every every-th step after it and the last step
+        assert marks == [start + k for k in range(n_steps + 1)
+                         if k % every == 0 or k == n_steps]
+        windows = [j - i for i, j in zip(marks, marks[1:])] + [0]
+        assert sum(windows) == n_steps == step_count(t0, t_end, dt)
+
+        made, step_ = [], bardina.dynamics.step
+
+        def record(state, dt):
+            made.append(step_(state, dt))
+            return made[-1]
+
+        with pytest.MonkeyPatch.context() as m:  # two runs zipped, as trajectory_gap runs them
+            m.setattr(bardina.dynamics, "step", record)
+            pairs = list(zip(sampled_states(SimState(u0, t0, params, f), t_end, dt, every),
+                             sampled_states(SimState(u0, t0, params, f), t_end, dt, every)))
+        made_times = [i * dt for i in range(start + 1, start + n_steps + 1)]
+        assert sorted(s.t for s in made) == sorted(made_times * 2)
+        assert [(a.t, b.t) for a, b in pairs] == [(i * dt, i * dt) for i in marks]
+        assert pairs[-1][0].t == step_count(0.0, t_end, dt) * dt
 
 
 ROUNDING = {"round", "rint", "ceil", "floor", "int"}
