@@ -3,7 +3,7 @@ and convergence checks, zero-force decay envelopes, Lyapunov sums and frame
 transport for the linearized flow, and the closed-form fractal-dimension bound."""
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -40,25 +40,15 @@ GRAM_TOL = 1e-8
 RANK_TOL = 1e-10  # relative norm below which orthonormalize calls a field dependent
 
 
-@dataclass(frozen=True)
-class EtaReport:
-    eta_value: float
-    regime: str  # "positive" | "zero" | "negative"
+EtaReport = namedtuple("EtaReport", "eta_value regime")  # regime: "positive" | "zero" | "negative"
+DimensionBound = namedtuple("DimensionBound", "c_lt c_abn bound")
 
 
-@dataclass(frozen=True)
-class DimensionBound:
-    c_lt: float
-    c_abn: float
-    bound: float
-
-
-@dataclass
 class OrthoFrame:
     """Vector fields orthonormal under the H^1_alpha inner product."""
 
-    fields: list
-    alpha: float
+    def __init__(self, fields, alpha):
+        self.fields, self.alpha = fields, alpha
 
     def gram(self):
         """The m x m matrix of h1alpha_inner products: one weighted copy of
@@ -188,13 +178,14 @@ def orthonormalize(fields, alpha):
     return OrthoFrame([VectorField(grid, q) for q in out], alpha)
 
 
-@dataclass
 class GapReport:
-    times: np.ndarray
-    gap_sq: np.ndarray           # |u_a - u_b|^2_{H1_alpha} per sample
-    eta_value: float | None
-    orbital_stable: bool | None  # g(t) <= g(0) at all samples (same-force runs)
-    decay_rate: float | None     # fitted slope of log g(t); negative = contraction
+    """gap_sq is |u_a - u_b|^2_{H1_alpha} per sample; for same-force runs,
+    orbital_stable says g(t) <= g(0) at all samples and decay_rate is the
+    fitted slope of log g(t), negative for a contraction."""
+
+    def __init__(self, times, gap_sq, eta_value, orbital_stable, decay_rate):
+        self.times, self.gap_sq, self.eta_value = times, gap_sq, eta_value
+        self.orbital_stable, self.decay_rate = orbital_stable, decay_rate
 
 
 def trajectory_gap(u0_a, u0_b, force_a, force_b, params, t_end, dt, sample_every=1):
@@ -223,13 +214,15 @@ def trajectory_gap(u0_a, u0_b, force_a, force_b, params, t_end, dt, sample_every
     return GapReport(times, gaps, eta_value, orbital, rate)
 
 
-@dataclass
 class ConvergenceReport:
-    times: np.ndarray
-    r: np.ndarray            # |u(t) - U|_{H1_alpha}
-    r_inf: np.ndarray        # max_x |u(t, x) - U(x)|, from the physical samples of u and U
-    monotone: bool           # r nonincreasing over the sampled times
-    profile_envelope_ok: bool  # r_inf(t) <= C t^{-3/4} for t >= 1, C fit at t=1
+    """r is |u(t) - U|_{H1_alpha} and r_inf max_x |u(t, x) - U(x)|, from the
+    physical samples of u and U; monotone says r is nonincreasing over the
+    sampled times, profile_envelope_ok r_inf(t) <= C t^{-3/4} for t >= 1,
+    C fit at t = 1."""
+
+    def __init__(self, times, r, r_inf, monotone, profile_envelope_ok):
+        self.times, self.r, self.r_inf = times, r, r_inf
+        self.monotone, self.profile_envelope_ok = monotone, profile_envelope_ok
 
 
 def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
@@ -260,12 +253,14 @@ def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
     return ConvergenceReport(times, rs, rinfs, monotone, envelope_ok)
 
 
-@dataclass
 class ZeroForceDecayReport:
-    times: np.ndarray
-    lp_norms: dict           # p -> series of |u(t)|_{L^p}
-    fitted_rates: dict       # p -> slope of log |u(t)|_{L^p} for t >= 1
-    envelopes_ok: dict       # p -> envelope C_p e^{-2 beta t / p} holds, C_p fit at t=1
+    """Per p: lp_norms the series of |u(t)|_{L^p}, fitted_rates the slope of
+    log |u(t)|_{L^p} for t >= 1, envelopes_ok whether the envelope
+    C_p e^{-2 beta t / p} holds, C_p fit at t = 1."""
+
+    def __init__(self, times, lp_norms, fitted_rates, envelopes_ok):
+        self.times, self.lp_norms = times, lp_norms
+        self.fitted_rates, self.envelopes_ok = fitted_rates, envelopes_ok
 
 
 def _magnitude(samples):

@@ -11,7 +11,6 @@ cfl_report.json or certificate_report.json.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 import time as _time
@@ -133,8 +132,8 @@ def cmd_simulate(runner):
     residuals = energy_budget_residual(traj)
     runner.csv(
         "trajectory.csv",
-        [f.name for f in dataclasses.fields(DiagnosticsSample)] + ["energy_residual"],
-        [dataclasses.astuple(s) + (r,) for s, r in zip(traj.samples, residuals)],
+        [*DiagnosticsSample._fields, "energy_residual"],
+        [(*s, r) for s, r in zip(traj.samples, residuals)],
     )
     write_checkpoint(runner.path("final_state.bard"), state.u, cfg.params, state.t)
     report = decay_envelope_check(traj, force, cfg.params)

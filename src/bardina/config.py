@@ -1,7 +1,9 @@
 """Run configuration: a flat INI file with one section per concern.
 
 SECTIONS states every key once; its default is its attribute in RunConfig()
-(in a present [initial] or [force] section: in FieldRecipe).  serialize() and
+(in a present [initial] or [force] section: in FieldRecipe).  Both are
+namedtuples, as are GridSpec and PhysParams, whose _replace checks the
+values as their constructors do.  serialize() and
 parse_config() both walk SECTIONS, formatting and parsing each value by the
 type of its default.  serialize() writes the fully resolved config so that any
 run can be reproduced from its effective-config artifact.
@@ -11,7 +13,8 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
+import os
+from collections import namedtuple
 
 from .dynamics import step_index
 from .fields import FieldRecipe
@@ -24,25 +27,29 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    grid: GridSpec = field(default_factory=lambda: GridSpec(16))
-    params: PhysParams = field(default_factory=lambda: PhysParams(1.0, 1.0, 1.0))
-    initial: FieldRecipe = field(default_factory=lambda: FieldRecipe("taylor_green", 0.1))
-    force: FieldRecipe | None = None
-    dt: float = 1e-2
-    t_end: float = 1.0
-    sample_every: int = 10
-    tol: float = 1e-10
-    relaxation: float = 1.0
-    max_iter: int = 200
-    m_list: tuple = (1, 2, 4)
-    frame_seed: int = 7
-    perturb_amplitude: float = 1e-3
-    perturb_seed: int = 11
-    decay_mode: str = "zero_force"  # or "steady"
-    p_list: tuple = (2.0, 4.0, float("inf"))
-    f_norm: float | None = None  # None -> from the force recipe
+_DEFAULTS = {
+    "grid": GridSpec(16),
+    "params": PhysParams(1.0, 1.0, 1.0),
+    "initial": FieldRecipe("taylor_green", 0.1),
+    "force": None,  # or a FieldRecipe
+    "dt": 1e-2,
+    "t_end": 1.0,
+    "sample_every": 10,
+    "tol": 1e-10,
+    "relaxation": 1.0,
+    "max_iter": 200,
+    "m_list": (1, 2, 4),
+    "frame_seed": 7,
+    "perturb_amplitude": 1e-3,
+    "perturb_seed": 11,
+    "decay_mode": "zero_force",  # or "steady"
+    "p_list": (2.0, 4.0, float("inf")),
+    "f_norm": None,  # None -> from the force recipe
+}
+
+
+class RunConfig(namedtuple("RunConfig", _DEFAULTS, defaults=_DEFAULTS.values())):
+    __slots__ = ()
 
     def serialize(self):
         cp = configparser.ConfigParser()
@@ -76,10 +83,13 @@ SECTIONS = (
 ATTR = {"mode": "decay_mode"}  # every other key names its attribute
 CHOICES = {"decay_mode": ("zero_force", "steady")}
 # A present recipe section starts from these; kind = none means no field.
-RECIPE_DEFAULTS = {f.name: f.default for f in fields(FieldRecipe)} | {"kind": "none"}
+RECIPE_DEFAULTS = FieldRecipe._field_defaults | {"kind": "none"}
 # Checks run once a section is read, beyond those of GridSpec, PhysParams and
 # FieldRecipe.  _read requires finite scalar floats; list entries are checked here.
 RULES = {
+    "grid": (lambda c: peak_bytes(c.grid.n) <= physical_memory(),
+             "n is too large: a run's estimated peak memory (peak_bytes) exceeds the "
+             "physical memory"),
     "initial": (lambda c: c.initial is not None, "kind must not be 'none'"),
     "time": (lambda c: c.dt > 0 and c.t_end >= 0 and c.sample_every >= 1
              and step_index(c.t_end, c.dt) >= 0,  # ValueError off the grid of dt
@@ -90,6 +100,19 @@ RULES = {
     "decay": (lambda c: all(p >= 1 for p in c.p_list), "every p in p_list must be >= 1 or inf"),
     "bound": (lambda c: c.f_norm is None or c.f_norm >= 0, "f_norm must be nonnegative"),
 }
+
+
+def peak_bytes(n):
+    """Estimated peak memory of a run on an n-grid, in bytes: fitted, to
+    within 0.2 MB, to an in-process run of two random_band fields and two
+    steps, import included, which peaks at 43, 64 and 231 MB at n = 32, 64
+    and 128."""
+    return 40e6 + 91 * n**3
+
+
+def physical_memory():
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _fmt(value):
@@ -109,16 +132,16 @@ def _parse(raw, default):
     return type(default)(raw)
 
 
-def _read(sec, name, keys, base):
+def _read(sec, keys, base):
     """A present section's values, parsed in key order over `base`; None for kind = none."""
     values = {}
     for key in keys:
         attr = ATTR.get(key, key)
         value = values[attr] = _parse(sec[key], base[attr]) if key in sec else base[attr]
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{name}: {key} must be finite, got {value}")
+            raise ValueError(f"{key} must be finite, got {value}")
         if attr in CHOICES and value not in CHOICES[attr]:
-            raise ValueError(f"{name}: unknown {key} {value!r}")
+            raise ValueError(f"unknown {key} {value!r}")
         if value == "none":
             return None
     return values
@@ -145,13 +168,13 @@ def parse_config(text):
                 continue
             obj = getattr(cfg, attr) if attr else cfg
             recipe = attr in ("initial", "force")
-            values = _read(cp[name], name, keys, RECIPE_DEFAULTS if recipe else vars(obj))
-            obj = (values and FieldRecipe(**values)) if recipe else replace(obj, **values)
-            cfg = replace(cfg, **{attr: obj}) if attr else obj
+            values = _read(cp[name], keys, RECIPE_DEFAULTS if recipe else obj._asdict())
+            obj = (values and FieldRecipe(**values)) if recipe else obj._replace(**values)
+            cfg = cfg._replace(**{attr: obj}) if attr else obj
             if name in RULES and not RULES[name][0](cfg):
-                raise ValueError(f"{name}: {RULES[name][1]}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+                raise ValueError(RULES[name][1])
+    except ValueError as exc:  # those of GridSpec, PhysParams and FieldRecipe included
+        raise ConfigError(f"{name}: {exc}") from exc
     return cfg
 
 

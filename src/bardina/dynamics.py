@@ -8,7 +8,7 @@ weights.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -64,18 +64,16 @@ class CFLError(ValueError):
         super().__init__(f"dt={dt} exceeds the CFL cap {cap:.3e} at t={t:.6g}")
 
 
-@dataclass
 class SimState:
-    """A state of a run.  u_phys, the physical samples of u, is formed on
-    first read by a consumer; step reads it if formed, never forms it, and
-    drops it once it advances the state.  u_max, max |u| over those
-    samples, is set by step from the samples its kernel read (slab by slab
-    on grids beyond spectral.SLAB_BYTES), else formed from u_phys on first
-    read."""
-    u: VectorField
-    t: float
-    params: "PhysParams"
-    force: VectorField
+    """A state of a run: velocity u at time t, with its params and force.
+    u_phys, the physical samples of u, is formed on first read by a
+    consumer; step reads it if formed, never forms it, and drops it once it
+    advances the state.  u_max, max |u| over those samples, is set by step
+    from the samples its kernel read (slab by slab on grids beyond
+    spectral.SLAB_BYTES), else formed from u_phys on first read."""
+
+    def __init__(self, u, t, params, force):
+        self.u, self.t, self.params, self.force = u, t, params, force
 
     @cached_property
     def u_phys(self):
@@ -86,21 +84,17 @@ class SimState:
         return _abs_max(self.u_phys)
 
 
-@dataclass(frozen=True)
-class DiagnosticsSample:
-    t: float
-    l2_sq: float
-    h1dot_sq: float
-    h2dot_sq: float
-    h1alpha_sq: float
-    dissipation: float  # nu (|u|_H1^2 + alpha^2 |u|_H2^2)
-    damping: float      # beta |u|_{H1_alpha}^2
-    force_pairing: float  # <f, u>_{H1_alpha}
+# One sample of a run; dissipation is nu (|u|_H1^2 + alpha^2 |u|_H2^2),
+# damping beta |u|_{H1_alpha}^2 and force_pairing <f, u>_{H1_alpha}.
+DiagnosticsSample = namedtuple(
+    "DiagnosticsSample",
+    "t l2_sq h1dot_sq h2dot_sq h1alpha_sq dissipation damping force_pairing",
+)
 
 
-@dataclass
 class Trajectory:
-    samples: list = field(default_factory=list)
+    def __init__(self):
+        self.samples = []
 
     @property
     def times(self):
@@ -309,11 +303,9 @@ def energy_budget_residual(trajectory):
     return (e - e[0] + 2 * i_diss + 2 * i_damp - 2 * i_force) / max(e[0], 1.0)
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
-    pointwise_slack: float   # max over samples of E(t) - envelope(t)
-    windowed_slack: float    # max over windows of lhs - rhs of the window bound
-    passed: bool
+# The worst slack of the pointwise envelope, max over samples of E(t) -
+# envelope(t), and of the window bound, max over windows of lhs - rhs.
+EnvelopeReport = namedtuple("EnvelopeReport", "pointwise_slack windowed_slack passed")
 
 
 def decay_envelope_check(trajectory, force, params, slack_tol=None):

@@ -1,11 +1,12 @@
 """Deterministic generators of divergence-free initial data and forces."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .spectral import (
     VectorField,
+    _Checked,
     _forward,
     _project,
     mode_indices,
@@ -33,8 +34,8 @@ _ANALYTIC = {
 KINDS = (*_ANALYTIC, "random_band")
 
 
-@dataclass(frozen=True)
-class FieldRecipe:
+class FieldRecipe(_Checked, namedtuple("FieldRecipe", "kind amplitude seed k_min k_max",
+                                        defaults=(1.0, 0, 1, 2))):
     """Recipe for a divergence-free vector field.
 
     amplitude scales the physical field for the analytic kinds; for
@@ -42,13 +43,9 @@ class FieldRecipe:
     from the companion parameter set at generation time, see generate).
     """
 
-    kind: str
-    amplitude: float = 1.0
-    seed: int = 0
-    k_min: int = 1
-    k_max: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}, expected one of {KINDS}")
         if not np.isfinite(self.amplitude):

@@ -2,7 +2,6 @@
 on the fixed-point form U = (-nu Lap + beta)^{-1} [ f - P div((U (x) U)_alpha) ],
 posed on the retained box: every iterate is a box field."""
 
-from dataclasses import dataclass, field
 from itertools import count
 
 import numpy as np
@@ -28,13 +27,12 @@ class NonConvergenceError(RuntimeError):
         )
 
 
-@dataclass
 class StationaryResult:
-    U: VectorField
-    residual: float
-    iterations: int
-    energy_slack: float  # (2/beta^2)|f|^2_{H1a} - (|U|^2_{H1a} + nu a^2 |U|^2_{H2})
-    residual_history: list = field(default_factory=list)
+    """energy_slack is (2/beta^2)|f|^2_{H1a} - (|U|^2_{H1a} + nu a^2 |U|^2_{H2})."""
+
+    def __init__(self, U, residual, iterations, energy_slack, residual_history):
+        self.U, self.residual, self.iterations = U, residual, iterations
+        self.energy_slack, self.residual_history = energy_slack, residual_history
 
 
 def stationary_map(U, force, params):

@@ -202,11 +202,9 @@ def random_band_full_spectrum(recipe, grid, alpha):
     field on the fraction-1 grid of grid's n) and its rescaling by the
     package's norm of its restriction to grid (dealias), which sums in the
     same order as the box construction it checks."""
-    from dataclasses import replace
-
     from bardina.spectral import VectorField, dealias, leray_project, norms
 
-    n, full = grid.n, replace(grid, dealias_fraction=1.0)
+    n, full = grid.n, grid._replace(dealias_fraction=1.0)
     rng = np.random.default_rng(recipe.seed)
     m = np.fft.fftfreq(n, 1.0 / n)
     mag = np.sqrt(m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, :] ** 2)

@@ -8,7 +8,6 @@ before asserting, so the full verdict list survives in the test log.
 """
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +70,7 @@ def test_criterion_01_operator_oracles(grid8):
     params = PhysParams(alpha=alpha, beta=1.0, nu=0.5)
     # fields with modes beyond grid8's cutoff 2, on the fraction-1 grid (whose
     # box is the half spectrum); the kernel reads their restriction to grid8
-    full = replace(grid8, dealias_fraction=1.0)
+    full = grid8._replace(dealias_fraction=1.0)
     u1 = random_field(full, seed=300, amplitude=1.2, k_max=3)
     w1 = random_field(full, seed=301, amplitude=0.9, k_max=3)
     u, w = dealias(u1, grid8), dealias(w1, grid8)

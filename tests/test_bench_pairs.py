@@ -61,6 +61,33 @@ def test_fault_summary_per_side():
     assert bench_pairs.summarize_faults(runs[2:])["head"] == {}
 
 
+def test_each_side_runs_without_bytecode(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        calls.append((cmd, cwd, env))
+        line = json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": {}})
+        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_side("TREE", "w1", 0, 0.1)["correct"]
+    ((cmd, cwd, env),) = calls
+    assert cwd == "TREE" and cmd[1] == "perfbench/run.py"
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+
+    # the head side runs on a copy of the working tree without __pycache__
+    repo = tmp_path / "repo"
+    for d in ("src/pkg", "src/pkg/__pycache__", "perfbench/__pycache__"):
+        (repo / d).mkdir(parents=True)
+    for f in ("src/pkg/m.py", "src/pkg/__pycache__/m.cpython-311.pyc", "perfbench/run.py",
+              "perfbench/__pycache__/run.cpython-311.pyc"):
+        (repo / f).write_text("x = 1\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    head = bench_pairs.copy_tree(tmp_path / "head")
+    copied = sorted(p.relative_to(head).as_posix() for p in head.rglob("*") if p.is_file())
+    assert copied == ["perfbench/run.py", "src/pkg/m.py"]
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_one_tiny_pair_against_head(tmp_path, monkeypatch):
     if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
@@ -73,6 +100,7 @@ def test_one_tiny_pair_against_head(tmp_path, monkeypatch):
     result = json.loads((tmp_path / "BENCH_selftest.json").read_text())
     assert result["pairs"] == 1 and result["cpu_count"] >= 1
     assert result["base"]["sha"] == result["head"]["sha"] or result["head"]["dirty"]
+    assert result["bytecode"]["env"] == {"PYTHONDONTWRITEBYTECODE": "1"}
     (run,) = result["workloads"]["lyapunov-n16"]["runs"]
     assert run["first"] == "base" and run["base"]["correct"] and run["head"]["correct"]
     assert run["head"]["kernel_ms"] > 0

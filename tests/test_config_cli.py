@@ -1,8 +1,12 @@
 import configparser
+import io
 import json
 import math
+import os
 import re
-from dataclasses import replace
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bardina.cli
+import bardina.config
 import bardina.dynamics
 from bardina.attractor import (
     OrthoFrame,
@@ -31,7 +36,14 @@ from bardina.cli import (
     _write_json,
     main,
 )
-from bardina.config import ConfigError, RunConfig, load_config, parse_config
+from bardina.config import (
+    ConfigError,
+    RunConfig,
+    load_config,
+    parse_config,
+    peak_bytes,
+    physical_memory,
+)
 from bardina.dynamics import BlowUpError, SimState, _etd_weights, evolve
 from bardina.fields import KINDS, FieldRecipe, generate
 from bardina.spectral import GridSpec, PhysParams, VectorField, bilinear, h1alpha_inner
@@ -190,7 +202,8 @@ _recipes = st.builds(
 _configs = st.builds(
     RunConfig,
     grid=st.builds(
-        GridSpec, n=st.integers(2, 256).map(lambda k: 2 * k), box_len=_positive,
+        GridSpec, n=st.integers(2, 256).map(lambda k: 2 * k).filter(
+            lambda n: peak_bytes(n) <= physical_memory()), box_len=_positive,
         dealias_fraction=st.floats(0.0, 1.0, exclude_min=True),
     ),
     params=st.builds(PhysParams, alpha=_positive, beta=_positive, nu=_positive, eta_c=_positive),
@@ -215,11 +228,66 @@ _configs = st.builds(
 @given(_configs, st.integers(0, 2**20))
 def test_serialize_parse_round_trip(cfg, k):
     assume(math.isfinite(k * cfg.dt))
-    cfg = replace(cfg, t_end=k * cfg.dt)  # [time] takes a whole number of steps
+    cfg = cfg._replace(t_end=k * cfg.dt)  # [time] takes a whole number of steps
     text = cfg.serialize()
     again = parse_config(text)
     assert again == cfg
     assert again.serialize() == text
+
+
+# One invalid value of one field of each checked value type, beside a valid
+# instance of the type: (valid, key, value).
+_nonpositive = st.floats(max_value=0.0) | st.just(math.nan)
+_invalid_values = st.one_of(
+    st.tuples(st.just(GridSpec(8)), st.just("n"),
+              st.integers(max_value=3) | st.integers(2, 64).map(lambda k: 2 * k + 1)),
+    st.tuples(st.just(GridSpec(8)), st.just("box_len"), _nonpositive),
+    st.tuples(st.just(GridSpec(8)), st.just("dealias_fraction"),
+              _nonpositive | st.floats(min_value=1.0, exclude_min=True)),
+    st.tuples(st.just(PhysParams(1.0, 1.0, 1.0)), st.sampled_from(PhysParams._fields), _nonpositive),
+    st.tuples(st.just(FieldRecipe("shear")), st.just("kind"), st.text().filter(lambda k: k not in KINDS)),
+    st.tuples(st.just(FieldRecipe("shear")), st.just("amplitude"),
+              st.sampled_from([math.inf, -math.inf, math.nan])),
+    st.tuples(st.just(FieldRecipe("shear")), st.just("seed"), st.integers(max_value=-1)),
+    st.tuples(st.just(FieldRecipe("random_band")), st.just("k_min"), st.integers(min_value=3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_invalid_values)
+def test_value_types_refuse_invalid_values_on_every_path(case):
+    """GridSpec, PhysParams and FieldRecipe refuse an invalid value, naming
+    its key, through the constructor and through _replace alike."""
+    valid, key, value = case
+    named = rf"\b{key}\b"
+    with pytest.raises(ValueError, match=named):
+        type(valid)(**(valid._asdict() | {key: value}))
+    with pytest.raises(ValueError, match=named):
+        valid._replace(**{key: value})
+    with pytest.raises(ValueError, match=named):
+        type(valid)._make(value if f == key else v for f, v in valid._asdict().items())
+
+
+def test_value_types_replace_keeps_the_type():
+    grid = GridSpec(8)._replace(n=16)
+    assert type(grid) is GridSpec and grid == GridSpec(16) and grid.box_shape == (11, 11, 6)
+    assert PhysParams(1.0, 1.0, 1.0)._replace(eta_c=2.0) == PhysParams(1.0, 1.0, 1.0, 2.0)
+    assert FieldRecipe("shear")._replace(seed=3).seed == 3
+    assert RunConfig()._replace(dt=0.5).dt == 0.5
+
+
+def test_import_loads_no_dataclasses():
+    """Importing numpy, then the CLI, loads no dataclasses module: its
+    import and the classes it builds would cost each CLI process ~10 ms."""
+    code = ("import sys; before = 'dataclasses' in sys.modules; import numpy, bardina.cli; "
+            "print(before, 'dataclasses' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    if before == "True":
+        pytest.skip("this interpreter's start-up already imports dataclasses")
+    assert after == "False"
 
 
 def test_readme_example_config():
@@ -242,6 +310,16 @@ def run_cli(tmp_path, subcommand, ini, out_name="out"):
     out = tmp_path / out_name
     code = main([subcommand, "--config", str(cfg), "--out", str(out)])
     return code, out
+
+
+def with_value(ini, section, key, value):
+    """`ini` with `key = value` in its `section`."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(ini)
+    cp[section][key] = value
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 def assert_certificate_report(code, out, detail):
@@ -486,6 +564,47 @@ class TestCliErrors:
         assert code == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        *[("grid", "n", v) for v in ("3", "2", "0")],
+        ("grid", "box_len", "0"),
+        *[("grid", "dealias_fraction", v) for v in ("0", "1.5")],
+        *[("params", key, v) for key in ("alpha", "beta", "nu", "eta_c") for v in ("0", "-1")],
+    ])
+    def test_bad_grid_or_params_value_exits_before_any_artifact(
+            self, tmp_path, capsys, section, key, value):
+        code, out = run_cli(tmp_path, "simulate", with_value(BASE_INI, section, key, value))
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert re.search(rf"^config error: {section}: .*\b{key}\b", err, re.M), err
+
+    @pytest.mark.parametrize("section", ["initial", "force"])
+    def test_refused_recipe_names_its_section(self, tmp_path, capsys, section):
+        code, out = run_cli(tmp_path, "simulate", with_value(BASE_INI, section, "seed", "-1"))
+        assert code == EXIT_CONFIG and not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"config error: {section}: seed must be non-negative, got -1\n"
+
+    def test_grid_beyond_physical_memory_exits_before_any_allocation(self, tmp_path, capsys):
+        n = 8
+        while peak_bytes(n) <= physical_memory():
+            n *= 2
+        tracemalloc.start()
+        try:
+            code, out = run_cli(tmp_path, "simulate", with_value(BASE_INI, "grid", "n", str(n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG and not out.exists()
+        assert re.search(r"^config error: grid: n is too large", capsys.readouterr().err, re.M)
+        assert peak < 1e6  # one n^3 float64 array alone would take 8 n^3 bytes
+
+    def test_memory_rule_reads_the_physical_memory(self, monkeypatch):
+        monkeypatch.setattr(bardina.config, "physical_memory", lambda: peak_bytes(64))
+        assert parse_config("[grid]\nn = 64\n").grid.n == 64
+        with pytest.raises(ConfigError, match="grid: n is too large"):
+            parse_config("[grid]\nn = 66\n")
 
     @pytest.mark.parametrize("dt, t_end", [
         ("0.02", "0.005"), ("0.02", "0.25"), ("0.02", "0.07"), ("1e-300", "1e300"),

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -509,7 +508,7 @@ def general_field(grid, seed):
     """A real field with every mode set, neither dealiased nor divergence-free:
     on the fraction-1 grid of grid's n and box_len."""
     samples = np.random.default_rng(seed).standard_normal((3,) + (grid.n,) * 3)
-    return forward_transform(samples, replace(grid, dealias_fraction=1.0))
+    return forward_transform(samples, grid._replace(dealias_fraction=1.0))
 
 
 class TestBoxKernel:
@@ -787,7 +786,7 @@ def dealiased_layouts(grid, seed):
     """A random dealiased field on `grid`, and the same field on the
     fraction-1 grid of its n, whose box is the half spectrum."""
     box = dealias(general_field(grid, seed), grid)
-    return box, VectorField(replace(grid, dealias_fraction=1.0), half_hat(box))
+    return box, VectorField(grid._replace(dealias_fraction=1.0), half_hat(box))
 
 
 class TestLayouts:
@@ -821,7 +820,7 @@ class TestLayouts:
         def close(x, y, scale=None):
             return abs(x - y) <= 1e-15 * (abs(y) if scale is None else scale)
 
-        assert all(map(close, astuple(norms(box, alpha)), astuple(norms(half, alpha))))
+        assert all(map(close, tuple(norms(box, alpha)), tuple(norms(half, alpha))))
         # relative to the Cauchy-Schwarz bound: the sum has signed terms
         bound = np.sqrt(norms(box, alpha).h1alpha_sq * norms(other_box, alpha).h1alpha_sq)
         inner = h1alpha_inner(half, other_half, alpha)
@@ -899,7 +898,7 @@ class TestTransformPair:
     def test_inverse_of_dealiased_field(self, n, fraction, seed, vector, log_scale):
         grid = GridSpec(n, dealias_fraction=fraction)
         box = forward_transform(random_samples(n, seed, vector, log_scale), grid)
-        half = replace(box, grid=replace(grid, dealias_fraction=1.0), hat=half_hat(box))
+        half = box._replace(grid=grid._replace(dealias_fraction=1.0), hat=half_hat(box))
         expected = sfft.irfftn(half.hat, s=(n,) * 3, axes=(-3, -2, -1), norm="forward")
         assert inverse_transform(box).tobytes() == expected.tobytes()
         assert inverse_transform(half).tobytes() == expected.tobytes()

@@ -6,20 +6,26 @@ Usage, from anywhere inside the repository:
         [--workload W ...] [--seed K] --label L
 
 The base revision's src/ and perfbench/ are extracted with `git archive`
-into a temporary directory, as tools/artifact_diff.py extracts src/.  Each
-side runs its own `perfbench/run.py --workload W --seed K --seconds S
---trace 0` in its own tree, one run at a time.  A pair is one run per side;
-the base goes first in even-numbered pairs and the working tree in odd
-ones, so a drift of the host's speed over the session weighs on both sides
-alike.  The workloads (default: all of perfbench's) take their pairs in
-turn, pair 0 of each, then pair 1 of each, and so on.
+into a temporary directory, as tools/artifact_diff.py extracts src/, and
+those of the working tree are copied beside them without their __pycache__
+directories.  Each side runs its own `perfbench/run.py --workload W --seed K
+--seconds S --trace 0` in its own tree, one run at a time, with
+PYTHONDONTWRITEBYTECODE=1: neither side reads or writes bytecode of src/ or
+perfbench/, so both compile them in every process, as a fresh checkout
+does, while the installed bytecode of the standard library and numpy
+serves both alike.  A pair is one run per side; the base goes first in
+even-numbered pairs and the working tree in odd ones, so a drift of the
+host's speed over the session weighs on both sides alike.  The workloads
+(default: all of perfbench's) take their pairs in turn, pair 0 of each,
+then pair 1 of each, and so on.
 
 The result is written to BENCH_<label>.json at the root of the repository,
 in one schema:
 
   * label, command, seconds, seed, pairs; base {rev, sha}; head {sha,
     dirty}, dirty when src/ or perfbench/ differ from HEAD; python, numpy,
-    scipy, cpu_count, machine;
+    scipy, cpu_count, machine; bytecode {env, trees}, the environment each
+    run gets on top of this one's and how its tree was made;
   * workloads: {W: {runs, metrics, minor_faults}}.  Each run is {pair,
     first, base, head}, each side {correct, attempted, failed, kernel_ms,
     minor_faults, metrics}, its metrics the values of run.py's result line,
@@ -45,10 +51,12 @@ import os
 import platform
 import re
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 from artifact_diff import ROOT, extract_tree
 
@@ -56,6 +64,20 @@ SIDES = ("base", "head")
 OUT = ROOT  # the directory of BENCH_<label>.json
 KERNEL = re.compile(r"^# reference kernel: median ([0-9.]+) ms")
 RUN_TIMEOUT_S = 600
+TREE = ["src", "perfbench"]  # what each side's tree holds
+BYTECODE = {  # recorded in BENCH_<label>.json
+    "env": {"PYTHONDONTWRITEBYTECODE": "1"},
+    "trees": "base extracted with git archive, head copied from the working tree, "
+             "both without __pycache__",
+}
+
+
+def copy_tree(dest):
+    """The working tree's TREE copied under dest without its __pycache__
+    directories; returns dest."""
+    for p in TREE:
+        shutil.copytree(ROOT / p, Path(dest) / p, ignore=shutil.ignore_patterns("__pycache__"))
+    return Path(dest)
 
 
 def run_side(tree, workload, seed, seconds):
@@ -66,7 +88,7 @@ def run_side(tree, workload, seed, seconds):
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     try:
         proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                              timeout=RUN_TIMEOUT_S)
+                              timeout=RUN_TIMEOUT_S, env=dict(os.environ, **BYTECODE["env"]))
         lines = proc.stdout.strip().splitlines()
         result = json.loads(lines[-1])
     except (subprocess.TimeoutExpired, IndexError, ValueError):
@@ -192,11 +214,12 @@ def main(argv=None):
         "base": {"rev": args.base, "sha": _git("rev-parse", args.base + "^{commit}")},
         "head": {"sha": _git("rev-parse", "HEAD"), "dirty": dirty},
         **_versions(),
+        "bytecode": BYTECODE,
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        base = extract_tree(args.base, tmp, ["src", "perfbench"])
-        runs = bench_pairs({"base": base, "head": ROOT}, workloads, args.pairs,
-                           args.seconds, args.seed)
+        trees = {"base": extract_tree(args.base, Path(tmp) / "base", TREE),
+                 "head": copy_tree(Path(tmp) / "head")}
+        runs = bench_pairs(trees, workloads, args.pairs, args.seconds, args.seed)
     result["workloads"] = {w: {"runs": r, "metrics": summarize(r, units, better),
                                "minor_faults": summarize_faults(r)} for w, r in runs.items()}
     path = OUT / f"BENCH_{args.label}.json"
