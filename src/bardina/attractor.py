@@ -179,39 +179,34 @@ def orthonormalize(fields, alpha):
 
 
 class GapReport:
-    """gap_sq is |u_a - u_b|^2_{H1_alpha} per sample; for same-force runs,
-    orbital_stable says g(t) <= g(0) at all samples and decay_rate is the
-    fitted slope of log g(t), negative for a contraction."""
+    """gap_sq is |u_a - u_b|^2_{H1_alpha} per sample; eta_value is the
+    regime of the force, orbital_stable says g(t) <= g(0) at all samples
+    and decay_rate is the fitted slope of log g(t), negative for a
+    contraction (None with fewer than two positive gaps)."""
 
     def __init__(self, times, gap_sq, eta_value, orbital_stable, decay_rate):
         self.times, self.gap_sq, self.eta_value = times, gap_sq, eta_value
         self.orbital_stable, self.decay_rate = orbital_stable, decay_rate
 
 
-def trajectory_gap(u0_a, u0_b, force_a, force_b, params, t_end, dt, sample_every=1):
-    """Run two simulations in lockstep and track the squared energy-norm gap.
-
-    With identical forces the report also carries the orbital-stability flag
-    (g nonincreasing relative to g(0)) and a log-linear fit of the decay rate.
+def trajectory_gap(u0_a, u0_b, force, params, t_end, dt, sample_every=1):
+    """Run two simulations under one force in lockstep and track the squared
+    energy-norm gap, with the force's eta, the orbital-stability flag (g
+    nonincreasing relative to g(0)) and a log-linear fit of the decay rate.
     """
     runs = zip(
-        sampled_states(SimState(u0_a, 0.0, params, force_a), t_end, dt, sample_every),
-        sampled_states(SimState(u0_b, 0.0, params, force_b), t_end, dt, sample_every),
+        sampled_states(SimState(u0_a, 0.0, params, force), t_end, dt, sample_every),
+        sampled_states(SimState(u0_b, 0.0, params, force), t_end, dt, sample_every),
     )
     times, gaps = np.array([(a.t, h1alpha_diff_sq(a.u, b.u, params.alpha)) for a, b in runs]).T
 
-    same_force = np.array_equal(force_a.hat, force_b.hat)
-    eta_value = orbital = rate = None
-    if same_force:
-        f_norm = np.sqrt(norms(force_a, params.alpha).h1alpha_sq)
-        eta_value = eta(params, f_norm).eta_value
-        orbital = bool(np.all(gaps <= gaps[0] * (1.0 + 1e-10) + 1e-300))
-        positive = gaps > 0
-        if positive.sum() >= 2:
-            rate = float(
-                np.polyfit(times[positive], np.log(gaps[positive]), 1)[0]
-            )
-    return GapReport(times, gaps, eta_value, orbital, rate)
+    f_norm = np.sqrt(norms(force, params.alpha).h1alpha_sq)
+    orbital = bool(np.all(gaps <= gaps[0] * (1.0 + 1e-10) + 1e-300))
+    positive = gaps > 0
+    rate = None
+    if positive.sum() >= 2:
+        rate = float(np.polyfit(times[positive], np.log(gaps[positive]), 1)[0])
+    return GapReport(times, gaps, eta(params, f_norm).eta_value, orbital, rate)
 
 
 class ConvergenceReport:

@@ -103,10 +103,18 @@ class Runner:
         if cfg.force is None:
             zero = np.zeros((3,) + cfg.grid.box_shape, dtype=np.complex128)
             return VectorField(cfg.grid, zero, div_free=True)
-        return generate(cfg.force, cfg.grid, cfg.params.alpha)
+        return self._generate("force", cfg.force)
 
     def initial_field(self):
-        return generate(self.cfg.initial, self.cfg.grid, self.cfg.params.alpha)
+        return self._generate("initial", self.cfg.initial)
+
+    def _generate(self, section, recipe):
+        """The field of a recipe section; a recipe refused on this grid is a
+        ConfigError naming the section, as one refused at parse time is."""
+        try:
+            return generate(recipe, self.cfg.grid, self.cfg.params.alpha)
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
 
     def finalize(self, subcommand):
         with open(self.path("effective_config.ini"), "w") as fh:
@@ -257,15 +265,12 @@ def cmd_gap(runner):
     u0_a = runner.initial_field()
     perturb = _random_band(cfg, cfg.perturb_amplitude, cfg.perturb_seed, 2)
     u0_b = VectorField(cfg.grid, u0_a.hat + perturb.hat, div_free=True)
-    report = trajectory_gap(
-        u0_a, u0_b, force, force, cfg.params, cfg.t_end, cfg.dt, cfg.sample_every
-    )
+    report = trajectory_gap(u0_a, u0_b, force, cfg.params, cfg.t_end, cfg.dt, cfg.sample_every)
     runner.csv("gap.csv", ["t", "gap_sq"], zip(report.times, report.gap_sq))
-    ok = report.orbital_stable if report.eta_value is not None and report.eta_value <= 0 else True
     return runner.report(
         "gap_report.json",
         "trajectory_gap",
-        ok,
+        report.eta_value > 0 or report.orbital_stable,
         eta=report.eta_value,
         orbital_stable=report.orbital_stable,
         decay_rate=report.decay_rate,

@@ -18,7 +18,6 @@ from .spectral import (
     _abs_max,
     _check_shared_grid,
     _frozen,
-    _nonlinear_sup,
     bilinear,
     h1alpha_inner,
     inverse_transform,
@@ -67,10 +66,11 @@ class CFLError(ValueError):
 class SimState:
     """A state of a run: velocity u at time t, with its params and force.
     u_phys, the physical samples of u, is formed on first read by a
-    consumer; step reads it if formed, never forms it, and drops it once it
-    advances the state.  u_max, max |u| over those samples, is set by step
-    from the samples its kernel read (slab by slab on grids beyond
-    spectral.SLAB_BYTES), else formed from u_phys on first read."""
+    consumer; step passes it to its first nonlinear_term call if formed,
+    never forms it, and drops it once it advances the state.  u_max, max |u|
+    over those samples, is set by step from the sups that call reports
+    (one per slab on grids beyond spectral.SLAB_BYTES), else formed from
+    u_phys on first read."""
 
     def __init__(self, u, t, params, force):
         self.u, self.t, self.params, self.force = u, t, params, force
@@ -112,10 +112,11 @@ class Trajectory:
         return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def nonlinear_term(u, alpha, u_phys=None):
+def nonlinear_term(u, alpha, u_phys=None, sups=None):
     """P div((u (x) u)_alpha) = B(u, u): the Bardina nonlinearity, dealiased.
-    u_phys: see bilinear."""
-    return bilinear(u, u, alpha, u_phys)
+    u_phys and sups: see bilinear; step passes a list as sups to take max |u|
+    from the samples the kernel reads."""
+    return bilinear(u, u, alpha, u_phys, sups)
 
 
 PHI_SERIES_BELOW = 0.2  # |z| below which phi_1, phi_2 are summed as series
@@ -182,9 +183,11 @@ def step(state, dt):
     step i = step_index(state.t, dt) to time (i + 1) dt.  N(u) reads state.u_phys
     if a consumer formed it, and the step then drops it from the input state;
     else the kernel forms u's samples, slab by slab beyond spectral.SLAB_BYTES,
-    so the step makes no sample array there.  The kernel's max |u| over the
-    samples it read becomes state.u_max, which the CFL check compares with dt
-    before N(u) is used.  The combine runs with out= in the predictor and the
+    so the step makes no sample array there.  Both N(u) and N(predictor) are
+    nonlinear_term calls; the first reports the kernel's max |u| over the
+    samples it read in a sups list, whose np.max (NaN if any entry is)
+    becomes state.u_max, which the CFL check compares with dt before N(u)
+    is used.  The combine runs with out= in the predictor and the
     second kernel's result.  Raises ValueError as step_index or on two grids,
     CFLError if dt exceeds the input's CFL cap, BlowUpError on non-finite output."""
     t = (step_index(state.t, dt) + 1) * dt
@@ -192,7 +195,9 @@ def step(state, dt):
     alpha = state.params.alpha
     expz, w1, w2 = _etd_weights(grid, state.params, dt)
 
-    nl, state.u_max = _nonlinear_sup(state.u, alpha, vars(state).get("u_phys"))
+    sups = []
+    nl = nonlinear_term(state.u, alpha, vars(state).get("u_phys"), sups)
+    state.u_max = np.max(sups)
     check_cfl(state, dt)
     n0 = state.force.hat - nl.hat
     del nl  # N(u)'s 5 slots are freed before a consumer's samples

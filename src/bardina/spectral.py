@@ -35,9 +35,9 @@ Conventions used throughout:
     the last slab transforms those over x; as y now runs before x, the
     coefficients move in round-off (<= 5e-16 of the largest at n = 64).
     The kernel feeds it the products slab by slab, so no (5, n, n, n)
-    array, z spectrum or sample array is made; for a time step it also
-    reports max |u| over the slabs of u's samples it forms
-    (_nonlinear_sup), so the step's CFL check forms no samples of its own.
+    array, z spectrum or sample array is made; given a `sups` list it also
+    reports max |u| over the slabs of u's samples it forms, so a time
+    step's CFL check forms no samples of its own.
     Smaller grids keep the one pass: their products already fit in that
     cache, and a slab path there made steady-n32 13-40 % slower, its
     per-step temporaries then crossing glibc's dynamic heap-trim threshold
@@ -559,28 +559,24 @@ def _traceless_products(a, b, out, tmp):
     return out
 
 
-def tensor_product_spectra(u, w, u_phys=None):
-    """Retained-box spectra (5, b, b, cutoff+1) of the traceless symmetric
-    product T - T33 I, T = (u (x) w + w (x) u)/2 (slots as in
-    _traceless_products); one inverse transform when w is u, none for u
-    when u_phys, its samples, is given.
-
-    Products of the box fields are formed in physical space, so the
-    retained modes are the exact Galerkin projection; the other modes are
-    dropped after the z transform.
-    """
-    return _product_spectra(u, w, u_phys, None)
-
-
 def _abs_max(a):
     """max |a| without an |a| temporary."""
     return max(a.max(), -a.min())
 
 
-def _product_spectra(u, w, u_phys, sups):
-    """tensor_product_spectra(u, w, u_phys); when `sups` is a list, the
-    kernel appends to it max |.| of u's samples, of each slab on grids
-    beyond SLAB_BYTES."""
+def tensor_product_spectra(u, w, u_phys=None, sups=None):
+    """Retained-box spectra (5, b, b, cutoff+1) of the traceless symmetric
+    product T - T33 I, T = (u (x) w + w (x) u)/2 (slots as in
+    _traceless_products); one inverse transform when w is u, none for u
+    when u_phys, its samples, is given.  When `sups` is a list, max |.| of
+    the samples of u read is appended to it, one entry per slab on grids
+    beyond SLAB_BYTES, and on one-pass grids the samples formed here live
+    until the forward transform returns, as given ones do.
+
+    Products of the box fields are formed in physical space, so the
+    retained modes are the exact Galerkin projection; the other modes are
+    dropped after the z transform.
+    """
     grid = u.grid
     rows = _slab_rows(grid.n)
     if rows is not None:
@@ -592,7 +588,8 @@ def _product_spectra(u, w, u_phys, sups):
     shape = (grid.n,) * 3
     t = _traceless_products(a, b, _work("products", (5,) + shape, float),
                             None if b is a else _work("scratch", shape, float))
-    del a, b  # the samples are freed before the transform allocates its output
+    if sups is None:
+        del a, b  # the samples are freed before the transform allocates its output
     return _forward(t, grid)
 
 
@@ -642,7 +639,7 @@ def _div_in_place(t, k, s):
     return t0, t1, t2, t3, t4
 
 
-def bilinear(u, w, alpha, u_phys=None):
+def bilinear(u, w, alpha, u_phys=None, sups=None):
     """Symmetric bilinear form B(u, w) = P div(((u (x) w + w (x) u)/2)_alpha), dealiased.
 
     B(u, u) is the Bardina nonlinearity; for divergence-free u and w,
@@ -651,14 +648,11 @@ def bilinear(u, w, alpha, u_phys=None):
     the symbols applied on the retained box only, in place in those 5 new
     slots with one slot of scratch: the result's hat is slots 0-2.  A
     caller that applies B(u, .) to many fields passes
-    u_phys = inverse_transform(u) once and saves the transform of u.
+    u_phys = inverse_transform(u) once and saves the transform of u; `sups`
+    collects max |u| as in tensor_product_spectra.
     """
     grid = _check_shared_grid(u, w)
-    return _symbol_stage(tensor_product_spectra(u, w, u_phys), grid, alpha)
-
-
-def _symbol_stage(t, grid, alpha):
-    """B's field from the 5 product spectra `t`, formed in place in them."""
+    t = tensor_product_spectra(u, w, u_phys, sups)
     k, kk, g = _bilinear_symbols(grid, alpha)
     s = np.empty_like(t[0])
     v0, v1, v2, q, _ = _div_in_place(t, k, s)
@@ -669,20 +663,6 @@ def _symbol_stage(t, grid, alpha):
         v -= np.multiply(kki, q, out=s)
         v *= g
     return VectorField(grid, t[:3])
-
-
-def _nonlinear_sup(u, alpha, u_phys):
-    """(bilinear(u, u, alpha, u_phys), max |u| over the samples of u the
-    kernel read): a time step's N(u) and the sup its CFL check needs.  The
-    samples are u_phys when given; else, on one-pass grids,
-    inverse_transform(u), formed here so that they live until N(u) is
-    formed, as given ones do; on grids beyond SLAB_BYTES the kernel's slabs,
-    so that no sample array is made."""
-    if u_phys is None and _slab_rows(u.grid.n) is None:
-        u_phys = inverse_transform(u)
-    sups = []
-    t = _product_spectra(u, u, u_phys, sups)
-    return _symbol_stage(t, u.grid, alpha), np.max(sups)
 
 
 def pressure_from_velocity(u, alpha):

@@ -211,7 +211,7 @@ def test_criterion_06_contraction_regime():
     u0b = generate(
         FieldRecipe("random_band", 0.3, seed=203, k_min=1, k_max=2), grid, params.alpha
     )
-    rep = trajectory_gap(u0a, u0b, f, f, params, 20.0 / rate, 0.01, sample_every=5)
+    rep = trajectory_gap(u0a, u0b, f, params, 20.0 / rate, 0.01, sample_every=5)
     g = np.sqrt(rep.gap_sq)
     below = np.nonzero(g <= g[0] / 2.0)[0]
     ok = len(below) > 0

@@ -293,7 +293,7 @@ class TestTrajectoryGap:
     def test_identical_states_zero_gap(self, grid8, params):
         u0 = random_field(grid8, seed=120, amplitude=0.5)
         f = random_field(grid8, seed=121, amplitude=0.3)
-        rep = trajectory_gap(u0, u0.copy(), f, f, params, 0.5, 0.01)
+        rep = trajectory_gap(u0, u0.copy(), f, params, 0.5, 0.01)
         assert np.all(rep.gap_sq == 0.0)
         assert rep.orbital_stable
 
@@ -301,7 +301,7 @@ class TestTrajectoryGap:
         ua = generate(FieldRecipe("shear", 1.0), grid8)
         ub = generate(FieldRecipe("shear", 0.4), grid8)
         f = zero_field(grid8)
-        rep = trajectory_gap(ua, ub, f, f, params, 1.0, 0.005, sample_every=20)
+        rep = trajectory_gap(ua, ub, f, params, 1.0, 0.005, sample_every=20)
         lam = params.nu * (2 * np.pi / grid8.box_len) ** 2 + params.beta
         expected = rep.gap_sq[0] * np.exp(-2 * lam * rep.times)
         assert np.abs(rep.gap_sq - expected).max() <= 1e-8 * rep.gap_sq[0]
@@ -311,18 +311,9 @@ class TestTrajectoryGap:
     def test_same_force_reports_eta(self, grid8, params):
         u0 = random_field(grid8, seed=122, amplitude=0.3)
         f = random_field(grid8, seed=123, amplitude=0.2)
-        rep = trajectory_gap(u0, zero_field(grid8), f, f, params, 0.2, 0.01)
+        rep = trajectory_gap(u0, zero_field(grid8), f, params, 0.2, 0.01)
         f_norm = np.sqrt(norms(f, params.alpha).h1alpha_sq)
         assert rep.eta_value == eta(params, f_norm).eta_value
-
-    def test_different_forces_skip_regime_fields(self, grid8, params):
-        u0 = random_field(grid8, seed=124, amplitude=0.3)
-        fa = random_field(grid8, seed=125, amplitude=0.2)
-        fb = random_field(grid8, seed=126, amplitude=0.2)
-        rep = trajectory_gap(u0, u0.copy(), fa, fb, params, 0.2, 0.01)
-        assert rep.eta_value is None
-        assert rep.orbital_stable is None
-        assert rep.decay_rate is None
 
 
 class TestSteadyConvergence:

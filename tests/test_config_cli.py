@@ -580,11 +580,20 @@ class TestCliErrors:
         assert re.search(rf"^config error: {section}: .*\b{key}\b", err, re.M), err
 
     @pytest.mark.parametrize("section", ["initial", "force"])
-    def test_refused_recipe_names_its_section(self, tmp_path, capsys, section):
-        code, out = run_cli(tmp_path, "simulate", with_value(BASE_INI, section, "seed", "-1"))
+    @pytest.mark.parametrize("values, message", [
+        ({"seed": "-1"}, "seed must be non-negative, got -1"),
+        # refused when the field is generated, not when the config is read
+        ({"kind": "random_band", "k_max": "9"},
+         "band k_min=1, k_max=9 outside the retained modes 0..2 of n=8"),
+    ], ids=["seed", "k_max"])
+    def test_refused_recipe_names_its_section(self, tmp_path, capsys, section, values, message):
+        ini = BASE_INI
+        for key, value in values.items():
+            ini = with_value(ini, section, key, value)
+        code, out = run_cli(tmp_path, "simulate", ini)
         assert code == EXIT_CONFIG and not out.exists()
         err = capsys.readouterr().err
-        assert err == f"config error: {section}: seed must be non-negative, got -1\n"
+        assert err == f"config error: {section}: {message}\n"
 
     def test_grid_beyond_physical_memory_exits_before_any_allocation(self, tmp_path, capsys):
         n = 8
@@ -720,7 +729,9 @@ class TestCliErrors:
         assert "blowup_report.json" in meta["artifacts"]
 
     def test_certificate_violation_is_not_a_config_error(self, tmp_path, monkeypatch):
-        def non_solenoidal(u, w, alpha, u_phys=None):
+        def non_solenoidal(u, w, alpha, u_phys=None, sups=None):
+            if sups is not None:
+                sups.append(0.0)
             hat = np.zeros((3,) + u.grid.box_shape, dtype=np.complex128)
             hat[0, 1, 0, 0] = 1.0  # k . u != 0 for this mode
             return VectorField(u.grid, hat)

@@ -124,7 +124,12 @@ class TestStep:
         with pytest.raises(ValueError):
             step(st, 0.0)
 
-    def test_blowup_detection(self, grid8, params):
+    @pytest.mark.parametrize("rows", [None, 2], ids=["one_pass", "slabs"])
+    def test_blowup_detection(self, grid8, params, monkeypatch, rows):
+        # NaN samples give a NaN sup, hence a NaN cap that no dt exceeds:
+        # the step ends in BlowUpError, not CFLError, on either path
+        if rows:
+            slab_budget(monkeypatch, grid8.n, rows)
         coeffs = np.zeros((3,) + grid8.box_shape, dtype=np.complex128)
         coeffs[0, 0, 0, 0] = np.nan
         bad = VectorField(grid8, coeffs)
@@ -286,6 +291,25 @@ class TestStateSamples:
         # bytes between otherwise equal calls; samples kept through the
         # predictor would add 786 kB
         assert traced_peak(True) <= traced_peak(False) + 4096
+
+
+@pytest.mark.parametrize("rows", [None, 2], ids=["one_pass", "slabs"])
+def test_step_enters_the_kernel_through_nonlinear_term(grid8, params, monkeypatch, rows):
+    # N(u) and N(predictor) each call nonlinear_term and, through bilinear,
+    # tensor_product_spectra, the functions the benchmark's tracer wraps
+    if rows:
+        slab_budget(monkeypatch, grid8.n, rows)
+    calls = []
+
+    def count(module, name):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or f(*args))
+
+    count(bardina.dynamics, "nonlinear_term")
+    count(bardina.spectral, "tensor_product_spectra")
+    u0 = random_field(grid8, seed=47, amplitude=0.5)
+    step(SimState(u0, 0.0, params, random_field(grid8, seed=48, amplitude=0.2)), 0.01)
+    assert calls == ["nonlinear_term", "tensor_product_spectra"] * 2
 
 
 class TestStepCfl:
