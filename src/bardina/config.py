@@ -103,11 +103,12 @@ RULES = {
 
 
 def peak_bytes(n):
-    """Estimated peak memory of a run on an n-grid, in bytes: fitted, to
-    within 0.2 MB, to an in-process run of two random_band fields and two
-    steps, import included, which peaks at 43, 64 and 231 MB at n = 32, 64
-    and 128."""
-    return 40e6 + 91 * n**3
+    """Estimated peak memory of a run on an n-grid, in bytes: above the peak
+    resident set of a process that imports bardina.cli, generates two
+    random_band fields and takes two steps (tools/peak_memory.py), at most
+    44.2, 65.9 and 232.8 MB (1e6 bytes) at n = 32, 64 and 128, by 1.2 MB or
+    more; the slope lies above that of n = 64 to 128, 91.0 bytes."""
+    return 43e6 + 92 * n**3
 
 
 def physical_memory():

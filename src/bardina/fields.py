@@ -9,6 +9,7 @@ from .spectral import (
     _Checked,
     _forward,
     _project,
+    fft_order,
     mode_indices,
     modes,
     norms,
@@ -88,7 +89,7 @@ def _random_band(recipe, grid, alpha):
                          f"retained modes 0..{cutoff} of n={grid.n}")
     rng = np.random.default_rng(recipe.seed)
     n, b = grid.n, grid.box_shape[0]
-    mb = np.fft.fftfreq(b, 1.0 / b).astype(np.int64)  # box rows: FFT order of b points
+    mb = fft_order(b)  # box rows: FFT order of b points
     mz = mode_indices(grid)[: cutoff + 1]
     mag = np.sqrt(mb[:, None, None] ** 2 + mb[None, :, None] ** 2 + mz[None, None, :] ** 2)
     # |m| <= k_max <= cutoff, so the band lies inside the box.  Both parts

@@ -45,8 +45,13 @@ Conventions used throughout:
   * Work arrays, one per name and shape, zeros when made (_work): the one
     pass's 5 products fill a (5, n, n, n) buffer, with an (n, n, n)
     scratch, and its inverse_transform pads into the same buffer, idle
-    then.  The slab path keeps apart the x passes' (..., n, b, c+1)
-    arrays and, a slab each, the samples, products, z spectrum and y pad.
+    then.  The slab path has one x-pass array per grid, (5, n, b, c+1)
+    (_x_slots): the forward accumulates in it, and the inverse's x
+    transform lives in its first slots, of the first field the kernel
+    transforms (u, or w when u_phys is given) or of inverse_transform's
+    field, as slab s reads its rows before the forward writes them; a
+    second input field's x transform takes the (3, n, b, c+1) "x w".  Beside them,
+    a slab each, the samples, products, z spectrum and y pad.
     No call maps fresh pages for them, and every result is a new array,
     but neither the pair nor the kernel is re-entrant: one thread at a
     time, as in the CLI.  The kernel's symbol stage runs in place in the
@@ -166,10 +171,19 @@ def _frozen(a):
     return a
 
 
+def fft_order(m):
+    """The integer mode indices of m points in FFT ordering, 0 .. (m-1)//2
+    then -(m//2) .. -1: numpy.fft.fftfreq(m, 1/m), without importing
+    numpy.fft."""
+    i = np.arange(m)
+    i[(m + 1) // 2 :] -= m
+    return i
+
+
 @lru_cache(maxsize=32)
 def mode_indices(grid):
     """Integer mode index m along one full axis, in FFT ordering."""
-    return _frozen(np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64))
+    return _frozen(fft_order(grid.n))
 
 
 def _runs(grid, rows):
@@ -233,11 +247,13 @@ def modes(grid):
     """The per-mode symbols of the grid's box: wavevector k, |k|^2, the
     multiplicity of each m_z plane in the full spectrum, and k / |k|^2 (zero
     at k = 0, where the Leray projection is the identity).  k is gathered
-    from the half spectrum's, so two grids of one n and box_len hold the
-    same values on the modes their boxes share."""
+    from one full axis's on the box's rows and planes, so two grids of one
+    n and box_len hold the same values on the modes their boxes share."""
     k1 = 2.0 * np.pi * mode_indices(grid) / grid.box_len
-    half = np.stack(np.meshgrid(k1, k1, k1[: grid.n // 2 + 1], indexing="ij"))
-    k = _copy_box(half, grid, np.zeros((3,) + grid.box_shape))
+    rows = np.concatenate([k1[run] for run in _runs(grid, grid.n)])
+    k = np.empty((3,) + grid.box_shape)  # filled from broadcast views, no dense temporaries
+    k[0], k[1], k[2] = np.meshgrid(rows, rows, k1[: grid.box_shape[-1]], indexing="ij",
+                                   sparse=True)
     ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
     leray = k / np.where(ksq == 0.0, 1.0, ksq)
     planes = np.arange(grid.box_shape[-1])
@@ -378,7 +394,7 @@ def _forward_slabs(slabs, lead, grid, rows):
     x on those rows only, and the box's x rows."""
     n, (b, p) = grid.n, grid.box_shape[1:]
     z = _work("z slab", lead + (rows, n, n // 2 + 1), complex)
-    acc = _work("x forward", lead + (n, b, p), complex)
+    acc = _x_slots(grid, lead)
     runs = list(zip(_runs(grid, n), _runs(grid, b)))  # (rows of n, rows of the box)
     for s, t in slabs:
         held = r2c(t, (t.ndim - 1,), True, 2, z[..., : s.stop - s.start, :, :])[..., :p]
@@ -415,7 +431,7 @@ def inverse_transform(field):
     hat, grid = field.hat, field.grid
     rows = _slab_rows(grid.n)
     if rows is not None:
-        a = _inverse_x(hat, grid, "x inverse")
+        a = _inverse_x(hat, grid, _x_slots(grid, hat.shape[:-3]))
         out = np.empty(hat.shape[:-3] + (grid.n,) * 3)
         for s in _slabs(grid.n, rows):
             _inverse_yz(a, grid, s, rows, out[..., s, :, :])
@@ -430,11 +446,17 @@ def inverse_transform(field):
     return c2r(a, (ndim - 1,), grid.n, False, 0)
 
 
-def _inverse_x(hat, grid, key):
-    """The box `hat` padded along x to n rows and transformed over x, in the
-    work array `key`, (..., n, b, c+1): the y rows outside the box are zero,
-    so their x transforms are skipped."""
-    a = _work(key, hat.shape[:-3] + (grid.n,) + grid.box_shape[1:], complex)
+def _x_slots(grid, lead):
+    """The first prod(lead) slots of the grid's one x-pass work array,
+    (5, n, b, c+1), as an array lead + (n, b, c+1): see "Work arrays"."""
+    a = _work("x pass", (5, grid.n) + grid.box_shape[1:], complex)
+    return a[: math.prod(lead)].reshape(lead + a.shape[1:])
+
+
+def _inverse_x(hat, grid, a):
+    """The box `hat` padded along x to n rows and transformed over x, in
+    `a`, (..., n, b, c+1): the y rows outside the box are zero, so their x
+    transforms are skipped."""
     pos, neg = _runs(grid, grid.n)
     for full, box in zip((pos, neg), _runs(grid, hat.shape[-3])):
         a[..., full, :, :] = hat[..., box, :, :]
@@ -596,11 +618,13 @@ def tensor_product_spectra(u, w, u_phys=None, sups=None):
 def _product_slabs(u, w, u_phys, rows, sups):
     """(x rows, the 5 traceless product slots on them) for each slab of at
     most `rows` rows, in one work array: the samples of each slab are sliced
-    from u_phys or formed by _inverse_yz from the x transforms of u and w;
-    max |.| of u's is appended to `sups` unless it is None."""
+    from u_phys or formed by _inverse_yz from the x transforms of u and w,
+    the first of them in _forward_slabs's slots 0-2; max |.| of u's is
+    appended to `sups` unless it is None."""
     grid, n = u.grid, u.grid.n
-    xu = None if u_phys is not None else _inverse_x(u.hat, grid, "x inverse")
-    xw = None if w is u else _inverse_x(w.hat, grid, "x w")
+    xu = None if u_phys is not None else _inverse_x(u.hat, grid, _x_slots(grid, (3,)))
+    xw = None if w is u else _inverse_x(w.hat, grid, _x_slots(grid, (3,)) if xu is None
+                                        else _work("x w", xu.shape, complex))
     shape = (rows, n, n)
     ua = None if xu is None else _work("u slab", (3,) + shape, float)
     wa = None if xw is None else _work("w slab", (3,) + shape, float)

@@ -2,14 +2,15 @@
 
 Everything here is deliberately slow and simple: direct DFT sums and direct
 convolution sums over retained modes, with no shared code paths with the
-package implementation.  Five former implementations are kept as references
+package implementation.  Six former implementations are kept as references
 for their faster replacements: the full-transform bilinear kernel, the
 kernel's symbol stage with each sum in a new array (which reuses the
 package's product spectra and symbols, the part its replacement did not
 change), the full-spectrum random_band construction (which reuses the
 package's Leray projection and norms), the modified Gram-Schmidt built
-from the package's norms and h1alpha_inner, and steady_convergence's r_inf
-through the transform of u - U.
+from the package's norms and h1alpha_inner, steady_convergence's r_inf
+through the transform of u - U, and the box symbols gathered from the
+half spectrum's (which reuses the package's box copy).
 """
 
 import numpy as np
@@ -254,3 +255,20 @@ def r_inf_reference(u, U):
 
     d = inverse_transform(VectorField(u.grid, u.hat - U.hat))
     return np.sqrt(np.sum(d**2, axis=0)).max()
+
+
+def half_spectrum_modes(grid):
+    """The symbols of modes(grid), (k, ksq, weights, leray), built on the
+    (3, n, n, n//2+1) half spectrum from numpy.fft.fftfreq and copied into
+    the box by the package's _copy_box."""
+    from bardina.spectral import _copy_box
+
+    m = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64)
+    k1 = 2.0 * np.pi * m / grid.box_len
+    half = np.stack(np.meshgrid(k1, k1, k1[: grid.n // 2 + 1], indexing="ij"))
+    k = _copy_box(half, grid, np.zeros((3,) + grid.box_shape))
+    ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    leray = k / np.where(ksq == 0.0, 1.0, ksq)
+    planes = np.arange(grid.box_shape[-1])
+    weights = np.where(planes % (grid.n // 2) == 0, 1.0, 2.0)
+    return k, ksq, weights, leray

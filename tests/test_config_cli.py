@@ -290,6 +290,26 @@ def test_import_loads_no_dataclasses():
     assert after == "False"
 
 
+def test_runs_load_no_numpy_fft(tmp_path):
+    """A run of every subcommand loads no numpy.fft: the mode indices are
+    formed with np.arange, and its import would cost each CLI process
+    1-2 ms for nothing the transforms use."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE_INI.replace("[force]\nkind = shear", "[force]\nkind = random_band"))
+    runs = "; ".join(f"main([{name!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / name)!r}])"
+                     for name in bardina.cli.COMMANDS)
+    code = ("import sys; before = 'numpy.fft' in sys.modules; from bardina.cli import main; "
+            f"{runs}; print(before, 'numpy.fft' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()[-2:]
+    if before == "True":
+        pytest.skip("this interpreter's start-up already imports numpy.fft")
+    assert after == "False"
+    assert all((tmp_path / name / "run_meta.json").is_file() for name in bardina.cli.COMMANDS)
+
+
 def test_readme_example_config():
     """The README's example INI parses to the values it shows."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from bardina.spectral import (
     _work,
     bilinear,
     tensor_product_spectra,
+    fft_order,
     full_spectrum,
     mode_indices,
     modes,
@@ -59,6 +61,7 @@ from oracles import (
     dft_oracle,
     full_transform_bilinear,
     half_spectrum,
+    half_spectrum_modes,
     hermitian_defect,
     idft_oracle,
     oracle_parseval_l2,
@@ -685,6 +688,56 @@ class TestWorkArrays:
         result = 5 * math.prod(grid.box_shape) * 16
         assert peak < samples + result
 
+    @staticmethod
+    def fresh_work(monkeypatch):
+        """Give the module a new, empty work-array cache; return the list of
+        the (key, shape, dtype) of each array it makes."""
+        made = []
+
+        @lru_cache(maxsize=16)
+        def work(key, shape, dtype):
+            made.append((key, shape, np.dtype(dtype)))
+            return np.zeros(shape, dtype)
+
+        monkeypatch.setattr(spectral, "_work", work)
+        return made
+
+    def test_one_x_array_per_slab_grid(self, monkeypatch):
+        # n = 64: the forward accumulates in the (5, n, b, c+1) x-pass
+        # array, and the inverse's x transform of u lives in its slots 0-2
+        grid = GridSpec(64)
+        n, (b, p) = grid.n, grid.box_shape[1:]
+        u, w = (dealias(general_field(grid, s), grid) for s in (78, 79))
+        made = self.fresh_work(monkeypatch)
+        tensor_product_spectra(u, u)
+        tensor_product_spectra(u, u)  # warm
+        inverse_transform(u)
+        inverse_transform(u.component(0))
+        forward_transform(random_samples(n, 80, True, 0), grid)
+        pressure_from_velocity(u, 0.7)
+        x_arrays = [m for m in made if m[1][-3:] == (n, b, p)]
+        assert x_arrays == [("x pass", (5, n, b, p), np.dtype(complex))]
+        assert "x inverse" not in [m[0] for m in made]
+        # a second input field's x transform takes the one 3-slot array more
+        tensor_product_spectra(u, w)
+        assert [m for m in made if m[1][-3:] == (n, b, p)][1:] == [
+            ("x w", (3, n, b, p), np.dtype(complex))]
+
+    def test_cold_slab_kernel_peak_memory(self, monkeypatch):
+        # n = 64, work arrays counted: the 4.84 MB x-pass array, 1.6 MB of
+        # slab arrays and the 3.26 MB result; a separate 2.91 MB x array for
+        # u's inverse would take the peak past the bound
+        grid = GridSpec(64)
+        u = dealias(general_field(grid, 78), grid)
+        self.fresh_work(monkeypatch)
+        tracemalloc.start()
+        try:
+            tensor_product_spectra(u, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5e6
+
     def test_warm_step_makes_no_work_array(self, params):
         grid = GridSpec(64)
         assert _slab_rows(grid.n) is not None  # the slab path
@@ -841,6 +894,25 @@ class TestLayouts:
 
 
 class TestCachedSymbols:
+    def test_fft_order_is_fftfreq(self):
+        # fftfreq(m, 1/m) is off integers by round-off for some m (49, 98);
+        # the package took its int64 cast, as fft_order must give
+        for m in range(4, 131):
+            freq = np.fft.fftfreq(m, 1.0 / m)
+            assert np.array_equal(fft_order(m), freq.astype(np.int64)), m
+            assert np.abs(fft_order(m) - freq).max() <= 1e-12 * m
+            if m % 2 == 0:
+                assert np.array_equal(mode_indices(GridSpec(m)), fft_order(m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 32).map(lambda h: 2 * h), fraction=st.floats(1 / 3, 1.0),
+           box_len=st.sampled_from([2 * np.pi, 1.0]) | st.floats(1e-3, 1e3))
+    def test_box_modes_equal_the_half_spectrum_build(self, n, fraction, box_len):
+        grid = GridSpec(n, box_len, fraction)
+        for got, expected in zip(modes(grid), half_spectrum_modes(grid)):
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
     def test_in_place_write_raises(self, grid8, full8):
         cached = [
             mode_indices(grid8),
