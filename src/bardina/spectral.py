@@ -51,11 +51,15 @@ Conventions used throughout:
     transforms (u, or w when u_phys is given) or of inverse_transform's
     field, as slab s reads its rows before the forward writes them; a
     second input field's x transform takes the (3, n, b, c+1) "x w".  Beside them,
-    a slab each, the samples, products, z spectrum and y pad.
-    No call maps fresh pages for them, and every result is a new array,
-    but neither the pair nor the kernel is re-entrant: one thread at a
-    time, as in the CLI.  The kernel's symbol stage runs in place in the
-    new 5 slots of product spectra, with one slot of scratch (bilinear).
+    a slab each, the samples, products, z spectrum and y pad.  The forward
+    moves the box's x rows together in place, so its spectra are the first
+    b rows of the x-pass array: tensor_product_spectra returns that view,
+    valid until the grid's next transform, and _forward a copy.
+    No call maps fresh pages for them, and every other result is a new
+    array, but neither the pair nor the kernel is re-entrant: one thread at
+    a time, as in the CLI.  The kernel's symbol stage runs in place in the
+    5 slots of product spectra, with its new 3-slot result as scratch until
+    it writes them (bilinear).
   * Coefficients are normalized so that u(x) = sum_m c_m exp(i k.x), k =
     2 pi m / L, i.e. c = fftn(samples) / n^3.  Parseval reads integral
     |u|^2 dx = L^3 * sum_m |c_m|^2; a mode with 0 < m_z < n/2 counts twice.
@@ -380,7 +384,7 @@ def _forward(samples, grid):
     rows = _slab_rows(grid.n)
     if rows is not None:
         slabs = ((s, samples[..., s, :, :]) for s in _slabs(grid.n, rows))
-        return _forward_slabs(slabs, samples.shape[:-3], grid, rows)
+        return _forward_slabs(slabs, samples.shape[:-3], grid, rows).copy()
     ndim = samples.ndim
     a = r2c(samples, (ndim - 1,), True, 2)[..., : grid.box_shape[-1]]
     c2c(a, (ndim - 3, ndim - 2), True, 2, a)  # in place: out is a
@@ -391,7 +395,8 @@ def _forward_slabs(slabs, lead, grid, rows):
     """The box coefficients of samples given as (x rows, their samples)
     pairs of at most `rows` rows: per slab the real transform over z and,
     on the box's planes, the one over y, whose box rows are kept; then over
-    x on those rows only, and the box's x rows."""
+    x on those rows only.  The box's x rows are moved together in place, so
+    the result is a view of the x-pass array, valid until its next use."""
     n, (b, p) = grid.n, grid.box_shape[1:]
     z = _work("z slab", lead + (rows, n, n // 2 + 1), complex)
     acc = _x_slots(grid, lead)
@@ -402,10 +407,12 @@ def _forward_slabs(slabs, lead, grid, rows):
         for full, box in runs:
             acc[..., s, box, :] = held[..., full, :]
     c2c(acc, (acc.ndim - 3,), True, 2, acc)  # in place
-    out = np.empty(lead + grid.box_shape, complex)
-    for full, box in runs:
-        out[..., box, :, :] = acc[..., full, :, :]
-    return out
+    # the rows m < 0 moved slot by slot: one slot's runs overlap only beyond
+    # fraction 2/3, where numpy copies first; the 5 slots' ranges interleave
+    full, box = runs[1]
+    for a in acc.reshape((-1,) + acc.shape[-3:]):
+        a[box] = a[full]
+    return acc[..., :b, :, :]
 
 
 def forward_transform(physical_samples, grid=None):
@@ -590,7 +597,9 @@ def tensor_product_spectra(u, w, u_phys=None, sups=None):
     """Retained-box spectra (5, b, b, cutoff+1) of the traceless symmetric
     product T - T33 I, T = (u (x) w + w (x) u)/2 (slots as in
     _traceless_products); one inverse transform when w is u, none for u
-    when u_phys, its samples, is given.  When `sups` is a list, max |.| of
+    when u_phys, its samples, is given.  A new array on one-pass grids; on
+    grids beyond SLAB_BYTES a view of the grid's x-pass work array, valid
+    until the grid's next transform.  When `sups` is a list, max |.| of
     the samples of u read is appended to it, one entry per slab on grids
     beyond SLAB_BYTES, and on one-pass grids the samples formed here live
     until the forward transform returns, as given ones do.
@@ -669,8 +678,9 @@ def bilinear(u, w, alpha, u_phys=None, sups=None):
     B(u, u) is the Bardina nonlinearity; for divergence-free u and w,
     2 B(u, w) = P(((w.grad)u + (u.grad)w)_alpha).  One inverse transform per
     distinct input, one forward transform of the 5 traceless products, and
-    the symbols applied on the retained box only, in place in those 5 new
-    slots with one slot of scratch: the result's hat is slots 0-2.  A
+    the symbols applied on the retained box only, in place in those 5 slots
+    (a view of the x-pass array on slab grids); the result's hat is a new
+    3-slot array, scratch until its slots are written.  A
     caller that applies B(u, .) to many fields passes
     u_phys = inverse_transform(u) once and saves the transform of u; `sups`
     collects max |u| as in tensor_product_spectra.
@@ -678,15 +688,16 @@ def bilinear(u, w, alpha, u_phys=None, sups=None):
     grid = _check_shared_grid(u, w)
     t = tensor_product_spectra(u, w, u_phys, sups)
     k, kk, g = _bilinear_symbols(grid, alpha)
-    s = np.empty_like(t[0])
+    hat = np.empty((3,) + grid.box_shape, complex)
+    s = hat[0]  # scratch until the last loop writes slot 0
     v0, v1, v2, q, _ = _div_in_place(t, k, s)
     np.multiply(k[0], v0, out=q)  # k . v, in T13's slot
     q += np.multiply(k[1], v1, out=s)
     q += np.multiply(k[2], v2, out=s)
-    for v, kki in zip((v0, v1, v2), kk):
-        v -= np.multiply(kki, q, out=s)
-        v *= g
-    return VectorField(grid, t[:3])
+    for v, kki, h in zip((v0, v1, v2), kk, hat):
+        np.subtract(v, np.multiply(kki, q, out=h), out=h)
+        h *= g
+    return VectorField(grid, hat)
 
 
 def pressure_from_velocity(u, alpha):
@@ -694,11 +705,12 @@ def pressure_from_velocity(u, alpha):
     p_hat(k) = sum_ij (-k_i k_j / |k|^2) (1 + alpha^2 |k|^2)^{-1} (u_i u_j)_hat,
     with p_hat(0) = 0, dealiased (a box field).  The traceless slots of
     tensor_product_spectra lose |k|^2 T33 from the sum, so T33 is
-    transformed by the same box transforms and added back."""
+    transformed by the same box transforms, before those slots, which its
+    transform would overwrite on slab grids, and added back."""
     grid = u.grid
     a = inverse_transform(u)
-    t = tensor_product_spectra(u, u, a)
     t33 = _forward(a[2:] * a[2:], grid)[0]
+    t = tensor_product_spectra(u, u, a)
     k, kk, g = _bilinear_symbols(grid, alpha)
     v = _div_in_place(t, k, np.empty_like(t[0]))
     p = 1j * g * (kk[0] * v[0] + kk[1] * v[1] + kk[2] * v[2] + t33)

@@ -182,13 +182,14 @@ def bilinear_symbol_stage(u, w, alpha, u_phys=None):
 
 def pressure_symbol_stage(u, alpha):
     """The hat of pressure_from_velocity(u, alpha) through that stage's
-    contraction, T33 transformed by the package's forward transform."""
+    contraction, T33 transformed by the package's forward transform first:
+    on slab grids the product spectra are a view its transform overwrites."""
     from bardina.spectral import (
         _bilinear_symbols, _forward, inverse_transform, tensor_product_spectra)
 
     a = inverse_transform(u)
-    t = tensor_product_spectra(u, u, a)
     t33 = _forward(a[2:] * a[2:], u.grid)[0]
+    t = tensor_product_spectra(u, u, a)
     k, kk, g = _bilinear_symbols(u.grid, alpha)
     v = _contract(t, k)
     p = 1j * g * (kk[0] * v[0] + kk[1] * v[1] + kk[2] * v[2] + t33)

@@ -334,6 +334,14 @@ class TestSteadyConvergence:
         )
         assert np.all(rep.r <= 1e-10)
 
+    @pytest.mark.parametrize("n, scale", [(8, 1e-12), (16, 1.0), (32, 1e8)])
+    def test_sup_distance_is_the_max_magnitude_bitwise(self, n, scale):
+        # r_inf in one temporary: the same sums in the same order, and the
+        # sqrt of the max is the max of the sqrt
+        a, b = scale * np.random.default_rng(n).standard_normal((2, 3, n, n, n))
+        expected = bardina.attractor._magnitude(a - b).max()
+        assert bardina.attractor._sup_distance(a, b).tobytes() == expected.tobytes()
+
 
 class TestSampledStateTransforms:
     """Each sampled state is transformed once: the consumers read its
