@@ -133,9 +133,10 @@ def transport_frame(frame, state, dt, n_steps):
     and the frame moved n_steps exponential-Euler steps of dt by the flow
     linearized about the frozen state and re-orthonormalized (the frame
     itself when n_steps is 0): (frame, sum).  Each -2 B(u, w_i) is formed
-    once, with state.u_phys, for the sum and the first step.
-    CertificateError if the frame is not orthonormal, as every frame this
-    program builds is; ValueError if it is not on the state's grid."""
+    once, with state.u_phys, for the sum and the first step.  Each field
+    moves in one fresh array, which the re-orthonormalization then
+    overwrites.  CertificateError if the frame is not orthonormal, as every
+    frame this program builds is; ValueError if it is not on the state's grid."""
     defect = frame.gram_defect()
     if not defect <= GRAM_TOL:
         raise CertificateError(f"frame is not orthonormal (Gram deviation {defect:.3e})")
@@ -143,39 +144,45 @@ def transport_frame(frame, state, dt, n_steps):
     grid = _check_shared_grid(u, *frame.fields)
     damping = damping_symbol(grid, p)
     expz, w1, _ = _etd_weights(grid, p, dt)
-    total, evolved = 0.0, []
+    total, moved = 0.0, []
     for w in frame.fields:
         nl = -2.0 * bilinear(u, w, p.alpha, state.u_phys).hat
         total += h1alpha_inner(VectorField(grid, nl - damping * w.hat), w, p.alpha)
-        for k in range(n_steps):
+        if n_steps:
             # transport part only; expz treats the linear decay exactly
-            if k:
-                nl = -2.0 * bilinear(u, w, p.alpha, state.u_phys).hat
-            w = VectorField(grid, expz * w.hat + w1 * nl)
-        evolved.append(w)
-    return (orthonormalize(evolved, p.alpha) if n_steps else frame), total
+            x = expz * w.hat
+            x += np.multiply(w1, nl, out=nl)
+            for _ in range(1, n_steps):
+                nl = -2.0 * bilinear(u, VectorField(grid, x), p.alpha, state.u_phys).hat
+                np.multiply(expz, x, out=x)
+                x += np.multiply(w1, nl, out=nl)
+            moved.append(x)
+    return (_orthonormalize_in_place(moved, grid, p.alpha) if n_steps else frame), total
 
 
 def orthonormalize(fields, alpha):
     """Modified Gram-Schmidt in the H^1_alpha inner product: each projection
-    is one Re vdot(weights * q, w)."""
+    is one Re vdot(weights * q, w).  The fields are left as they are."""
     if not fields:
         raise ValueError("empty field list")
-    grid = fields[0].grid
+    return _orthonormalize_in_place([v.hat.copy() for v in fields], fields[0].grid, alpha)
+
+
+def _orthonormalize_in_place(hats, grid, alpha):
+    """orthonormalize of the fields on `grid` with these hats, each hat
+    overwritten by its orthonormal field (w -= c q, then w /= |w|)."""
     weight = h1alpha_weights(grid, alpha)
-    scale = max(np.sqrt(np.vdot(weight * v.hat, v.hat).real) for v in fields)
+    scale = max(np.sqrt(np.vdot(weight * w, w).real) for w in hats)
     if scale == 0:
         raise ValueError("rank-deficient input: all fields vanish")
-    out = []
-    for v in fields:
-        w = v.hat.copy()
-        for q in out:
+    for i, w in enumerate(hats):
+        for q in hats[:i]:
             w -= np.vdot(weight * q, w).real * q
         nrm = np.sqrt(np.vdot(weight * w, w).real)
         if nrm <= RANK_TOL * scale:
             raise ValueError("rank-deficient input: dependent field encountered")
-        out.append(w / nrm)
-    return OrthoFrame([VectorField(grid, q) for q in out], alpha)
+        w /= nrm
+    return OrthoFrame([VectorField(grid, w) for w in hats], alpha)
 
 
 class GapReport:
@@ -258,27 +265,31 @@ class ZeroForceDecayReport:
         self.fitted_rates, self.envelopes_ok = fitted_rates, envelopes_ok
 
 
-def _magnitude(samples):
-    """|u(x)| on the grid, from the physical samples (3, n, n, n) of u."""
-    return np.sqrt(np.sum(samples**2, axis=0))
+def _magnitude_sq(d):
+    """|u(x)|^2 on the grid from d, the samples (3, n, n, n) of u, in d[0]:
+    d squared in place and summed in the order np.sum(d**2, axis=0) sums."""
+    np.square(d, out=d)
+    d[0] += d[1]
+    d[0] += d[2]
+    return d[0]
 
 
 def _sup_distance(a, b):
     """max |u(x) - v(x)| on the grid, from the samples of u and v, in one
-    temporary: the max of _magnitude(a - b), bit for bit, as each sum runs
-    in the same order and sqrt is monotone."""
-    d = np.subtract(a, b)
-    np.square(d, out=d)
-    d[0] += d[1]
-    d[0] += d[2]
-    return np.sqrt(d[0].max())
+    temporary: the max of |u - v| from the samples' difference, bit for bit,
+    as sqrt is monotone."""
+    return np.sqrt(_magnitude_sq(np.subtract(a, b)).max())
 
 
-def _lp_norm(mag, p, dx):
-    """L^p norm of a field from its magnitude samples on a grid of spacing dx."""
-    if p == np.inf:
-        return mag.max()
-    return float((dx**3 * np.sum(mag**p)) ** (1.0 / p))
+def _lp_norms(samples, p_list, dx):
+    """The L^p norms, p in p_list, of a field from its physical samples
+    (3, n, n, n) on a grid of spacing dx, in one temporary: |u| in its first
+    slot, each |u|^p in its second."""
+    t = samples.copy()
+    mag = np.sqrt(_magnitude_sq(t), out=t[0])
+    return [mag.max() if p == np.inf
+            else float((dx**3 * np.sum(np.power(mag, p, out=t[1]))) ** (1.0 / p))
+            for p in p_list]
 
 
 def zero_force_decay(u0, params, t_end, dt, p_list=(2, 4, np.inf), sample_every=1):
@@ -289,8 +300,7 @@ def zero_force_decay(u0, params, t_end, dt, p_list=(2, 4, np.inf), sample_every=
     force = VectorField(u0.grid, np.zeros((3,) + u0.grid.box_shape, complex), div_free=True)
     rows = []
     for state in sampled_states(SimState(u0, 0.0, params, force), t_end, dt, sample_every):
-        mag = _magnitude(state.u_phys)
-        rows.append([state.t, *(_lp_norm(mag, p, u0.grid.dx) for p in p_list)])
+        rows.append([state.t, *_lp_norms(state.u_phys, p_list, u0.grid.dx)])
     times, *columns = np.array(rows).T
     series = dict(zip(p_list, columns))
 

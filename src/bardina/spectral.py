@@ -17,7 +17,20 @@ Conventions used throughout:
     or vector: inverse_transform and the forward helper behind
     forward_transform and the kernel.  Both split the axes: the real
     transform runs over z, the x and y transforms on the planes m_z the box
-    holds only.  They call pocketfft's r2c, c2c and c2r from scipy's
+    holds only.  On the one pass (below) the real transform over z is a
+    dense DFT onto the box's p planes only, a pruned transform (Markel,
+    "FFT pruning", 1971), taken as BLAS matrix products (_z_dft): r2c made
+    all n/2+1 planes for the pair to keep p, or to pad back to n/2+1.  Its
+    rows go in blocks of at most GEMM_MACS multiply-adds a product, which
+    stay in cache and which OpenBLAS runs on the calling thread: on the
+    host named below, with one BLAS thread, the forward z pass of 5 slots
+    at n = 32 took 0.26-0.35 ms in blocks, 0.40-0.46 ms in one product and
+    0.54-0.76 ms by r2c, and a product that OpenBLAS spread over two
+    threads ran up to 8x slower while another process held the second
+    core.  Its results differ from pocketfft's in round-off (< 1e-15 of
+    the largest).  The x and y transforms, and the z transforms of the
+    slab path, where a product ties or loses (n >= 64), call pocketfft's
+    c2c, r2c and c2r from scipy's
     compiled module, loaded by path (_load_pocketfft): importing scipy.fft
     would run scipy's package init, most of the set-up time of a short CLI
     run, for none of what bardina uses.  numpy.fft 2.4 costs more per call
@@ -29,11 +42,9 @@ Conventions used throughout:
     holds (3 at n = 64), with the passes pruned to the box.  The inverse pads the
     box along x only and transforms over x its b y rows only (_inverse_x),
     then pads each slab along y and transforms it over y and z
-    (_inverse_yz); the samples are the one pass's to the bit, as x still
-    runs before y.  The forward (_forward_slabs) transforms each slab over
+    (_inverse_yz).  The forward (_forward_slabs) transforms each slab over
     z, then over y on the box's planes, keeps the box's y rows, and after
-    the last slab transforms those over x; as y now runs before x, the
-    coefficients move in round-off (<= 5e-16 of the largest at n = 64).
+    the last slab transforms those over x.
     The kernel feeds it the products slab by slab, so no (5, n, n, n)
     array, z spectrum or sample array is made; given a `sups` list it also
     reports max |u| over the slabs of u's samples it forms, so a time
@@ -41,11 +52,12 @@ Conventions used throughout:
     Smaller grids keep the one pass: their products already fit in that
     cache, and a slab path there made steady-n32 13-40 % slower, its
     per-step temporaries then crossing glibc's dynamic heap-trim threshold
-    (11-45 k minor page faults a run instead of ~750).
+    (11-45 k minor page faults a run instead of ~750); the pruned z
+    transforms widened that gap.
   * Work arrays, one per name and shape, zeros when made (_work): the one
     pass's 5 products fill a (5, n, n, n) buffer, with an (n, n, n)
-    scratch, and its inverse_transform pads into the same buffer, idle
-    then.  The slab path has one x-pass array per grid, (5, n, b, c+1)
+    scratch, and its inverse_transform pads the box's p planes into the
+    same buffer, idle then.  The slab path has one x-pass array per grid, (5, n, b, c+1)
     (_x_slots): the forward accumulates in it, and the inverse's x
     transform lives in its first slots, of the first field the kernel
     transforms (u, or w when u_phys is given) or of inverse_transform's
@@ -221,6 +233,7 @@ def _work(key, shape, dtype):
 
 
 SLAB_BYTES = 2 << 20  # cache budget of a slab: see "One transform pair" above
+GEMM_MACS = 1 << 18  # multiply-adds of one z-pass product: see "One transform pair"
 
 
 def _slab_row_bytes(n):
@@ -377,17 +390,50 @@ def _load_pocketfft():
 r2c, c2c, c2r = _load_pocketfft()
 
 
+@lru_cache(maxsize=32)
+def _z_matrices(grid):
+    """The real DFT over z pruned to the box's p planes, as the matrices of
+    _z_dft: (n, 2p), whose columns interleave cos and -sin of 2 pi (m z mod
+    n) / n over n, and (2p, n), whose rows carry the same pairs weighted 1
+    on m_z = 0 and n/2 and 2 elsewhere.  The sine is exactly 0 where the
+    angle is a multiple of pi, so those two planes come out real and their
+    imaginary parts are not read, as with r2c and c2r."""
+    n, p = grid.n, grid.box_shape[-1]
+    j = np.outer(np.arange(n), np.arange(p)) % n
+    angle = 2.0 * np.pi * j / n
+    cos, nsin = np.cos(angle), np.where(j % (n // 2) == 0, 0.0, -np.sin(angle))  # -sin, +0.0
+    forward = np.stack((cos, nsin), axis=-1) / n  # (z, m, re/im)
+    inverse = modes(grid).weights[:, None, None] * np.stack((cos.T, nsin.T), axis=1)
+    return _frozen(forward.reshape(n, 2 * p)), _frozen(inverse.reshape(2 * p, n))
+
+
+def _z_dft(a, grid, forward):
+    """The one pass's transform over z as matrix products (_z_matrices):
+    forward, real samples (..., n) -> their spectrum (..., p) on the box's
+    planes, normalized as r2c's inorm 2; inverse, that spectrum -> its real
+    samples, as c2r's inorm 0 of the spectrum padded to n/2+1 planes.  The
+    rows go in blocks of at most GEMM_MACS multiply-adds a product."""
+    matrix = _z_matrices(grid)[0 if forward else 1]
+    x = (a if forward else a.view(float)).reshape(-1, len(matrix))
+    out = np.empty((len(x), matrix.shape[1]))
+    rows = max(1, GEMM_MACS // matrix.size)
+    for r in range(0, len(x), rows):
+        np.matmul(x[r : r + rows], matrix, out=out[r : r + rows])
+    out = out.reshape(a.shape[:-1] + (-1,))
+    return out.view(complex) if forward else out
+
+
 def _forward(samples, grid):
     """The box coefficients of physical samples (..., n, n, n): the real
-    transform over z, then the x and y transforms of the planes m_z the box
-    holds only; slab by slab (_forward_slabs) on grids beyond SLAB_BYTES."""
+    transform over z on the planes m_z the box holds, then the x and y
+    transforms of those planes; slab by slab (_forward_slabs) on grids
+    beyond SLAB_BYTES."""
     rows = _slab_rows(grid.n)
     if rows is not None:
         slabs = ((s, samples[..., s, :, :]) for s in _slabs(grid.n, rows))
         return _forward_slabs(slabs, samples.shape[:-3], grid, rows).copy()
-    ndim = samples.ndim
-    a = r2c(samples, (ndim - 1,), True, 2)[..., : grid.box_shape[-1]]
-    c2c(a, (ndim - 3, ndim - 2), True, 2, a)  # in place: out is a
+    a = _z_dft(samples, grid, True)
+    c2c(a, (a.ndim - 3, a.ndim - 2), True, 2, a)  # in place: out is a
     return _copy_box(a, grid, np.zeros(a.shape[:-3] + grid.box_shape, dtype=a.dtype))
 
 
@@ -443,14 +489,13 @@ def inverse_transform(field):
         for s in _slabs(grid.n, rows):
             _inverse_yz(a, grid, s, rows, out[..., s, :, :])
         return out
-    shape = hat.shape[:-3] + grid.half_shape  # in the product buffer: see "Work arrays"
-    buffer = _work("products", (5,) + (grid.n,) * 3, float)
+    shape = hat.shape[:-3] + grid.half_shape[:2] + grid.box_shape[-1:]
+    buffer = _work("products", (5,) + (grid.n,) * 3, float)  # see "Work arrays"
     a = buffer.ravel().view(complex)[: math.prod(shape)].reshape(shape)
     a.fill(0)  # the transforms below may have overwritten any of it
-    held = _copy_box(hat, grid, a)[..., : grid.box_shape[-1]]
-    ndim = a.ndim
-    c2c(held, (ndim - 3, ndim - 2), False, 0, held)  # in place: out is held
-    return c2r(a, (ndim - 1,), grid.n, False, 0)
+    _copy_box(hat, grid, a)
+    c2c(a, (a.ndim - 3, a.ndim - 2), False, 0, a)  # in place: out is a
+    return _z_dft(a, grid, False)
 
 
 def _x_slots(grid, lead):

@@ -2,15 +2,18 @@
 
 Everything here is deliberately slow and simple: direct DFT sums and direct
 convolution sums over retained modes, with no shared code paths with the
-package implementation.  Six former implementations are kept as references
+package implementation.  Former implementations are kept as references
 for their faster replacements: the full-transform bilinear kernel, the
 kernel's symbol stage with each sum in a new array (which reuses the
 package's product spectra and symbols, the part its replacement did not
 change), the full-spectrum random_band construction (which reuses the
 package's Leray projection and norms), the modified Gram-Schmidt built
 from the package's norms and h1alpha_inner, steady_convergence's r_inf
-through the transform of u - U, and the box symbols gathered from the
-half spectrum's (which reuses the package's box copy).
+through the transform of u - U, the box symbols gathered from the half
+spectrum's (which reuses the package's box copy), the frame transport and
+Gram-Schmidt that made a new array per step and per field (which reuse the
+package's kernel and weights), and zero_force_decay's L^p norms through
+|u| and |u|^p in new arrays.
 """
 
 import numpy as np
@@ -273,3 +276,52 @@ def half_spectrum_modes(grid):
     planes = np.arange(grid.box_shape[-1])
     weights = np.where(planes % (grid.n // 2) == 0, 1.0, 2.0)
     return k, ksq, weights, leray
+
+
+def transport_frame_reference(frame, state, dt, n_steps):
+    """transport_frame with each step of each field in a new array,
+    expz * w + w1 * nl, and the moved fields orthonormalized from copies by
+    orthonormalize_reference: (the hats of the moved frame, the sum)."""
+    from bardina.attractor import _etd_weights, damping_symbol
+    from bardina.spectral import VectorField, bilinear, h1alpha_inner
+
+    u, p, grid = state.u, state.params, state.u.grid
+    damping = damping_symbol(grid, p)
+    expz, w1, _ = _etd_weights(grid, p, dt)
+    total, evolved = 0.0, []
+    for w in frame.fields:
+        nl = -2.0 * bilinear(u, w, p.alpha, state.u_phys).hat
+        total += h1alpha_inner(VectorField(grid, nl - damping * w.hat), w, p.alpha)
+        for k in range(n_steps):
+            if k:
+                nl = -2.0 * bilinear(u, w, p.alpha, state.u_phys).hat
+            w = VectorField(grid, expz * w.hat + w1 * nl)
+        evolved.append(w)
+    return orthonormalize_reference(evolved, p.alpha), total
+
+
+def orthonormalize_reference(fields, alpha):
+    """orthonormalize's modified Gram-Schmidt, each field copied and each
+    result divided into a new array: the hats, in order."""
+    from bardina.spectral import h1alpha_weights
+
+    weight = h1alpha_weights(fields[0].grid, alpha)
+    out = []
+    for v in fields:
+        w = v.hat.copy()
+        for q in out:
+            w -= np.vdot(weight * q, w).real * q
+        out.append(w / np.sqrt(np.vdot(weight * w, w).real))
+    return out
+
+
+def magnitude(samples):
+    """|u(x)| on the grid, from the physical samples (3, n, n, n) of u."""
+    return np.sqrt(np.sum(samples**2, axis=0))
+
+
+def lp_norm(mag, p, dx):
+    """L^p norm of a field from its magnitude samples on a grid of spacing dx."""
+    if p == np.inf:
+        return mag.max()
+    return float((dx**3 * np.sum(mag**p)) ** (1.0 / p))

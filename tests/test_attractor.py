@@ -31,8 +31,12 @@ from oracles import (
     dealias_mask,
     gram_schmidt_reference,
     half_spectrum,
+    lp_norm,
+    magnitude,
     oracle_linearized_transport,
+    orthonormalize_reference,
     r_inf_reference,
+    transport_frame_reference,
 )
 
 
@@ -207,6 +211,18 @@ class TestOrthonormalize:
         with pytest.raises(ValueError):
             orthonormalize([zero_field(grid8)], params.alpha)
 
+    @pytest.mark.parametrize("n, m", [(8, 3), (16, 8)])
+    def test_in_place_matches_the_copies_bitwise(self, params, n, m):
+        # w -= c q and w /= |w| in the copies give the bits of w / |w| in a
+        # new array; the input fields stay as they were
+        fields = [random_field(GridSpec(n), seed=150 + i) for i in range(m)]
+        before = [v.hat.copy() for v in fields]
+        frame = orthonormalize(fields, params.alpha)
+        for got, ref in zip(frame.fields, orthonormalize_reference(fields, params.alpha)):
+            assert got.hat.tobytes() == ref.tobytes()
+        for v, b in zip(fields, before):
+            assert v.hat.tobytes() == b.tobytes()
+
     def test_empty_rejected(self, params):
         with pytest.raises(ValueError):
             orthonormalize([], params.alpha)
@@ -281,6 +297,25 @@ class TestTransportFrame:
             expected += h1alpha_inner(linearized_rhs(w, u, params), w, params.alpha)
         assert total == expected  # bit for bit: the one operator, summed in order
 
+    @pytest.mark.parametrize("n, fraction", [(8, 2 / 3), (16, 2 / 3), (16, 1.0)])
+    @pytest.mark.parametrize("m, n_steps", [(1, 1), (3, 4), (8, 2)])
+    def test_in_place_matches_the_reference_bitwise(self, params, n, fraction, m, n_steps):
+        # each field moved in one array, np.multiply(expz, w, out=w) and
+        # w += w1 * nl, then orthonormalized in place: the bits of the
+        # formulas that made new arrays; the input frame is left as it was
+        grid = GridSpec(n, dealias_fraction=fraction)
+        frame = orthonormalize([random_field(grid, seed=160 + i) for i in range(m)],
+                               params.alpha)
+        before = [w.hat.copy() for w in frame.fields]
+        st = base_state(random_field(grid, seed=170, amplitude=0.5), params)
+        moved, total = transport_frame(frame, st, 0.01, n_steps)
+        ref, ref_total = transport_frame_reference(frame, st, 0.01, n_steps)
+        assert total == ref_total
+        for got, r in zip(moved.fields, ref):
+            assert got.hat.tobytes() == r.tobytes()
+        for w, b in zip(frame.fields, before):
+            assert w.hat.tobytes() == b.tobytes()
+
     def test_sum_is_taken_before_the_steps(self, grid8, params):
         frame = orthonormalize([random_field(grid8, seed=s) for s in (118, 119)], params.alpha)
         st = base_state(random_field(grid8, seed=120, amplitude=0.5), params)
@@ -339,7 +374,7 @@ class TestSteadyConvergence:
         # r_inf in one temporary: the same sums in the same order, and the
         # sqrt of the max is the max of the sqrt
         a, b = scale * np.random.default_rng(n).standard_normal((2, 3, n, n, n))
-        expected = bardina.attractor._magnitude(a - b).max()
+        expected = magnitude(a - b).max()
         assert bardina.attractor._sup_distance(a, b).tobytes() == expected.tobytes()
 
 
@@ -351,15 +386,16 @@ class TestSampledStateTransforms:
 
     @pytest.fixture
     def inverse_transforms(self, monkeypatch):
-        """Counts the inverse transforms: one c2r each."""
+        """Counts the inverse transforms: one inverse z pass each."""
         calls = []
-        c2r = bardina.spectral.c2r
+        z_dft = bardina.spectral._z_dft
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return c2r(*args, **kwargs)
+        def counted(a, grid, forward):
+            if not forward:
+                calls.append(1)
+            return z_dft(a, grid, forward)
 
-        monkeypatch.setattr(bardina.spectral, "c2r", counted)
+        monkeypatch.setattr(bardina.spectral, "_z_dft", counted)
         return calls
 
     def test_steady_convergence_count(self, grid8, params, inverse_transforms):
@@ -404,6 +440,18 @@ class TestZeroForceDecay:
         assert all(rep.envelopes_ok.values())
         # L2 decay at least as fast as the damping-only envelope rate
         assert rep.fitted_rates[2] <= -params.beta + 1e-8
+
+    @pytest.mark.parametrize("n, scale", [(8, 1e-12), (16, 1.0), (32, 1e8)])
+    def test_lp_norms_in_one_temporary_bitwise(self, n, scale):
+        # |u|^2 summed in place, its sqrt and each |u|^p in the one copy:
+        # the bits of |u| and |u|^p in new arrays
+        a = scale * np.random.default_rng(n).standard_normal((3, n, n, n))
+        before = a.copy()
+        p_list, dx = (2, 4, np.inf, 1, 3.5), 2 * np.pi / n
+        got = bardina.attractor._lp_norms(a, p_list, dx)
+        expected = [lp_norm(magnitude(a), p, dx) for p in p_list]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert a.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("p_list", [(0,), (2, -1), (np.nan,), (-np.inf,), (0.5, 2)])
     def test_rejects_p_below_one(self, grid8, params, p_list):

@@ -67,10 +67,16 @@ def test_each_side_runs_without_bytecode(tmp_path, monkeypatch):
     def fake_run(cmd, cwd, env, **kwargs):
         calls.append((cmd, cwd, env))
         line = json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": {}})
-        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
+        return subprocess.CompletedProcess(cmd, 0, stdout=header + line + "\n", stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    assert bench_pairs.run_side("TREE", "w1", 0, 0.1)["correct"]
+    header = "# perfbench workload=w1\n"
+    assert bench_pairs.run_side("T0", "w1", 0, 0.1)["threads"] == {}  # no threads line
+    header = "# threads OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2\n"
+    calls.clear()
+    out = bench_pairs.run_side("TREE", "w1", 0, 0.1)
+    assert out["correct"]
+    assert out["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}
     ((cmd, cwd, env),) = calls
     assert cwd == "TREE" and cmd[1] == "perfbench/run.py"
     assert env["PYTHONDONTWRITEBYTECODE"] == "1"
@@ -101,8 +107,12 @@ def test_one_tiny_pair_against_head(tmp_path, monkeypatch):
     assert result["pairs"] == 1 and result["cpu_count"] >= 1
     assert result["base"]["sha"] == result["head"]["sha"] or result["head"]["dirty"]
     assert result["bytecode"]["env"] == {"PYTHONDONTWRITEBYTECODE": "1"}
+    assert result["blas"]["name"] and result["blas"]["version"]
     (run,) = result["workloads"]["lyapunov-n16"]["runs"]
     assert run["first"] == "base" and run["base"]["correct"] and run["head"]["correct"]
+    # perfbench gives every CLI process one BLAS thread, on both sides
+    assert run["base"]["threads"]["OPENBLAS_NUM_THREADS"] == "1" == run["head"]["threads"][
+        "OPENBLAS_NUM_THREADS"]
     assert run["head"]["kernel_ms"] > 0
     # every run maps pages: the interpreter, numpy, the fields
     assert run["base"]["minor_faults"] > 0 and run["head"]["minor_faults"] > 0

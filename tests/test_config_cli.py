@@ -807,7 +807,37 @@ def test_report_contract(tmp_path, subcommand):
     assert code == (EXIT_OK if report["pass"] else EXIT_CHECK)
 
 
+BLAS_POOL_RUN = "import sys; from bardina.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("subcommand, ini", [
+        ("lyapunov", TestLyapunovLoop.INI.replace("n = 8", "n = 16")),
+        ("simulate", BASE_INI.replace("n = 8", "n = 32").replace("t_end = 0.5", "t_end = 0.1")),
+    ])
+    def test_artifacts_do_not_depend_on_the_blas_pool(self, tmp_path, subcommand, ini):
+        # grids up to n = 32 take their z transforms as BLAS matrix products:
+        # a run with one OpenBLAS thread and a run with two write the same bytes
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        src = str(Path(bardina.cli.__file__).resolve().parents[1])
+        outs, codes = [], []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", BLAS_POOL_RUN, subcommand, "--config", str(cfg),
+                 "--out", str(out)], env=env, capture_output=True, text=True)
+            assert proc.returncode in (EXIT_OK, EXIT_CHECK), proc.stderr
+            outs.append(out)
+            codes.append(proc.returncode)
+        assert codes[0] == codes[1]
+        names = [sorted(p.name for p in out.iterdir() if p.name != "run_meta.json")
+                 for out in outs]
+        assert names[0] == names[1] and f"{subcommand}_report.json" in names[0]
+        for name in names[0]:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         _, out1 = run_cli(tmp_path, "simulate", BASE_INI, out_name="r1")
         _, out2 = run_cli(tmp_path, "simulate", BASE_INI, out_name="r2")

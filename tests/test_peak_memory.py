@@ -1,0 +1,28 @@
+"""Self-test of tools/peak_memory.py: the peak and, with --where, its line."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("peak_memory", ROOT / "tools" / "peak_memory.py")
+peak_memory = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(peak_memory)
+
+
+def test_place_is_relative_to_the_repository():
+    inner = [str(ROOT / "src" / "bardina" / "spectral.py"), 12, "_forward"]
+    outer = ["<string>", 3, "<module>"]
+    assert peak_memory._place([inner, outer]) == (
+        "src/bardina/spectral.py:12 (_forward) < <string>:3 (<module>)")
+    assert peak_memory._place(None) == "unseen"
+
+
+def test_where_names_a_line_of_the_run():
+    # at n = 32 the run peaks above its import; on smaller grids the import
+    # may hold the peak, which no sampled return then sees ("unseen")
+    imported, peak, top, places = peak_memory.measure(32, 1, where=True)
+    assert 0 < imported <= peak == top
+    ((place, count),) = places.items()
+    assert count == 1 and re.match(r"^\S+:\d+ \(\S+\)", place), place
+    assert peak_memory.measure(32, 1)[3] == {}  # no sampling without --where

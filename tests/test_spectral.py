@@ -823,8 +823,8 @@ class TestSlabPath:
     and the kernel slab by slab.  With the budget lowered, small grids take
     that path, in 1-row slabs and in slabs that do not divide n (3 rows at
     n = 16, 5 at n = 32; at most 3 fit at n = 12), and give the one-pass
-    results: the inverse to the bit, as its x pass still runs before its y
-    pass; the forward ones to round-off, as the slabs run y before x."""
+    results to round-off: the one pass's z transforms are matrix products,
+    not pocketfft's, and the slab forward runs y before x."""
 
     def test_only_grids_beyond_the_budget_take_slabs(self):
         assert _slab_rows(16) is None and _slab_rows(32) is None
@@ -855,13 +855,15 @@ class TestSlabPath:
         products = np.abs(tensor_product_spectra(u, u)).max()
         slab_budget(monkeypatch, n, rows)
         slab_inverse, slab_forward, slab_pressure = self.results(u, w, samples)
-        for a, b in zip(inverse, slab_inverse):
-            assert a.tobytes() == b.tobytes()
-        for a, b in zip(forward, slab_forward):
+        for a, b in zip(inverse + forward, slab_inverse + slab_forward):
             assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
         # the pressure is a sum of signed terms, each the product spectra
-        # times symbols of modulus <= 1: round-off is relative to those
-        assert np.abs(pressure - slab_pressure).max() <= 1e-15 * products
+        # times symbols of modulus <= 1: round-off is relative to those.
+        # Each path now takes its own z transform (a matrix product on the
+        # one pass, r2c on slabs) where both took r2c, so the deviation sums
+        # two paths' round-off: twice the 1e-15 that bounded one (1.02e-15
+        # at n = 32, fraction 1)
+        assert np.abs(pressure - slab_pressure).max() <= 2e-15 * products
 
     def test_fewer_planes_after_more(self, monkeypatch):
         # the y pad's planes above the box stay zero from its making: a grid
@@ -874,7 +876,7 @@ class TestSlabPath:
         expected = [inverse_transform(u) for u in fields]
         slab_budget(monkeypatch, 16, 3)
         for u, e in zip(fields, expected):
-            assert inverse_transform(u).tobytes() == e.tobytes()
+            assert np.abs(inverse_transform(u) - e).max() <= 1e-15 * np.abs(e).max()
 
 
 def dealiased_layouts(grid, seed):
@@ -924,8 +926,9 @@ class TestLayouts:
         assert hermitian_defect(box) == hermitian_defect(half)
 
         expected = sfft.irfftn(half.hat, s=(n,) * 3, axes=(-3, -2, -1), norm="forward")
-        assert inverse_transform(box).tobytes() == expected.tobytes()
-        assert inverse_transform(half).tobytes() == expected.tobytes()
+        bound = 1e-15 * np.abs(expected).max()  # the z pass is a matrix product, not c2r
+        assert np.abs(inverse_transform(box) - expected).max() <= bound
+        assert np.abs(inverse_transform(half) - expected).max() <= bound
 
     def test_fields_on_two_grids_do_not_meet(self, grid8):
         box, half = dealiased_layouts(grid8, 39)
@@ -961,6 +964,7 @@ class TestCachedSymbols:
             *modes(full8),
             *modes(grid8),
             *_bilinear_symbols(grid8, 0.5),
+            *spectral._z_matrices(grid8),
         ]
         for a in cached:
             with pytest.raises(ValueError):
@@ -993,17 +997,15 @@ class TestTransformPair:
         assert np.abs(inverse_transform(f) - x).max() <= 1e-13 * np.abs(x).max()
         assert forward_transform(x).grid == GridSpec(n)  # the default grid
 
-    @pytest.mark.parametrize("n, exact", [(8, True), (16, True), (6, False), (12, False)])
+    @pytest.mark.parametrize("n", [8, 16, 6, 12])
     @samples_cases
     @given(**sample_args)
-    def test_forward_matches_rfftn(self, n, exact, seed, vector, log_scale):
+    def test_forward_matches_rfftn(self, n, seed, vector, log_scale):
+        # the z pass is a matrix product, not pocketfft's r2c: round-off
         x = random_samples(n, seed, vector, log_scale)
         expected = sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")
         got = forward_transform(x, GridSpec(n, dealias_fraction=1.0)).hat
-        if exact:
-            assert got.tobytes() == expected.tobytes()
-        else:
-            assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+        assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
     @pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
     @pytest.mark.parametrize("fraction", FRACTIONS)
@@ -1014,8 +1016,25 @@ class TestTransformPair:
         box = forward_transform(random_samples(n, seed, vector, log_scale), grid)
         half = box._replace(grid=grid._replace(dealias_fraction=1.0), hat=half_hat(box))
         expected = sfft.irfftn(half.hat, s=(n,) * 3, axes=(-3, -2, -1), norm="forward")
-        assert inverse_transform(box).tobytes() == expected.tobytes()
-        assert inverse_transform(half).tobytes() == expected.tobytes()
+        bound = 1e-15 * np.abs(expected).max()  # the z pass is a matrix product, not c2r
+        assert np.abs(inverse_transform(box) - expected).max() <= bound
+        assert np.abs(inverse_transform(half) - expected).max() <= bound
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_z_pass_reads_the_edge_planes_as_r2c_and_c2r(self, n):
+        # the sine is exactly 0 at m_z = 0 and n/2: the forward z pass gives
+        # those planes real, and the inverse reads only their real parts
+        grid, rng = GridSpec(n, dealias_fraction=1.0), np.random.default_rng(n)
+        edges = [0, n // 2]
+        z = spectral._z_dft(rng.standard_normal((7, n)), grid, True)
+        assert np.all(z[:, edges].imag == 0)
+        a = np.zeros((7, n // 2 + 1), complex)
+        a[:, edges] = 1j * rng.standard_normal((7, 2))
+        assert np.all(spectral._z_dft(a, grid, False) == 0)
+        a[:, edges] += rng.standard_normal((7, 2))
+        expected = sfft.irfft(a, n, norm="forward")
+        assert np.abs(spectral._z_dft(a, grid, False) - expected).max() <= 1e-15 * np.abs(
+            expected).max()
 
     @pytest.mark.parametrize("fraction", [2 / 3, 1.0])
     @samples_cases
@@ -1059,13 +1078,14 @@ class TestTransformPair:
             assert np.abs(helmholtz_filter(p, alpha).hat - filtered_first).max() <= 1e-15 * scale
 
 
-FFT_TRANSFORM = re.compile(r"^(?:(?:numpy|scipy)\.fft\.(i?r?fft[2n]?)|(r2c|c2c|c2r))$")
+FFT_TRANSFORM = re.compile(r"^(?:(?:numpy|scipy)\.fft\.(i?r?fft[2n]?)|(r2c|c2c|c2r|_z_dft))$")
 
 
 def fft_call_sites(path):
     """(function, transform) for every numpy.fft / scipy.fft transform call
-    and every call of a pocketfft name r2c, c2c or c2r in a source file,
-    names resolved through the file's imports."""
+    and every call of a pocketfft name r2c, c2c or c2r, or of the one pass's
+    z transform _z_dft, in a source file, names resolved through the file's
+    imports."""
     tree = ast.parse(path.read_text())
     alias = {}
     for node in ast.walk(tree):
@@ -1097,15 +1117,16 @@ def fft_call_sites(path):
     return sites
 
 
-FORWARD_HELPERS = {"_forward": {"r2c", "c2c"}, "_forward_slabs": {"r2c", "c2c"}}
-INVERSE_HELPERS = {"inverse_transform": {"c2c", "c2r"}, "_inverse_x": {"c2c"},
+FORWARD_HELPERS = {"_forward": {"_z_dft", "c2c"}, "_forward_slabs": {"r2c", "c2c"}}
+INVERSE_HELPERS = {"inverse_transform": {"c2c", "_z_dft"}, "_inverse_x": {"c2c"},
                    "_inverse_yz": {"c2c", "c2r"}}
 
 
 def test_transforms_live_in_one_pair():
     # every transform goes through inverse_transform and the forward helper,
     # or the slab steps they share with the kernel, and only through
-    # pocketfft's three transforms: r2c and c2c forward, c2c and c2r inverse
+    # pocketfft's three transforms, r2c and c2c forward, c2c and c2r inverse,
+    # and the one pass's z transform _z_dft
     src = Path(bardina.__file__).parent
     sites = [site for path in sorted(src.glob("*.py")) for site in fft_call_sites(path)]
     called = {}
@@ -1121,32 +1142,56 @@ def box_rows(grid):
 
 
 class TestScipyOracle:
-    """The transform pair equals scipy.fft's public n-d transforms, composed
-    the same way, bit for bit: rfftn over z, fftn over x and y on the planes
-    the box holds; ifftn over x and y on those planes of the padded half
-    spectrum, then irfftn over z.  It is the same pocketfft code, so a
-    difference means scipy changed the module the program loads."""
+    """The slab path's transform pair equals scipy.fft's public transforms,
+    composed the same way, bit for bit: rfftn over z, fftn over y on the
+    planes the box holds, then over x on the box's y rows; ifftn over x and
+    y on those planes of the padded half spectrum, then irfftn over z.  It
+    is the same pocketfft code, so a difference means scipy changed the
+    module the program loads.  The one pass takes its z transforms as
+    matrix products and equals the composition to round-off."""
+
+    @staticmethod
+    def forward(x, grid):
+        """scipy.fft's composition of the forward transform on grid's box."""
+        planes, rows = grid.box_shape[-1], box_rows(grid)
+        z = sfft.rfftn(x, axes=(-1,), norm="forward")[..., :planes]
+        y = sfft.fftn(z, axes=(-2,), norm="forward")[..., rows, :]
+        return sfft.fftn(y, axes=(-3,), norm="forward")[..., rows, :, :]
+
+    @staticmethod
+    def inverse(hat, grid):
+        """scipy.fft's composition of the inverse transform of a box `hat`."""
+        planes, rows = grid.box_shape[-1], box_rows(grid)
+        half = np.zeros(hat.shape[:-3] + grid.half_shape, dtype=complex)
+        half[..., rows[:, None], rows, :planes] = hat
+        half[..., :planes] = sfft.ifftn(half[..., :planes], axes=(-3, -2), norm="forward")
+        return sfft.irfftn(half, s=(grid.n,), axes=(-1,), norm="forward")
+
+    @pytest.mark.parametrize("n, rows", [(8, 2), (16, 3), (32, 5)])
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), vector=st.booleans(), log_scale=st.integers(-6, 6))
+    def test_pair_matches_scipy_fft(self, n, rows, fraction, seed, vector, log_scale):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        x = random_samples(n, seed, vector, log_scale)
+        with pytest.MonkeyPatch.context() as mp:
+            slab_budget(mp, n, rows)
+            f = forward_transform(x, grid)
+            assert f.hat.tobytes() == self.forward(x, grid).tobytes()
+            assert inverse_transform(f).tobytes() == self.inverse(f.hat, grid).tobytes()
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     @pytest.mark.parametrize("fraction", FRACTIONS)
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), vector=st.booleans(), log_scale=st.integers(-6, 6))
-    def test_pair_matches_scipy_fft(self, n, fraction, seed, vector, log_scale):
+    def test_one_pass_matches_scipy_fft(self, n, fraction, seed, vector, log_scale):
         grid = GridSpec(n, dealias_fraction=fraction)
         x = random_samples(n, seed, vector, log_scale)
-        planes, rows = grid.box_shape[-1], box_rows(grid)
-
-        z = sfft.rfftn(x, axes=(-1,), norm="forward")[..., :planes]
-        xy = sfft.fftn(z, axes=(-3, -2), norm="forward")
-        expected = xy[..., rows, :, :][..., rows, :]
         f = forward_transform(x, grid)
-        assert f.hat.tobytes() == expected.tobytes()
-
-        half = np.zeros(x.shape[:-3] + grid.half_shape, dtype=complex)
-        half[..., rows[:, None], rows, :planes] = f.hat
-        half[..., :planes] = sfft.ifftn(half[..., :planes], axes=(-3, -2), norm="forward")
-        expected = sfft.irfftn(half, s=(n,), axes=(-1,), norm="forward")
-        assert inverse_transform(f).tobytes() == expected.tobytes()
+        expected = self.forward(x, grid)
+        assert np.abs(f.hat - expected).max() <= 1e-15 * np.abs(expected).max()
+        expected = self.inverse(f.hat, grid)
+        assert np.abs(inverse_transform(f) - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 IMPORTS = """\

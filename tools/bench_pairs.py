@@ -24,11 +24,15 @@ in one schema:
 
   * label, command, seconds, seed, pairs; base {rev, sha}; head {sha,
     dirty}, dirty when src/ or perfbench/ differ from HEAD; python, numpy,
-    scipy, cpu_count, machine; bytecode {env, trees}, the environment each
-    run gets on top of this one's and how its tree was made;
+    scipy, cpu_count, machine; blas {name, version, config}, numpy's BLAS
+    as numpy.show_config reports it; bytecode {env, trees}, the environment
+    each run gets on top of this one's and how its tree was made;
   * workloads: {W: {runs, metrics, minor_faults}}.  Each run is {pair,
     first, base, head}, each side {correct, attempted, failed, kernel_ms,
-    minor_faults, metrics}, its metrics the values of run.py's result line,
+    minor_faults, threads, metrics}, its metrics the values of run.py's
+    result line, threads the thread variables (OPENBLAS_NUM_THREADS and the
+    like) its perfbench gives its CLI processes, from the `# threads` line
+    ({} without one),
     kernel_ms the reference kernel's median (refclock.kernel_ms) and
     minor_faults the minor page faults of the whole perfbench run, all its
     processes (the change of getrusage(RUSAGE_CHILDREN).ru_minflt around
@@ -63,6 +67,7 @@ from artifact_diff import ROOT, extract_tree
 SIDES = ("base", "head")
 OUT = ROOT  # the directory of BENCH_<label>.json
 KERNEL = re.compile(r"^# reference kernel: median ([0-9.]+) ms")
+THREADS = re.compile(r"^# threads (.*)$")
 RUN_TIMEOUT_S = 600
 TREE = ["src", "perfbench"]  # what each side's tree holds
 BYTECODE = {  # recorded in BENCH_<label>.json
@@ -93,15 +98,17 @@ def run_side(tree, workload, seed, seconds):
         result = json.loads(lines[-1])
     except (subprocess.TimeoutExpired, IndexError, ValueError):
         return {"correct": False, "attempted": 0, "failed": 0, "kernel_ms": None,
-                "minor_faults": None, "metrics": {}}
+                "minor_faults": None, "threads": {}, "metrics": {}}
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     kernel = [float(m.group(1)) for m in map(KERNEL.match, lines) if m]
+    threads = [m.group(1).split() for m in map(THREADS.match, lines) if m]
     return {
         "correct": result["correct"] is True and proc.returncode == 0,
         "attempted": result["attempted"],
         "failed": result["failed"],
         "kernel_ms": kernel[0] if kernel else None,
         "minor_faults": faults,
+        "threads": dict(v.split("=", 1) for v in threads[0]) if threads else {},
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
 
@@ -178,7 +185,17 @@ def _versions():
 
     return {"python": platform.python_version(), "numpy": version("numpy"),
             "scipy": version("scipy"), "cpu_count": os.cpu_count(),
-            "machine": platform.machine()}
+            "machine": platform.machine(), "blas": _blas()}
+
+
+def _blas():
+    """{name, version, config} of the BLAS numpy was built with, as
+    numpy.show_config reports it (config: OpenBLAS's build line, or None)."""
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            "config": blas.get("openblas configuration")}
 
 
 def _benchmark_metrics():
