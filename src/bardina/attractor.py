@@ -134,9 +134,11 @@ def transport_frame(frame, state, dt, n_steps):
     linearized about the frozen state and re-orthonormalized (the frame
     itself when n_steps is 0): (frame, sum).  Each -2 B(u, w_i) is formed
     once, with state.u_phys, for the sum and the first step.  Each field
-    moves in one fresh array, which the re-orthonormalization then
-    overwrites.  CertificateError if the frame is not orthonormal, as every
-    frame this program builds is; ValueError if it is not on the state's grid."""
+    moves in its own hat once the sum has read it, and the
+    re-orthonormalization overwrites those hats: when n_steps > 0 the input
+    frame is consumed, its hats now those of the frame returned.
+    CertificateError if the frame is not orthonormal, as every frame this
+    program builds is; ValueError if it is not on the state's grid."""
     defect = frame.gram_defect()
     if not defect <= GRAM_TOL:
         raise CertificateError(f"frame is not orthonormal (Gram deviation {defect:.3e})")
@@ -150,7 +152,7 @@ def transport_frame(frame, state, dt, n_steps):
         total += h1alpha_inner(VectorField(grid, nl - damping * w.hat), w, p.alpha)
         if n_steps:
             # transport part only; expz treats the linear decay exactly
-            x = expz * w.hat
+            x = np.multiply(expz, w.hat, out=w.hat)
             x += np.multiply(w1, nl, out=nl)
             for _ in range(1, n_steps):
                 nl = -2.0 * bilinear(u, VectorField(grid, x), p.alpha, state.u_phys).hat
@@ -200,11 +202,14 @@ def trajectory_gap(u0_a, u0_b, force, params, t_end, dt, sample_every=1):
     """Run two simulations under one force in lockstep and track the squared
     energy-norm gap, with the force's eta, the orbital-stability flag (g
     nonincreasing relative to g(0)) and a log-linear fit of the decay rate.
+    No reference to u0_a or u0_b is kept here once stepping starts: each is
+    freed at its run's first step unless the caller holds it.
     """
     runs = zip(
         sampled_states(SimState(u0_a, 0.0, params, force), t_end, dt, sample_every),
         sampled_states(SimState(u0_b, 0.0, params, force), t_end, dt, sample_every),
     )
+    del u0_a, u0_b
     times, gaps = np.array([(a.t, h1alpha_diff_sq(a.u, b.u, params.alpha)) for a, b in runs]).T
 
     f_norm = np.sqrt(norms(force, params.alpha).h1alpha_sq)
@@ -236,11 +241,14 @@ def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
     reads each sampled state's u_phys, which the next step reuses, and a copy
     of U's samples: held for the run, the transform's own output array made
     glibc trim and re-grow the heap top at every step in about half the runs.
+    No reference to u0 is kept here once stepping starts.
     """
     U_phys = inverse_transform(U).copy()
+    states = sampled_states(SimState(u0, 0.0, params, force), t_end, dt, sample_every)
+    del u0
     times, rs, rinfs = np.array([
         (s.t, np.sqrt(h1alpha_diff_sq(s.u, U, params.alpha)), _sup_distance(s.u_phys, U_phys))
-        for s in sampled_states(SimState(u0, 0.0, params, force), t_end, dt, sample_every)
+        for s in states
     ]).T
 
     monotone = bool(np.all(np.diff(rs) <= 1e-12 * max(rs[0], 1e-300)))
@@ -294,13 +302,17 @@ def _lp_norms(samples, p_list, dx):
 
 def zero_force_decay(u0, params, t_end, dt, p_list=(2, 4, np.inf), sample_every=1):
     """Unforced run with L^p-norm envelopes C_p e^{-(2 beta / p) t} for t >= 1
-    (rate 0 for p = infinity, i.e. a plain monotone bound)."""
+    (rate 0 for p = infinity, i.e. a plain monotone bound).  No reference to
+    u0 is kept here once stepping starts."""
     if not all(p >= 1 for p in p_list):
         raise ValueError(f"L^p norms need p >= 1 or inf, got p_list = {p_list}")
-    force = VectorField(u0.grid, np.zeros((3,) + u0.grid.box_shape, complex), div_free=True)
+    grid = u0.grid
+    force = VectorField(grid, np.zeros((3,) + grid.box_shape, complex), div_free=True)
+    states = sampled_states(SimState(u0, 0.0, params, force), t_end, dt, sample_every)
+    del u0
     rows = []
-    for state in sampled_states(SimState(u0, 0.0, params, force), t_end, dt, sample_every):
-        rows.append([state.t, *_lp_norms(state.u_phys, p_list, u0.grid.dx)])
+    for state in states:
+        rows.append([state.t, *_lp_norms(state.u_phys, p_list, grid.dx)])
     times, *columns = np.array(rows).T
     series = dict(zip(p_list, columns))
 

@@ -103,18 +103,10 @@ class Runner:
         if cfg.force is None:
             zero = np.zeros((3,) + cfg.grid.box_shape, dtype=np.complex128)
             return VectorField(cfg.grid, zero, div_free=True)
-        return self._generate("force", cfg.force)
+        return _generate(cfg, "force", cfg.force)
 
     def initial_field(self):
-        return self._generate("initial", self.cfg.initial)
-
-    def _generate(self, section, recipe):
-        """The field of a recipe section; a recipe refused on this grid is a
-        ConfigError naming the section, as one refused at parse time is."""
-        try:
-            return generate(recipe, self.cfg.grid, self.cfg.params.alpha)
-        except ValueError as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
+        return _generate(self.cfg, "initial", self.cfg.initial)
 
     def finalize(self, subcommand):
         with open(self.path("effective_config.ini"), "w") as fh:
@@ -247,25 +239,42 @@ def cmd_lyapunov(runner):
     )
 
 
-def _random_band(cfg, amplitude, seed, k_max):
-    """A random_band field on modes 1 <= |k| <= k_max, within the dealias cutoff."""
-    k_max = min(k_max, cfg.grid.dealias_cutoff)
-    recipe = FieldRecipe("random_band", amplitude, seed=seed, k_min=1, k_max=k_max)
-    return generate(recipe, cfg.grid, cfg.params.alpha)
+def _generate(cfg, section, recipe):
+    """The field of a recipe for `section`; a recipe refused on this grid is a
+    ConfigError naming the section, as one refused at parse time is."""
+    try:
+        return generate(recipe, cfg.grid, cfg.params.alpha)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _random_band(cfg, section, amplitude, seed, k_max):
+    """A random_band field on modes 1 <= |k| <= k_max, within the dealias
+    cutoff, generated for `section`; a grid whose cutoff is below the band is
+    a ConfigError naming the section, as a refused recipe is."""
+    cutoff = cfg.grid.dealias_cutoff
+    if cutoff < 1:
+        raise ConfigError(f"{section}: the grid's dealias cutoff {cutoff} is below the band "
+                          f"1 <= |k| <= {k_max} of its random fields")
+    recipe = FieldRecipe("random_band", amplitude, seed=seed, k_min=1, k_max=min(k_max, cutoff))
+    return _generate(cfg, section, recipe)
 
 
 def _random_frame(cfg, rng, m):
-    frame = [_random_band(cfg, 1.0, int(rng.integers(0, 2**63)), 3) for _ in range(m)]
+    frame = [_random_band(cfg, "lyapunov", 1.0, int(rng.integers(0, 2**63)), 3) for _ in range(m)]
     return orthonormalize(frame, cfg.params.alpha)
 
 
 def cmd_gap(runner):
     cfg = runner.cfg
     force = runner.force_field()
-    u0_a = runner.initial_field()
-    perturb = _random_band(cfg, cfg.perturb_amplitude, cfg.perturb_seed, 2)
-    u0_b = VectorField(cfg.grid, u0_a.hat + perturb.hat, div_free=True)
-    report = trajectory_gap(u0_a, u0_b, force, cfg.params, cfg.t_end, cfg.dt, cfg.sample_every)
+    # the call pops both initial fields: none is held here once stepping starts
+    u0 = [runner.initial_field()]
+    perturb = _random_band(cfg, "gap", cfg.perturb_amplitude, cfg.perturb_seed, 2)
+    u0.append(VectorField(cfg.grid, u0[0].hat + perturb.hat, div_free=True))
+    del perturb
+    report = trajectory_gap(u0.pop(0), u0.pop(), force, cfg.params, cfg.t_end, cfg.dt,
+                            cfg.sample_every)
     runner.csv("gap.csv", ["t", "gap_sq"], zip(report.times, report.gap_sq))
     return runner.report(
         "gap_report.json",
@@ -280,10 +289,10 @@ def cmd_gap(runner):
 
 def cmd_decay(runner):
     cfg = runner.cfg
-    u0 = runner.initial_field()
+    u0 = [runner.initial_field()]  # popped by the driver's call: not held here once it steps
     if cfg.decay_mode == "zero_force":
         report = zero_force_decay(
-            u0, cfg.params, cfg.t_end, cfg.dt, cfg.p_list, cfg.sample_every
+            u0.pop(), cfg.params, cfg.t_end, cfg.dt, cfg.p_list, cfg.sample_every
         )
         keys = ["p%g" % p if not np.isinf(p) else "pinf" for p in cfg.p_list]
         rows = zip(report.times, *(report.lp_norms[p] for p in cfg.p_list))
@@ -302,7 +311,7 @@ def cmd_decay(runner):
     if stat is None:
         return EXIT_NONCONV
     report = steady_convergence(
-        u0, force, cfg.params, stat.U, cfg.t_end, cfg.dt, cfg.sample_every
+        u0.pop(), force, cfg.params, stat.U, cfg.t_end, cfg.dt, cfg.sample_every
     )
     rows = zip(report.times, report.r, report.r_inf)
     runner.csv("decay.csv", ["t", "r", "r_inf"], rows)

@@ -106,8 +106,8 @@ def peak_bytes(n):
     """Estimated peak memory of a run on an n-grid, in bytes: above the peak
     resident set of a process that imports bardina.cli, generates two
     random_band fields and takes two steps (tools/peak_memory.py), at most
-    43.6, 63.4 and 218.7 MB (1e6 bytes) at n = 32, 64 and 128, by 1.9 MB or
-    more; the slope lies above that of n = 64 to 128, 84.6 bytes."""
+    43.4, 59.6 and 183.8 MB (1e6 bytes) at n = 32, 64 and 128, by 2.4 MB or
+    more; the slope lies above that of n = 64 to 128, 67.7 bytes."""
     return 43e6 + 85 * n**3
 
 

@@ -65,9 +65,11 @@ class CFLError(ValueError):
 
 class SimState:
     """A state of a run: velocity u at time t, with its params and force.
-    u_phys, the physical samples of u, is formed on first read by a
-    consumer; step passes it to its first nonlinear_term call if formed,
-    never forms it, and drops it once it advances the state.  u_max, max |u|
+    step drops u from its input once it has read it, so a stepped state has
+    no u (reading it raises AttributeError) and its velocity is freed unless
+    a caller holds it.  u_phys, the physical samples of u, is formed on
+    first read by a consumer; step passes it to its first nonlinear_term
+    call if formed, never forms it, and drops it too.  u_max, max |u|
     over those samples, is set by step from the sups that call reports
     (one per slab on grids beyond spectral.SLAB_BYTES), else formed from
     u_phys on first read."""
@@ -188,8 +190,12 @@ def step(state, dt):
     samples it read in a sups list, whose np.max (NaN if any entry is)
     becomes state.u_max, which the CFL check compares with dt before N(u)
     is used.  The combine runs with out= in the predictor and the
-    second kernel's result.  Raises ValueError as step_index or on two grids,
-    CFLError if dt exceeds the input's CFL cap, BlowUpError on non-finite output."""
+    second kernel's result.  The step drops the input state's u once the
+    predictor has read it, so its plateau is four box arrays: the force, n0,
+    the predictor and N(predictor), with n0 and N(predictor) freed before
+    the new state's certificate check.  Raises ValueError as
+    step_index or on two grids, CFLError if dt exceeds the input's CFL cap
+    (the input left whole), BlowUpError on non-finite output."""
     t = (step_index(state.t, dt) + 1) * dt
     grid = _check_shared_grid(state.u, state.force)
     alpha = state.params.alpha
@@ -203,12 +209,14 @@ def step(state, dt):
     del nl  # N(u)'s 5 slots are freed before a consumer's samples
     vars(state).pop("u_phys", None)
     predictor = expz * state.u.hat
+    del state.u  # its last read: u is freed here unless a caller holds it
     predictor += w1 * n0
     n1 = nonlinear_term(VectorField(grid, predictor), alpha).hat  # N(u)'s 5 slots are freed by now
     np.subtract(state.force.hat, n1, out=n1)
     n1 -= n0
     np.multiply(w2, n1, out=n1)
     out = np.add(predictor, n1, out=predictor)  # owns its 3 slots
+    del n0, n1  # the checks below read out alone
 
     if not np.all(np.isfinite(out)):
         raise BlowUpError(t)
@@ -246,8 +254,9 @@ def sampled_states(state, t_end, dt, sample_every=1):
     """Yield the state at each index of sample_steps(state.t, t_end, dt,
     sample_every), stepping between them; the last is also the return value.
     A consumer that reads a yielded state's u_phys saves the next step its
-    transform.  Raises ValueError, before any step, as sample_steps or when
-    the velocity and the force are on different grids."""
+    transform; it reads the state's u before it advances the generator, as
+    the step drops it.  Raises ValueError, before any step, as sample_steps
+    or when the velocity and the force are on different grids."""
     marks = sample_steps(state.t, t_end, dt, sample_every)
     _check_shared_grid(state.u, state.force)
     yield state
@@ -280,7 +289,8 @@ def evolve(state, t_end, dt, sample_every=1):
     Returns (final_state, Trajectory).  The trajectory always contains the
     initial and the final sample, which are one sample when t_end == state.t.
     No state is held here between samples: each is dropped once sampled,
-    and the initial one is held by the generator only, until its step.
+    and the initial one is held by the generator only, until its step, which
+    frees its velocity unless the caller holds it.
     """
     states = sampled_states(state, t_end, dt, sample_every)
     del state

@@ -1,3 +1,7 @@
+import copy
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -300,28 +304,49 @@ class TestTransportFrame:
     @pytest.mark.parametrize("n, fraction", [(8, 2 / 3), (16, 2 / 3), (16, 1.0)])
     @pytest.mark.parametrize("m, n_steps", [(1, 1), (3, 4), (8, 2)])
     def test_in_place_matches_the_reference_bitwise(self, params, n, fraction, m, n_steps):
-        # each field moved in one array, np.multiply(expz, w, out=w) and
+        # each field moved in its own hat, np.multiply(expz, w, out=w) and
         # w += w1 * nl, then orthonormalized in place: the bits of the
-        # formulas that made new arrays; the input frame is left as it was
+        # formulas that made new arrays, run on a copy; the input frame's
+        # hats now hold the moved frame
         grid = GridSpec(n, dealias_fraction=fraction)
         frame = orthonormalize([random_field(grid, seed=160 + i) for i in range(m)],
                                params.alpha)
-        before = [w.hat.copy() for w in frame.fields]
         st = base_state(random_field(grid, seed=170, amplitude=0.5), params)
+        ref, ref_total = transport_frame_reference(copy.deepcopy(frame), st, 0.01, n_steps)
         moved, total = transport_frame(frame, st, 0.01, n_steps)
-        ref, ref_total = transport_frame_reference(frame, st, 0.01, n_steps)
         assert total == ref_total
-        for got, r in zip(moved.fields, ref):
-            assert got.hat.tobytes() == r.tobytes()
-        for w, b in zip(frame.fields, before):
-            assert w.hat.tobytes() == b.tobytes()
+        for got, w, r in zip(moved.fields, frame.fields, ref):
+            assert got.hat is w.hat and got.hat.tobytes() == r.tobytes()
 
     def test_sum_is_taken_before_the_steps(self, grid8, params):
         frame = orthonormalize([random_field(grid8, seed=s) for s in (118, 119)], params.alpha)
         st = base_state(random_field(grid8, seed=120, amplitude=0.5), params)
+        kept = copy.deepcopy(frame)
         moved, total = transport_frame(frame, st, 0.01, 4)
-        assert total == transport_frame(frame, st, 0.01, 0)[1]
+        assert total == transport_frame(kept, st, 0.01, 0)[1]
         assert moved is not frame and moved.gram_defect() <= 1e-10
+        assert [w.hat.tobytes() for w in frame.fields] == [w.hat.tobytes() for w in moved.fields]
+
+    def test_moves_the_frame_without_a_second_frame(self, params):
+        # n = 32, m = 8: each field moves in its own hat (a box array of
+        # 0.23 MB), so the traced peak is one field's scratch: its nl, the
+        # sum's operator and the kernel's temporaries, 1.53 MB or 6.6 box
+        # arrays.  Moving each field into a fresh array adds the 8 moved
+        # fields, held beside the input frame until it returns: 14.6 box
+        # arrays.  The bound, 8 box arrays, lies between
+        grid = GridSpec(32)
+        frame = orthonormalize([random_field(grid, seed=180 + i) for i in range(8)], params.alpha)
+        st = base_state(random_field(grid, seed=190, amplitude=0.5), params)
+        st.u_phys
+        frame, _ = transport_frame(frame, st, 0.01, 2)  # warm-up: symbols and work arrays
+        tracemalloc.start()
+        try:
+            transport_frame(frame, st, 0.01, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        box = 3 * math.prod(grid.box_shape) * 16
+        assert peak < 8 * box
 
 
 class TestTrajectoryGap:

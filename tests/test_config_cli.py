@@ -615,6 +615,17 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err == f"config error: {section}: {message}\n"
 
+    @pytest.mark.parametrize("subcommand, k_max", [("lyapunov", 3), ("gap", 2)])
+    def test_band_above_the_cutoff_names_its_section(self, tmp_path, capsys, subcommand, k_max):
+        # n = 4 with dealias_fraction 0.4 keeps no mode with |k| >= 1, so the
+        # built-in frame and perturbation bands are refused, naming the section
+        ini = with_value(with_value(BASE_INI, "grid", "n", "4"), "grid", "dealias_fraction", "0.4")
+        code, out = run_cli(tmp_path, subcommand, with_value(ini, "initial", "kind", "shear"))
+        assert code == EXIT_CONFIG and not out.exists()
+        assert capsys.readouterr().err == (
+            f"config error: {subcommand}: the grid's dealias cutoff 0 is below the band "
+            f"1 <= |k| <= {k_max} of its random fields\n")
+
     def test_grid_beyond_physical_memory_exits_before_any_allocation(self, tmp_path, capsys):
         n = 8
         while peak_bytes(n) <= physical_memory():

@@ -1,4 +1,5 @@
 import ast
+import math
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -356,7 +357,8 @@ class TestStepCfl:
 class TestStateReferences:
     """evolve and cmd_simulate hold no state but the current one while a
     step runs: every state older than the step's input, the initial one
-    included, is freed by reference counting, with no collection."""
+    included, is freed by reference counting, with no collection; and no
+    run holds a velocity once a step has read it."""
 
     @pytest.fixture
     def stepped(self, monkeypatch):
@@ -386,6 +388,74 @@ class TestStateReferences:
         )
         assert bardina.cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == 0
         assert len(stepped) == 10
+
+    @pytest.mark.parametrize("subcommand, section", [
+        ("simulate", ""), ("lyapunov", "[lyapunov]\nm_list = 1 2\n"), ("gap", ""),
+        ("decay", "[decay]\nmode = zero_force\n"), ("decay", "[decay]\nmode = steady\n"),
+    ])
+    def test_every_velocity_is_freed_by_its_step(self, tmp_path, monkeypatch, subcommand, section):
+        # no subcommand or driver holds an initial field (or gap's
+        # perturbed one) once stepping starts, nor any later velocity
+        alive, step_ = [], bardina.dynamics.step
+
+        def record(state, dt):
+            u = weakref.ref(state.u)
+            out = step_(state, dt)
+            alive.append(u() is not None)
+            return out
+
+        monkeypatch.setattr(bardina.dynamics, "step", record)
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            "[grid]\nn = 8\n[initial]\nkind = random_band\namplitude = 0.5\n"
+            "[force]\nkind = shear\namplitude = 0.2\n"
+            "[time]\ndt = 0.01\nt_end = 0.05\nsample_every = 2\n" + section
+        )
+        assert bardina.cli.main([subcommand, "--config", str(ini), "--out", str(tmp_path)]) == 0
+        assert len(alive) == (10 if subcommand == "gap" else 5) and not any(alive)
+
+
+class TestStepFreesItsInput:
+    """step drops its input's u once the predictor has read it: a velocity
+    held by the input state alone is freed within the step, and a step
+    refused before the predictor leaves its input whole."""
+
+    def test_velocity_held_by_the_state_alone_is_freed(self, grid8, params):
+        u = random_field(grid8, seed=64, amplitude=0.5)
+        freed = weakref.ref(u)
+        st = SimState(u, 0.0, params, random_field(grid8, seed=65, amplitude=0.2))
+        del u
+        out = step(st, 0.01)
+        assert freed() is None and "u" not in vars(st)
+        with pytest.raises(AttributeError):
+            st.u
+        assert out.t == 0.01 and out.u.grid == grid8
+
+    def test_cfl_refusal_leaves_the_input_whole(self, grid8, params):
+        u = random_field(grid8, seed=66, amplitude=0.5)
+        st = SimState(u, 0.0, params, random_field(grid8, seed=67, amplitude=0.2))
+        with pytest.raises(CFLError):
+            step(st, 2.0 * cfl_cap(SimState(u, 0.0, params, st.force)))
+        assert st.u is u
+
+    def test_fresh_step_peak_is_four_box_arrays(self, params):
+        # n = 64, the input state made under tracing, with box arrays of
+        # 1.95 MB: u and the force, then n0, the predictor, which frees u,
+        # and N(predictor), whose kernel call adds 0.15 MB of scratch beside
+        # them; the combine runs in place, and n0 and N(predictor) are freed
+        # before the new state's certificate check.  Holding u to the end
+        # would add a fifth box array
+        grid = GridSpec(64)
+        u, force = (random_field(grid, params.alpha, seed, k_max=6) for seed in (68, 69))
+        step(SimState(u.copy(), 0.0, params, force), 0.001)  # warm-up: symbols and work arrays
+        tracemalloc.start()
+        try:
+            step(SimState(u.copy(), 0.0, params, force.copy()), 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        box = 3 * math.prod(grid.box_shape) * 16
+        assert peak < 4 * box + 0.5e6
 
 
 class TestGridMismatch:

@@ -21,8 +21,16 @@ def test_place_is_relative_to_the_repository():
 def test_where_names_a_line_of_the_run():
     # at n = 32 the run peaks above its import; on smaller grids the import
     # may hold the peak, which no sampled return then sees ("unseen")
-    imported, peak, top, places = peak_memory.measure(32, 1, where=True)
+    imported, peak, top, places, codes = peak_memory.measure(32, 1, where=True)
     assert 0 < imported <= peak == top
     ((place, count),) = places.items()
     assert count == 1 and re.match(r"^\S+:\d+ \(\S+\)", place), place
+    assert codes == [None]  # two steps, no CLI run
     assert peak_memory.measure(32, 1)[3] == {}  # no sampling without --where
+
+
+def test_subcommand_runs_the_cli_in_process():
+    # n = 18, the smallest grid that holds the initial band 1..6: lyapunov
+    # with its 4 frames, the run with the most arrays, exits 0 above its import
+    imported, peak, top, places, codes = peak_memory.measure(18, 1, run="lyapunov")
+    assert codes == [0] and 0 < imported < peak == top and places == {}
