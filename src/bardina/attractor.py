@@ -187,15 +187,11 @@ def _orthonormalize_in_place(hats, grid, alpha):
     return OrthoFrame([VectorField(grid, w) for w in hats], alpha)
 
 
-class GapReport:
-    """gap_sq is |u_a - u_b|^2_{H1_alpha} per sample; eta_value is the
-    regime of the force, orbital_stable says g(t) <= g(0) at all samples
-    and decay_rate is the fitted slope of log g(t), negative for a
-    contraction (None with fewer than two positive gaps)."""
-
-    def __init__(self, times, gap_sq, eta_value, orbital_stable, decay_rate):
-        self.times, self.gap_sq, self.eta_value = times, gap_sq, eta_value
-        self.orbital_stable, self.decay_rate = orbital_stable, decay_rate
+# gap_sq is |u_a - u_b|^2_{H1_alpha} per sample; eta_value is the
+# regime of the force, orbital_stable says g(t) <= g(0) at all samples
+# and decay_rate is the fitted slope of log g(t), negative for a
+# contraction (None with fewer than two positive gaps).
+GapReport = namedtuple("GapReport", "times gap_sq eta_value orbital_stable decay_rate")
 
 
 def trajectory_gap(u0_a, u0_b, force, params, t_end, dt, sample_every=1):
@@ -221,15 +217,11 @@ def trajectory_gap(u0_a, u0_b, force, params, t_end, dt, sample_every=1):
     return GapReport(times, gaps, eta(params, f_norm).eta_value, orbital, rate)
 
 
-class ConvergenceReport:
-    """r is |u(t) - U|_{H1_alpha} and r_inf max_x |u(t, x) - U(x)|, from the
-    physical samples of u and U; monotone says r is nonincreasing over the
-    sampled times, profile_envelope_ok r_inf(t) <= C t^{-3/4} for t >= 1,
-    C fit at t = 1."""
-
-    def __init__(self, times, r, r_inf, monotone, profile_envelope_ok):
-        self.times, self.r, self.r_inf = times, r, r_inf
-        self.monotone, self.profile_envelope_ok = monotone, profile_envelope_ok
+# r is |u(t) - U|_{H1_alpha} and r_inf max_x |u(t, x) - U(x)|, from the
+# physical samples of u and U; monotone says r is nonincreasing over the
+# sampled times, profile_envelope_ok r_inf(t) <= C t^{-3/4} for t >= 1,
+# C fit at t = 1.
+ConvergenceReport = namedtuple("ConvergenceReport", "times r r_inf monotone profile_envelope_ok")
 
 
 def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
@@ -238,12 +230,11 @@ def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
     Requires eta(beta) < 0 for the conclusion to be meaningful; the caller is
     expected to verify the regime.  The whole-space t^{-3/4} profile is
     checked as an upper envelope only (box decay is exponential).  r_inf
-    reads each sampled state's u_phys, which the next step reuses, and a copy
-    of U's samples: held for the run, the transform's own output array made
-    glibc trim and re-grow the heap top at every step in about half the runs.
-    No reference to u0 is kept here once stepping starts.
+    reads each sampled state's u_phys, which the next step reuses, and U's
+    samples, held for the run.  No reference to u0 is kept here once
+    stepping starts.
     """
-    U_phys = inverse_transform(U).copy()
+    U_phys = inverse_transform(U)
     states = sampled_states(SimState(u0, 0.0, params, force), t_end, dt, sample_every)
     del u0
     times, rs, rinfs = np.array([
@@ -263,14 +254,11 @@ def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
     return ConvergenceReport(times, rs, rinfs, monotone, envelope_ok)
 
 
-class ZeroForceDecayReport:
-    """Per p: lp_norms the series of |u(t)|_{L^p}, fitted_rates the slope of
-    log |u(t)|_{L^p} for t >= 1, envelopes_ok whether the envelope
-    C_p e^{-2 beta t / p} holds, C_p fit at t = 1."""
-
-    def __init__(self, times, lp_norms, fitted_rates, envelopes_ok):
-        self.times, self.lp_norms = times, lp_norms
-        self.fitted_rates, self.envelopes_ok = fitted_rates, envelopes_ok
+# Per p: lp_norms the series of |u(t)|_{L^p}, fitted_rates the slope of
+# log |u(t)|_{L^p} for t >= 1, envelopes_ok whether the envelope
+# C_p e^{-2 beta t / p} holds, C_p fit at t = 1.
+ZeroForceDecayReport = namedtuple("ZeroForceDecayReport",
+                                  "times lp_norms fitted_rates envelopes_ok")
 
 
 def _magnitude_sq(d):

@@ -133,7 +133,7 @@ def cmd_simulate(runner):
     runner.csv(
         "trajectory.csv",
         [*DiagnosticsSample._fields, "energy_residual"],
-        [(*s, r) for s, r in zip(traj.samples, residuals)],
+        zip(*traj, residuals),
     )
     write_checkpoint(runner.path("final_state.bard"), state.u, cfg.params, state.t)
     report = decay_envelope_check(traj, force, cfg.params)

@@ -29,6 +29,7 @@ __all__ = [
     "SimState",
     "DiagnosticsSample",
     "Trajectory",
+    "integral",
     "BlowUpError",
     "CFLError",
     "nonlinear_term",
@@ -94,24 +95,15 @@ DiagnosticsSample = namedtuple(
 )
 
 
-class Trajectory:
-    def __init__(self):
-        self.samples = []
+# The samples of a run as columns: one array per DiagnosticsSample field.
+Trajectory = namedtuple("Trajectory", DiagnosticsSample._fields)
 
-    @property
-    def times(self):
-        return np.array([s.t for s in self.samples])
 
-    def series(self, name):
-        return np.array([getattr(s, name) for s in self.samples])
-
-    def integral(self, name):
-        """Cumulative trapezoid integral of a diagnostic series."""
-        t = self.times
-        y = self.series(name)
-        if len(t) < 2:
-            return np.zeros_like(t)
-        return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
+def integral(t, y):
+    """Cumulative trapezoid integral of the series y over the times t."""
+    if len(t) < 2:
+        return np.zeros_like(t)
+    return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def nonlinear_term(u, alpha, u_phys=None, sups=None):
@@ -286,20 +278,20 @@ def evolve(state, t_end, dt, sample_every=1):
     """Step from state.t to t_end (step_count steps) with diagnostics at
     every state sampled_states yields, each at time i dt for its step index i.
 
-    Returns (final_state, Trajectory).  The trajectory always contains the
-    initial and the final sample, which are one sample when t_end == state.t.
+    Returns (final_state, Trajectory), its columns built once at the end; it
+    always holds the initial and the final sample, one when t_end == state.t.
     No state is held here between samples: each is dropped once sampled,
     and the initial one is held by the generator only, until its step, which
     frees its velocity unless the caller holds it.
     """
     states = sampled_states(state, t_end, dt, sample_every)
     del state
-    traj = Trajectory()
+    rows = []
     try:
         while True:
-            traj.samples.append(sample_diagnostics(next(states)))
+            rows.append(sample_diagnostics(next(states)))
     except StopIteration as stop:
-        return stop.value, traj
+        return stop.value, Trajectory(*np.array(rows).T)
 
 
 def energy_budget_residual(trajectory):
@@ -309,12 +301,10 @@ def energy_budget_residual(trajectory):
 
     normalized by max(E(0), 1), with trapezoid quadrature in time.
     """
-    e = trajectory.series("h1alpha_sq")
-    if len(e) == 0:
-        return np.array([])
-    i_diss = trajectory.integral("dissipation")
-    i_damp = trajectory.integral("damping")
-    i_force = trajectory.integral("force_pairing")
+    t, e = trajectory.t, trajectory.h1alpha_sq
+    i_diss = integral(t, trajectory.dissipation)
+    i_damp = integral(t, trajectory.damping)
+    i_force = integral(t, trajectory.force_pairing)
     return (e - e[0] + 2 * i_diss + 2 * i_damp - 2 * i_force) / max(e[0], 1.0)
 
 
@@ -334,8 +324,7 @@ def decay_envelope_check(trajectory, force, params, slack_tol=None):
     EnvelopeReport with the worst (most positive) slack of each family.
     """
     p = params
-    t = trajectory.times
-    e = trajectory.series("h1alpha_sq")
+    t, e = trajectory.t, trajectory.h1alpha_sq
     f_sq = norms(force, p.alpha).h1alpha_sq
     if slack_tol is None:
         slack_tol = 1e-12 * max(e[0], 1.0)
@@ -343,9 +332,8 @@ def decay_envelope_check(trajectory, force, params, slack_tol=None):
     envelope = e[0] * np.exp(-p.beta * (t - t[0])) + (4.0 / p.beta**2) * f_sq
     pointwise = float((e - envelope).max())
 
-    i_h1 = trajectory.integral("h1dot_sq")
-    i_h2 = trajectory.integral("h2dot_sq")
-    lhs_total = p.nu * i_h1 + p.alpha**2 * i_h2
+    lhs_total = (p.nu * integral(t, trajectory.h1dot_sq)
+                 + p.alpha**2 * integral(t, trajectory.h2dot_sq))
     # windows [t_i, t_end] for every sample i
     rhs = (2.0 * (t[-1] - t) / p.beta) * f_sq + e
     windowed = float(((lhs_total[-1] - lhs_total) - rhs).max())
@@ -367,8 +355,7 @@ def absorbing_ball_entry(trajectory, force, params):
     p = params
     f_sq = norms(force, p.alpha).h1alpha_sq
     radius_sq = (8.0 / p.beta**2) * f_sq
-    t = trajectory.times
-    e = trajectory.series("h1alpha_sq")
+    t, e = trajectory.t, trajectory.h1alpha_sq
     if f_sq == 0:
         entry = t[0] if e[0] == 0 else None
         return entry, 0.0, None

@@ -2,6 +2,7 @@
 on the fixed-point form U = (-nu Lap + beta)^{-1} [ f - P div((U (x) U)_alpha) ],
 posed on the retained box: every iterate is a box field."""
 
+from collections import namedtuple
 from itertools import count
 
 import numpy as np
@@ -27,12 +28,9 @@ class NonConvergenceError(RuntimeError):
         )
 
 
-class StationaryResult:
-    """energy_slack is (2/beta^2)|f|^2_{H1a} - (|U|^2_{H1a} + nu a^2 |U|^2_{H2})."""
-
-    def __init__(self, U, residual, iterations, energy_slack, residual_history):
-        self.U, self.residual, self.iterations = U, residual, iterations
-        self.energy_slack, self.residual_history = energy_slack, residual_history
+# energy_slack is (2/beta^2)|f|^2_{H1a} - (|U|^2_{H1a} + nu a^2 |U|^2_{H2}).
+StationaryResult = namedtuple("StationaryResult",
+                              "U residual iterations energy_slack residual_history")
 
 
 def stationary_map(U, force, params):

@@ -170,7 +170,7 @@ def test_criterion_04_decay_envelopes():
             FieldRecipe("random_band", 0.3, seed=231, k_min=1, k_max=2), grid, alpha
         )
         _, traj = evolve(SimState(u0, 0.0, p, f), 10.0, 0.01, sample_every=10)
-        e0 = traj.samples[0].h1alpha_sq
+        e0 = traj.h1alpha_sq[0]
         rep = decay_envelope_check(traj, f, p, slack_tol=1e-12 * e0)
         all_ok = all_ok and rep.passed
     _report(4, "decay-envelopes", all_ok)

@@ -30,6 +30,7 @@ from bardina.dynamics import (
     BlowUpError,
     CFLError,
     cfl_cap,
+    integral,
     sample_steps,
     sampled_states,
     step_count,
@@ -170,8 +171,8 @@ class TestEvolve:
         u0 = random_field(grid8, seed=36)
         st = SimState(u0, 0.0, params, zero_force(grid8))
         _, traj = evolve(st, 0.0, 0.01)
-        assert len(traj.samples) == 1
-        assert traj.samples[0].t == 0.0
+        assert len(traj.t) == 1
+        assert traj.t[0] == 0.0
 
     def test_semigroup_composition(self, grid8, params):
         u0 = random_field(grid8, seed=37, amplitude=0.5)
@@ -187,8 +188,8 @@ class TestEvolve:
         _, traj = evolve(st, 2.0, 0.01, sample_every=20)
         lam = params.nu * (2 * np.pi / grid8.box_len) ** 2 + params.beta
         e0 = norms(u0, params.alpha).h1alpha_sq
-        for s in traj.samples:
-            assert abs(s.h1alpha_sq - e0 * np.exp(-2 * lam * s.t)) <= 1e-10 * e0
+        for t, e in zip(traj.t, traj.h1alpha_sq):
+            assert abs(e - e0 * np.exp(-2 * lam * t)) <= 1e-10 * e0
 
     def test_cfl_enforced(self, grid8, params):
         u0 = generate(FieldRecipe("shear", 50.0), grid8)
@@ -206,7 +207,7 @@ class TestEvolve:
     def test_energy_decreasing_without_force(self, grid8, params):
         u0 = random_field(grid8, seed=39, amplitude=1.0)
         _, traj = evolve(SimState(u0, 0.0, params, zero_force(grid8)), 1.0, 0.01, 5)
-        e = traj.series("h1alpha_sq")
+        e = traj.h1alpha_sq
         assert np.all(np.diff(e) < 0)
 
 
@@ -376,8 +377,8 @@ class TestStateReferences:
         u0 = random_field(grid8, seed=49, amplitude=0.5)
         f = random_field(grid8, seed=50, amplitude=0.2)
         final, traj = evolve(SimState(u0, 0.0, params, f), 0.1, 0.01, 3)
-        assert len(stepped) == 10 and traj.samples[-1].t == final.t
-        assert len(traj.samples) == 5  # 0, 3, 6, 9 and 10 steps
+        assert len(stepped) == 10 and traj.t[-1] == final.t
+        assert len(traj.t) == 5  # 0, 3, 6, 9 and 10 steps
 
     def test_cmd_simulate(self, tmp_path, stepped):
         ini = tmp_path / "run.ini"
@@ -473,7 +474,7 @@ class TestGridMismatch:
         assert steps == []
         monkeypatch.undo()
         final, traj = evolve(SimState(dealias(u, f.grid), 0.0, params, f), 0.05, 0.01)
-        assert final.u.grid == grid8 and len(traj.samples) == 6
+        assert final.u.grid == grid8 and len(traj.t) == 6
 
     def test_h1alpha_diff_sq_refuses_two_grids(self, grid8, full8):
         u = random_field(full8, seed=49, k_max=3)
@@ -674,10 +675,10 @@ class TestEnergyBudget:
         p = PhysParams(alpha=1.0, beta=1.0, nu=0.25)
         u0 = random_field(grid8, seed=42, amplitude=0.8)
         _, traj = evolve(SimState(u0, 0.0, p, zero_force(grid8)), 0.5, 1e-3, 1)
-        e = traj.series("h1alpha_sq")
-        i_h1 = traj.integral("h1dot_sq")
-        i_h2 = traj.integral("h2dot_sq")
-        i_damp = traj.integral("damping")
+        e = traj.h1alpha_sq
+        i_h1 = integral(traj.t, traj.h1dot_sq)
+        i_h2 = integral(traj.t, traj.h2dot_sq)
+        i_damp = integral(traj.t, traj.damping)
         correct = e - e[0] + 2 * p.nu * (i_h1 + p.alpha**2 * i_h2) + 2 * i_damp
         printed = e - e[0] + 2 * p.nu * i_h1 + 2 * p.alpha**2 * i_h2 + 2 * i_damp
         assert np.abs(correct).max() <= 1e-6 * e[0]
@@ -693,8 +694,8 @@ class TestTrajectoryIntegral:
         # 50 steps sampled every 3rd: the last interval is shorter
         _, traj = evolve(SimState(u0, 0.0, params, f), 0.5, 0.01, sample_every=3)
         for name in ("h1alpha_sq", "dissipation", "force_pairing"):
-            expected = cumulative_trapezoid(traj.series(name), traj.times, initial=0.0)
-            assert np.array_equal(traj.integral(name), expected)
+            expected = cumulative_trapezoid(getattr(traj, name), traj.t, initial=0.0)
+            assert np.array_equal(integral(traj.t, getattr(traj, name)), expected)
 
 
 class TestEnvelopes:
@@ -708,7 +709,7 @@ class TestEnvelopes:
         f = random_field(grid8, seed=44, amplitude=0.5)
         st = SimState(zero_force(grid8), 0.0, params, f)
         _, traj = evolve(st, 3.0, 0.01, 10)
-        e = traj.series("h1alpha_sq")
+        e = traj.h1alpha_sq
         bound = (4.0 / params.beta**2) * norms(f, params.alpha).h1alpha_sq
         assert np.all(e <= bound + 1e-12)
 

@@ -34,3 +34,17 @@ def test_subcommand_runs_the_cli_in_process():
     # with its 4 frames, the run with the most arrays, exits 0 above its import
     imported, peak, top, places, codes = peak_memory.measure(18, 1, run="lyapunov")
     assert codes == [0] and 0 < imported < peak == top and places == {}
+
+
+def test_near_peak_names_the_peak_not_the_creep_after_it():
+    # a run that reaches its peak in a step, then creeps a few pages in its
+    # report writers and once more after the last sampled return
+    step = [["src/bardina/dynamics.py", 200, "step"]]
+    writer = [["json/encoder.py", 339, "iterencode"]]
+    early = [["src/bardina/fields.py", 80, "generate"]]
+    maxima = [(50_000, early), (59_200, step), (59_212, writer), (59_224, writer)]
+    assert peak_memory.near_peak(maxima, 59_232) == step
+    # a maximum one n = 32 box array (233 kB) below the final peak is not it
+    assert peak_memory.near_peak(maxima[:1] + [(50_228, step)], 50_228) == step
+    assert peak_memory.near_peak(maxima[:1], 50_228) is None
+    assert peak_memory.near_peak([], 50_000) is None

@@ -1243,7 +1243,7 @@ def test_samples_travel_only_on_the_state():
     # above the kernel a base state's samples are its SimState.u_phys: no
     # function of the attractor checks or the CLI takes samples or advection
     # terms, and outside spectral.py a field is transformed only by its state
-    # and by steady_convergence, for its copy of U's samples
+    # and by steady_convergence, for U's samples
     src = Path(bardina.__file__).parent
     for name in ("attractor.py", "cli.py"):
         for _, node in scoped_nodes(src / name):
