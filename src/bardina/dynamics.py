@@ -18,6 +18,7 @@ from .spectral import (
     _abs_max,
     _check_shared_grid,
     _frozen,
+    _slab_rows,
     bilinear,
     h1alpha_inner,
     inverse_transform,
@@ -109,7 +110,8 @@ def integral(t, y):
 def nonlinear_term(u, alpha, u_phys=None, sups=None):
     """P div((u (x) u)_alpha) = B(u, u): the Bardina nonlinearity, dealiased.
     u_phys and sups: see bilinear; step passes a list as sups to take max |u|
-    from the samples the kernel reads."""
+    from the samples the kernel reads.  Beyond spectral.SLAB_BYTES the hat
+    is a view of a work array, valid as bilinear's."""
     return bilinear(u, u, alpha, u_phys, sups)
 
 
@@ -181,29 +183,43 @@ def step(state, dt):
     nonlinear_term calls; the first reports the kernel's max |u| over the
     samples it read in a sups list, whose np.max (NaN if any entry is)
     becomes state.u_max, which the CFL check compares with dt before N(u)
-    is used.  The combine runs with out= in the predictor and the
-    second kernel's result.  The step drops the input state's u once the
-    predictor has read it, so its plateau is four box arrays: the force, n0,
-    the predictor and N(predictor), with n0 and N(predictor) freed before
-    the new state's certificate check.  Raises ValueError as
-    step_index or on two grids, CFLError if dt exceeds the input's CFL cap
-    (the input left whole), BlowUpError on non-finite output."""
+    is used.  The step drops the input state's u once the predictor has
+    read it and forms the combine in N(predictor)'s hat and the predictor.
+    Beyond SLAB_BYTES both kernel results are views of the kernel's work
+    array; the predictor is formed before n0 = f - N(u), and w1 n0 goes
+    into N(u)'s hat, so the step's plateau is three box arrays (the force,
+    u and the predictor, then the force, the predictor and n0) beside the
+    kernel's "box slot" scratch.  On one-pass grids the kernel's results
+    are new arrays, and n0 is formed and N(u) freed before the predictor,
+    the order in which glibc's heap keeps a steady run's pages (the other
+    doubled its minor page faults at n = 32).  n0 is freed before the new
+    state's certificate check.  Raises ValueError as step_index or on
+    two grids, CFLError if dt exceeds the input's CFL cap (the input left
+    whole), BlowUpError on non-finite output."""
     t = (step_index(state.t, dt) + 1) * dt
     grid = _check_shared_grid(state.u, state.force)
     alpha = state.params.alpha
     expz, w1, w2 = _etd_weights(grid, state.params, dt)
 
     sups = []
-    nl = nonlinear_term(state.u, alpha, vars(state).get("u_phys"), sups)
+    nl = nonlinear_term(state.u, alpha, vars(state).get("u_phys"), sups).hat
     state.u_max = np.max(sups)
     check_cfl(state, dt)
-    n0 = state.force.hat - nl.hat
-    del nl  # N(u)'s 5 slots are freed before a consumer's samples
-    vars(state).pop("u_phys", None)
-    predictor = expz * state.u.hat
-    del state.u  # its last read: u is freed here unless a caller holds it
-    predictor += w1 * n0
-    n1 = nonlinear_term(VectorField(grid, predictor), alpha).hat  # N(u)'s 5 slots are freed by now
+    if _slab_rows(grid.n) is None:  # one pass: n0 first (see above)
+        n0 = state.force.hat - nl
+        del nl
+        vars(state).pop("u_phys", None)
+        predictor = expz * state.u.hat
+        del state.u  # its last read: u is freed here unless a caller holds it
+        predictor += w1 * n0
+    else:
+        predictor = expz * state.u.hat
+        del state.u
+        n0 = state.force.hat - nl
+        vars(state).pop("u_phys", None)  # after n0, which would split its freed pages
+        predictor += np.multiply(w1, n0, out=nl)  # N(u) is read: w1 n0 takes its slots
+        del nl
+    n1 = nonlinear_term(VectorField(grid, predictor), alpha).hat
     np.subtract(state.force.hat, n1, out=n1)
     n1 -= n0
     np.multiply(w2, n1, out=n1)

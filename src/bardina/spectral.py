@@ -66,12 +66,15 @@ Conventions used throughout:
     a slab each, the samples, products, z spectrum and y pad.  The forward
     moves the box's x rows together in place, so its spectra are the first
     b rows of the x-pass array: tensor_product_spectra returns that view,
-    valid until the grid's next transform, and _forward a copy.
-    No call maps fresh pages for them, and every other result is a new
-    array, but neither the pair nor the kernel is re-entrant: one thread at
-    a time, as in the CLI.  The kernel's symbol stage runs in place in the
-    5 slots of product spectra, with its new 3-slot result as scratch until
-    it writes them (bilinear).
+    and bilinear writes B into its slots 0-2, with one box slot of scratch
+    ("box slot"), and returns their view; each is valid until the grid's
+    next transform or h1alpha_inner call.  _forward returns a copy.  On one
+    pass the kernel's symbol stage runs in its new 5 slots of product
+    spectra, with its new 3-slot result as scratch until it writes them.
+    h1alpha_inner weighs its operand in the array inverse_transform pads
+    into (_pad_work), unless an operand overlaps it.  No call maps fresh
+    pages for them, and every other result is a new array, but neither the
+    pair nor the kernel is re-entrant: one thread at a time, as in the CLI.
   * Coefficients are normalized so that u(x) = sum_m c_m exp(i k.x), k =
     2 pi m / L, i.e. c = fftn(samples) / n^3.  Parseval reads integral
     |u|^2 dx = L^3 * sum_m |c_m|^2; a mode with 0 < m_z < n/2 counts twice.
@@ -489,13 +492,23 @@ def inverse_transform(field):
         for s in _slabs(grid.n, rows):
             _inverse_yz(a, grid, s, rows, out[..., s, :, :])
         return out
-    shape = hat.shape[:-3] + grid.half_shape[:2] + grid.box_shape[-1:]
-    buffer = _work("products", (5,) + (grid.n,) * 3, float)  # see "Work arrays"
-    a = buffer.ravel().view(complex)[: math.prod(shape)].reshape(shape)
+    a = _pad_work(grid, hat.shape[:-3] + grid.half_shape[:2] + grid.box_shape[-1:])
     a.fill(0)  # the transforms below may have overwritten any of it
     _copy_box(hat, grid, a)
     c2c(a, (a.ndim - 3, a.ndim - 2), False, 0, a)  # in place: out is a
     return _z_dft(a, grid, False)
+
+
+def _pad_work(grid, shape):
+    """A complex array of `shape` at the start of the work array the grid's
+    inverse transform pads into: the one pass's products, or on slab grids
+    the x-pass array, which holds the kernel's last result (see "Work
+    arrays")."""
+    if _slab_rows(grid.n) is None:
+        buffer = _work("products", (5,) + (grid.n,) * 3, float)
+    else:
+        buffer = _work("x pass", (5, grid.n) + grid.box_shape[1:], complex)
+    return buffer.ravel().view(complex)[: math.prod(shape)].reshape(shape)
 
 
 def _x_slots(grid, lead):
@@ -588,12 +601,26 @@ def dealias(v, grid):
 
 
 def norms(v, alpha):
-    """Parseval norms of a vector field: L^3 * sum |k|^{2s} |u_hat|^2."""
+    """Parseval norms of a vector field: L^3 * sum |k|^{2s} |u_hat|^2.
+    Beyond SLAB_BYTES |u_hat|^2 is summed one component at a time, in the
+    order np.sum(axis=0) sums, so the temporaries are 3 float box slots;
+    one-pass grids sum whole arrays, as the slots there doubled a steady
+    run's minor page faults at n = 32 (dynamics.step)."""
     vol, c, symbols = v.grid.box_len**3, v.hat, v.symbols
-    mag2 = symbols.weights * np.sum(c.real * c.real + c.imag * c.imag, axis=0)
+    if _slab_rows(v.grid.n) is None:
+        mag2 = symbols.weights * np.sum(c.real * c.real + c.imag * c.imag, axis=0)
+        s = t = None
+    else:
+        mag2, s, t = (np.empty(v.grid.box_shape) for _ in range(3))
+        for ci, a in zip(c, (mag2, s, s)):  # |c_i|^2 in a, then summed into mag2
+            np.multiply(ci.real, ci.real, out=a)
+            a += np.multiply(ci.imag, ci.imag, out=t)
+            if a is s:
+                mag2 += s
+        mag2 *= symbols.weights
     l2 = vol * float(np.sum(mag2))
-    h1 = vol * float(np.sum(symbols.ksq * mag2))
-    h2 = vol * float(np.sum(symbols.ksq**2 * mag2))
+    h1 = vol * float(np.sum(np.multiply(symbols.ksq, mag2, out=s)))
+    h2 = vol * float(np.sum(np.multiply(np.square(symbols.ksq, out=t), mag2, out=t)))
     return NormBundle(l2, h1, h2, l2 + alpha**2 * h1)
 
 
@@ -610,9 +637,14 @@ def h1alpha_weights(grid, alpha):
 
 
 def h1alpha_inner(v, w, alpha):
-    """Energy-space inner product (v,w)_L2 + alpha^2 (grad v, grad w)_L2."""
+    """Energy-space inner product (v,w)_L2 + alpha^2 (grad v, grad w)_L2.
+    The weighted copy of v goes into the grid's _pad_work, or into a new
+    array when that overlaps v or w (a kernel result on a slab grid)."""
     grid = _check_shared_grid(v, w)
-    return float(np.vdot(h1alpha_weights(grid, alpha) * v.hat, w.hat).real)
+    out = _pad_work(grid, v.hat.shape)
+    if np.may_share_memory(out, v.hat) or np.may_share_memory(out, w.hat):
+        out = None
+    return float(np.vdot(np.multiply(h1alpha_weights(grid, alpha), v.hat, out=out), w.hat).real)
 
 
 def _traceless_products(a, b, out, tmp):
@@ -644,10 +676,10 @@ def tensor_product_spectra(u, w, u_phys=None, sups=None):
     _traceless_products); one inverse transform when w is u, none for u
     when u_phys, its samples, is given.  A new array on one-pass grids; on
     grids beyond SLAB_BYTES a view of the grid's x-pass work array, valid
-    until the grid's next transform.  When `sups` is a list, max |.| of
-    the samples of u read is appended to it, one entry per slab on grids
-    beyond SLAB_BYTES, and on one-pass grids the samples formed here live
-    until the forward transform returns, as given ones do.
+    until the grid's next transform or h1alpha_inner call.  When `sups` is
+    a list, max |.| of the samples of u read is appended to it, one entry
+    per slab on grids beyond SLAB_BYTES, and on one-pass grids the samples
+    formed here live until the forward transform returns, as given ones do.
 
     Products of the box fields are formed in physical space, so the
     retained modes are the exact Galerkin projection; the other modes are
@@ -723,24 +755,32 @@ def bilinear(u, w, alpha, u_phys=None, sups=None):
     B(u, u) is the Bardina nonlinearity; for divergence-free u and w,
     2 B(u, w) = P(((w.grad)u + (u.grad)w)_alpha).  One inverse transform per
     distinct input, one forward transform of the 5 traceless products, and
-    the symbols applied on the retained box only, in place in those 5 slots
-    (a view of the x-pass array on slab grids); the result's hat is a new
-    3-slot array, scratch until its slots are written.  A
-    caller that applies B(u, .) to many fields passes
+    the symbols applied on the retained box only, in place in those 5 slots.
+    On grids beyond SLAB_BYTES they are the x-pass array's, and B is written
+    into slots 0-2, with the grid's "box slot" work array as scratch: the
+    result's hat is their view, valid until the grid's next transform or
+    h1alpha_inner call, so a caller that keeps it copies it.  On one-pass
+    grids the hat is a new 3-slot array, scratch until its slots are
+    written.  A caller that applies B(u, .) to many fields passes
     u_phys = inverse_transform(u) once and saves the transform of u; `sups`
     collects max |u| as in tensor_product_spectra.
     """
     grid = _check_shared_grid(u, w)
     t = tensor_product_spectra(u, w, u_phys, sups)
     k, kk, g = _bilinear_symbols(grid, alpha)
-    hat = np.empty((3,) + grid.box_shape, complex)
-    s = hat[0]  # scratch until the last loop writes slot 0
+    if _slab_rows(grid.n) is None:
+        hat = np.empty((3,) + grid.box_shape, complex)
+        s, scratch = hat[0], hat  # hat[0] is scratch until the last loop writes it
+    else:
+        hat = t[:3]
+        s = _work("box slot", grid.box_shape, complex)
+        scratch = (s,) * 3
     v0, v1, v2, q, _ = _div_in_place(t, k, s)
     np.multiply(k[0], v0, out=q)  # k . v, in T13's slot
     q += np.multiply(k[1], v1, out=s)
     q += np.multiply(k[2], v2, out=s)
-    for v, kki, h in zip((v0, v1, v2), kk, hat):
-        np.subtract(v, np.multiply(kki, q, out=h), out=h)
+    for v, kki, h, x in zip((v0, v1, v2), kk, hat, scratch):
+        np.subtract(v, np.multiply(kki, q, out=x), out=h)
         h *= g
     return VectorField(grid, hat)
 

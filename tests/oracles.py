@@ -12,8 +12,12 @@ from the package's norms and h1alpha_inner, steady_convergence's r_inf
 through the transform of u - U, the box symbols gathered from the half
 spectrum's (which reuses the package's box copy), the frame transport and
 Gram-Schmidt that made a new array per step and per field (which reuse the
-package's kernel and weights), and zero_force_decay's L^p norms through
-|u| and |u|^p in new arrays.
+package's kernel and weights), zero_force_decay's L^p norms through
+|u| and |u|^p in new arrays, r_inf through the whole difference of the
+samples, the norms through |u_hat|^2 of all components at once, the
+H^1_alpha inner product through a new weighted copy, and the ETD2RK step
+with each stage in a new array (which reuses the package's kernel and
+weights).
 """
 
 import numpy as np
@@ -261,6 +265,12 @@ def r_inf_reference(u, U):
     return np.sqrt(np.sum(d**2, axis=0)).max()
 
 
+def sup_distance_reference(a, b):
+    """max_x |u(x) - v(x)| from the samples of u and v through their whole
+    (3, n, n, n) difference, squared and summed over the components."""
+    return np.sqrt(np.sum(np.square(a - b), axis=0).max())
+
+
 def half_spectrum_modes(grid):
     """The symbols of modes(grid), (k, ksq, weights, leray), built on the
     (3, n, n, n//2+1) half spectrum from numpy.fft.fftfreq and copied into
@@ -325,3 +335,33 @@ def lp_norm(mag, p, dx):
     if p == np.inf:
         return mag.max()
     return float((dx**3 * np.sum(mag**p)) ** (1.0 / p))
+
+
+def norms_reference(v, alpha):
+    """norms with |u_hat|^2 summed over the components by np.sum(axis=0)
+    and each weighted sum in a new array: (l2, h1, h2, h1alpha)."""
+    vol, c, symbols = v.grid.box_len**3, v.hat, v.symbols
+    mag2 = symbols.weights * np.sum(c.real * c.real + c.imag * c.imag, axis=0)
+    l2 = vol * float(np.sum(mag2))
+    h1 = vol * float(np.sum(symbols.ksq * mag2))
+    h2 = vol * float(np.sum(symbols.ksq**2 * mag2))
+    return l2, h1, h2, l2 + alpha**2 * h1
+
+
+def h1alpha_inner_reference(v, w, alpha):
+    """Re vdot(h1alpha_weights * v_hat, w_hat), the weighted copy a new array."""
+    from bardina.spectral import h1alpha_weights
+
+    return float(np.vdot(h1alpha_weights(v.grid, alpha) * v.hat, w.hat).real)
+
+
+def step_reference(u, force, params, dt):
+    """The hat of one ETD2RK step from u under the force, each stage a new
+    array: n0 = f - N(u), p = e^z u + w1 n0, and p + w2 ((f - N(p)) - n0)."""
+    from bardina.dynamics import _etd_weights, nonlinear_term
+    from bardina.spectral import VectorField
+
+    expz, w1, w2 = _etd_weights(u.grid, params, dt)
+    n0 = force.hat - nonlinear_term(u, params.alpha).hat
+    p = expz * u.hat + w1 * n0
+    return p + w2 * ((force.hat - nonlinear_term(VectorField(u.grid, p), params.alpha).hat) - n0)

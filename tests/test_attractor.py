@@ -30,7 +30,7 @@ from bardina.attractor import OrthoFrame, transport_frame
 from bardina.dynamics import SimState, sampled_states
 from bardina.spectral import CertificateError, modes
 
-from conftest import half_hat, random_field
+from conftest import half_hat, random_field, slab_budget
 from oracles import (
     dealias_mask,
     gram_schmidt_reference,
@@ -40,6 +40,7 @@ from oracles import (
     oracle_linearized_transport,
     orthonormalize_reference,
     r_inf_reference,
+    sup_distance_reference,
     transport_frame_reference,
 )
 
@@ -394,13 +395,34 @@ class TestSteadyConvergence:
         )
         assert np.all(rep.r <= 1e-10)
 
+    @pytest.mark.parametrize("rows", [None, 1], ids=["one_pass", "halves"])
     @pytest.mark.parametrize("n, scale", [(8, 1e-12), (16, 1.0), (32, 1e8)])
-    def test_sup_distance_is_the_max_magnitude_bitwise(self, n, scale):
-        # r_inf in one temporary: the same sums in the same order, and the
+    def test_sup_distance_is_the_max_magnitude_bitwise(self, n, scale, rows, monkeypatch):
+        # r_inf from the whole difference on one pass, in one component-sized
+        # temporary on slab grids: the same sums in the same order, and the
         # sqrt of the max is the max of the sqrt
+        if rows:
+            slab_budget(monkeypatch, n, rows)
         a, b = scale * np.random.default_rng(n).standard_normal((2, 3, n, n, n))
-        expected = magnitude(a - b).max()
-        assert bardina.attractor._sup_distance(a, b).tobytes() == expected.tobytes()
+        got = bardina.attractor._sup_distance(a, b).tobytes()
+        assert got == magnitude(a - b).max().tobytes()
+        assert got == sup_distance_reference(a, b).tobytes()
+        for half in (slice(0, n // 2), slice(n // 2, n)):  # a NaN in either half
+            c = b.copy()
+            c[2, half][1, 2, 3] = np.nan
+            assert np.isnan(bardina.attractor._sup_distance(a, c))
+
+    def test_sup_distance_holds_one_component(self):
+        # n = 64: a component of samples is 2.1 MB, the difference of the
+        # samples 6.3 MB
+        a, b = np.random.default_rng(64).standard_normal((2, 3, 64, 64, 64))
+        tracemalloc.start()
+        try:
+            bardina.attractor._sup_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64**3 * 8 + 0.1e6
 
 
 class TestSampledStateTransforms:

@@ -61,6 +61,18 @@ def test_fault_summary_per_side():
     assert bench_pairs.summarize_faults(runs[2:])["head"] == {}
 
 
+def test_fault_summary_per_process_spread():
+    # counts per process 1000, 1100, 900, 2000 (one outlier the median hides)
+    runs = [{"pair": i, "first": "base", "base": side(minor_faults=4 * f), "head": side()}
+            for i, f in enumerate((1000, 1100, 900, 2000))]
+    base = bench_pairs.summarize_faults(runs)["base"]
+    assert base["per_process"] == 1050
+    assert base["per_process_q1"] == 925 and base["per_process_q3"] == 1775
+    assert (base["per_process_min"], base["per_process_max"]) == (900, 2000)
+    assert bench_pairs._fault_spread(base) == "1050 [925, 1775] (900-2000)"
+    assert bench_pairs._fault_spread({}) == "none"
+
+
 def test_each_side_runs_without_bytecode(tmp_path, monkeypatch):
     calls = []
 

@@ -31,6 +31,7 @@ from bardina.dynamics import (
     CFLError,
     cfl_cap,
     integral,
+    sample_diagnostics,
     sample_steps,
     sampled_states,
     step_count,
@@ -43,7 +44,7 @@ from bardina.spectral import dealias, h1alpha_diff_sq, inverse_transform
 from bardina.stationary import stationary_residual_pde
 
 from conftest import random_field, slab_budget
-from oracles import hermitian_defect, oracle_nonlinear
+from oracles import hermitian_defect, oracle_nonlinear, step_reference
 
 
 def zero_force(grid):
@@ -154,6 +155,24 @@ class TestStep:
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for p in orders:
             assert 1.8 <= p <= 2.2
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), fraction=st.sampled_from([0.5, 2 / 3, 1.0]),
+           rows=st.sampled_from([None, 1, 2]), seed=st.integers(0, 2**31))
+    def test_bitwise_equal_to_reference(self, n, fraction, rows, seed):
+        # the predictor formed before n0, w1 n0 in N(u)'s hat and the combine
+        # in N(predictor)'s, a view of the x-pass array on slabs: byte for
+        # byte the formula with each stage in a new array
+        params = PhysParams(alpha=0.7, beta=1.0, nu=0.5)
+        grid = GridSpec(n, dealias_fraction=fraction)
+        u, f = (random_field(grid, params.alpha, s, amplitude=a)
+                for s, a in ((seed, 0.8), (seed + 1, 0.3)))
+        with pytest.MonkeyPatch.context() as mp:
+            if rows:
+                slab_budget(mp, n, rows)
+            expected = step_reference(u, f, params, 0.01)
+            got = step(SimState(u, 0.0, params, f), 0.01).u.hat
+        assert got.tobytes() == expected.tobytes()
 
     def test_preserves_divergence_and_symmetry(self, grid8, params):
         u0 = random_field(grid8, seed=34)
@@ -439,13 +458,14 @@ class TestStepFreesItsInput:
             step(st, 2.0 * cfl_cap(SimState(u, 0.0, params, st.force)))
         assert st.u is u
 
-    def test_fresh_step_peak_is_four_box_arrays(self, params):
+    def test_fresh_step_peak_is_three_box_arrays(self, params):
         # n = 64, the input state made under tracing, with box arrays of
-        # 1.95 MB: u and the force, then n0, the predictor, which frees u,
-        # and N(predictor), whose kernel call adds 0.15 MB of scratch beside
-        # them; the combine runs in place, and n0 and N(predictor) are freed
-        # before the new state's certificate check.  Holding u to the end
-        # would add a fifth box array
+        # 1.95 MB: u and the force, then the predictor, which frees u, and
+        # n0; both kernel results, w1 n0 and the combine live in the x-pass
+        # array, with the "box slot" scratch (made at the warm-up), and the
+        # kernel's calls add 0.13 MB of cast buffers beside them.  n0 is
+        # freed before the new state's certificate check.  A new array for
+        # N(u) or N(predictor), or holding u to n0, would add a fourth
         grid = GridSpec(64)
         u, force = (random_field(grid, params.alpha, seed, k_max=6) for seed in (68, 69))
         step(SimState(u.copy(), 0.0, params, force), 0.001)  # warm-up: symbols and work arrays
@@ -456,7 +476,24 @@ class TestStepFreesItsInput:
         finally:
             tracemalloc.stop()
         box = 3 * math.prod(grid.box_shape) * 16
-        assert peak < 4 * box + 0.5e6
+        assert peak < 3 * box + box / 3  # the scratch slot's size
+
+
+    def test_diagnostics_form_no_box_array(self, params):
+        # n = 64: norms sums |u_hat|^2 in 3 float box slots of 0.33 MB, and
+        # h1alpha_inner weighs u in the x-pass array; a (3,) + box complex
+        # temporary is 1.95 MB
+        grid = GridSpec(64)
+        u, force = (random_field(grid, params.alpha, seed, k_max=6) for seed in (68, 69))
+        state = step(SimState(u, 0.0, params, force), 0.001)
+        sample_diagnostics(state)  # warm-up: symbols and work arrays
+        tracemalloc.start()
+        try:
+            sample_diagnostics(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * math.prod(grid.box_shape) * 16
 
 
 class TestGridMismatch:

@@ -64,6 +64,8 @@ from oracles import (
     half_spectrum_modes,
     hermitian_defect,
     idft_oracle,
+    h1alpha_inner_reference,
+    norms_reference,
     oracle_parseval_l2,
     pressure_symbol_stage,
 )
@@ -568,9 +570,10 @@ class TestBoxKernel:
 
 class TestWorkArrays:
     """The transform pair and the kernel keep their large temporaries in work
-    arrays reused across calls; no public result is, or views, one of them
-    (tensor_product_spectra's spectra on slab grids view the x-pass array,
-    valid until the grid's next transform)."""
+    arrays reused across calls; no public result is, or views, one of them,
+    but for tensor_product_spectra's spectra and bilinear's result on slab
+    grids, which view the x-pass array, valid until the grid's next
+    transform or h1alpha_inner call."""
 
     @staticmethod
     def kernel_calls(grid, seed):
@@ -585,7 +588,9 @@ class TestWorkArrays:
     @pytest.mark.parametrize("n, fraction", [(16, 2 / 3), (16, 1.0)])
     def test_results_survive_later_calls(self, n, fraction, monkeypatch):
         # in one pass, then in slabs of 3 x rows and of 1 (with the budget
-        # that gives 3 or 1 at n, the later n = 12 grid takes one pass or 1)
+        # that gives 3 or 1 at n, the later n = 12 grid takes one pass or 1);
+        # on slabs the kernel's results are views, valid until the grid's
+        # next transform (test_slab_result_is_valid_until_the_next_transform)
         for rows in (None, 3, 1):
             if rows:
                 slab_budget(monkeypatch, n, rows)
@@ -593,10 +598,10 @@ class TestWorkArrays:
             u, w = (dealias(general_field(grid, s), grid) for s in (70, 71))
             kept = [
                 inverse_transform(u),
-                bilinear(u, w, 0.7).hat,
-                bilinear(w, w, 0.7).hat,
                 forward_transform(random_samples(n, 72, True, 0), grid).hat,
             ]
+            if rows is None:
+                kept += [bilinear(u, w, 0.7).hat, bilinear(w, w, 0.7).hat]
             before = [a.copy() for a in kept]
             # the same grid, then another n and dealias fraction
             for g, seed in ((grid, 73), (GridSpec(12, dealias_fraction=0.5), 75)):
@@ -639,7 +644,10 @@ class TestWorkArrays:
 
     def test_slab_bilinear_peak_memory(self):
         # n = 64: the symbol stage runs in the 5-slot spectra, in the x-pass
-        # array, with its new 1.95 MB 3-slot result as scratch
+        # array, with the "box slot" work array as scratch, and writes B into
+        # their slots 0-2, so a call allocates no array but the ufuncs' cast
+        # buffer of float symbols times complex spectra, 131 kB (a new 3-slot
+        # result would be 1.95 MB)
         grid = GridSpec(64)
         u, w = (dealias(general_field(grid, s), grid) for s in (78, 79))
         u_phys = inverse_transform(u)
@@ -651,11 +659,11 @@ class TestWorkArrays:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 2.2e6
+            assert peak <= 0.2e6
 
     def test_warm_step_peak_memory(self, params):
-        # n = 64: n0, the predictor and the combine's temporary (1.95 MB
-        # each) beside one kernel call's 3-slot result, 7.29 MB in all; the
+        # n = 64: n0 and the predictor, 1.95 MB each; both kernel results, w1
+        # n0 and the combine live in the x-pass array, 4.04 MB in all; the
         # new hat owns its 3 slots, and no sample array is made
         grid = GridSpec(64)
         u, force = (random_field(grid, params.alpha, seed, k_max=6) for seed in (80, 81))
@@ -666,7 +674,7 @@ class TestWorkArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7.5e6
+        assert peak <= 4.3e6
         assert state.u.hat.base is None and state.u.hat.shape == (3,) + grid.box_shape
 
     def test_fresh_step_forms_no_samples(self, params, monkeypatch):
@@ -753,12 +761,31 @@ class TestWorkArrays:
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_kernel_result_owns_its_three_slots(self, n):
-        # in one pass and in slabs: no result keeps the 5 product slots alive
+        # in one pass a new array, in slabs the first b rows of the x-pass
+        # array's slots 0-2: no result keeps 5 product slots alive
         grid = GridSpec(n)
+        b = grid.box_shape[0]
         u, w = (dealias(general_field(grid, s), grid) for s in (78, 79))
         for args in ((u, w), (u, u), (u, w, inverse_transform(u))):
             hat = bilinear(*args[:2], 0.5, *args[2:]).hat
-            assert hat.base is None and hat.shape == (3,) + grid.box_shape
+            assert hat.shape == (3,) + grid.box_shape
+            if n == 32:
+                assert hat.base is None
+            else:
+                slots = spectral._x_slots(grid, (3,))[:, :b]
+                assert (hat.ctypes.data, hat.strides) == (slots.ctypes.data, slots.strides)
+
+    def test_slab_result_is_valid_until_the_next_transform(self):
+        # n = 64: a kept result is copied, as a second call or a transform
+        # of the grid overwrites it; another grid's calls leave it
+        grid = GridSpec(64)
+        u, w = (dealias(general_field(grid, s), grid) for s in (78, 79))
+        hat = bilinear(u, w, 0.5).hat
+        kept = hat.copy()
+        self.kernel_calls(GridSpec(32), 80)
+        assert hat.tobytes() == kept.tobytes()
+        inverse_transform(w)
+        assert hat.tobytes() != kept.tobytes()
 
     def test_slab_forward_survives_a_kernel_call(self):
         # n = 64: the forward's spectra are a view of the x-pass array, which
@@ -795,7 +822,7 @@ class TestSymbolStage:
         with pytest.MonkeyPatch.context() as mp:
             if rows:
                 slab_budget(mp, n, rows)
-            got = bilinear(*args[:2], alpha, *args[2:]).hat
+            got = bilinear(*args[:2], alpha, *args[2:]).hat.copy()  # a view on slabs
             assert got.tobytes() == bilinear_symbol_stage(*args[:2], alpha, *args[2:]).tobytes()
             p = pressure_from_velocity(u, alpha).hat
             assert p.tobytes() == pressure_symbol_stage(u, alpha).tobytes()
@@ -812,10 +839,50 @@ class TestSymbolStage:
         assert _slab_rows(n) is not None
         u, w = (dealias(general_field(grid, s), grid) for s in (94, 95))
         for args in ((u, w), (u, w, inverse_transform(u)), (u, u)):
-            got = bilinear(*args[:2], 0.6, *args[2:]).hat
+            got = bilinear(*args[:2], 0.6, *args[2:]).hat.copy()  # a view of the x-pass array
             assert got.tobytes() == bilinear_symbol_stage(*args[:2], 0.6, *args[2:]).tobytes()
         p = pressure_from_velocity(u, 0.6).hat
         assert p.tobytes() == pressure_symbol_stage(u, 0.6).tobytes()
+
+
+class TestDiagnostics:
+    """norms sums |u_hat|^2 one component at a time and h1alpha_inner weighs
+    its operand in the grid's _pad_work: byte for byte the formulas that
+    formed both in new arrays, in one pass and in slabs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), fraction=st.sampled_from(FRACTIONS),
+           rows=st.sampled_from([None, 1, 2]), alpha=st.floats(0.01, 4.0),
+           seed=st.integers(0, 2**32 - 2))
+    def test_bitwise_equal_to_reference(self, n, fraction, rows, alpha, seed):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        u, w = (dealias(general_field(grid, s), grid) for s in (seed, seed + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            if rows:
+                slab_budget(mp, n, rows)
+            bilinear(u, w, alpha)  # the work arrays hold a kernel call's values
+            got = [*norms(u, alpha), h1alpha_inner(u, w, alpha), h1alpha_inner(w, u, alpha)]
+            expected = [*norms_reference(u, alpha), h1alpha_inner_reference(u, w, alpha),
+                        h1alpha_inner_reference(w, u, alpha)]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("n, rows", [(64, None), (16, 2)])
+    def test_kernel_result_as_an_operand(self, n, rows, monkeypatch):
+        # on slab grids the kernel's result is the start of the x-pass array,
+        # where h1alpha_inner would weigh its operand: the weighted copy then
+        # goes into a new array, and the value is that of the result's copy
+        if rows:
+            slab_budget(monkeypatch, n, rows)
+        grid = GridSpec(n)
+        u, w = (dealias(general_field(grid, s), grid) for s in (96, 97))
+        for first in (True, False):
+            b = bilinear(u, w, 0.7)
+            kept = b.copy()
+            assert np.may_share_memory(b.hat, spectral._pad_work(grid, b.hat.shape))
+            got = h1alpha_inner(b, u, 0.7) if first else h1alpha_inner(u, b, 0.7)
+            assert b.hat.tobytes() == kept.hat.tobytes()
+            expected = h1alpha_inner(kept, u, 0.7) if first else h1alpha_inner(u, kept, 0.7)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestSlabPath:
@@ -833,15 +900,16 @@ class TestSlabPath:
 
     @staticmethod
     def results(u, w, samples):
+        # each kernel result copied: on slabs it is a view the next call overwrites
         u_phys = inverse_transform(u)
         inverse = [u_phys, inverse_transform(w.component(1))]
         forward = [
             forward_transform(samples, u.grid).hat,
             forward_transform(samples[0], u.grid).hat,
-            bilinear(u, w, 0.7).hat,
-            bilinear(u, w, 0.7, u_phys).hat,
-            bilinear(u, u, 0.7).hat,
-            bilinear(u, u, 0.7, u_phys).hat,
+            bilinear(u, w, 0.7).hat.copy(),
+            bilinear(u, w, 0.7, u_phys).hat.copy(),
+            bilinear(u, u, 0.7).hat.copy(),
+            bilinear(u, u, 0.7, u_phys).hat.copy(),
         ]
         return inverse, forward, pressure_from_velocity(u, 0.7).hat
 

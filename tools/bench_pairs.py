@@ -41,9 +41,12 @@ in one schema:
     and the runs that were not correct; rel_change is (head median - base
     median) / base median.  `better` comes from BENCHMARK.json; a metric it
     does not list wins no pair.  minor_faults is per side the median, q1
-    and q3 of the runs' counts, and per_process, the median of each run's
-    count over its processes (`attempted`, the warm-up included): a side
-    that runs faster fits more processes into the same seconds.
+    and q3 of the runs' counts, and of each run's count over its processes
+    (`attempted`, the warm-up included) the median, per_process, the
+    quartiles, per_process_q1 and per_process_q3, and the range,
+    per_process_min and per_process_max: a side that runs faster fits more
+    processes into the same seconds, and an allocation change on a small
+    grid is judged by the spread of the parent's counts per process.
 
 The exit status is 1 when a run of either side was not correct.
 """
@@ -141,17 +144,30 @@ def summarize(runs, units, better):
 
 
 def summarize_faults(runs):
-    """Per side the spread of the runs' minor_faults and their median count
-    per process (see the module docstring); {} for a side without counts."""
+    """Per side the spread of the runs' minor_faults and of their counts per
+    process (see the module docstring); {} for a side without counts."""
     out = {}
     for side in SIDES:
         counted = [r[side] for r in runs if r[side]["minor_faults"] is not None]
         if not counted:
             out[side] = {}
             continue
-        per_process = statistics.median(c["minor_faults"] / c["attempted"] for c in counted)
-        out[side] = dict(_spread([c["minor_faults"] for c in counted]), per_process=per_process)
+        per_process = [c["minor_faults"] / c["attempted"] for c in counted]
+        spread = _spread(per_process)
+        out[side] = dict(_spread([c["minor_faults"] for c in counted]),
+                         per_process=spread["median"], per_process_q1=spread["q1"],
+                         per_process_q3=spread["q3"], per_process_min=min(per_process),
+                         per_process_max=max(per_process))
     return out
+
+
+def _fault_spread(f):
+    """`median [q1, q3] (min-max)` of a side's faults per process; "none"
+    for a side without counts."""
+    if not f:
+        return "none"
+    return (f"{f['per_process']:.0f} [{f['per_process_q1']:.0f}, {f['per_process_q3']:.0f}] "
+            f"({f['per_process_min']:.0f}-{f['per_process_max']:.0f})")
 
 
 def bench_pairs(trees, workloads, pairs, seconds, seed, log=print):
@@ -247,9 +263,8 @@ def main(argv=None):
                   f"  head {m['head'].get('median', float('nan')):10.4f}"
                   f"  head wins {m['head']['wins']}/{len(entry['runs'])}")
         faults = entry["minor_faults"]
-        print(f"{w:14s} {'minor_faults':16s} per process: base "
-              f"{faults['base'].get('per_process', float('nan')):10.0f}"
-              f"  head {faults['head'].get('per_process', float('nan')):10.0f}")
+        print(f"{w:14s} {'minor_faults':16s} per process, median [q1, q3] (min-max): "
+              + "  ".join(f"{side} {_fault_spread(faults[side])}" for side in SIDES))
     print(f"wrote {path}")
     ok = all(r[side]["correct"] for rs in runs.values() for r in rs for side in SIDES)
     return 0 if ok else 1
