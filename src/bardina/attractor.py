@@ -12,7 +12,6 @@ from .spectral import (
     CertificateError,
     VectorField,
     _check_shared_grid,
-    _slab_rows,
     bilinear,
     h1alpha_diff_sq,
     h1alpha_inner,
@@ -273,13 +272,10 @@ def _magnitude_sq(d):
 
 def _sup_distance(a, b):
     """max |u(x) - v(x)| on the grid, from the samples of u and v, bit for
-    bit (sqrt is monotone; NaN if any sample is).  Beyond spectral.SLAB_BYTES
-    in one component-sized temporary, half the x rows at a time, summed as
-    np.sum(d**2, axis=0) sums; one-pass grids form the whole difference, as
-    the halves doubled a steady run's minor page faults at n = 32 (step)."""
+    bit (sqrt is monotone; NaN if any sample is), in one component-sized
+    temporary, half the x rows at a time, summed as np.sum(d**2, axis=0)
+    sums."""
     n = a.shape[-3]
-    if _slab_rows(n) is None:
-        return np.sqrt(_magnitude_sq(np.subtract(a, b)).max())
     s, d = np.empty((2, n // 2) + a.shape[-2:])
     tops = []
     for x in (slice(0, n // 2), slice(n // 2, n)):

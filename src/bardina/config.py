@@ -106,8 +106,8 @@ def peak_bytes(n):
     """Estimated peak memory of a run on an n-grid, in bytes: above the peak
     resident set of a process that imports bardina.cli, generates two
     random_band fields and takes two steps (tools/peak_memory.py), at most
-    43.6, 57.6 and 170.5 MB (1e6 bytes) at n = 32, 64 and 128, by 2.1 MB or
-    more; the slope lies above that of n = 64 to 128, 61.5 bytes."""
+    43.4, 57.5 and 170.5 MB (1e6 bytes) at n = 32, 64 and 128, by 2.4 MB or
+    more; the slope lies above that of n = 64 to 128, 61.6 bytes."""
     return 43e6 + 85 * n**3
 
 

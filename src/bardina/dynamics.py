@@ -192,7 +192,8 @@ def step(state, dt):
     kernel's "box slot" scratch.  On one-pass grids the kernel's results
     are new arrays, and n0 is formed and N(u) freed before the predictor,
     the order in which glibc's heap keeps a steady run's pages (the other
-    doubled its minor page faults at n = 32).  n0 is freed before the new
+    more than doubled its minor page faults at n = 32, from trees at three
+    paths alike).  n0 is freed before the new
     state's certificate check.  Raises ValueError as step_index or on
     two grids, CFLError if dt exceeds the input's CFL cap (the input left
     whole), BlowUpError on non-finite output."""

@@ -507,7 +507,7 @@ def _pad_work(grid, shape):
     if _slab_rows(grid.n) is None:
         buffer = _work("products", (5,) + (grid.n,) * 3, float)
     else:
-        buffer = _work("x pass", (5, grid.n) + grid.box_shape[1:], complex)
+        buffer = _x_slots(grid, (5,))
     return buffer.ravel().view(complex)[: math.prod(shape)].reshape(shape)
 
 
@@ -601,23 +601,17 @@ def dealias(v, grid):
 
 
 def norms(v, alpha):
-    """Parseval norms of a vector field: L^3 * sum |k|^{2s} |u_hat|^2.
-    Beyond SLAB_BYTES |u_hat|^2 is summed one component at a time, in the
-    order np.sum(axis=0) sums, so the temporaries are 3 float box slots;
-    one-pass grids sum whole arrays, as the slots there doubled a steady
-    run's minor page faults at n = 32 (dynamics.step)."""
+    """Parseval norms of a vector field: L^3 * sum |k|^{2s} |u_hat|^2, with
+    |u_hat|^2 summed one component at a time in the order np.sum(axis=0)
+    sums, so the temporaries are 3 float box slots."""
     vol, c, symbols = v.grid.box_len**3, v.hat, v.symbols
-    if _slab_rows(v.grid.n) is None:
-        mag2 = symbols.weights * np.sum(c.real * c.real + c.imag * c.imag, axis=0)
-        s = t = None
-    else:
-        mag2, s, t = (np.empty(v.grid.box_shape) for _ in range(3))
-        for ci, a in zip(c, (mag2, s, s)):  # |c_i|^2 in a, then summed into mag2
-            np.multiply(ci.real, ci.real, out=a)
-            a += np.multiply(ci.imag, ci.imag, out=t)
-            if a is s:
-                mag2 += s
-        mag2 *= symbols.weights
+    mag2, s, t = (np.empty(v.grid.box_shape) for _ in range(3))
+    for ci, a in zip(c, (mag2, s, s)):  # |c_i|^2 in a, then summed into mag2
+        np.multiply(ci.real, ci.real, out=a)
+        a += np.multiply(ci.imag, ci.imag, out=t)
+        if a is s:
+            mag2 += s
+    mag2 *= symbols.weights
     l2 = vol * float(np.sum(mag2))
     h1 = vol * float(np.sum(np.multiply(symbols.ksq, mag2, out=s)))
     h2 = vol * float(np.sum(np.multiply(np.square(symbols.ksq, out=t), mag2, out=t)))

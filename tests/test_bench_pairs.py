@@ -25,12 +25,22 @@ def test_sides_alternate_which_goes_first(monkeypatch):
     calls = []
     monkeypatch.setattr(bench_pairs, "run_side",
                         lambda tree, w, seed, seconds: calls.append((w, tree)) or side())
-    runs = bench_pairs.bench_pairs({"base": "B", "head": "H"}, ["w1", "w2"], 3, 0.1, 0,
+    runs = bench_pairs.bench_pairs([{"base": "B", "head": "H"}], ["w1", "w2"], 3, 0.1, 0,
                                    log=lambda line: None)
     assert calls == [("w1", "B"), ("w1", "H"), ("w2", "B"), ("w2", "H"),
                      ("w1", "H"), ("w1", "B"), ("w2", "H"), ("w2", "B"),
                      ("w1", "B"), ("w1", "H"), ("w2", "B"), ("w2", "H")]
     assert [r["first"] for r in runs["w2"]] == ["base", "head", "base"]
+
+
+def test_pairs_take_the_directories_in_turn(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_side",
+                        lambda tree, w, seed, seconds: calls.append(tree) or side())
+    trees = [{"base": "B0", "head": "H0"}, {"base": "B1", "head": "H1"}]
+    runs = bench_pairs.bench_pairs(trees, ["w1"], 3, 0.1, 0, log=lambda line: None)
+    assert calls == ["B0", "H0", "H1", "B1", "B0", "H0"]
+    assert [r["dir"] for r in runs["w1"]] == [0, 1, 0]
 
 
 def test_summary_counts_wins_by_direction():
@@ -116,8 +126,9 @@ def test_one_tiny_pair_against_head(tmp_path, monkeypatch):
                              "--workload", "lyapunov-n16", "--label", "selftest"])
     assert code == 0
     result = json.loads((tmp_path / "BENCH_selftest.json").read_text())
-    assert result["pairs"] == 1 and result["cpu_count"] >= 1
+    assert result["pairs"] == 1 and result["dirs"] == 1 and result["cpu_count"] >= 1
     assert result["base"]["sha"] == result["head"]["sha"] or result["head"]["dirty"]
+    assert (result["head"]["diff_sha256"] is None) == (not result["head"]["dirty"])
     assert result["bytecode"]["env"] == {"PYTHONDONTWRITEBYTECODE": "1"}
     assert result["blas"]["name"] and result["blas"]["version"]
     (run,) = result["workloads"]["lyapunov-n16"]["runs"]
@@ -129,6 +140,7 @@ def test_one_tiny_pair_against_head(tmp_path, monkeypatch):
     # every run maps pages: the interpreter, numpy, the fields
     assert run["base"]["minor_faults"] > 0 and run["head"]["minor_faults"] > 0
     faults = result["workloads"]["lyapunov-n16"]["minor_faults"]
+    assert result["workloads"]["lyapunov-n16"]["minor_faults_by_dir"] == [faults]
     for s in ("base", "head"):
         assert faults[s]["median"] == run[s]["minor_faults"]
         assert faults[s]["per_process"] == run[s]["minor_faults"] / run[s]["attempted"]

@@ -3,12 +3,16 @@
 Usage, from anywhere inside the repository:
 
     python3 tools/bench_pairs.py --base REV --pairs N --seconds S
-        [--workload W ...] [--seed K] --label L
+        [--workload W ...] [--seed K] [--dirs D] --label L
 
 The base revision's src/ and perfbench/ are extracted with `git archive`
 into a temporary directory, as tools/artifact_diff.py extracts src/, and
 those of the working tree are copied beside them without their __pycache__
-directories.  Each side runs its own `perfbench/run.py --workload W --seed K
+directories, each side into D directories whose paths differ in length
+(default 1): pair i runs both sides from directory i mod D, so that a
+difference that follows where a tree lies (the heap layout of a small grid
+shifts with the length of the paths a process holds) shows as a spread
+between directories, not as one of the code.  Each side runs its own `perfbench/run.py --workload W --seed K
 --seconds S --trace 0` in its own tree, one run at a time, with
 PYTHONDONTWRITEBYTECODE=1: neither side reads or writes bytecode of src/ or
 perfbench/, so both compile them in every process, as a fresh checkout
@@ -22,13 +26,15 @@ then pair 1 of each, and so on.
 The result is written to BENCH_<label>.json at the root of the repository,
 in one schema:
 
-  * label, command, seconds, seed, pairs; base {rev, sha}; head {sha,
-    dirty}, dirty when src/ or perfbench/ differ from HEAD; python, numpy,
+  * label, command, seconds, seed, pairs, dirs; base {rev, sha}; head {sha,
+    dirty, diff_sha256}, dirty when src/ or perfbench/ differ from HEAD and
+    diff_sha256 the SHA-256 of `git diff --binary HEAD -- src perfbench`
+    (None when clean), which names the measured tree; python, numpy,
     scipy, cpu_count, machine; blas {name, version, config}, numpy's BLAS
     as numpy.show_config reports it; bytecode {env, trees}, the environment
     each run gets on top of this one's and how its tree was made;
-  * workloads: {W: {runs, metrics, minor_faults}}.  Each run is {pair,
-    first, base, head}, each side {correct, attempted, failed, kernel_ms,
+  * workloads: {W: {runs, metrics, minor_faults, minor_faults_by_dir}}.
+    Each run is {pair, dir, first, base, head}, each side {correct, attempted, failed, kernel_ms,
     minor_faults, threads, metrics}, its metrics the values of run.py's
     result line, threads the thread variables (OPENBLAS_NUM_THREADS and the
     like) its perfbench gives its CLI processes, from the `# threads` line
@@ -47,11 +53,13 @@ in one schema:
     per_process_min and per_process_max: a side that runs faster fits more
     processes into the same seconds, and an allocation change on a small
     grid is judged by the spread of the parent's counts per process.
+    minor_faults_by_dir holds the same summary of each directory's runs.
 
 The exit status is 1 when a run of either side was not correct.
 """
 
 import argparse
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -171,17 +179,18 @@ def _fault_spread(f):
 
 
 def bench_pairs(trees, workloads, pairs, seconds, seed, log=print):
-    """{workload: [run]}: `pairs` alternating pairs per workload on the
-    {"base": path, "head": path} trees."""
+    """{workload: [run]}: `pairs` alternating pairs per workload, pair i on
+    the {"base": path, "head": path} trees of directory i mod len(trees)."""
     runs = {w: [] for w in workloads}
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
+        d = i % len(trees)
         for w in workloads:
-            run = {"pair": i, "first": order[0]}
+            run = {"pair": i, "dir": d, "first": order[0]}
             for side in order:
-                run[side] = run_side(trees[side], w, seed, seconds)
+                run[side] = run_side(trees[d][side], w, seed, seconds)
             runs[w].append(run)
-            log(f"# {w} pair {i}: " + ", ".join(
+            log(f"# {w} pair {i} dir {d}: " + ", ".join(
                 f"{side} wall_cal_s {run[side]['metrics'].get('wall_cal_s', float('nan')):.4f}"
                 + ("" if run[side]["correct"] else " NOT CORRECT") for side in SIDES))
     return runs
@@ -228,6 +237,8 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float, required=True, help="per perfbench run")
     parser.add_argument("--workload", action="append", help="repeatable; default: all")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--dirs", type=int, default=1,
+                        help="directories per side, taken in turn by the pairs")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     args = parser.parse_args(argv)
 
@@ -236,25 +247,33 @@ def main(argv=None):
 
     workloads = args.workload or list(WORKLOADS)
     unknown = sorted(set(workloads) - set(WORKLOADS))
-    if unknown or args.pairs < 1:
-        parser.error(f"unknown workload {unknown[0]}" if unknown else "--pairs must be >= 1")
+    if unknown or args.pairs < 1 or args.dirs < 1:
+        parser.error(f"unknown workload {unknown[0]}" if unknown
+                     else "--pairs and --dirs must be >= 1")
     units, better = _benchmark_metrics()
     dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench"))
     result = {
         "label": args.label,
         "command": "python3 tools/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
-        "seconds": args.seconds, "seed": args.seed, "pairs": args.pairs,
+        "seconds": args.seconds, "seed": args.seed, "pairs": args.pairs, "dirs": args.dirs,
         "base": {"rev": args.base, "sha": _git("rev-parse", args.base + "^{commit}")},
-        "head": {"sha": _git("rev-parse", "HEAD"), "dirty": dirty},
+        "head": {"sha": _git("rev-parse", "HEAD"), "dirty": dirty, "diff_sha256": (
+            hashlib.sha256(_git("diff", "--binary", "HEAD", "--", *TREE).encode()).hexdigest()
+            if dirty else None)},
         **_versions(),
         "bytecode": BYTECODE,
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {"base": extract_tree(args.base, Path(tmp) / "base", TREE),
-                 "head": copy_tree(Path(tmp) / "head")}
+        dirs = [Path(tmp) / ("d" * (1 + 8 * d)) for d in range(args.dirs)]
+        trees = [{"base": extract_tree(args.base, d / "base", TREE),
+                  "head": copy_tree(d / "head")} for d in dirs]
         runs = bench_pairs(trees, workloads, args.pairs, args.seconds, args.seed)
     result["workloads"] = {w: {"runs": r, "metrics": summarize(r, units, better),
-                               "minor_faults": summarize_faults(r)} for w, r in runs.items()}
+                               "minor_faults": summarize_faults(r),
+                               "minor_faults_by_dir": [
+                                   summarize_faults([x for x in r if x["dir"] == d])
+                                   for d in range(args.dirs)]}
+                           for w, r in runs.items()}
     path = OUT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     for w, entry in result["workloads"].items():
@@ -265,6 +284,9 @@ def main(argv=None):
         faults = entry["minor_faults"]
         print(f"{w:14s} {'minor_faults':16s} per process, median [q1, q3] (min-max): "
               + "  ".join(f"{side} {_fault_spread(faults[side])}" for side in SIDES))
+        for d, f in enumerate(entry["minor_faults_by_dir"] if args.dirs > 1 else []):
+            print(f"{w:14s} {'  dir ' + str(d):16s} "
+                  + "  ".join(f"{side} {_fault_spread(f[side])}" for side in SIDES))
     print(f"wrote {path}")
     ok = all(r[side]["correct"] for rs in runs.values() for r in rs for side in SIDES)
     return 0 if ok else 1
