@@ -72,7 +72,7 @@ def generate(recipe, grid, alpha=1.0):
             x = np.arange(grid.n) * grid.dx
             axes = np.meshgrid(x, x, x, indexing="ij")
             u = np.stack(formula(recipe.amplitude, 2.0 * np.pi / grid.box_len, *axes))
-            hat = _forward(u, grid)
+            hat = _forward(u, grid).copy()
         energy = norms(VectorField(grid, hat), alpha).h1alpha_sq
     if not np.isfinite(energy):
         raise ValueError(

@@ -54,27 +54,31 @@ Conventions used throughout:
     per-step temporaries then crossing glibc's dynamic heap-trim threshold
     (11-45 k minor page faults a run instead of ~750); the pruned z
     transforms widened that gap.
-  * Work arrays, one per name and shape, zeros when made (_work): the one
-    pass's 5 products fill a (5, n, n, n) buffer, with an (n, n, n)
-    scratch, and its inverse_transform pads the box's p planes into the
-    same buffer, idle then.  The slab path has one x-pass array per grid, (5, n, b, c+1)
-    (_x_slots): the forward accumulates in it, and the inverse's x
-    transform lives in its first slots, of the first field the kernel
-    transforms (u, or w when u_phys is given) or of inverse_transform's
-    field, as slab s reads its rows before the forward writes them; a
-    second input field's x transform takes the (3, n, b, c+1) "x w".  Beside them,
-    a slab each, the samples, products, z spectrum and y pad.  The forward
-    moves the box's x rows together in place, so its spectra are the first
-    b rows of the x-pass array: tensor_product_spectra returns that view,
-    and bilinear writes B into its slots 0-2, with one box slot of scratch
-    ("box slot"), and returns their view; each is valid until the grid's
-    next transform or h1alpha_inner call.  _forward returns a copy.  On one
-    pass the kernel's symbol stage runs in its new 5 slots of product
-    spectra, with its new 3-slot result as scratch until it writes them.
-    h1alpha_inner weighs its operand in the array inverse_transform pads
-    into (_pad_work), unless an operand overlaps it.  No call maps fresh
-    pages for them, and every other result is a new array, but neither the
-    pair nor the kernel is re-entrant: one thread at a time, as in the CLI.
+  * Work arrays, one per name and shape, zeros when made (_work).  Each
+    grid has one x-pass array (_x_slots), (5, n, n, c+1) on the one pass
+    and (5, n, b, c+1) on slab grids.  The one pass's 5 products fill a
+    (5, n, n, n) buffer, with an (n, n, n) scratch; the forward writes
+    their z spectra into the x-pass array, transforms them over x and y
+    there and copies the box into the grid's "box" array (gathered in
+    place, its slots would be strided, and steady-n32 ran 9 % slower), and
+    inverse_transform pads the box's p planes into the x-pass array.  On
+    slab grids the forward accumulates in the x-pass array, and the
+    inverse's x transform lives in its first slots, of the first field the
+    kernel transforms (u, or w when u_phys is given) or of
+    inverse_transform's field, as slab s reads its rows before the forward
+    writes them; a second input field's x transform takes the (3, n, b,
+    c+1) "x w".  Beside them, a slab each, the samples, products, z
+    spectrum and y pad.  The forward moves the box's x rows together in
+    place, so its spectra are the first b rows of the x-pass array.  On
+    every grid the forward's spectra are thus a view of a work array:
+    tensor_product_spectra returns it, bilinear writes B into its slots
+    0-2, with one box slot of scratch ("box slot"), and returns their view,
+    and the other callers of _forward copy it out; each is valid until the
+    grid's next transform or h1alpha_inner call.  h1alpha_inner weighs its
+    operand in the x-pass array, unless an operand overlaps it.  No call
+    maps fresh pages for them, and every other result is a new array, but
+    neither the pair nor the kernel is re-entrant: one thread at a time,
+    as in the CLI.
   * Coefficients are normalized so that u(x) = sum_m c_m exp(i k.x), k =
     2 pi m / L, i.e. c = fftn(samples) / n^3.  Parseval reads integral
     |u|^2 dx = L^3 * sum_m |c_m|^2; a mode with 0 < m_z < n/2 counts twice.
@@ -410,34 +414,36 @@ def _z_matrices(grid):
     return _frozen(forward.reshape(n, 2 * p)), _frozen(inverse.reshape(2 * p, n))
 
 
-def _z_dft(a, grid, forward):
-    """The one pass's transform over z as matrix products (_z_matrices):
-    forward, real samples (..., n) -> their spectrum (..., p) on the box's
-    planes, normalized as r2c's inorm 2; inverse, that spectrum -> its real
+def _z_dft(a, grid, forward, out):
+    """The one pass's transform over z as matrix products (_z_matrices),
+    written into the contiguous `out`, which it returns: forward, real
+    samples (..., n) -> their spectrum (..., p) on the box's planes,
+    normalized as r2c's inorm 2; inverse, that spectrum -> its real
     samples, as c2r's inorm 0 of the spectrum padded to n/2+1 planes.  The
     rows go in blocks of at most GEMM_MACS multiply-adds a product."""
     matrix = _z_matrices(grid)[0 if forward else 1]
     x = (a if forward else a.view(float)).reshape(-1, len(matrix))
-    out = np.empty((len(x), matrix.shape[1]))
+    y = (out.view(float) if forward else out).reshape(len(x), -1)
     rows = max(1, GEMM_MACS // matrix.size)
     for r in range(0, len(x), rows):
-        np.matmul(x[r : r + rows], matrix, out=out[r : r + rows])
-    out = out.reshape(a.shape[:-1] + (-1,))
-    return out.view(complex) if forward else out
+        np.matmul(x[r : r + rows], matrix, out=y[r : r + rows])
+    return out
 
 
 def _forward(samples, grid):
-    """The box coefficients of physical samples (..., n, n, n): the real
-    transform over z on the planes m_z the box holds, then the x and y
-    transforms of those planes; slab by slab (_forward_slabs) on grids
-    beyond SLAB_BYTES."""
-    rows = _slab_rows(grid.n)
+    """The box coefficients of physical samples (..., n, n, n), at most 5
+    slots, as a view of a work array, valid until the grid's next
+    transform: the real transform over z on the planes m_z the box holds,
+    into the x-pass array, then the x and y transforms of those planes,
+    whose box goes into the "box" array; slab by slab (_forward_slabs) on
+    grids beyond SLAB_BYTES."""
+    lead, rows = samples.shape[:-3], _slab_rows(grid.n)
     if rows is not None:
         slabs = ((s, samples[..., s, :, :]) for s in _slabs(grid.n, rows))
-        return _forward_slabs(slabs, samples.shape[:-3], grid, rows).copy()
-    a = _z_dft(samples, grid, True)
+        return _forward_slabs(slabs, lead, grid, rows)
+    a = _z_dft(samples, grid, True, _x_slots(grid, lead))
     c2c(a, (a.ndim - 3, a.ndim - 2), True, 2, a)  # in place: out is a
-    return _copy_box(a, grid, np.zeros(a.shape[:-3] + grid.box_shape, dtype=a.dtype))
+    return _copy_box(a, grid, _slots("box", grid.box_shape, lead))
 
 
 def _forward_slabs(slabs, lead, grid, rows):
@@ -476,7 +482,7 @@ def forward_transform(physical_samples, grid=None):
     if grid.n != cube[0]:
         raise ValueError(f"sample array size {cube[0]} does not match grid n={grid.n}")
     kind = VectorField if lead else SpectralField
-    return kind(grid, _forward(samples, grid))
+    return kind(grid, _forward(samples, grid).copy())
 
 
 def inverse_transform(field):
@@ -492,30 +498,24 @@ def inverse_transform(field):
         for s in _slabs(grid.n, rows):
             _inverse_yz(a, grid, s, rows, out[..., s, :, :])
         return out
-    a = _pad_work(grid, hat.shape[:-3] + grid.half_shape[:2] + grid.box_shape[-1:])
+    a = _x_slots(grid, hat.shape[:-3])
     a.fill(0)  # the transforms below may have overwritten any of it
     _copy_box(hat, grid, a)
     c2c(a, (a.ndim - 3, a.ndim - 2), False, 0, a)  # in place: out is a
-    return _z_dft(a, grid, False)
+    return _z_dft(a, grid, False, np.empty(hat.shape[:-3] + (grid.n,) * 3))
 
 
-def _pad_work(grid, shape):
-    """A complex array of `shape` at the start of the work array the grid's
-    inverse transform pads into: the one pass's products, or on slab grids
-    the x-pass array, which holds the kernel's last result (see "Work
-    arrays")."""
-    if _slab_rows(grid.n) is None:
-        buffer = _work("products", (5,) + (grid.n,) * 3, float)
-    else:
-        buffer = _x_slots(grid, (5,))
-    return buffer.ravel().view(complex)[: math.prod(shape)].reshape(shape)
+def _slots(key, shape, lead):
+    """The first prod(lead) slots of the complex work array `key` of 5
+    slots of `shape`, as an array lead + shape: see "Work arrays"."""
+    return _work(key, (5,) + shape, complex)[: math.prod(lead)].reshape(lead + shape)
 
 
 def _x_slots(grid, lead):
-    """The first prod(lead) slots of the grid's one x-pass work array,
-    (5, n, b, c+1), as an array lead + (n, b, c+1): see "Work arrays"."""
-    a = _work("x pass", (5, grid.n) + grid.box_shape[1:], complex)
-    return a[: math.prod(lead)].reshape(lead + a.shape[1:])
+    """_slots of the grid's one x-pass work array, (5, n, n, c+1) on the one
+    pass and (5, n, b, c+1) on slab grids: see "Work arrays"."""
+    y = grid.n if _slab_rows(grid.n) is None else grid.box_shape[1]
+    return _slots("x pass", (grid.n, y, grid.box_shape[-1]), lead)
 
 
 def _inverse_x(hat, grid, a):
@@ -632,10 +632,11 @@ def h1alpha_weights(grid, alpha):
 
 def h1alpha_inner(v, w, alpha):
     """Energy-space inner product (v,w)_L2 + alpha^2 (grad v, grad w)_L2.
-    The weighted copy of v goes into the grid's _pad_work, or into a new
-    array when that overlaps v or w (a kernel result on a slab grid)."""
+    The weighted copy of v goes into the start of the grid's x-pass array,
+    or into a new array when that overlaps v or w (a kernel result on a
+    slab grid)."""
     grid = _check_shared_grid(v, w)
-    out = _pad_work(grid, v.hat.shape)
+    out = _x_slots(grid, (5,)).ravel()[: v.hat.size].reshape(v.hat.shape)
     if np.may_share_memory(out, v.hat) or np.may_share_memory(out, w.hat):
         out = None
     return float(np.vdot(np.multiply(h1alpha_weights(grid, alpha), v.hat, out=out), w.hat).real)
@@ -668,12 +669,10 @@ def tensor_product_spectra(u, w, u_phys=None, sups=None):
     """Retained-box spectra (5, b, b, cutoff+1) of the traceless symmetric
     product T - T33 I, T = (u (x) w + w (x) u)/2 (slots as in
     _traceless_products); one inverse transform when w is u, none for u
-    when u_phys, its samples, is given.  A new array on one-pass grids; on
-    grids beyond SLAB_BYTES a view of the grid's x-pass work array, valid
-    until the grid's next transform or h1alpha_inner call.  When `sups` is
-    a list, max |.| of the samples of u read is appended to it, one entry
-    per slab on grids beyond SLAB_BYTES, and on one-pass grids the samples
-    formed here live until the forward transform returns, as given ones do.
+    when u_phys, its samples, is given.  A view of a work array of the
+    grid (_forward's), valid until the grid's next transform or
+    h1alpha_inner call.  When `sups` is a list, max |.| of the samples of u
+    read is appended to it, one entry per slab on grids beyond SLAB_BYTES.
 
     Products of the box fields are formed in physical space, so the
     retained modes are the exact Galerkin projection; the other modes are
@@ -690,8 +689,6 @@ def tensor_product_spectra(u, w, u_phys=None, sups=None):
     shape = (grid.n,) * 3
     t = _traceless_products(a, b, _work("products", (5,) + shape, float),
                             None if b is a else _work("scratch", shape, float))
-    if sups is None:
-        del a, b  # the samples are freed before the transform allocates its output
     return _forward(t, grid)
 
 
@@ -749,34 +746,26 @@ def bilinear(u, w, alpha, u_phys=None, sups=None):
     B(u, u) is the Bardina nonlinearity; for divergence-free u and w,
     2 B(u, w) = P(((w.grad)u + (u.grad)w)_alpha).  One inverse transform per
     distinct input, one forward transform of the 5 traceless products, and
-    the symbols applied on the retained box only, in place in those 5 slots.
-    On grids beyond SLAB_BYTES they are the x-pass array's, and B is written
-    into slots 0-2, with the grid's "box slot" work array as scratch: the
-    result's hat is their view, valid until the grid's next transform or
-    h1alpha_inner call, so a caller that keeps it copies it.  On one-pass
-    grids the hat is a new 3-slot array, scratch until its slots are
-    written.  A caller that applies B(u, .) to many fields passes
+    the symbols applied on the retained box only, in place in those 5 slots
+    of a work array.  B is written into slots 0-2, with the grid's "box
+    slot" work array as scratch: the result's hat is their view, valid
+    until the grid's next transform or h1alpha_inner call, so a caller that
+    keeps it copies it.  A caller that applies B(u, .) to many fields passes
     u_phys = inverse_transform(u) once and saves the transform of u; `sups`
     collects max |u| as in tensor_product_spectra.
     """
     grid = _check_shared_grid(u, w)
     t = tensor_product_spectra(u, w, u_phys, sups)
     k, kk, g = _bilinear_symbols(grid, alpha)
-    if _slab_rows(grid.n) is None:
-        hat = np.empty((3,) + grid.box_shape, complex)
-        s, scratch = hat[0], hat  # hat[0] is scratch until the last loop writes it
-    else:
-        hat = t[:3]
-        s = _work("box slot", grid.box_shape, complex)
-        scratch = (s,) * 3
+    s = _work("box slot", grid.box_shape, complex)
     v0, v1, v2, q, _ = _div_in_place(t, k, s)
     np.multiply(k[0], v0, out=q)  # k . v, in T13's slot
     q += np.multiply(k[1], v1, out=s)
     q += np.multiply(k[2], v2, out=s)
-    for v, kki, h, x in zip((v0, v1, v2), kk, hat, scratch):
-        np.subtract(v, np.multiply(kki, q, out=x), out=h)
+    for v, kki, h in zip((v0, v1, v2), kk, t):
+        np.subtract(v, np.multiply(kki, q, out=s), out=h)
         h *= g
-    return VectorField(grid, hat)
+    return VectorField(grid, t[:3])
 
 
 def pressure_from_velocity(u, alpha):
@@ -784,11 +773,11 @@ def pressure_from_velocity(u, alpha):
     p_hat(k) = sum_ij (-k_i k_j / |k|^2) (1 + alpha^2 |k|^2)^{-1} (u_i u_j)_hat,
     with p_hat(0) = 0, dealiased (a box field).  The traceless slots of
     tensor_product_spectra lose |k|^2 T33 from the sum, so T33 is
-    transformed by the same box transforms, before those slots, which its
-    transform would overwrite on slab grids, and added back."""
+    transformed by the same box transforms, and copied out before those
+    slots, which its transform would overwrite, and added back."""
     grid = u.grid
     a = inverse_transform(u)
-    t33 = _forward(a[2:] * a[2:], grid)[0]
+    t33 = _forward(a[2:] * a[2:], grid)[0].copy()
     t = tensor_product_spectra(u, u, a)
     k, kk, g = _bilinear_symbols(grid, alpha)
     v = _div_in_place(t, k, np.empty_like(t[0]))

@@ -189,13 +189,14 @@ def bilinear_symbol_stage(u, w, alpha, u_phys=None):
 
 def pressure_symbol_stage(u, alpha):
     """The hat of pressure_from_velocity(u, alpha) through that stage's
-    contraction, T33 transformed by the package's forward transform first:
-    on slab grids the product spectra are a view its transform overwrites."""
+    contraction, T33 transformed by the package's forward transform and
+    copied out first: the product spectra are a view of the work array its
+    transform writes."""
     from bardina.spectral import (
         _bilinear_symbols, _forward, inverse_transform, tensor_product_spectra)
 
     a = inverse_transform(u)
-    t33 = _forward(a[2:] * a[2:], u.grid)[0]
+    t33 = _forward(a[2:] * a[2:], u.grid)[0].copy()
     t = tensor_product_spectra(u, u, a)
     k, kk, g = _bilinear_symbols(u.grid, alpha)
     v = _contract(t, k)

@@ -436,10 +436,10 @@ class TestSampledStateTransforms:
         calls = []
         z_dft = bardina.spectral._z_dft
 
-        def counted(a, grid, forward):
+        def counted(a, grid, forward, out):
             if not forward:
                 calls.append(1)
-            return z_dft(a, grid, forward)
+            return z_dft(a, grid, forward, out)
 
         monkeypatch.setattr(bardina.spectral, "_z_dft", counted)
         return calls

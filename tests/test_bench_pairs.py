@@ -48,16 +48,43 @@ def test_summary_counts_wins_by_direction():
     runs = [{"pair": i, "first": "base", "base": side(wall_cal_s=b, peak_rss_mb=60.0),
              "head": side(i != 3, wall_cal_s=h, peak_rss_mb=61.0)}
             for i, (b, h) in enumerate(walls)]
-    out = bench_pairs.summarize(runs, {"wall_cal_s": "s"}, {"wall_cal_s": "lower",
-                                                             "peak_rss_mb": "lower"})
+    out = bench_pairs.summarize(runs, {"wall_cal_s": {"unit": "s", "better": "lower"},
+                                       "peak_rss_mb": {"better": "lower"}})
     wall = out["wall_cal_s"]
-    assert (wall["unit"], wall["better"]) == ("s", "lower")
+    assert (wall["unit"], wall["better"], wall["bound"]) == ("s", "lower", None)
     assert (wall["base"]["wins"], wall["head"]["wins"]) == (1, 3)
     assert wall["base"]["median"] == 1.05 and wall["head"]["median"] == pytest.approx(0.85)
     assert wall["base"]["q1"] <= wall["base"]["median"] <= wall["base"]["q3"]
     assert (wall["base"]["failed_runs"], wall["head"]["failed_runs"]) == (0, 1)
     assert wall["rel_change"] == pytest.approx(-0.2 / 1.05)
     assert (out["peak_rss_mb"]["base"]["wins"], out["peak_rss_mb"]["head"]["wins"]) == (4, 0)
+
+
+def test_summary_flags_a_change_over_its_bound():
+    # medians: wall 1.0 -> 1.3 (+30 %, worse), rate 100 -> 70 (-30 %, worse),
+    # rss 40 -> 41 (+2.5 %, worse within 5 %), setup 0.2 -> 0.1 (better)
+    values = {"wall_cal_s": ([0.9, 1.0, 1.1], [1.2, 1.3, 1.4]),
+              "steps_per_cal_s": ([90.0, 100.0, 110.0], [60.0, 70.0, 80.0]),
+              "peak_rss_mb": ([40.0, 40.0, 40.0], [41.0, 41.0, 41.0]),
+              "setup_s": ([0.2, 0.2, 0.2], [0.1, 0.1, 0.1]),
+              "unlisted": ([1.0, 1.0, 1.0], [9.0, 9.0, 9.0])}
+    runs = [{"pair": i, "first": "base",
+             "base": side(**{k: v[0][i] for k, v in values.items()}),
+             "head": side(**{k: v[1][i] for k, v in values.items()})} for i in range(3)]
+    spec = {"wall_cal_s": {"unit": "s", "better": "lower", "bound": 0.25},
+            "steps_per_cal_s": {"unit": "1/s", "better": "higher", "bound": 0.25},
+            "peak_rss_mb": {"unit": "MB", "better": "lower", "bound": 0.05},
+            "setup_s": {"unit": "s", "better": "lower", "bound": 0.25}}
+    out = bench_pairs.summarize(runs, spec)
+    assert {k: m["over_bound"] for k, m in out.items()} == {
+        "wall_cal_s": True, "steps_per_cal_s": True, "peak_rss_mb": False,
+        "setup_s": False, "unlisted": None}
+    assert out["wall_cal_s"]["bound"] == 0.25 and out["unlisted"]["bound"] is None
+    assert out["steps_per_cal_s"]["rel_change"] == pytest.approx(-0.3)
+    assert bench_pairs._metric_line(out["wall_cal_s"], 3) == (
+        "base     1.0000 [0.9000, 1.1000]  head     1.3000  +30.00 %  head wins 0/3  over bound")
+    assert bench_pairs._metric_line(out["setup_s"], 3) == (
+        "base     0.2000 [0.2000, 0.2000]  head     0.1000  -50.00 %  head wins 3/3")
 
 
 def test_fault_summary_per_side():
@@ -146,6 +173,8 @@ def test_one_tiny_pair_against_head(tmp_path, monkeypatch):
         assert faults[s]["per_process"] == run[s]["minor_faults"] / run[s]["attempted"]
     metrics = result["workloads"]["lyapunov-n16"]["metrics"]
     assert set(metrics) == {"setup_s", "wall_cal_s", "steps_per_cal_s", "peak_rss_mb"}
+    assert metrics["peak_rss_mb"]["bound"] == 0.05
     for m in metrics.values():
         assert m["head"]["wins"] + m["base"]["wins"] <= 1
+        assert m["over_bound"] in (True, False)
         assert m["base"]["median"] > 0 and m["head"]["failed_runs"] == 0

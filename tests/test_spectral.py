@@ -497,9 +497,10 @@ class TestBilinear:
         w = random_field(grid16, seed=35, amplitude=0.9, k_max=5)
         lin = params.nu * modes(grid16).ksq + params.beta
         transport = -(linearized_rhs(w, u, params).hat + lin * w.hat)
-        plus = nonlinear_term(VectorField(grid16, u.hat + w.hat), params.alpha)
-        minus = nonlinear_term(VectorField(grid16, u.hat - w.hat), params.alpha)
-        expected = 0.5 * (plus.hat - minus.hat)
+        # each kernel result a view of a work array the next call overwrites
+        plus = nonlinear_term(VectorField(grid16, u.hat + w.hat), params.alpha).hat.copy()
+        minus = nonlinear_term(VectorField(grid16, u.hat - w.hat), params.alpha).hat
+        expected = 0.5 * (plus - minus)
         assert np.abs(transport - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_precomputed_base_is_bitwise_equal(self, grid16):
@@ -571,9 +572,10 @@ class TestBoxKernel:
 class TestWorkArrays:
     """The transform pair and the kernel keep their large temporaries in work
     arrays reused across calls; no public result is, or views, one of them,
-    but for tensor_product_spectra's spectra and bilinear's result on slab
-    grids, which view the x-pass array, valid until the grid's next
-    transform or h1alpha_inner call."""
+    but for tensor_product_spectra's spectra and bilinear's result, which
+    view the forward's work array (the "box" array in one pass, the x-pass
+    array in slabs), valid until the grid's next transform or
+    h1alpha_inner call."""
 
     @staticmethod
     def kernel_calls(grid, seed):
@@ -589,8 +591,9 @@ class TestWorkArrays:
     def test_results_survive_later_calls(self, n, fraction, monkeypatch):
         # in one pass, then in slabs of 3 x rows and of 1 (with the budget
         # that gives 3 or 1 at n, the later n = 12 grid takes one pass or 1);
-        # on slabs the kernel's results are views, valid until the grid's
-        # next transform (test_slab_result_is_valid_until_the_next_transform)
+        # the kernel's results are views, valid until the grid's next
+        # transform (test_slab_result_is_valid_until_the_next_transform), so
+        # the kept ones are copies
         for rows in (None, 3, 1):
             if rows:
                 slab_budget(monkeypatch, n, rows)
@@ -599,9 +602,9 @@ class TestWorkArrays:
             kept = [
                 inverse_transform(u),
                 forward_transform(random_samples(n, 72, True, 0), grid).hat,
+                bilinear(u, w, 0.7).hat.copy(),
+                bilinear(w, w, 0.7).hat.copy(),
             ]
-            if rows is None:
-                kept += [bilinear(u, w, 0.7).hat, bilinear(w, w, 0.7).hat]
             before = [a.copy() for a in kept]
             # the same grid, then another n and dealias fraction
             for g, seed in ((grid, 73), (GridSpec(12, dealias_fraction=0.5), 75)):
@@ -611,8 +614,8 @@ class TestWorkArrays:
 
     def test_kernel_peak_memory(self):
         # n = 32: one sample array is 0.79 MB, the 5 products 1.31 MB and
-        # their z transform 1.39 MB; the samples are freed before the
-        # transform and the products live in the work array
+        # their z transform 0.9 MB; the products, their z transform and the
+        # box live in work arrays, so a call holds the two sample arrays
         grid = GridSpec(32)
         u, w = (dealias(general_field(grid, s), grid) for s in (76, 77))
         bilinear(u, w, 0.5)  # warm-up: symbols and work arrays
@@ -623,6 +626,24 @@ class TestWorkArrays:
         finally:
             tracemalloc.stop()
         assert peak <= 3.4e6
+
+    def test_one_pass_bilinear_peak_memory(self):
+        # n = 32: the z spectra go into the x-pass array and the box into the
+        # "box" array, where the symbol stage runs and B takes slots 0-2, so
+        # a call with one field to transform holds its sample array (0.79
+        # MB) alone; new z spectra and a new box took 1.29 MB
+        grid = GridSpec(32)
+        u, w = (dealias(general_field(grid, s), grid) for s in (76, 77))
+        samples = 3 * grid.n**3 * 8
+        for v, phys in ((u, None), (w, inverse_transform(u))):
+            bilinear(u, v, 0.5, phys)  # warm-up: symbols and work arrays
+            tracemalloc.start()
+            try:
+                bilinear(u, v, 0.5, phys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= samples + 0.05e6
 
     def test_slab_kernel_peak_memory(self):
         # n = 64: the 5 products are 10.5 MB, their z transform 10.8 MB and
@@ -661,11 +682,16 @@ class TestWorkArrays:
                 tracemalloc.stop()
             assert peak <= 0.2e6
 
-    def test_warm_step_peak_memory(self, params):
+    @pytest.mark.parametrize("n", [32, 64])  # one pass, slabs
+    def test_warm_step_peak_memory(self, params, n):
         # n = 64: n0 and the predictor, 1.95 MB each; both kernel results, w1
         # n0 and the combine live in the x-pass array, 4.04 MB in all; the
-        # new hat owns its 3 slots, and no sample array is made
-        grid = GridSpec(64)
+        # new hat owns its 3 slots, and no sample array is made.  n = 32:
+        # the kernel forms the predictor's samples, 0.79 MB, beside the
+        # predictor and n0, 0.23 MB each; both kernel results, w1 n0 and the
+        # combine live in the "box" array (new z spectra and a new box per
+        # kernel call took 2.08 MB)
+        grid = GridSpec(n)
         u, force = (random_field(grid, params.alpha, seed, k_max=6) for seed in (80, 81))
         state = step(SimState(u, 0.0, params, force), 0.001)  # warm-up
         tracemalloc.start()
@@ -674,7 +700,8 @@ class TestWorkArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.3e6
+        samples, box = 3 * n**3 * 8, 3 * math.prod(grid.box_shape) * 16
+        assert peak <= (4.3e6 if n == 64 else samples + 2 * box + 0.05e6)
         assert state.u.hat.base is None and state.u.hat.shape == (3,) + grid.box_shape
 
     def test_fresh_step_forms_no_samples(self, params, monkeypatch):
@@ -750,9 +777,9 @@ class TestWorkArrays:
             tracemalloc.stop()
         assert peak <= 6.7e6
 
-    def test_warm_step_makes_no_work_array(self, params):
-        grid = GridSpec(64)
-        assert _slab_rows(grid.n) is not None  # the slab path
+    @pytest.mark.parametrize("n", [32, 64])  # one pass, slabs
+    def test_warm_step_makes_no_work_array(self, params, n):
+        grid = GridSpec(n)
         u, force = (random_field(grid, params.alpha, seed, k_max=6) for seed in (80, 81))
         state = step(SimState(u, 0.0, params, force), 0.001)  # warm-up
         misses = _work.cache_info().misses
@@ -761,8 +788,9 @@ class TestWorkArrays:
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_kernel_result_owns_its_three_slots(self, n):
-        # in one pass a new array, in slabs the first b rows of the x-pass
-        # array's slots 0-2: no result keeps 5 product slots alive
+        # slots 0-2 of the forward's work array: in one pass the "box"
+        # array, in slabs the first b rows of the x-pass array; no result
+        # keeps 5 product slots of its own alive
         grid = GridSpec(n)
         b = grid.box_shape[0]
         u, w = (dealias(general_field(grid, s), grid) for s in (78, 79))
@@ -770,10 +798,10 @@ class TestWorkArrays:
             hat = bilinear(*args[:2], 0.5, *args[2:]).hat
             assert hat.shape == (3,) + grid.box_shape
             if n == 32:
-                assert hat.base is None
+                slots = spectral._slots("box", grid.box_shape, (3,))
             else:
                 slots = spectral._x_slots(grid, (3,))[:, :b]
-                assert (hat.ctypes.data, hat.strides) == (slots.ctypes.data, slots.strides)
+            assert (hat.ctypes.data, hat.strides) == (slots.ctypes.data, slots.strides)
 
     def test_slab_result_is_valid_until_the_next_transform(self):
         # n = 64: a kept result is copied, as a second call or a transform
@@ -787,10 +815,11 @@ class TestWorkArrays:
         inverse_transform(w)
         assert hat.tobytes() != kept.tobytes()
 
-    def test_slab_forward_survives_a_kernel_call(self):
-        # n = 64: the forward's spectra are a view of the x-pass array, which
-        # the next kernel call overwrites; forward_transform returns a copy
-        grid = GridSpec(64)
+    @pytest.mark.parametrize("n", [32, 64])  # one pass, slabs
+    def test_forward_survives_a_kernel_call(self, n):
+        # the forward's spectra are a view of a work array, which the next
+        # kernel call overwrites; forward_transform returns a copy
+        grid = GridSpec(n)
         u, w = (dealias(general_field(grid, s), grid) for s in (78, 79))
         kept = [forward_transform(random_samples(grid.n, 80, True, 0), grid).hat,
                 forward_transform(random_samples(grid.n, 81, False, 0), grid).hat]
@@ -847,7 +876,7 @@ class TestSymbolStage:
 
 class TestDiagnostics:
     """norms sums |u_hat|^2 one component at a time and h1alpha_inner weighs
-    its operand in the grid's _pad_work: byte for byte the formulas that
+    its operand in the grid's x-pass array: byte for byte the formulas that
     formed both in new arrays, in one pass and in slabs."""
 
     @settings(max_examples=40, deadline=None)
@@ -878,7 +907,7 @@ class TestDiagnostics:
         for first in (True, False):
             b = bilinear(u, w, 0.7)
             kept = b.copy()
-            assert np.may_share_memory(b.hat, spectral._pad_work(grid, b.hat.shape))
+            assert np.may_share_memory(b.hat, spectral._x_slots(grid, (5,)))
             got = h1alpha_inner(b, u, 0.7) if first else h1alpha_inner(u, b, 0.7)
             assert b.hat.tobytes() == kept.hat.tobytes()
             expected = h1alpha_inner(kept, u, 0.7) if first else h1alpha_inner(u, kept, 0.7)
@@ -1094,15 +1123,16 @@ class TestTransformPair:
         # those planes real, and the inverse reads only their real parts
         grid, rng = GridSpec(n, dealias_fraction=1.0), np.random.default_rng(n)
         edges = [0, n // 2]
-        z = spectral._z_dft(rng.standard_normal((7, n)), grid, True)
+        z = spectral._z_dft(rng.standard_normal((7, n)), grid, True,
+                            np.empty((7, n // 2 + 1), complex))
         assert np.all(z[:, edges].imag == 0)
         a = np.zeros((7, n // 2 + 1), complex)
         a[:, edges] = 1j * rng.standard_normal((7, 2))
-        assert np.all(spectral._z_dft(a, grid, False) == 0)
+        assert np.all(spectral._z_dft(a, grid, False, np.empty((7, n))) == 0)
         a[:, edges] += rng.standard_normal((7, 2))
         expected = sfft.irfft(a, n, norm="forward")
-        assert np.abs(spectral._z_dft(a, grid, False) - expected).max() <= 1e-15 * np.abs(
-            expected).max()
+        assert np.abs(spectral._z_dft(a, grid, False, np.empty((7, n))) - expected).max() <= (
+            1e-15 * np.abs(expected).max())
 
     @pytest.mark.parametrize("fraction", [2 / 3, 1.0])
     @samples_cases

@@ -42,18 +42,27 @@ in one schema:
     kernel_ms the reference kernel's median (refclock.kernel_ms) and
     minor_faults the minor page faults of the whole perfbench run, all its
     processes (the change of getrusage(RUSAGE_CHILDREN).ru_minflt around
-    it).  Each metric is {unit, better, base, head, rel_change}: per side
-    the median, q1 and q3 over the runs that reported it, the pairs it won
-    and the runs that were not correct; rel_change is (head median - base
-    median) / base median.  `better` comes from BENCHMARK.json; a metric it
-    does not list wins no pair.  minor_faults is per side the median, q1
-    and q3 of the runs' counts, and of each run's count over its processes
-    (`attempted`, the warm-up included) the median, per_process, the
-    quartiles, per_process_q1 and per_process_q3, and the range,
-    per_process_min and per_process_max: a side that runs faster fits more
-    processes into the same seconds, and an allocation change on a small
-    grid is judged by the spread of the parent's counts per process.
-    minor_faults_by_dir holds the same summary of each directory's runs.
+    it).  Each metric is {unit, better, bound, base, head, rel_change,
+    over_bound}: per side the median, q1 and q3 over the runs that
+    reported it, the pairs it won and the runs that were not correct;
+    rel_change is (head median - base median) / base median.  `unit`,
+    `better` and `bound` come from BENCHMARK.json; a metric it does not
+    list wins no pair.  over_bound is whether the head's median is worse
+    than the base's by more than `bound`, relative to the base's median
+    (None without a bound, a direction or both medians).  minor_faults is
+    per side the median, q1 and q3 of the runs' counts, and of each run's
+    count over its processes (`attempted`, the warm-up included) the
+    median, per_process, the quartiles, per_process_q1 and per_process_q3,
+    and the range, per_process_min and per_process_max: a side that runs
+    faster fits more processes into the same seconds, and an allocation
+    change on a small grid is judged by the spread of the parent's counts
+    per process.  minor_faults_by_dir holds the same summary of each
+    directory's runs.
+
+Per workload and metric it prints the base's median and [q1, q3], the
+head's median, the relative change, the pairs the head won and `over
+bound` when over_bound is true; then the minor faults per process, per
+side and, with several directories, per directory.
 
 The exit status is 1 when a run of either side was not correct.
 """
@@ -130,12 +139,13 @@ def _spread(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs, units, better):
-    """Per-metric summary of the runs of one workload (see the module docstring)."""
+def summarize(runs, spec):
+    """Per-metric summary of the runs of one workload (see the module
+    docstring); spec maps a metric's name to its BENCHMARK.json entry."""
     names = sorted({m for r in runs for side in SIDES for m in r[side]["metrics"]})
     out = {}
     for name in names:
-        entry = {"unit": units.get(name), "better": better.get(name)}
+        entry = {k: spec.get(name, {}).get(k) for k in ("unit", "better", "bound")}
         for side in SIDES:
             values = [r[side]["metrics"][name] for r in runs if name in r[side]["metrics"]]
             entry[side] = dict(_spread(values) if values else {}, wins=0,
@@ -146,7 +156,10 @@ def summarize(runs, units, better):
             if sign and a is not None and b is not None and a != b:
                 entry["head" if sign * (b - a) > 0 else "base"]["wins"] += 1
         base, head = entry["base"].get("median"), entry["head"].get("median")
-        entry["rel_change"] = (head - base) / base if base and head is not None else None
+        rel = (head - base) / base if base and head is not None else None
+        entry["rel_change"] = rel
+        entry["over_bound"] = (None if None in (rel, entry["bound"]) or not sign
+                               else -sign * rel > entry["bound"])
         out[name] = entry
     return out
 
@@ -167,6 +180,17 @@ def summarize_faults(runs):
                          per_process_q3=spread["q3"], per_process_min=min(per_process),
                          per_process_max=max(per_process))
     return out
+
+
+def _metric_line(m, pairs):
+    """`base median [q1, q3]  head median  change  head wins w/pairs`, and
+    `over bound` when the head is worse than the base beyond the bound."""
+    base, head, rel = m["base"], m["head"], m["rel_change"]
+    nan = float("nan")
+    return (f"base {base.get('median', nan):10.4f} [{base.get('q1', nan):.4f}, "
+            f"{base.get('q3', nan):.4f}]  head {head.get('median', nan):10.4f}  "
+            f"{nan if rel is None else 100 * rel:+6.2f} %  head wins {head['wins']}/{pairs}"
+            + ("  over bound" if m["over_bound"] else ""))
 
 
 def _fault_spread(f):
@@ -224,10 +248,10 @@ def _blas():
 
 
 def _benchmark_metrics():
-    """({metric: unit}, {metric: "lower" | "higher"}) of BENCHMARK.json's end-to-end metrics."""
+    """{metric: its entry} of BENCHMARK.json's end-to-end metrics: unit,
+    better ("lower" or "higher") and bound."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return ({m["name"]: m["unit"] for m in spec["end_to_end"]},
-            {m["name"]: m["better"] for m in spec["end_to_end"]})
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def main(argv=None):
@@ -250,7 +274,7 @@ def main(argv=None):
     if unknown or args.pairs < 1 or args.dirs < 1:
         parser.error(f"unknown workload {unknown[0]}" if unknown
                      else "--pairs and --dirs must be >= 1")
-    units, better = _benchmark_metrics()
+    spec = _benchmark_metrics()
     dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench"))
     result = {
         "label": args.label,
@@ -268,7 +292,7 @@ def main(argv=None):
         trees = [{"base": extract_tree(args.base, d / "base", TREE),
                   "head": copy_tree(d / "head")} for d in dirs]
         runs = bench_pairs(trees, workloads, args.pairs, args.seconds, args.seed)
-    result["workloads"] = {w: {"runs": r, "metrics": summarize(r, units, better),
+    result["workloads"] = {w: {"runs": r, "metrics": summarize(r, spec),
                                "minor_faults": summarize_faults(r),
                                "minor_faults_by_dir": [
                                    summarize_faults([x for x in r if x["dir"] == d])
@@ -278,9 +302,7 @@ def main(argv=None):
     path.write_text(json.dumps(result, indent=1) + "\n")
     for w, entry in result["workloads"].items():
         for name, m in entry["metrics"].items():
-            print(f"{w:14s} {name:16s} base {m['base'].get('median', float('nan')):10.4f}"
-                  f"  head {m['head'].get('median', float('nan')):10.4f}"
-                  f"  head wins {m['head']['wins']}/{len(entry['runs'])}")
+            print(f"{w:14s} {name:16s} {_metric_line(m, len(entry['runs']))}")
         faults = entry["minor_faults"]
         print(f"{w:14s} {'minor_faults':16s} per process, median [q1, q3] (min-max): "
               + "  ".join(f"{side} {_fault_spread(faults[side])}" for side in SIDES))
