@@ -41,10 +41,10 @@ from .stationary import (
 from .attractor import (
     EtaReport,
     DimensionBound,
-    OrthoFrame,
     eta,
     lieb_thirring_constant,
     dimension_bound,
+    gram,
     linearized_rhs,
     lyapunov_sum_bound,
     orthonormalize,

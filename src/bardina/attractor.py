@@ -23,10 +23,10 @@ from .spectral import (
 __all__ = [
     "EtaReport",
     "DimensionBound",
-    "OrthoFrame",
     "eta",
     "lieb_thirring_constant",
     "dimension_bound",
+    "gram",
     "linearized_rhs",
     "lyapunov_sum_bound",
     "orthonormalize",
@@ -42,28 +42,6 @@ RANK_TOL = 1e-10  # relative norm below which orthonormalize calls a field depen
 
 EtaReport = namedtuple("EtaReport", "eta_value regime")  # regime: "positive" | "zero" | "negative"
 DimensionBound = namedtuple("DimensionBound", "c_lt c_abn bound")
-
-
-class OrthoFrame:
-    """Vector fields orthonormal under the H^1_alpha inner product."""
-
-    def __init__(self, fields, alpha):
-        self.fields, self.alpha = fields, alpha
-
-    def gram(self):
-        """The m x m matrix of h1alpha_inner products: one weighted copy of
-        each field and m(m+1)/2 dot products over every mode of the box."""
-        x = [f.hat for f in self.fields]
-        weight = h1alpha_weights(self.fields[0].grid, self.alpha)
-        g = np.empty((len(x), len(x)))
-        for i, xi in enumerate(x):
-            wxi = weight * xi
-            for j in range(i + 1):
-                g[i, j] = g[j, i] = np.vdot(wxi, x[j]).real
-        return g
-
-    def gram_defect(self):
-        return np.abs(self.gram() - np.eye(len(self.fields))).max()
 
 
 def eta(params, f_norm):
@@ -128,26 +106,41 @@ def lyapunov_sum_bound(m, u, params):
     )
 
 
+def gram(frame, alpha):
+    """The m x m matrix of h1alpha_inner products of the frame, a list of
+    fields: one weighted copy of each field and m(m+1)/2 dot products over
+    every mode of the box.  ValueError if the fields are on two grids."""
+    weight = h1alpha_weights(_check_shared_grid(*frame), alpha)
+    g = np.empty((len(frame), len(frame)))
+    for i, v in enumerate(frame):
+        wv = weight * v.hat
+        for j in range(i + 1):
+            g[i, j] = g[j, i] = np.vdot(wv, frame[j].hat).real
+    return g
+
+
 def transport_frame(frame, state, dt, n_steps):
-    """The frame's Lyapunov sum at the state, sum_i [L(t, u0) w_i, w_i]_alpha,
-    and the frame moved n_steps exponential-Euler steps of dt by the flow
-    linearized about the frozen state and re-orthonormalized (the frame
-    itself when n_steps is 0): (frame, sum).  Each -2 B(u, w_i) is formed
+    """The Lyapunov sum at the state of the frame, a list of fields,
+    sum_i [L(t, u0) w_i, w_i]_alpha, and the frame moved n_steps
+    exponential-Euler steps of dt by the flow linearized about the frozen
+    state and re-orthonormalized (the frame itself when n_steps is 0):
+    (frame, sum), all in the state's alpha.  Each -2 B(u, w_i) is formed
     once, with state.u_phys, for the sum and the first step.  Each field
     moves in its own hat once the sum has read it, and the
     re-orthonormalization overwrites those hats: when n_steps > 0 the input
-    frame is consumed, its hats now those of the frame returned.
-    CertificateError if the frame is not orthonormal, as every frame this
-    program builds is; ValueError if it is not on the state's grid."""
-    defect = frame.gram_defect()
+    frame is consumed, its hats now those of the frame returned.  ValueError
+    if a field is not on the state's grid; CertificateError if the frame is
+    not orthonormal in the state's alpha, as every frame this program builds
+    is."""
+    u, p = state.u, state.params
+    grid = _check_shared_grid(u, *frame)
+    defect = np.abs(gram(frame, p.alpha) - np.eye(len(frame))).max()
     if not defect <= GRAM_TOL:
         raise CertificateError(f"frame is not orthonormal (Gram deviation {defect:.3e})")
-    u, p = state.u, state.params
-    grid = _check_shared_grid(u, *frame.fields)
     damping = damping_symbol(grid, p)
     expz, w1, _ = _etd_weights(grid, p, dt)
     total, moved = 0.0, []
-    for w in frame.fields:
+    for w in frame:
         nl = -2.0 * bilinear(u, w, p.alpha, state.u_phys).hat
         total += h1alpha_inner(VectorField(grid, nl - damping * w.hat), w, p.alpha)
         if n_steps:
@@ -164,10 +157,13 @@ def transport_frame(frame, state, dt, n_steps):
 
 def orthonormalize(fields, alpha):
     """Modified Gram-Schmidt in the H^1_alpha inner product: each projection
-    is one Re vdot(weights * q, w).  The fields are left as they are."""
+    is one Re vdot(weights * q, w).  The fields are left as they are; the
+    orthonormal fields are returned as a list.  ValueError if the fields are
+    on two grids."""
     if not fields:
         raise ValueError("empty field list")
-    return _orthonormalize_in_place([v.hat.copy() for v in fields], fields[0].grid, alpha)
+    grid = _check_shared_grid(*fields)
+    return _orthonormalize_in_place([v.hat.copy() for v in fields], grid, alpha)
 
 
 def _orthonormalize_in_place(hats, grid, alpha):
@@ -184,7 +180,7 @@ def _orthonormalize_in_place(hats, grid, alpha):
         if nrm <= RANK_TOL * scale:
             raise ValueError("rank-deficient input: dependent field encountered")
         w /= nrm
-    return OrthoFrame([VectorField(grid, w) for w in hats], alpha)
+    return [VectorField(grid, w) for w in hats]
 
 
 # gap_sq is |u_a - u_b|^2_{H1_alpha} per sample; eta_value is the

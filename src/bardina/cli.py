@@ -68,10 +68,10 @@ def _write_json(path, obj):
 
 
 class Runner:
-    def __init__(self, cfg, out_dir):
-        self.cfg = cfg
-        self.out = Path(out_dir)
+    def __init__(self, cfg, out_dir, subcommand):
+        self.cfg, self.out, self.subcommand = cfg, Path(out_dir), subcommand
         self.artifacts = []
+        self.series = {}  # the series_file of the report, once csv has written it
 
     def path(self, name):
         self.out.mkdir(parents=True, exist_ok=True)  # at the first artifact, not before
@@ -79,20 +79,23 @@ class Runner:
         return self.out / name
 
     def csv(self, name, columns, rows):
+        self.series = {"series_file": name}
         with open(self.path(name), "w") as fh:
             fh.write(",".join(columns) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
-    def report(self, name, check_name, ok, **fields):
-        """Write the report `name` and return its exit code: 0 if ok, else 5."""
+    def report(self, check_name, ok, **fields):
+        """Write <subcommand>_report.json, with the CSV written before it as
+        its series_file, and return its exit code: 0 if ok, else 5."""
         p = self.cfg.params
         _write_json(
-            self.path(name),
+            self.path(f"{self.subcommand}_report.json"),
             {
                 "check_name": check_name,
                 "params": {"alpha": p.alpha, "beta": p.beta, "nu": p.nu, "eta_c": p.eta_c},
                 "pass": bool(ok),
+                **self.series,
                 **fields,
             },
         )
@@ -108,11 +111,11 @@ class Runner:
     def initial_field(self):
         return _generate(self.cfg, "initial", self.cfg.initial)
 
-    def finalize(self, subcommand):
+    def finalize(self):
         with open(self.path("effective_config.ini"), "w") as fh:
             fh.write(self.cfg.serialize())
         meta = {
-            "subcommand": subcommand,
+            "subcommand": self.subcommand,
             "config_sha256": self.cfg.digest(),
             "version": __version__,
             "artifacts": sorted(set(self.artifacts)),
@@ -139,7 +142,6 @@ def cmd_simulate(runner):
     report = decay_envelope_check(traj, force, cfg.params)
     entry, radius_sq, analytic = absorbing_ball_entry(traj, force, cfg.params)
     return runner.report(
-        "simulate_report.json",
         "decay_envelopes",
         report.passed,
         max_slack=max(report.pointwise_slack, report.windowed_slack),
@@ -151,14 +153,13 @@ def cmd_simulate(runner):
             "radius_sq": radius_sq,
             "analytic_bound": analytic,
         },
-        series_file="trajectory.csv",
     )
 
 
 def cmd_stationary(runner):
     cfg = runner.cfg
     force = runner.force_field()
-    result = _solve_stationary(runner, force, "stationary_report.json", "stationary_solve")
+    result = _solve_stationary(runner, force, "stationary_solve")
     if result is None:
         return EXIT_NONCONV
     write_checkpoint(
@@ -166,7 +167,6 @@ def cmd_stationary(runner):
     )
     ok = result.energy_slack >= -1e-10 * norms(force, cfg.params.alpha).h1alpha_sq
     return runner.report(
-        "stationary_report.json",
         "stationary_solve",
         ok,
         converged=True,
@@ -176,15 +176,15 @@ def cmd_stationary(runner):
     )
 
 
-def _solve_stationary(runner, force, report, check_name):
+def _solve_stationary(runner, force, check_name):
     """The steady state for `force`; None once a solve that did not converge
-    has been reported under `report`, a non-finite residual as null."""
+    has been reported under `check_name`, a non-finite residual as null."""
     cfg = runner.cfg
     try:
         return solve_stationary(force, cfg.params, cfg.relaxation, cfg.tol, cfg.max_iter)
     except NonConvergenceError as exc:
         history = [float(r) if np.isfinite(r) else None for r in exc.residual_history]
-        runner.report(report, check_name, False, converged=False, residual_history=history)
+        runner.report(check_name, False, converged=False, residual_history=history)
         return None
 
 
@@ -196,7 +196,6 @@ def cmd_bound(runner):
     eta_rep = eta(cfg.params, f_norm)
     dim = dimension_bound(cfg.params, f_norm)
     return runner.report(
-        "bound_report.json",
         "dimension_bound",
         True,
         f_norm=f_norm,
@@ -231,11 +230,9 @@ def cmd_lyapunov(runner):
     all_ok = all(total <= bound + 1e-10 * p.beta * m for m, _, total, bound, _ in rows)
     runner.csv("lyapunov.csv", ["m", "t", "lyapunov_sum", "bound", "slack"], rows)
     return runner.report(
-        "lyapunov_report.json",
         "lyapunov_sum_bound",
         all_ok,
         max_slack=float(min(r[4] for r in rows)),
-        series_file="lyapunov.csv",
     )
 
 
@@ -277,13 +274,11 @@ def cmd_gap(runner):
                             cfg.sample_every)
     runner.csv("gap.csv", ["t", "gap_sq"], zip(report.times, report.gap_sq))
     return runner.report(
-        "gap_report.json",
         "trajectory_gap",
         report.eta_value > 0 or report.orbital_stable,
         eta=report.eta_value,
         orbital_stable=report.orbital_stable,
         decay_rate=report.decay_rate,
-        series_file="gap.csv",
     )
 
 
@@ -298,16 +293,14 @@ def cmd_decay(runner):
         rows = zip(report.times, *(report.lp_norms[p] for p in cfg.p_list))
         runner.csv("decay.csv", ["t"] + keys, rows)
         return runner.report(
-            "decay_report.json",
             "zero_force_decay",
             all(report.envelopes_ok.values()),
             fitted_rates={k: report.fitted_rates[p] for k, p in zip(keys, cfg.p_list)},
             envelopes_ok={k: report.envelopes_ok[p] for k, p in zip(keys, cfg.p_list)},
-            series_file="decay.csv",
         )
 
     force = runner.force_field()
-    stat = _solve_stationary(runner, force, "decay_report.json", "steady_convergence")
+    stat = _solve_stationary(runner, force, "steady_convergence")
     if stat is None:
         return EXIT_NONCONV
     report = steady_convergence(
@@ -316,12 +309,10 @@ def cmd_decay(runner):
     rows = zip(report.times, report.r, report.r_inf)
     runner.csv("decay.csv", ["t", "r", "r_inf"], rows)
     return runner.report(
-        "decay_report.json",
         "steady_convergence",
         report.monotone and report.profile_envelope_ok,
         monotone=report.monotone,
         profile_envelope_ok=report.profile_envelope_ok,
-        series_file="decay.csv",
     )
 
 
@@ -350,7 +341,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    runner = Runner(cfg, args.out)
+    runner = Runner(cfg, args.out, args.subcommand)
     try:
         code = COMMANDS[args.subcommand](runner)
     except (BlowUpError, CFLError, CertificateError) as exc:
@@ -367,7 +358,7 @@ def main(argv=None):
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    runner.finalize(args.subcommand)
+    runner.finalize()
     return code
 
 

@@ -125,7 +125,6 @@ __all__ = [
 ]
 
 DIV_FREE_TOL = 1e-10
-AXES = (-3, -2, -1)
 
 
 class CertificateError(RuntimeError):
@@ -285,7 +284,7 @@ def modes(grid):
     return Modes(*(_frozen(a) for a in (k, ksq, weights, leray)))
 
 
-def _reverse_modes(coeffs, axes=AXES):
+def _reverse_modes(coeffs, axes):
     """Map mode index m -> -m on the given FFT-ordered axes."""
     return np.roll(np.flip(coeffs, axis=axes), 1, axis=axes)
 

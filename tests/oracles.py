@@ -300,7 +300,7 @@ def transport_frame_reference(frame, state, dt, n_steps):
     damping = damping_symbol(grid, p)
     expz, w1, _ = _etd_weights(grid, p, dt)
     total, evolved = 0.0, []
-    for w in frame.fields:
+    for w in frame:
         nl = -2.0 * bilinear(u, w, p.alpha, state.u_phys).hat
         total += h1alpha_inner(VectorField(grid, nl - damping * w.hat), w, p.alpha)
         for k in range(n_steps):

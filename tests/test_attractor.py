@@ -26,7 +26,7 @@ from bardina import (
     trajectory_gap,
     zero_force_decay,
 )
-from bardina.attractor import OrthoFrame, transport_frame
+from bardina.attractor import gram, transport_frame
 from bardina.dynamics import SimState, sampled_states
 from bardina.spectral import CertificateError, modes
 
@@ -54,6 +54,11 @@ def zero_field(grid):
 def base_state(u, params):
     """An unforced state at u: transport_frame reads its u, u_phys and params."""
     return SimState(u, 0.0, params, zero_field(u.grid))
+
+
+def gram_deviation(frame, alpha):
+    """max |G - I| of the frame's Gram matrix in H^1_alpha."""
+    return np.abs(gram(frame, alpha) - np.eye(len(frame))).max()
 
 
 def lyapunov_sum(frame, u, params):
@@ -162,13 +167,13 @@ class TestOrthonormalize:
     def test_gram_identity(self, grid8, params):
         fields = [random_field(grid8, seed=s) for s in (80, 81, 82)]
         frame = orthonormalize(fields, params.alpha)
-        assert frame.gram_defect() <= 1e-12
+        assert gram_deviation(frame, params.alpha) <= 1e-12
 
     def test_first_direction_preserved(self, grid8, params):
         v = random_field(grid8, seed=83)
         frame = orthonormalize([v], params.alpha)
         nrm = np.sqrt(norms(v, params.alpha).h1alpha_sq)
-        assert np.abs(frame.fields[0].coeffs - v.coeffs / nrm).max() <= 1e-12
+        assert np.abs(frame[0].coeffs - v.coeffs / nrm).max() <= 1e-12
 
     def test_rank_deficiency_detected(self, grid8, params):
         v = random_field(grid8, seed=84)
@@ -179,11 +184,10 @@ class TestOrthonormalize:
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_gram_matches_pairwise_inner_products(self, grid16, params, m):
         fields = [random_field(grid16, seed=85 + i, k_max=4) for i in range(m)]
-        frame = OrthoFrame(fields, params.alpha)  # not orthonormal: a full matrix
         loop = np.array(
             [[h1alpha_inner(v, w, params.alpha) for w in fields] for v in fields]
         )
-        g = frame.gram()
+        g = gram(fields, params.alpha)  # not orthonormal: a full matrix
         assert np.array_equal(np.tril(g), np.tril(loop))  # one weight, one dot product
         assert np.abs(g - loop).max() <= 1e-14 * np.abs(loop).max()
 
@@ -194,7 +198,7 @@ class TestOrthonormalize:
         grid = GridSpec(n, dealias_fraction=fraction)
         fields = [random_field(grid, seed=130 + i) for i in range(m)]
         frame = orthonormalize(fields, params.alpha)
-        for got, ref in zip(frame.fields, gram_schmidt_reference(fields, params.alpha)):
+        for got, ref in zip(frame, gram_schmidt_reference(fields, params.alpha)):
             assert np.abs(got.hat - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_no_norms_or_inner_product_calls(self, monkeypatch, grid8, params):
@@ -210,7 +214,7 @@ class TestOrthonormalize:
         fields = [random_field(grid8, seed=140 + i) for i in range(4)]
         frame = orthonormalize(fields, params.alpha)
         assert calls == []  # through them, Gram-Schmidt makes 2m and m(m-1)/2 calls
-        assert frame.gram_defect() <= 1e-12
+        assert gram_deviation(frame, params.alpha) <= 1e-12
 
     def test_all_zero_rejected(self, grid8, params):
         with pytest.raises(ValueError):
@@ -223,7 +227,7 @@ class TestOrthonormalize:
         fields = [random_field(GridSpec(n), seed=150 + i) for i in range(m)]
         before = [v.hat.copy() for v in fields]
         frame = orthonormalize(fields, params.alpha)
-        for got, ref in zip(frame.fields, orthonormalize_reference(fields, params.alpha)):
+        for got, ref in zip(frame, orthonormalize_reference(fields, params.alpha)):
             assert got.hat.tobytes() == ref.tobytes()
         for v, b in zip(fields, before):
             assert v.hat.tobytes() == b.tobytes()
@@ -231,6 +235,15 @@ class TestOrthonormalize:
     def test_empty_rejected(self, params):
         with pytest.raises(ValueError):
             orthonormalize([], params.alpha)
+
+    def test_fields_on_two_grids_rejected(self, grid8, params):
+        # one box shape, two box lengths: the second field's grid is not the first's
+        other = GridSpec(8, box_len=1.0)
+        fields = [random_field(grid8, seed=155), random_field(other, seed=156)]
+        for f in (orthonormalize, gram):
+            with pytest.raises(ValueError, match="do not share a grid") as info:
+                f(fields, params.alpha)
+            assert str(grid8) in str(info.value) and str(other) in str(info.value)
 
 
 class TestLyapunovSum:
@@ -243,7 +256,7 @@ class TestLyapunovSum:
         frame = self._frame(grid8, params.alpha, m)
         got = lyapunov_sum(frame, zero_field(grid8), params)
         expected = -params.beta * m
-        for w in frame.fields:
+        for w in frame:
             nb = norms(w, params.alpha)
             expected -= params.nu * (nb.h1dot_sq + params.alpha**2 * nb.h2dot_sq)
         assert abs(got - expected) <= 1e-12 * abs(expected)
@@ -258,18 +271,26 @@ class TestLyapunovSum:
 
     def test_non_orthonormal_frame_rejected(self, grid8, params):
         v = random_field(grid8, seed=96, amplitude=3.0)
-        bad = OrthoFrame([v], params.alpha)  # not normalized
+        bad = [v]  # not normalized
         with pytest.raises(CertificateError):
             lyapunov_sum(bad, zero_field(grid8), params)
 
     def test_non_orthogonal_frame_rejected(self, grid8, params):
         # unit diagonal, off-diagonal Gram entries of 0.6
         q = orthonormalize([random_field(grid8, seed=s) for s in (97, 98)], params.alpha)
-        tilted = VectorField(grid8, 0.6 * q.fields[0].hat + 0.8 * q.fields[1].hat)
-        bad = OrthoFrame([q.fields[0], tilted], params.alpha)
-        assert abs(bad.gram()[0, 1] - 0.6) <= 1e-12
+        tilted = VectorField(grid8, 0.6 * q[0].hat + 0.8 * q[1].hat)
+        bad = [q[0], tilted]
+        assert abs(gram(bad, params.alpha)[0, 1] - 0.6) <= 1e-12
         with pytest.raises(CertificateError):
             lyapunov_sum(bad, zero_field(grid8), params)
+
+    def test_frame_orthonormal_in_another_alpha_rejected(self, grid8):
+        # orthonormal for alpha = 1, checked, summed and moved in the state's alpha
+        frame = self._frame(grid8, 1.0, 2, seed0=99)
+        run = PhysParams(alpha=0.3, beta=1.0, nu=0.5)
+        assert gram_deviation(frame, 1.0) <= 1e-12 and gram_deviation(frame, run.alpha) > 0.5
+        with pytest.raises(CertificateError, match="not orthonormal"):
+            transport_frame(frame, base_state(random_field(grid8, seed=100), run), 0.01, 2)
 
     def test_bound_zero_state(self, grid8, params):
         u = zero_field(grid8)
@@ -282,14 +303,14 @@ class TestTransportFrame:
         frame = orthonormalize(fields, params.alpha)
         u = random_field(grid8, seed=112, amplitude=0.5)
         out, _ = transport_frame(frame, base_state(u, params), 0.01, 5)
-        assert out.gram_defect() <= 1e-10
+        assert gram_deviation(out, params.alpha) <= 1e-10
 
     def test_zero_base_preserves_span_direction(self, grid8, params):
         v = generate(FieldRecipe("shear", 1.0), grid8)
         frame = orthonormalize([v], params.alpha)
         out, _ = transport_frame(frame, base_state(zero_field(grid8), params), 0.01, 3)
         # pure decay rescales a single mode, so renormalizing recovers it
-        assert np.abs(np.abs(out.fields[0].coeffs) - np.abs(frame.fields[0].coeffs)).max() <= 1e-10
+        assert np.abs(np.abs(out[0].coeffs) - np.abs(frame[0].coeffs)).max() <= 1e-10
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_no_steps_keeps_the_frame_and_sums_the_operator(self, grid8, params, m):
@@ -298,7 +319,7 @@ class TestTransportFrame:
         out, total = transport_frame(frame, base_state(u, params), 0.01, 0)
         assert out is frame
         expected = 0.0
-        for w in frame.fields:
+        for w in frame:
             expected += h1alpha_inner(linearized_rhs(w, u, params), w, params.alpha)
         assert total == expected  # bit for bit: the one operator, summed in order
 
@@ -316,7 +337,7 @@ class TestTransportFrame:
         ref, ref_total = transport_frame_reference(copy.deepcopy(frame), st, 0.01, n_steps)
         moved, total = transport_frame(frame, st, 0.01, n_steps)
         assert total == ref_total
-        for got, w, r in zip(moved.fields, frame.fields, ref):
+        for got, w, r in zip(moved, frame, ref):
             assert got.hat is w.hat and got.hat.tobytes() == r.tobytes()
 
     def test_sum_is_taken_before_the_steps(self, grid8, params):
@@ -325,8 +346,8 @@ class TestTransportFrame:
         kept = copy.deepcopy(frame)
         moved, total = transport_frame(frame, st, 0.01, 4)
         assert total == transport_frame(kept, st, 0.01, 0)[1]
-        assert moved is not frame and moved.gram_defect() <= 1e-10
-        assert [w.hat.tobytes() for w in frame.fields] == [w.hat.tobytes() for w in moved.fields]
+        assert moved is not frame and gram_deviation(moved, params.alpha) <= 1e-10
+        assert [w.hat.tobytes() for w in frame] == [w.hat.tobytes() for w in moved]
 
     def test_moves_the_frame_without_a_second_frame(self, params):
         # n = 32, m = 8: each field moves in its own hat (a box array of

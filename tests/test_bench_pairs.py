@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -110,7 +111,7 @@ def test_fault_summary_per_process_spread():
     assert bench_pairs._fault_spread({}) == "none"
 
 
-def test_each_side_runs_without_bytecode(tmp_path, monkeypatch):
+def test_each_tree_runs_on_bytecode_compiled_from_its_own_files(tmp_path, monkeypatch):
     calls = []
 
     def fake_run(cmd, cwd, env, **kwargs):
@@ -118,29 +119,54 @@ def test_each_side_runs_without_bytecode(tmp_path, monkeypatch):
         line = json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": {}})
         return subprocess.CompletedProcess(cmd, 0, stdout=header + line + "\n", stderr="")
 
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    header = "# perfbench workload=w1\n"
-    assert bench_pairs.run_side("T0", "w1", 0, 0.1)["threads"] == {}  # no threads line
-    header = "# threads OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2\n"
-    calls.clear()
-    out = bench_pairs.run_side("TREE", "w1", 0, 0.1)
+    with monkeypatch.context() as m:
+        m.setattr(bench_pairs.subprocess, "run", fake_run)
+        header = "# perfbench workload=w1\n"
+        assert bench_pairs.run_side("T0", "w1", 0, 0.1)["threads"] == {}  # no threads line
+        header = "# threads OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2\n"
+        calls.clear()
+        out = bench_pairs.run_side("TREE", "w1", 0, 0.1)
     assert out["correct"]
     assert out["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}
     ((cmd, cwd, env),) = calls
     assert cwd == "TREE" and cmd[1] == "perfbench/run.py"
     assert env["PYTHONDONTWRITEBYTECODE"] == "1"
 
-    # the head side runs on a copy of the working tree without __pycache__
+    # the working tree holds a stale __pycache__, the bytecode of x = 2
     repo = tmp_path / "repo"
-    for d in ("src/pkg", "src/pkg/__pycache__", "perfbench/__pycache__"):
+    for d in ("src/pkg/__pycache__", "perfbench"):
         (repo / d).mkdir(parents=True)
-    for f in ("src/pkg/m.py", "src/pkg/__pycache__/m.cpython-311.pyc", "perfbench/run.py",
-              "perfbench/__pycache__/run.cpython-311.pyc"):
-        (repo / f).write_text("x = 1\n")
+    (repo / "src/pkg/m.py").write_text("x = 2\n")
+    (repo / "perfbench/run.py").write_text("y = 1\n")
+    stale = Path(importlib.util.cache_from_source(str(repo / "src/pkg/m.py")))
+    subprocess.run([sys.executable, "-m", "py_compile", str(repo / "src/pkg/m.py")], check=True)
+    (repo / "src/pkg/m.py").write_text("x = 1\n")
     monkeypatch.setattr(bench_pairs, "ROOT", repo)
     head = bench_pairs.copy_tree(tmp_path / "head")
     copied = sorted(p.relative_to(head).as_posix() for p in head.rglob("*") if p.is_file())
     assert copied == ["perfbench/run.py", "src/pkg/m.py"]
+
+    # compiled from the copy's own files: one .pyc per source, none the stale one
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)  # timestamp-checked .pyc
+    assert bench_pairs.compile_tree(head) == head
+    for src in head.rglob("*.py"):
+        pyc = Path(importlib.util.cache_from_source(str(src)))
+        assert pyc.is_file() and pyc.read_bytes() != stale.read_bytes()
+
+    # a run reads that bytecode and writes none: a source edited to the same
+    # size and mtime still runs as compiled
+    m_py = head / "src/pkg/m.py"
+    stat = m_py.stat()
+    m_py.write_text("x = 3\n")
+    os.utime(m_py, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    files = {p: p.stat().st_mtime_ns for p in head.rglob("*")}
+    probe = ("import sys; sys.path.insert(0, 'src/pkg'); import m; "
+             "print(m.x, sys.dont_write_bytecode)")
+    ran = subprocess.run([sys.executable, "-c", probe], cwd=head, capture_output=True,
+                         text=True, check=True, env=dict(bench_pairs.BYTECODE["env"]))
+    assert ran.stdout.split() == ["1", "True"]
+    assert {p: p.stat().st_mtime_ns for p in head.rglob("*")} == files
+    assert bench_pairs.BYTECODE["env"] == {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

@@ -16,12 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 import bardina.cli
 import bardina.config
 import bardina.dynamics
-from bardina.attractor import (
-    OrthoFrame,
-    linearized_rhs,
-    lyapunov_sum_bound,
-    orthonormalize,
-)
+from bardina.attractor import linearized_rhs, lyapunov_sum_bound, orthonormalize
 from bardina.checkpoint import STEADY_STATE_TIME, read_checkpoint
 from bardina.cli import (
     EXIT_BLOWUP,
@@ -450,12 +445,12 @@ def per_frame_size_rows(cfg):
         st = SimState(u0.copy(), 0.0, p, force)
         for k in range(n_windows + 1):
             total = 0.0
-            for w in frame.fields:
+            for w in frame:
                 total += h1alpha_inner(linearized_rhs(w, st.u, p), w, p.alpha)
             bound = lyapunov_sum_bound(m, st.u, p)
             rows.append([m, k * every * dt, total, bound, bound - total])
             moved = []
-            for w in frame.fields:
+            for w in frame:
                 for _ in range(every):
                     nl = -2.0 * bilinear(st.u, w, p.alpha).hat
                     w = VectorField(cfg.grid, expz * w.hat + w1 * nl)
@@ -775,8 +770,7 @@ class TestCliErrors:
 
         def stretched(frame, state, dt, n_steps):
             frame, total = transport(frame, state, dt, n_steps)
-            fields = [VectorField(f.grid, 2.0 * f.hat) for f in frame.fields]
-            return OrthoFrame(fields, frame.alpha), total
+            return [VectorField(f.grid, 2.0 * f.hat) for f in frame], total
 
         monkeypatch.setattr(bardina.cli, "transport_frame", stretched)
         code, out = run_cli(tmp_path, "lyapunov", BASE_INI + "[lyapunov]\nm_list = 1 2\n")

@@ -548,7 +548,7 @@ class TestGridMismatch:
             transport_frame(orthonormalize([w], params.alpha), st, 0.01, 2)
         assert str(full8) in str(info.value) and str(grid8) in str(info.value)
         frame, _ = transport_frame(orthonormalize([dealias(w, grid8)], params.alpha), st, 0.01, 2)
-        assert frame.fields[0].grid == grid8
+        assert frame[0].grid == grid8
 
 
 class TestStepCount:

@@ -168,7 +168,7 @@ def start_tree(src, runs, work):
         (work / f"{name}.ini").write_text(ini)
         jobs.append((name, [sub, "--config", str(work / f"{name}.ini"), "--out", str(work / name)]))
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", BARDINA_THREADS="1")
+               MKL_NUM_THREADS="1")
     return subprocess.Popen([sys.executable, "-c", WORKER, json.dumps(jobs)], env=env,
                             stdout=subprocess.PIPE, text=True)
 

@@ -12,16 +12,17 @@ directories, each side into D directories whose paths differ in length
 (default 1): pair i runs both sides from directory i mod D, so that a
 difference that follows where a tree lies (the heap layout of a small grid
 shifts with the length of the paths a process holds) shows as a spread
-between directories, not as one of the code.  Each side runs its own `perfbench/run.py --workload W --seed K
---seconds S --trace 0` in its own tree, one run at a time, with
-PYTHONDONTWRITEBYTECODE=1: neither side reads or writes bytecode of src/ or
-perfbench/, so both compile them in every process, as a fresh checkout
-does, while the installed bytecode of the standard library and numpy
-serves both alike.  A pair is one run per side; the base goes first in
-even-numbered pairs and the working tree in odd ones, so a drift of the
-host's speed over the session weighs on both sides alike.  The workloads
-(default: all of perfbench's) take their pairs in turn, pair 0 of each,
-then pair 1 of each, and so on.
+between directories, not as one of the code.  Each tree is then compiled
+from its own files, `python -m compileall -q src perfbench` in it, and each
+side runs its own `perfbench/run.py --workload W --seed K --seconds S
+--trace 0` in its own tree, one run at a time, with
+PYTHONDONTWRITEBYTECODE=1: every process reads its tree's bytecode and
+writes none, so neither side's set-up time or peak RSS holds a compile of
+its sources, whose cost would grow with their size.  A pair is one run
+per side; the base goes first in even-numbered pairs and the working tree
+in odd ones, so a drift of the host's speed over the session weighs on
+both sides alike.  The workloads (default: all of perfbench's) take their
+pairs in turn, pair 0 of each, then pair 1 of each, and so on.
 
 The result is written to BENCH_<label>.json at the root of the repository,
 in one schema:
@@ -92,8 +93,9 @@ RUN_TIMEOUT_S = 600
 TREE = ["src", "perfbench"]  # what each side's tree holds
 BYTECODE = {  # recorded in BENCH_<label>.json
     "env": {"PYTHONDONTWRITEBYTECODE": "1"},
-    "trees": "base extracted with git archive, head copied from the working tree, "
-             "both without __pycache__",
+    "trees": "base extracted with git archive, head copied from the working tree without "
+             "__pycache__, each compiled from its own files by python -m compileall -q "
+             "src perfbench",
 }
 
 
@@ -103,6 +105,13 @@ def copy_tree(dest):
     for p in TREE:
         shutil.copytree(ROOT / p, Path(dest) / p, ignore=shutil.ignore_patterns("__pycache__"))
     return Path(dest)
+
+
+def compile_tree(tree):
+    """The bytecode of tree's TREE, compiled from its own files by
+    `python -m compileall -q`; returns tree."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", *TREE], cwd=tree, check=True)
+    return Path(tree)
 
 
 def run_side(tree, workload, seed, seconds):
@@ -289,8 +298,8 @@ def main(argv=None):
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         dirs = [Path(tmp) / ("d" * (1 + 8 * d)) for d in range(args.dirs)]
-        trees = [{"base": extract_tree(args.base, d / "base", TREE),
-                  "head": copy_tree(d / "head")} for d in dirs]
+        trees = [{"base": compile_tree(extract_tree(args.base, d / "base", TREE)),
+                  "head": compile_tree(copy_tree(d / "head"))} for d in dirs]
         runs = bench_pairs(trees, workloads, args.pairs, args.seconds, args.seed)
     result["workloads"] = {w: {"runs": r, "metrics": summarize(r, spec),
                                "minor_faults": summarize_faults(r),
