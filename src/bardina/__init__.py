@@ -22,7 +22,6 @@ from .spectral import (
 from .fields import FieldRecipe, generate
 from .dynamics import (
     SimState,
-    DiagnosticsSample,
     Trajectory,
     nonlinear_term,
     step,

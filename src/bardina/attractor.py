@@ -126,12 +126,11 @@ def transport_frame(frame, state, dt, n_steps):
     state and re-orthonormalized (the frame itself when n_steps is 0):
     (frame, sum), all in the state's alpha.  Each -2 B(u, w_i) is formed
     once, with state.u_phys, for the sum and the first step.  Each field
-    moves in its own hat once the sum has read it, and the
-    re-orthonormalization overwrites those hats: when n_steps > 0 the input
-    frame is consumed, its hats now those of the frame returned.  ValueError
-    if a field is not on the state's grid; CertificateError if the frame is
-    not orthonormal in the state's alpha, as every frame this program builds
-    is."""
+    moves in its own hat once the sum has read it, and orthonormalize
+    overwrites those hats: when n_steps > 0 the input frame is consumed,
+    its hats now those of the frame returned.  ValueError if a field is not
+    on the state's grid; CertificateError if the frame is not orthonormal
+    in the state's alpha, as every frame this program builds is."""
     u, p = state.u, state.params
     grid = _check_shared_grid(u, *frame)
     defect = np.abs(gram(frame, p.alpha) - np.eye(len(frame))).max()
@@ -139,37 +138,29 @@ def transport_frame(frame, state, dt, n_steps):
         raise CertificateError(f"frame is not orthonormal (Gram deviation {defect:.3e})")
     damping = damping_symbol(grid, p)
     expz, w1, _ = _etd_weights(grid, p, dt)
-    total, moved = 0.0, []
+    total = 0.0
     for w in frame:
         nl = -2.0 * bilinear(u, w, p.alpha, state.u_phys).hat
         total += h1alpha_inner(VectorField(grid, nl - damping * w.hat), w, p.alpha)
-        if n_steps:
-            # transport part only; expz treats the linear decay exactly
-            x = np.multiply(expz, w.hat, out=w.hat)
-            x += np.multiply(w1, nl, out=nl)
-            for _ in range(1, n_steps):
-                nl = -2.0 * bilinear(u, VectorField(grid, x), p.alpha, state.u_phys).hat
-                np.multiply(expz, x, out=x)
-                x += np.multiply(w1, nl, out=nl)
-            moved.append(x)
-    return (_orthonormalize_in_place(moved, grid, p.alpha) if n_steps else frame), total
+        for k in range(n_steps):  # transport part only; expz treats the linear decay exactly
+            if k:
+                nl = -2.0 * bilinear(u, w, p.alpha, state.u_phys).hat
+            np.multiply(expz, w.hat, out=w.hat)
+            w.hat += np.multiply(w1, nl, out=nl)
+    return (orthonormalize(frame, p.alpha) if n_steps else frame), total
 
 
 def orthonormalize(fields, alpha):
-    """Modified Gram-Schmidt in the H^1_alpha inner product: each projection
-    is one Re vdot(weights * q, w).  The fields are left as they are; the
-    orthonormal fields are returned as a list.  ValueError if the fields are
-    on two grids."""
+    """Modified Gram-Schmidt in the H^1_alpha inner product, in place: each
+    field's hat is overwritten by its orthonormal field (w -= c q, then
+    w /= |w|, each projection one Re vdot(weights * q, w)), and the
+    orthonormal fields, on those hats, are returned as a list.  ValueError
+    if the list is empty, the fields are on two grids or dependent."""
     if not fields:
         raise ValueError("empty field list")
     grid = _check_shared_grid(*fields)
-    return _orthonormalize_in_place([v.hat.copy() for v in fields], grid, alpha)
-
-
-def _orthonormalize_in_place(hats, grid, alpha):
-    """orthonormalize of the fields on `grid` with these hats, each hat
-    overwritten by its orthonormal field (w -= c q, then w /= |w|)."""
     weight = h1alpha_weights(grid, alpha)
+    hats = [v.hat for v in fields]
     scale = max(np.sqrt(np.vdot(weight * w, w).real) for w in hats)
     if scale == 0:
         raise ValueError("rank-deficient input: all fields vanish")
@@ -207,9 +198,7 @@ def trajectory_gap(u0_a, u0_b, force, params, t_end, dt, sample_every=1):
     f_norm = np.sqrt(norms(force, params.alpha).h1alpha_sq)
     orbital = bool(np.all(gaps <= gaps[0] * (1.0 + 1e-10) + 1e-300))
     positive = gaps > 0
-    rate = None
-    if positive.sum() >= 2:
-        rate = float(np.polyfit(times[positive], np.log(gaps[positive]), 1)[0])
+    rate = _log_slope(times[positive], gaps[positive]) if positive.sum() >= 2 else None
     return GapReport(times, gaps, eta(params, f_norm).eta_value, orbital, rate)
 
 
@@ -239,14 +228,7 @@ def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
     ]).T
 
     monotone = bool(np.all(np.diff(rs) <= 1e-12 * max(rs[0], 1e-300)))
-    late = times >= 1.0
-    envelope_ok = True
-    if late.sum() >= 2:
-        t_late = times[late]
-        c_fit = rinfs[late][0] * t_late[0] ** 0.75
-        envelope_ok = bool(
-            np.all(rinfs[late] <= c_fit * t_late ** -0.75 * (1.0 + 1e-9) + 1e-300)
-        )
+    envelope_ok = _late_envelope(times, rinfs, lambda t: t**-0.75)
     return ConvergenceReport(times, rs, rinfs, monotone, envelope_ok)
 
 
@@ -257,13 +239,24 @@ ZeroForceDecayReport = namedtuple("ZeroForceDecayReport",
                                   "times lp_norms fitted_rates envelopes_ok")
 
 
-def _magnitude_sq(d):
-    """|u(x)|^2 on the grid from d, the samples (3, n, n, n) of u, in d[0]:
-    d squared in place and summed in the order np.sum(d**2, axis=0) sums."""
-    np.square(d, out=d)
-    d[0] += d[1]
-    d[0] += d[2]
-    return d[0]
+def _log_slope(t, y):
+    """The least-squares slope of log y against t, in closed form: the line
+    fit of degree 1 without a LAPACK solve."""
+    dt, dy = t - t.mean(), np.log(y)
+    dy -= dy.mean()
+    return float(np.dot(dt, dy) / np.dot(dt, dt))
+
+
+def _late_envelope(times, values, envelope):
+    """Whether values <= C envelope(times) at every sampled time t >= 1, up
+    to a relative 1e-9, with C fit at the first such time; True with fewer
+    than two such times."""
+    late = times >= 1.0
+    if late.sum() < 2:
+        return True
+    t, v = times[late], values[late]
+    c_fit = v[0] / envelope(t[0])
+    return bool(np.all(v <= c_fit * envelope(t) * (1.0 + 1e-9) + 1e-300))
 
 
 def _sup_distance(a, b):
@@ -284,12 +277,16 @@ def _sup_distance(a, b):
 
 def _lp_norms(samples, p_list, dx):
     """The L^p norms, p in p_list, of a field from its physical samples
-    (3, n, n, n) on a grid of spacing dx, in one temporary: |u| in its first
-    slot, each |u|^p in its second."""
-    t = samples.copy()
-    mag = np.sqrt(_magnitude_sq(t), out=t[0])
+    (3, n, n, n) on a grid of spacing dx, in two component-sized slots: |u|
+    in the first, its square summed as np.sum(u**2, axis=0) sums, and each
+    |u|^p in the second."""
+    mag, s = np.empty((2,) + samples.shape[1:])
+    np.square(samples[0], out=mag)
+    for i in (1, 2):
+        mag += np.square(samples[i], out=s)
+    np.sqrt(mag, out=mag)
     return [mag.max() if p == np.inf
-            else float((dx**3 * np.sum(np.power(mag, p, out=t[1]))) ** (1.0 / p))
+            else float((dx**3 * np.sum(np.power(mag, p, out=s))) ** (1.0 / p))
             for p in p_list]
 
 
@@ -313,17 +310,10 @@ def zero_force_decay(u0, params, t_end, dt, p_list=(2, 4, np.inf), sample_every=
     late = times >= 1.0
     for p in p_list:
         vals = series[p]
-        rate_envelope = 0.0 if p == np.inf else -2.0 * params.beta / p
+        rate = 0.0 if p == np.inf else -2.0 * params.beta / p
         if late.sum() >= 2 and np.all(vals[late] > 0):
-            t_late = times[late]
-            rates[p] = float(np.polyfit(t_late, np.log(vals[late]), 1)[0])
-            c_fit = vals[late][0] * np.exp(-rate_envelope * t_late[0])
-            ok[p] = bool(
-                np.all(
-                    vals[late]
-                    <= c_fit * np.exp(rate_envelope * t_late) * (1.0 + 1e-9) + 1e-300
-                )
-            )
+            rates[p] = _log_slope(times[late], vals[late])
+            ok[p] = _late_envelope(times, vals, lambda t: np.exp(rate * t))
         else:
             rates[p] = 0.0
             ok[p] = bool(np.all(vals == 0) or late.sum() < 2)

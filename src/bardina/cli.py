@@ -34,8 +34,8 @@ from .config import ConfigError, load_config
 from .dynamics import (
     BlowUpError,
     CFLError,
-    DiagnosticsSample,
     SimState,
+    Trajectory,
     absorbing_ball_entry,
     decay_envelope_check,
     energy_budget_residual,
@@ -135,7 +135,7 @@ def cmd_simulate(runner):
     residuals = energy_budget_residual(traj)
     runner.csv(
         "trajectory.csv",
-        [*DiagnosticsSample._fields, "energy_residual"],
+        [*Trajectory._fields, "energy_residual"],
         zip(*traj, residuals),
     )
     write_checkpoint(runner.path("final_state.bard"), state.u, cfg.params, state.t)

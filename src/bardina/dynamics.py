@@ -27,7 +27,6 @@ from .spectral import (
 
 __all__ = [
     "SimState",
-    "DiagnosticsSample",
     "Trajectory",
     "integral",
     "BlowUpError",
@@ -87,16 +86,12 @@ class SimState:
         return _abs_max(self.u_phys)
 
 
-# One sample of a run; dissipation is nu (|u|_H1^2 + alpha^2 |u|_H2^2),
-# damping beta |u|_{H1_alpha}^2 and force_pairing <f, u>_{H1_alpha}.
-DiagnosticsSample = namedtuple(
-    "DiagnosticsSample",
-    "t l2_sq h1dot_sq h2dot_sq h1alpha_sq dissipation damping force_pairing",
+# The samples of a run as columns, or one sample; dissipation is
+# nu (|u|_H1^2 + alpha^2 |u|_H2^2), damping beta |u|_{H1_alpha}^2 and
+# force_pairing <f, u>_{H1_alpha}.
+Trajectory = namedtuple(
+    "Trajectory", "t l2_sq h1dot_sq h2dot_sq h1alpha_sq dissipation damping force_pairing"
 )
-
-
-# The samples of a run as columns: one array per DiagnosticsSample field.
-Trajectory = namedtuple("Trajectory", DiagnosticsSample._fields)
 
 
 def integral(t, y):
@@ -264,9 +259,10 @@ def sampled_states(state, t_end, dt, sample_every=1):
 
 
 def sample_diagnostics(state):
+    """The diagnostics of one state: a Trajectory of one sample."""
     p = state.params
     nb = norms(state.u, p.alpha)
-    return DiagnosticsSample(
+    return Trajectory(
         t=state.t,
         l2_sq=nb.l2_sq,
         h1dot_sq=nb.h1dot_sq,

@@ -10,7 +10,6 @@ from .spectral import (
     _forward,
     _project,
     fft_order,
-    mode_indices,
     modes,
     norms,
 )
@@ -90,7 +89,7 @@ def _random_band(recipe, grid, alpha):
     rng = np.random.default_rng(recipe.seed)
     n, b = grid.n, grid.box_shape[0]
     mb = fft_order(b)  # box rows: FFT order of b points
-    mz = mode_indices(grid)[: cutoff + 1]
+    mz = fft_order(grid.n)[: cutoff + 1]
     mag = np.sqrt(mb[:, None, None] ** 2 + mb[None, :, None] ** 2 + mz[None, None, :] ** 2)
     # |m| <= k_max <= cutoff, so the band lies inside the box.  Both parts
     # are drawn on the full spectrum, so a seed gives the same field on any

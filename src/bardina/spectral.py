@@ -202,12 +202,6 @@ def fft_order(m):
     return i
 
 
-@lru_cache(maxsize=32)
-def mode_indices(grid):
-    """Integer mode index m along one full axis, in FFT ordering."""
-    return _frozen(fft_order(grid.n))
-
-
 def _runs(grid, rows):
     """The contiguous runs of the box's rows m >= 0 and m < 0 along x or y,
     on an axis of `rows` rows: the box's own b, or those of the box of a
@@ -272,7 +266,7 @@ def modes(grid):
     at k = 0, where the Leray projection is the identity).  k is gathered
     from one full axis's on the box's rows and planes, so two grids of one
     n and box_len hold the same values on the modes their boxes share."""
-    k1 = 2.0 * np.pi * mode_indices(grid) / grid.box_len
+    k1 = 2.0 * np.pi * fft_order(grid.n) / grid.box_len
     rows = np.concatenate([k1[run] for run in _runs(grid, grid.n)])
     k = np.empty((3,) + grid.box_shape)  # filled from broadcast views, no dense temporaries
     k[0], k[1], k[2] = np.meshgrid(rows, rows, k1[: grid.box_shape[-1]], indexing="ij",

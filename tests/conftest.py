@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bardina import FieldRecipe, GridSpec, PhysParams, generate, spectral
+from bardina import FieldRecipe, GridSpec, PhysParams, VectorField, generate, spectral
 from oracles import half_spectrum
 
 
@@ -39,6 +39,11 @@ def random_field(grid, alpha=1.0, seed=0, amplitude=1.0, k_min=1, k_max=2):
         grid,
         alpha,
     )
+
+
+def zero_field(grid):
+    """The zero field on the grid, certified divergence-free."""
+    return VectorField(grid, np.zeros((3,) + grid.box_shape, complex), div_free=True)
 
 
 def slab_budget(monkeypatch, n, rows):

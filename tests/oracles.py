@@ -15,9 +15,10 @@ Gram-Schmidt that made a new array per step and per field (which reuse the
 package's kernel and weights), zero_force_decay's L^p norms through
 |u| and |u|^p in new arrays, r_inf through the whole difference of the
 samples, the norms through |u_hat|^2 of all components at once, the
-H^1_alpha inner product through a new weighted copy, and the ETD2RK step
+H^1_alpha inner product through a new weighted copy, the ETD2RK step
 with each stage in a new array (which reuses the package's kernel and
-weights).
+weights), and the late-time envelope checks and growth-rate fits of
+steady_convergence and zero_force_decay written out, with np.polyfit.
 """
 
 import numpy as np
@@ -324,6 +325,33 @@ def orthonormalize_reference(fields, alpha):
             w -= np.vdot(weight * q, w).real * q
         out.append(w / np.sqrt(np.vdot(weight * w, w).real))
     return out
+
+
+def steady_envelope_reference(times, r_inf):
+    """steady_convergence's former inline check: r_inf(t) <= C t^{-3/4} at
+    every sampled t >= 1, C fit at the first of them."""
+    late = times >= 1.0
+    envelope_ok = True
+    if late.sum() >= 2:
+        t_late = times[late]
+        c_fit = r_inf[late][0] * t_late[0] ** 0.75
+        envelope_ok = bool(np.all(r_inf[late] <= c_fit * t_late**-0.75 * (1.0 + 1e-9) + 1e-300))
+    return envelope_ok
+
+
+def zero_force_fit_reference(times, vals, beta, p):
+    """zero_force_decay's former inline fit of one L^p series, through
+    np.polyfit: (the fitted rate, whether C_p e^{-2 beta t / p} holds at
+    every sampled t >= 1, C_p fit at the first of them)."""
+    late = times >= 1.0
+    rate_envelope = 0.0 if p == np.inf else -2.0 * beta / p
+    if late.sum() >= 2 and np.all(vals[late] > 0):
+        t_late = times[late]
+        rate = float(np.polyfit(t_late, np.log(vals[late]), 1)[0])
+        c_fit = vals[late][0] * np.exp(-rate_envelope * t_late[0])
+        bound = c_fit * np.exp(rate_envelope * t_late) * (1.0 + 1e-9) + 1e-300
+        return rate, bool(np.all(vals[late] <= bound))
+    return 0.0, bool(np.all(vals == 0) or late.sum() < 2)
 
 
 def magnitude(samples):

@@ -45,7 +45,7 @@ from bardina import (
 from bardina.cli import main as cli_main
 from bardina.spectral import modes
 
-from conftest import half_hat, random_field
+from conftest import half_hat, random_field, zero_field
 from oracles import dealias_mask, half_spectrum, oracle_linearized_transport, oracle_nonlinear
 
 
@@ -57,12 +57,6 @@ def _report(num, name, ok):
 def _rel_err(got, expected):
     scale = max(np.abs(expected).max(), 1e-300)
     return np.abs(got - expected).max() / scale
-
-
-def _zero(grid):
-    return VectorField(
-        grid, np.zeros((3,) + grid.box_shape, dtype=np.complex128), div_free=True
-    )
 
 
 def test_criterion_01_operator_oracles(grid8):
@@ -119,7 +113,7 @@ def test_criterion_02_shear_exact_decay():
     params = PhysParams(alpha=1.0, beta=1.0, nu=0.5)
     u0 = generate(FieldRecipe("shear", 1.0), grid)
     lam = params.nu * (2 * np.pi / grid.box_len) ** 2 + params.beta
-    state = SimState(u0.copy(), 0.0, params, _zero(grid))
+    state = SimState(u0.copy(), 0.0, params, zero_field(grid))
     dt = 1e-3
     worst = 0.0
     for i in range(1, 5001):

@@ -1,9 +1,12 @@
 import copy
 import math
 import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bardina.attractor
 import bardina.spectral
@@ -30,7 +33,7 @@ from bardina.attractor import gram, transport_frame
 from bardina.dynamics import SimState, sampled_states
 from bardina.spectral import CertificateError, modes
 
-from conftest import half_hat, random_field
+from conftest import half_hat, random_field, zero_field
 from oracles import (
     dealias_mask,
     gram_schmidt_reference,
@@ -40,15 +43,11 @@ from oracles import (
     oracle_linearized_transport,
     orthonormalize_reference,
     r_inf_reference,
+    steady_envelope_reference,
     sup_distance_reference,
     transport_frame_reference,
+    zero_force_fit_reference,
 )
-
-
-def zero_field(grid):
-    return VectorField(
-        grid, np.zeros((3,) + grid.box_shape, dtype=np.complex128), div_free=True
-    )
 
 
 def base_state(u, params):
@@ -171,7 +170,7 @@ class TestOrthonormalize:
 
     def test_first_direction_preserved(self, grid8, params):
         v = random_field(grid8, seed=83)
-        frame = orthonormalize([v], params.alpha)
+        frame = orthonormalize([v.copy()], params.alpha)
         nrm = np.sqrt(norms(v, params.alpha).h1alpha_sq)
         assert np.abs(frame[0].coeffs - v.coeffs / nrm).max() <= 1e-12
 
@@ -197,7 +196,7 @@ class TestOrthonormalize:
     def test_matches_reference_gram_schmidt(self, params, m, n, fraction):
         grid = GridSpec(n, dealias_fraction=fraction)
         fields = [random_field(grid, seed=130 + i) for i in range(m)]
-        frame = orthonormalize(fields, params.alpha)
+        frame = orthonormalize([v.copy() for v in fields], params.alpha)
         for got, ref in zip(frame, gram_schmidt_reference(fields, params.alpha)):
             assert np.abs(got.hat - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -222,15 +221,13 @@ class TestOrthonormalize:
 
     @pytest.mark.parametrize("n, m", [(8, 3), (16, 8)])
     def test_in_place_matches_the_copies_bitwise(self, params, n, m):
-        # w -= c q and w /= |w| in the copies give the bits of w / |w| in a
-        # new array; the input fields stay as they were
+        # w -= c q and w /= |w| in the inputs' hats give the bits of w / |w|
+        # in a new array, from copies; the fields returned are on those hats
         fields = [random_field(GridSpec(n), seed=150 + i) for i in range(m)]
-        before = [v.hat.copy() for v in fields]
+        ref = orthonormalize_reference(copy.deepcopy(fields), params.alpha)
         frame = orthonormalize(fields, params.alpha)
-        for got, ref in zip(frame, orthonormalize_reference(fields, params.alpha)):
-            assert got.hat.tobytes() == ref.tobytes()
-        for v, b in zip(fields, before):
-            assert v.hat.tobytes() == b.tobytes()
+        for got, v, r in zip(frame, fields, ref):
+            assert got.hat is v.hat and got.hat.tobytes() == r.tobytes()
 
     def test_empty_rejected(self, params):
         with pytest.raises(ValueError):
@@ -308,9 +305,10 @@ class TestTransportFrame:
     def test_zero_base_preserves_span_direction(self, grid8, params):
         v = generate(FieldRecipe("shear", 1.0), grid8)
         frame = orthonormalize([v], params.alpha)
+        kept = copy.deepcopy(frame)  # the transport consumes the frame
         out, _ = transport_frame(frame, base_state(zero_field(grid8), params), 0.01, 3)
         # pure decay rescales a single mode, so renormalizing recovers it
-        assert np.abs(np.abs(out[0].coeffs) - np.abs(frame[0].coeffs)).max() <= 1e-10
+        assert np.abs(np.abs(out[0].coeffs) - np.abs(kept[0].coeffs)).max() <= 1e-10
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_no_steps_keeps_the_frame_and_sums_the_operator(self, grid8, params, m):
@@ -445,6 +443,75 @@ class TestSteadyConvergence:
         assert peak <= 64**3 * 8 + 0.1e6
 
 
+@st.composite
+def late_series(draw):
+    """(times, values) of a sampled run: 1 to 12 equally spaced times from
+    t0 in [0, 2], so that fewer than two, or all, reach t >= 1 and the first
+    that does need not be 1; values on a decaying envelope, each scaled by
+    a factor in [0, 1.5], and from some sample on zero when it reaches zero."""
+    k = draw(st.integers(1, 12))
+    t0 = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0))
+    times = t0 + draw(st.floats(0.05, 1.0)) * np.arange(k)
+    decay = np.exp(draw(st.floats(-3.0, 0.0)) * times)
+    factors = np.array(draw(st.lists(st.floats(0.0, 1.5), min_size=k, max_size=k)))
+    values = draw(st.floats(1e-6, 1e6)) * decay * factors
+    if draw(st.booleans()):  # the run reaches zero
+        values[draw(st.integers(0, k - 1)):] = 0.0
+    return times, values
+
+
+def slope_scale(times, values):
+    """The scale of a fitted slope of log values over times: 1 plus the
+    largest |log v| over the spread of the times (1 when there is no fit)."""
+    positive = values > 0
+    if positive.sum() < 2 or np.ptp(times) == 0:
+        return 1.0
+    return np.abs(np.log(values[positive])).max() / np.ptp(times) + 1.0
+
+
+class TestLateFits:
+    """The closed-form slope and the one late-time envelope check."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(2, 40), t0=st.floats(0.0, 50.0), step=st.floats(1e-3, 5.0),
+           rate=st.floats(-2.0, 2.0), log_c=st.floats(-200.0, 200.0),
+           noise=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_log_slope_matches_polyfit(self, k, t0, step, rate, log_c, noise, seed):
+        t = t0 + step * np.arange(k)
+        y = np.exp(log_c + rate * t + noise * np.random.default_rng(seed).standard_normal(k))
+        got = bardina.attractor._log_slope(t, y)
+        # the exact least-squares slope of the rounded data, in rationals
+        ts, ls = [Fraction(v) for v in t], [Fraction(v) for v in np.log(y)]
+        tm, lm = sum(ts) / k, sum(ls) / k
+        exact = float(sum((a - tm) * (b - lm) for a, b in zip(ts, ls))
+                      / sum((a - tm) ** 2 for a in ts))
+        # relative to the slope, or to the data's scale where it is near 0
+        scale = max(abs(exact), np.abs(np.log(y)).max() / np.ptp(t))
+        assert abs(got - exact) <= 1e-13 * scale
+        # polyfit's solve loses digits as the times crowd far from 0
+        ref = np.polyfit(t, np.log(y), 1)[0]
+        assert abs(got - ref) <= 1e-12 * scale * (1.0 + np.abs(t).max() / np.ptp(t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(series=late_series())
+    def test_steady_envelope_matches_the_former_check(self, series):
+        times, values = series
+        got = bardina.attractor._late_envelope(times, values, lambda t: t**-0.75)
+        assert got == steady_envelope_reference(times, values)
+
+    def test_late_envelope_cases(self):
+        def env(s):
+            return np.exp(-s)
+
+        t = np.array([0.5, 1.5, 2.5, 3.5])
+        on = 2.0 * env(t)
+        assert bardina.attractor._late_envelope(t, on, env)  # on the envelope
+        assert bardina.attractor._late_envelope(t, 9.0 * on * [9, 1, 1, 1], env)  # early: free
+        assert not bardina.attractor._late_envelope(t, on * [1, 1, 1.001, 1], env)
+        assert bardina.attractor._late_envelope(t, on * [1, 1, 0, 0], env)  # reaches zero
+        assert bardina.attractor._late_envelope(t[:2], on[:2] * [1, 50], env)  # one late time
+
+
 class TestSampledStateTransforms:
     """Each sampled state is transformed once: the consumers read its
     u_phys, and the next step reuses it."""
@@ -519,6 +586,35 @@ class TestZeroForceDecay:
         expected = [lp_norm(magnitude(a), p, dx) for p in p_list]
         assert np.array(got).tobytes() == np.array(expected).tobytes()
         assert a.tobytes() == before.tobytes()
+
+    def test_lp_norms_hold_two_components(self):
+        # n = 32: a component of samples is 0.26 MB, a copy of the samples
+        # 0.79 MB
+        a = np.random.default_rng(32).standard_normal((3, 32, 32, 32))
+        tracemalloc.start()
+        try:
+            bardina.attractor._lp_norms(a, (2, 4, np.inf, 3.5), 2 * np.pi / 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 32**3 * 8 + 0.05e6
+
+    @settings(max_examples=150, deadline=None)
+    @given(series=late_series(), p=st.sampled_from([1, 2, 3.5, np.inf]),
+           beta=st.floats(0.1, 3.0))
+    def test_fits_match_the_former_inline_fit(self, series, p, beta):
+        # zero_force_decay on a faked run whose L^p norms are the series:
+        # the envelope booleans of the former check, its np.polyfit rates
+        times, vals = series
+        states = [SimpleNamespace(t=t, u_phys=v) for t, v in zip(times, vals)]
+        params = PhysParams(alpha=1.0, beta=beta, nu=0.5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bardina.attractor, "sampled_states", lambda *args: iter(states))
+            mp.setattr(bardina.attractor, "_lp_norms", lambda v, p_list, dx: [v] * len(p_list))
+            rep = zero_force_decay(zero_field(GridSpec(8)), params, 1.0, 0.1, p_list=(p,))
+        ref_rate, ref_ok = zero_force_fit_reference(times, vals, beta, p)
+        assert rep.envelopes_ok[p] == ref_ok
+        assert abs(rep.fitted_rates[p] - ref_rate) <= 1e-12 * slope_scale(times, vals)
 
     @pytest.mark.parametrize("p_list", [(0,), (2, -1), (np.nan,), (-np.inf,), (0.5, 2)])
     def test_rejects_p_below_one(self, grid8, params, p_list):

@@ -305,6 +305,42 @@ def test_runs_load_no_numpy_fft(tmp_path):
     assert all((tmp_path / name / "run_meta.json").is_file() for name in bardina.cli.COMMANDS)
 
 
+def test_runs_call_no_lstsq(tmp_path):
+    """A run of every subcommand, decay in both modes, with fits over many
+    late samples, calls no numpy.linalg.lstsq: the growth rates are
+    closed-form slopes, and the solve np.polyfit made set gap's peak memory
+    at n = 32."""
+    ini = BASE_INI.replace("t_end = 0.5", "t_end = 2.0")
+    runs = []
+    for name, extra in [*((name, "") for name in bardina.cli.COMMANDS),
+                        ("decay", "[decay]\nmode = steady\n")]:
+        cfg = tmp_path / f"{name}{len(runs)}.ini"
+        cfg.write_text(ini + extra)
+        runs.append((name, str(cfg), str(tmp_path / f"out{len(runs)}")))
+    code = (
+        "import sys, numpy\n"
+        "from bardina.cli import main\n"
+        "original = [numpy.linalg.lstsq]  # no name here is the function\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('numpy.linalg.lstsq called')\n"
+        "replaced = 0\n"
+        "for mod in list(sys.modules.values()):\n"
+        "    for key, val in list(getattr(mod, '__dict__', {}).items()):\n"
+        "        if val is original[0]:\n"
+        "            setattr(mod, key, refuse)\n"
+        "            replaced += 1\n"
+        f"codes = [main([name, '--config', cfg, '--out', out]) for name, cfg, out in {runs!r}]\n"
+        "print(replaced, *codes)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    replaced, *codes = proc.stdout.split()[-len(runs) - 1:]
+    assert int(replaced) >= 2  # numpy.linalg's name and polyfit's, at least
+    assert all(c in ("0", "5") for c in codes), codes
+    assert all((Path(out) / "run_meta.json").is_file() for _, _, out in runs)
+
+
 def test_readme_example_config():
     """The README's example INI parses to the values it shows."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()

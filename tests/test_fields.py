@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bardina import FieldRecipe, GridSpec, VectorField, generate, norms
-from bardina.spectral import DIV_FREE_TOL, inverse_transform
+from bardina.spectral import DIV_FREE_TOL, fft_order, inverse_transform
 
 from conftest import half_hat
 from oracles import hermitian_defect, random_band_full_spectrum
@@ -95,10 +95,8 @@ class TestGenerate:
             generate(FieldRecipe("random_band", 1.0, k_min=1, k_max=3), grid8)
 
     def test_band_support(self, grid8):
-        from bardina.spectral import mode_indices
-
         u = generate(FieldRecipe("random_band", 1.0, seed=7, k_min=2, k_max=2), grid8)
-        m = mode_indices(grid8)
+        m = fft_order(grid8.n)
         mag = np.sqrt(
             m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, :] ** 2
         )

@@ -50,7 +50,6 @@ from bardina.spectral import (
     tensor_product_spectra,
     fft_order,
     full_spectrum,
-    mode_indices,
     modes,
 )
 
@@ -188,7 +187,7 @@ class TestLerayProjection:
         )
         out = leray_project(u)
         k = modes(full8).k
-        m = mode_indices(full8)
+        m = fft_order(full8.n)
         for trial in range(20):
             idx = tuple(rng.integers(0, full8.half_shape))
             kv = np.array([k[a][idx] for a in range(3)])
@@ -267,7 +266,7 @@ class TestDealias:
         assert np.abs(out.coeffs).max() == 0.0
 
     def test_mask_matches_index_oracle(self, grid8, full8):
-        m = mode_indices(grid8)
+        m = fft_order(grid8.n)
         cutoff = int(np.floor(grid8.dealias_fraction * grid8.n / 2))
         expected = np.zeros((8, 8, 8), dtype=bool)
         for a in range(8):
@@ -356,7 +355,7 @@ class TestH1AlphaInner:
         v = random_field(grid8, seed=22)
         w = random_field(grid8, seed=23)
         alpha = 1.2
-        k1 = 2 * np.pi * mode_indices(grid8) / grid8.box_len  # full layout
+        k1 = 2 * np.pi * fft_order(grid8.n) / grid8.box_len  # full layout
         ksq = k1[:, None, None] ** 2 + k1[None, :, None] ** 2 + k1[None, None, :] ** 2
         expected = grid8.box_len**3 * np.real(
             np.sum((1 + alpha**2 * ksq) * np.conj(v.coeffs) * w.coeffs)
@@ -1046,8 +1045,6 @@ class TestCachedSymbols:
             freq = np.fft.fftfreq(m, 1.0 / m)
             assert np.array_equal(fft_order(m), freq.astype(np.int64)), m
             assert np.abs(fft_order(m) - freq).max() <= 1e-12 * m
-            if m % 2 == 0:
-                assert np.array_equal(mode_indices(GridSpec(m)), fft_order(m))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 32).map(lambda h: 2 * h), fraction=st.floats(1 / 3, 1.0),
@@ -1060,7 +1057,6 @@ class TestCachedSymbols:
 
     def test_in_place_write_raises(self, grid8, full8):
         cached = [
-            mode_indices(grid8),
             *modes(full8),
             *modes(grid8),
             *_bilinear_symbols(grid8, 0.5),

@@ -5,7 +5,6 @@ from bardina import (
     FieldRecipe,
     NonConvergenceError,
     PhysParams,
-    VectorField,
     generate,
     norms,
     solve_stationary,
@@ -14,14 +13,8 @@ from bardina import (
 )
 from bardina.spectral import modes
 
-from conftest import half_hat, random_field
+from conftest import half_hat, random_field, zero_field
 from oracles import dealias_mask, half_spectrum, oracle_nonlinear
-
-
-def zero_field(grid):
-    return VectorField(
-        grid, np.zeros((3,) + grid.box_shape, dtype=np.complex128), div_free=True
-    )
 
 
 class TestStationaryMap:

@@ -36,6 +36,12 @@ VmHWM still creeps after the last step (~30 kB at n = 64, in the report
 writers) and stays below one n = 32 box array (233 kB), so a run's arrays,
 not its writers, are named.  The sampling slows the runs several-fold; the
 peaks it reports are those of the same runs.
+
+To compare two trees, run each copy's own script from paths of one
+length: the peak moves with the length of the paths a process holds (one
+tree read `lyapunov` 48.4 MB at n = 32 from one path and 49.2 MB from a
+copy at another), so a difference of path length reads as one of
+code.
 """
 
 import argparse
