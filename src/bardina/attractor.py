@@ -233,8 +233,9 @@ def steady_convergence(u0, force, params, U, t_end, dt, sample_every=1):
 
 
 # Per p: lp_norms the series of |u(t)|_{L^p}, fitted_rates the slope of
-# log |u(t)|_{L^p} for t >= 1, envelopes_ok whether the envelope
-# C_p e^{-2 beta t / p} holds, C_p fit at t = 1.
+# log |u(t)|_{L^p} for t >= 1 (0 unless every such value is positive),
+# envelopes_ok whether the envelope C_p e^{-2 beta t / p} holds, C_p fit at
+# t = 1 (so a series that reaches 0 may hold it, one that leaves 0 not).
 ZeroForceDecayReport = namedtuple("ZeroForceDecayReport",
                                   "times lp_norms fitted_rates envelopes_ok")
 
@@ -311,10 +312,7 @@ def zero_force_decay(u0, params, t_end, dt, p_list=(2, 4, np.inf), sample_every=
     for p in p_list:
         vals = series[p]
         rate = 0.0 if p == np.inf else -2.0 * params.beta / p
-        if late.sum() >= 2 and np.all(vals[late] > 0):
-            rates[p] = _log_slope(times[late], vals[late])
-            ok[p] = _late_envelope(times, vals, lambda t: np.exp(rate * t))
-        else:
-            rates[p] = 0.0
-            ok[p] = bool(np.all(vals == 0) or late.sum() < 2)
+        fit = late.sum() >= 2 and np.all(vals[late] > 0)  # the log needs them positive
+        rates[p] = _log_slope(times[late], vals[late]) if fit else 0.0
+        ok[p] = _late_envelope(times, vals, lambda t: np.exp(rate * t))
     return ZeroForceDecayReport(times, series, rates, ok)

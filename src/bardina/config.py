@@ -106,8 +106,8 @@ def peak_bytes(n):
     """Estimated peak memory of a run on an n-grid, in bytes: above the peak
     resident set of a process that imports bardina.cli, generates two
     random_band fields and takes two steps (tools/peak_memory.py), at most
-    43.5, 57.5 and 170.2 MB (1e6 bytes) at n = 32, 64 and 128, by 2.2 MB or
-    more; the slope lies above that of n = 64 to 128, 61.4 bytes."""
+    43.8, 55.8 and 163.2 MB (1e6 bytes) at n = 32, 64 and 128, by 2.0 MB or
+    more; the slope lies above that of n = 64 to 128, 58.5 bytes."""
     return 43e6 + 85 * n**3
 
 

@@ -138,11 +138,11 @@ def _phi2(z):
     return _phi(z, 2, lambda z: (np.expm1(z) - z) / z**2)
 
 
-@lru_cache(maxsize=32)
 def damping_symbol(grid, params):
     """nu |k|^2 + beta = -lambda on the retained box: the Stokes operator
-    plus the damping; cached and read-only."""
-    return _frozen(params.nu * modes(grid).ksq + params.beta)
+    plus the damping, a new array per call.  Not cached: a run's steps read
+    it folded into _etd_weights, and its other readers form it per call."""
+    return params.nu * modes(grid).ksq + params.beta
 
 
 @lru_cache(maxsize=32)

@@ -37,7 +37,9 @@ def stationary_map(U, force, params):
     """One application of the fixed-point operator T."""
     grid = _check_shared_grid(U, force)
     rhs = force.hat - nonlinear_term(U, params.alpha).hat
-    return VectorField(grid, rhs * (1.0 / damping_symbol(grid, params)))
+    d = damping_symbol(grid, params)  # a new array: inverted in place, and rhs scaled in place
+    rhs *= np.divide(1.0, d, out=d)
+    return VectorField(grid, rhs)
 
 
 def solve_stationary(force, params, relaxation=1.0, tol=1e-12, max_iter=200):

@@ -10,7 +10,9 @@ change), the full-spectrum random_band construction (which reuses the
 package's Leray projection and norms), the modified Gram-Schmidt built
 from the package's norms and h1alpha_inner, steady_convergence's r_inf
 through the transform of u - U, the box symbols gathered from the half
-spectrum's (which reuses the package's box copy), the frame transport and
+spectrum's (which reuses the package's box copy), the box symbols with k
+as one dense (3,) + box_shape array and the per-mode operators that read
+it, the frame transport and
 Gram-Schmidt that made a new array per step and per field (which reuse the
 package's kernel and weights), zero_force_decay's L^p norms through
 |u| and |u|^p in new arrays, r_inf through the whole difference of the
@@ -290,6 +292,44 @@ def half_spectrum_modes(grid):
     return k, ksq, weights, leray
 
 
+def dense_modes(grid):
+    """(k, |k|^2, k / |k|^2) of the grid's box as modes(grid) built them
+    while k was one dense (3,) + box_shape array, filled from sparse
+    meshgrid views."""
+    from bardina.spectral import _runs, fft_order
+
+    k1 = 2.0 * np.pi * fft_order(grid.n) / grid.box_len
+    rows = np.concatenate([k1[run] for run in _runs(grid, grid.n)])
+    k = np.empty((3,) + grid.box_shape)
+    k[0], k[1], k[2] = np.meshgrid(rows, rows, k1[: grid.box_shape[-1]], indexing="ij",
+                                   sparse=True)
+    ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    return k, ksq, k / np.where(ksq == 0.0, 1.0, ksq)
+
+
+def div_defect_dense(v):
+    """VectorField.div_defect with the dense k."""
+    k, c = dense_modes(v.grid)[0], v.hat
+    kdotu = np.abs(k[0] * c[0] + k[1] * c[1] + k[2] * c[2]).max()
+    return kdotu / np.maximum(1.0, np.abs(c).max())
+
+
+def leray_project_dense(v):
+    """The hat of leray_project(v) with the dense k and k / |k|^2."""
+    k, _, leray = dense_modes(v.grid)
+    return v.hat - leray * np.sum(k * v.hat, axis=0)
+
+
+def gradient_dense(field):
+    """The hat of gradient(field) with the dense k."""
+    return 1j * dense_modes(field.grid)[0] * field.hat
+
+
+def divergence_dense(v):
+    """The hat of divergence(v) with the dense k."""
+    return 1j * np.sum(dense_modes(v.grid)[0] * v.hat, axis=0)
+
+
 def transport_frame_reference(frame, state, dt, n_steps):
     """transport_frame with each step of each field in a new array,
     expz * w + w1 * nl, and the moved fields orthonormalized from copies by
@@ -341,17 +381,21 @@ def steady_envelope_reference(times, r_inf):
 
 def zero_force_fit_reference(times, vals, beta, p):
     """zero_force_decay's former inline fit of one L^p series, through
-    np.polyfit: (the fitted rate, whether C_p e^{-2 beta t / p} holds at
-    every sampled t >= 1, C_p fit at the first of them)."""
+    np.polyfit: (the fitted rate, 0 unless every value at t >= 1 is
+    positive; whether C_p e^{-2 beta t / p} holds at every sampled t >= 1,
+    C_p fit at the first of them, True with fewer than two such times).
+    The former check also read False for a series with a late zero that
+    was not 0 throughout; here the envelope judges every series."""
     late = times >= 1.0
+    if late.sum() < 2:
+        return 0.0, True
     rate_envelope = 0.0 if p == np.inf else -2.0 * beta / p
-    if late.sum() >= 2 and np.all(vals[late] > 0):
-        t_late = times[late]
-        rate = float(np.polyfit(t_late, np.log(vals[late]), 1)[0])
-        c_fit = vals[late][0] * np.exp(-rate_envelope * t_late[0])
-        bound = c_fit * np.exp(rate_envelope * t_late) * (1.0 + 1e-9) + 1e-300
-        return rate, bool(np.all(vals[late] <= bound))
-    return 0.0, bool(np.all(vals == 0) or late.sum() < 2)
+    t_late = times[late]
+    positive = np.all(vals[late] > 0)
+    rate = float(np.polyfit(t_late, np.log(vals[late]), 1)[0]) if positive else 0.0
+    c_fit = vals[late][0] * np.exp(-rate_envelope * t_late[0])
+    bound = c_fit * np.exp(rate_envelope * t_late) * (1.0 + 1e-9) + 1e-300
+    return rate, bool(np.all(vals[late] <= bound))
 
 
 def magnitude(samples):

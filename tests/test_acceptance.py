@@ -68,7 +68,7 @@ def test_criterion_01_operator_oracles(grid8):
     u1 = random_field(full, seed=300, amplitude=1.2, k_max=3)
     w1 = random_field(full, seed=301, amplitude=0.9, k_max=3)
     u, w = dealias(u1, grid8), dealias(w1, grid8)
-    k = modes(full).k
+    k = np.stack(np.broadcast_arrays(*modes(full).k))
     ksq = np.sum(k**2, axis=0)
 
     # filter: per-mode multiplier 1/(1 + alpha^2 |k|^2)

@@ -469,6 +469,18 @@ def slope_scale(times, values):
     return np.abs(np.log(values[positive])).max() / np.ptp(times) + 1.0
 
 
+def faked_decay(times, vals, beta, p):
+    """(fitted rate, envelope boolean) of zero_force_decay for p on a faked
+    run whose L^p norms at `times` are `vals`."""
+    states = [SimpleNamespace(t=t, u_phys=v) for t, v in zip(times, vals)]
+    params = PhysParams(alpha=1.0, beta=beta, nu=0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bardina.attractor, "sampled_states", lambda *args: iter(states))
+        mp.setattr(bardina.attractor, "_lp_norms", lambda v, p_list, dx: [v] * len(p_list))
+        rep = zero_force_decay(zero_field(GridSpec(8)), params, 1.0, 0.1, p_list=(p,))
+    return rep.fitted_rates[p], rep.envelopes_ok[p]
+
+
 class TestLateFits:
     """The closed-form slope and the one late-time envelope check."""
 
@@ -603,18 +615,22 @@ class TestZeroForceDecay:
     @given(series=late_series(), p=st.sampled_from([1, 2, 3.5, np.inf]),
            beta=st.floats(0.1, 3.0))
     def test_fits_match_the_former_inline_fit(self, series, p, beta):
-        # zero_force_decay on a faked run whose L^p norms are the series:
-        # the envelope booleans of the former check, its np.polyfit rates
+        # the envelope booleans of the former check, judged on every series,
+        # and its np.polyfit rates
         times, vals = series
-        states = [SimpleNamespace(t=t, u_phys=v) for t, v in zip(times, vals)]
-        params = PhysParams(alpha=1.0, beta=beta, nu=0.5)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bardina.attractor, "sampled_states", lambda *args: iter(states))
-            mp.setattr(bardina.attractor, "_lp_norms", lambda v, p_list, dx: [v] * len(p_list))
-            rep = zero_force_decay(zero_field(GridSpec(8)), params, 1.0, 0.1, p_list=(p,))
+        rate, ok = faked_decay(times, vals, beta, p)
         ref_rate, ref_ok = zero_force_fit_reference(times, vals, beta, p)
-        assert rep.envelopes_ok[p] == ref_ok
-        assert abs(rep.fitted_rates[p] - ref_rate) <= 1e-12 * slope_scale(times, vals)
+        assert ok == ref_ok
+        assert abs(rate - ref_rate) <= 1e-12 * slope_scale(times, vals)
+
+    @pytest.mark.parametrize("p", [2, np.inf])
+    def test_late_zeros_judged_by_the_envelope(self, p):
+        t = np.arange(4.0)
+        # an underflow to exactly 0 stays under the envelope; no rate is fit
+        assert faked_decay(t, np.array([1.0, 0.3, 0.1, 0.0]), 1.0, p) == (0.0, True)
+        assert faked_decay(t, np.array([1.0, 0.3, np.nan, 0.01]), 1.0, p) == (0.0, False)
+        assert faked_decay(t, np.array([1.0, 0.0, 0.1, 0.01]), 1.0, p) == (0.0, False)
+        assert faked_decay(t, np.zeros(4), 1.0, p) == (0.0, True)
 
     @pytest.mark.parametrize("p_list", [(0,), (2, -1), (np.nan,), (-np.inf,), (0.5, 2)])
     def test_rejects_p_below_one(self, grid8, params, p_list):

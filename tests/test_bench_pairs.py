@@ -169,6 +169,32 @@ def test_each_tree_runs_on_bytecode_compiled_from_its_own_files(tmp_path, monkey
     assert bench_pairs.BYTECODE["env"] == {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
+@pytest.mark.parametrize("args, expected", [
+    (["--workload", "steady-n32", "lyapunov-n16"], ["steady-n32", "lyapunov-n16"]),
+    (["--workload", "steady-n32", "--workload", "lyapunov-n16", "simulate-n64"],
+     ["steady-n32", "lyapunov-n16", "simulate-n64"]),
+    ([], ["simulate-n64", "steady-n32", "lyapunov-n16"]),
+])
+def test_workload_flag_takes_several_names(tmp_path, monkeypatch, args, expected):
+    seen = []
+    monkeypatch.setattr(bench_pairs, "OUT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *a: "")
+    for name in ("extract_tree", "copy_tree"):
+        monkeypatch.setattr(bench_pairs, name, lambda *a: tmp_path)
+    monkeypatch.setattr(bench_pairs, "compile_tree", lambda tree: tree)
+    monkeypatch.setattr(bench_pairs, "bench_pairs",
+                        lambda trees, workloads, *a: seen.append(workloads)
+                        or {w: [{"pair": 0, "dir": 0, "first": "base", "base": side(),
+                                 "head": side()}] for w in workloads})
+    assert bench_pairs.main(["--base", "HEAD", "--pairs", "1", "--seconds", "0.01",
+                             *args, "--label", "t"]) == 0
+    assert seen == [expected]
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--base", "HEAD", "--pairs", "1", "--seconds", "0.01",
+                          "--workload", "steady-n32", "nope", "--label", "t"])
+    assert exit_.value.code == 2
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_one_tiny_pair_against_head(tmp_path, monkeypatch):
     if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],

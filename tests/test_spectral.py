@@ -60,8 +60,13 @@ from oracles import (
     dft_oracle,
     full_transform_bilinear,
     half_spectrum,
+    dense_modes,
+    div_defect_dense,
+    divergence_dense,
+    gradient_dense,
     half_spectrum_modes,
     hermitian_defect,
+    leray_project_dense,
     idft_oracle,
     h1alpha_inner_reference,
     norms_reference,
@@ -175,7 +180,7 @@ class TestLerayProjection:
             full8, np.stack([forward_transform(raw[i], full8).hat for i in range(3)])
         )
         out = leray_project(u)
-        k = modes(full8).k
+        k = np.broadcast_arrays(*modes(full8).k)
         kdotu = np.abs(np.sum(k * out.hat, axis=0))
         assert kdotu.max() <= 1e-12
 
@@ -186,7 +191,7 @@ class TestLerayProjection:
             full8, np.stack([forward_transform(raw[i], full8).hat for i in range(3)])
         )
         out = leray_project(u)
-        k = modes(full8).k
+        k = np.broadcast_arrays(*modes(full8).k)
         m = fft_order(full8.n)
         for trial in range(20):
             idx = tuple(rng.integers(0, full8.half_shape))
@@ -1051,21 +1056,84 @@ class TestCachedSymbols:
            box_len=st.sampled_from([2 * np.pi, 1.0]) | st.floats(1e-3, 1e3))
     def test_box_modes_equal_the_half_spectrum_build(self, n, fraction, box_len):
         grid = GridSpec(n, box_len, fraction)
-        for got, expected in zip(modes(grid), half_spectrum_modes(grid)):
+        k, *rest = modes(grid)
+        for got, expected in zip([np.broadcast_arrays(*k), *rest], half_spectrum_modes(grid)):
+            got = np.asarray(got)
             assert got.shape == expected.shape and got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
 
     def test_in_place_write_raises(self, grid8, full8):
         cached = [
-            *modes(full8),
-            *modes(grid8),
-            *_bilinear_symbols(grid8, 0.5),
+            *modes(full8).k, *modes(full8)[1:],
+            *modes(grid8).k, *modes(grid8)[1:],
+            *_bilinear_symbols(grid8, 0.5)[0], *_bilinear_symbols(grid8, 0.5)[1:],
             *spectral._z_matrices(grid8),
         ]
         for a in cached:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1
         assert modes(grid8).ksq[0, 0, 0] == 0.0
+
+
+class TestBroadcastK:
+    """modes(grid).k holds k as a read-only x vector and y and z planes,
+    which broadcast to the dense (3,) + box_shape array it used to hold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 32).map(lambda h: 2 * h), fraction=st.floats(1 / 3, 1.0))
+    def test_broadcast_k_equals_the_dense_build(self, n, fraction):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        got = modes(grid)
+        b, p = grid.box_shape[1:]
+        assert [ki.shape for ki in got.k] == [(b, 1, 1), (1, b, p), (1, b, p)]
+        k = np.stack(np.broadcast_arrays(*got.k))
+        for a, expected in zip((k, got.ksq, got.leray), dense_modes(grid)):
+            assert a.shape == expected.shape and a.dtype == expected.dtype
+            assert a.tobytes() == expected.tobytes()
+
+    def test_each_array_is_read_only(self, grid8):
+        for ki in modes(grid8).k:
+            assert ki.size < math.prod(grid8.box_shape)  # no dense component
+            assert not ki.flags.writeable
+            with pytest.raises(ValueError):
+                ki[0, 0, 0] = 1.0
+        assert modes(grid8).k[0][0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("n, fraction", [(8, 2 / 3), (8, 1.0), (12, 0.5), (64, 2 / 3)])
+    def test_operators_equal_their_dense_k_forms(self, n, fraction, monkeypatch):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        rng = np.random.default_rng(n)
+        shape = (3,) + grid.box_shape
+        raw = VectorField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert raw.div_defect() == div_defect_dense(raw)
+        assert leray_project(raw).hat.tobytes() == leray_project_dense(raw).tobytes()
+        scalar = raw.component(1)
+        assert gradient(scalar).hat.tobytes() == gradient_dense(scalar).tobytes()
+        assert divergence(raw).hat.tobytes() == divergence_dense(raw).tobytes()
+        # the kernel's symbol stage, and the pressure's, with the dense k
+        u, w = random_field(grid, seed=41), random_field(grid, seed=42)
+        got = [bilinear(u, w, 0.7).hat.copy(), bilinear(u, u, 0.7).hat.copy(),
+               pressure_from_velocity(u, 0.7).hat]
+        symbols = _bilinear_symbols(grid, 0.7)
+        monkeypatch.setattr(spectral, "_bilinear_symbols",
+                            lambda g, alpha: (dense_modes(g)[0], *symbols[1:]))
+        expected = [bilinear(u, w, 0.7).hat.copy(), bilinear(u, u, 0.7).hat.copy(),
+                    pressure_from_velocity(u, 0.7).hat]
+        for a, e in zip(got, expected):
+            assert a.tobytes() == e.tobytes()
+
+    def test_fresh_build_holds_no_dense_temporary(self):
+        # at n = 64 the dense k and a |k|^2 denominator were 1.3 MB more
+        grid = GridSpec(64)
+        tracemalloc.start()
+        try:
+            m = modes.__wrapped__(grid)  # a fresh build, past the cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (*m.k, m.ksq, m.weights, m.leray))
+        assert held < m.ksq.nbytes + m.leray.nbytes + 0.02e6
+        assert peak <= held + 0.05e6
 
 
 def random_samples(n, seed, vector, log_scale):

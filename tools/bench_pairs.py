@@ -268,7 +268,8 @@ def main(argv=None):
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True, help="per perfbench run")
-    parser.add_argument("--workload", action="append", help="repeatable; default: all")
+    parser.add_argument("--workload", nargs="+", action="extend",
+                        help="one or more names, the flag repeatable; default: all")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dirs", type=int, default=1,
                         help="directories per side, taken in turn by the pairs")
