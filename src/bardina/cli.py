@@ -88,12 +88,11 @@ class Runner:
     def report(self, check_name, ok, **fields):
         """Write <subcommand>_report.json, with the CSV written before it as
         its series_file, and return its exit code: 0 if ok, else 5."""
-        p = self.cfg.params
         _write_json(
             self.path(f"{self.subcommand}_report.json"),
             {
                 "check_name": check_name,
-                "params": {"alpha": p.alpha, "beta": p.beta, "nu": p.nu, "eta_c": p.eta_c},
+                "params": self.cfg.params._asdict(),
                 "pass": bool(ok),
                 **self.series,
                 **fields,

@@ -40,7 +40,6 @@ __all__ = [
     "sampled_states",
     "evolve",
     "cfl_cap",
-    "check_cfl",
     "energy_budget_residual",
     "decay_envelope_check",
     "absorbing_ball_entry",
@@ -161,13 +160,6 @@ def cfl_cap(state):
     return 0.5 * state.u.grid.dx / umax if umax else np.inf
 
 
-def check_cfl(state, dt):
-    """Raise CFLError if dt exceeds the CFL cap of the state (cfl_cap)."""
-    cap = cfl_cap(state)
-    if dt > cap:
-        raise CFLError(state.t, dt, cap)
-
-
 def step(state, dt):
     """One ETD2RK step of the Galerkin system on the grid's retained box, from
     step i = step_index(state.t, dt) to time (i + 1) dt.  N(u) reads state.u_phys
@@ -176,17 +168,16 @@ def step(state, dt):
     so the step makes no sample array there.  Both N(u) and N(predictor) are
     nonlinear_term calls; the first reports the kernel's max |u| over the
     samples it read in a sups list, whose np.max (NaN if any entry is)
-    becomes state.u_max, which the CFL check compares with dt before N(u)
+    becomes state.u_max; the step compares dt with cfl_cap(state) before N(u)
     is used.  Both kernel results are views of the kernel's work array: the
-    step forms the predictor, drops the input state's u once the predictor
-    has read it, forms n0 = f - N(u) and puts w1 n0 into N(u)'s hat, and
-    forms the combine in N(predictor)'s hat and the predictor, so its
-    plateau is three box arrays (the force, u and the predictor, then the
-    force, the predictor and n0) beside the kernel's "box slot" scratch.
-    n0 is freed before the new state's certificate check.  Raises
-    ValueError as step_index or on two grids, CFLError if dt exceeds the
-    input's CFL cap (the input left whole), BlowUpError on non-finite
-    output."""
+    step forms the predictor, drops the input state's u once the predictor has
+    read it, forms n0 = f - N(u) and puts w1 n0 into N(u)'s hat, and forms the
+    combine in N(predictor)'s hat and the predictor, so its plateau is three
+    box arrays (the force, u and the predictor, then the force, the predictor
+    and n0) beside the kernel's "box slot" scratch.  n0 is freed before the
+    new state's certificate check.  Raises ValueError as step_index or on two
+    grids, CFLError if dt exceeds the input's CFL cap (the input left whole),
+    BlowUpError on non-finite output."""
     t = (step_index(state.t, dt) + 1) * dt
     grid = _check_shared_grid(state.u, state.force)
     alpha = state.params.alpha
@@ -195,7 +186,9 @@ def step(state, dt):
     sups = []
     nl = nonlinear_term(state.u, alpha, vars(state).get("u_phys"), sups).hat
     state.u_max = np.max(sups)
-    check_cfl(state, dt)
+    cap = cfl_cap(state)
+    if dt > cap:
+        raise CFLError(state.t, dt, cap)
     predictor = expz * state.u.hat
     del state.u  # its last read: u is freed here unless a caller holds it
     n0 = state.force.hat - nl

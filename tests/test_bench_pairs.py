@@ -17,9 +17,10 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def side(correct=True, minor_faults=4000, **metrics):
+def side(correct=True, minor_faults=4000, uncalibrated=None, kernel_ms=1.8, **metrics):
     return {"correct": correct, "attempted": 4, "failed": 0 if correct else 1,
-            "kernel_ms": 1.8, "minor_faults": minor_faults, "metrics": metrics}
+            "kernel_ms": kernel_ms, "minor_faults": minor_faults, "metrics": metrics,
+            "uncalibrated": uncalibrated or {}}
 
 
 def test_sides_alternate_which_goes_first(monkeypatch):
@@ -86,6 +87,48 @@ def test_summary_flags_a_change_over_its_bound():
         "base     1.0000 [0.9000, 1.1000]  head     1.3000  +30.00 %  head wins 0/3  over bound")
     assert bench_pairs._metric_line(out["setup_s"], 3) == (
         "base     0.2000 [0.2000, 0.2000]  head     0.1000  -50.00 %  head wins 3/3")
+
+
+def fake_perfbench(monkeypatch, stdout):
+    """run_side's subprocess.run replaced by one that prints `stdout`."""
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kwargs: (
+        subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")))
+
+
+def test_uncalibrated_lines_are_parsed_and_summarized(monkeypatch):
+    result = json.dumps({"correct": True, "attempted": 4, "failed": 0,
+                         "metrics": {"wall_cal_s": {"value": 0.5, "unit": "s"}}})
+    head = "# reference kernel: median {:.4f} ms, nominal 2.0000 ms\n"
+    raw = ("wall_cal_s                             0.500000 s\n"
+           "setup_raw_s                          {:14.6f} s  (uncalibrated)\n"
+           "wall_s                               {:14.6f} s  (uncalibrated)\n"
+           "steps_per_s                          {:14.6f} 1/s  (uncalibrated)\n"
+           "fail_frac                              0.000000 frac\n")
+    sides = {}
+    for name, kernel, values in (("base", 1.5, (0.2, 1.0, 300.0)), ("head", 2.0, (0.1, 1.5, 200.0))):
+        fake_perfbench(monkeypatch, head.format(kernel) + raw.format(*values) + result + "\n")
+        sides[name] = bench_pairs.run_side("T", "w1", 0, 0.1)
+    assert sides["base"]["uncalibrated"] == {"setup_raw_s": 0.2, "wall_s": 1.0,
+                                             "steps_per_s": 300.0}
+    assert sides["base"]["metrics"] == {"wall_cal_s": 0.5} and sides["head"]["kernel_ms"] == 2.0
+    runs = [{"pair": 0, "first": "base", **sides}]
+    out = bench_pairs.summarize(runs, bench_pairs.UNCALIBRATED, "uncalibrated")
+    assert sorted(out) == ["setup_raw_s", "steps_per_s", "wall_s"]
+    assert {k: (m["head"]["wins"], m["base"]["wins"]) for k, m in out.items()} == {
+        "setup_raw_s": (1, 0), "wall_s": (0, 1), "steps_per_s": (0, 1)}
+    assert all(m["bound"] is None and m["over_bound"] is None for m in out.values())
+    assert out["wall_s"]["unit"] == "s" and out["steps_per_s"]["better"] == "higher"
+    assert out["wall_s"]["rel_change"] == pytest.approx(0.5)
+    assert out["wall_s"]["head"]["q1"] == out["wall_s"]["head"]["median"] == 1.5
+    assert bench_pairs.kernel_medians(runs) == {"base": 1.5, "head": 2.0}
+
+    # a perfbench that prints no uncalibrated line gives empty entries
+    fake_perfbench(monkeypatch, result + "\n")
+    bare = bench_pairs.run_side("T", "w1", 0, 0.1)
+    assert bare["uncalibrated"] == {} and bare["kernel_ms"] is None
+    runs = [{"pair": 0, "first": "base", "base": bare, "head": bare}]
+    assert bench_pairs.summarize(runs, bench_pairs.UNCALIBRATED, "uncalibrated") == {}
+    assert bench_pairs.kernel_medians(runs) == {"base": None, "head": None}
 
 
 def test_fault_summary_per_side():
@@ -230,3 +273,8 @@ def test_one_tiny_pair_against_head(tmp_path, monkeypatch):
         assert m["head"]["wins"] + m["base"]["wins"] <= 1
         assert m["over_bound"] in (True, False)
         assert m["base"]["median"] > 0 and m["head"]["failed_runs"] == 0
+    # perfbench's uncalibrated lines, read from its real output
+    raw = result["workloads"]["lyapunov-n16"]["uncalibrated"]
+    assert set(raw) == {"setup_raw_s", "wall_s", "steps_per_s"}
+    assert all(m["over_bound"] is None and m["head"]["median"] > 0 for m in raw.values())
+    assert result["workloads"]["lyapunov-n16"]["kernel_ms"]["head"] == run["head"]["kernel_ms"]

@@ -510,18 +510,18 @@ class TestLyapunovLoop:
         # every base step checks the cap of the state it advances from, so
         # every sampled state but the last is checked
         stepped, checked = [], []
-        step, check_cfl = bardina.dynamics.step, bardina.dynamics.check_cfl
+        step, cfl_cap = bardina.dynamics.step, bardina.dynamics.cfl_cap
 
         def record_step(state, dt):
             stepped.append(state)
             return step(state, dt)
 
-        def record_check(state, dt):
+        def record_cap(state):
             checked.append(state)
-            return check_cfl(state, dt)
+            return cfl_cap(state)
 
         monkeypatch.setattr(bardina.dynamics, "step", record_step)
-        monkeypatch.setattr(bardina.dynamics, "check_cfl", record_check)
+        monkeypatch.setattr(bardina.dynamics, "cfl_cap", record_cap)
         code, out = run_cli(tmp_path, "lyapunov", self.INI)
         assert code == EXIT_OK
         assert len(stepped) == 25  # t_end / dt

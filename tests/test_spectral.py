@@ -42,8 +42,8 @@ from bardina import spectral
 from bardina.spectral import (
     CertificateError,
     _bilinear_symbols,
-    _blocks,
     _load_pocketfft,
+    _runs,
     _slab_rows,
     _work,
     bilinear,
@@ -548,8 +548,10 @@ class TestBoxKernel:
         assert grid.dealias_cutoff == n // 2
         assert grid.box_shape == grid.half_shape
         count = np.zeros(grid.half_shape)
-        for block in _blocks(count, grid):
-            block += 1
+        runs = _runs(grid, grid.n)
+        for x in runs:
+            for y in runs:
+                count[x, y, : grid.dealias_cutoff + 1] += 1
         assert np.all(count == 1)
 
     @pytest.mark.parametrize("fraction", FRACTIONS)

@@ -34,12 +34,15 @@ in one schema:
     scipy, cpu_count, machine; blas {name, version, config}, numpy's BLAS
     as numpy.show_config reports it; bytecode {env, trees}, the environment
     each run gets on top of this one's and how its tree was made;
-  * workloads: {W: {runs, metrics, minor_faults, minor_faults_by_dir}}.
+  * workloads: {W: {runs, metrics, uncalibrated, kernel_ms, minor_faults,
+    minor_faults_by_dir}}.
     Each run is {pair, dir, first, base, head}, each side {correct, attempted, failed, kernel_ms,
-    minor_faults, threads, metrics}, its metrics the values of run.py's
-    result line, threads the thread variables (OPENBLAS_NUM_THREADS and the
-    like) its perfbench gives its CLI processes, from the `# threads` line
-    ({} without one),
+    minor_faults, threads, metrics, uncalibrated}, its metrics the values of
+    run.py's result line, uncalibrated those of the lines run.py marks
+    `(uncalibrated)` (setup_raw_s, wall_s and steps_per_s: times not divided
+    by the reference kernel's; {} without them), threads the thread
+    variables (OPENBLAS_NUM_THREADS and the like) its perfbench gives its
+    CLI processes, from the `# threads` line ({} without one),
     kernel_ms the reference kernel's median (refclock.kernel_ms) and
     minor_faults the minor page faults of the whole perfbench run, all its
     processes (the change of getrusage(RUSAGE_CHILDREN).ru_minflt around
@@ -58,12 +61,17 @@ in one schema:
     faster fits more processes into the same seconds, and an allocation
     change on a small grid is judged by the spread of the parent's counts
     per process.  minor_faults_by_dir holds the same summary of each
-    directory's runs.
+    directory's runs.  uncalibrated summarizes the runs' uncalibrated
+    values as metrics summarizes theirs, each with the unit and direction of
+    UNCALIBRATED and no bound, since BENCHMARK.json gates none of them;
+    kernel_ms is per side the median of the runs' kernel_ms (None without
+    one), which a calibrated metric divides by.
 
 Per workload and metric it prints the base's median and [q1, q3], the
 head's median, the relative change, the pairs the head won and `over
-bound` when over_bound is true; then the minor faults per process, per
-side and, with several directories, per directory.
+bound` when over_bound is true; the same for each uncalibrated value,
+marked `(uncalibrated)`; each side's median kernel_ms; then the minor
+faults per process, per side and, with several directories, per directory.
 
 The exit status is 1 when a run of either side was not correct.
 """
@@ -89,6 +97,10 @@ SIDES = ("base", "head")
 OUT = ROOT  # the directory of BENCH_<label>.json
 KERNEL = re.compile(r"^# reference kernel: median ([0-9.]+) ms")
 THREADS = re.compile(r"^# threads (.*)$")
+RAW = re.compile(r"^(\S+)\s+(\S+)\s+\S+\s+\(uncalibrated\)$")  # its name and value
+UNCALIBRATED = {"setup_raw_s": {"unit": "s", "better": "lower"},  # as run.py's RAW_UNITS
+                "wall_s": {"unit": "s", "better": "lower"},
+                "steps_per_s": {"unit": "1/s", "better": "higher"}}
 RUN_TIMEOUT_S = 600
 TREE = ["src", "perfbench"]  # what each side's tree holds
 BYTECODE = {  # recorded in BENCH_<label>.json
@@ -116,7 +128,8 @@ def compile_tree(tree):
 
 def run_side(tree, workload, seed, seconds):
     """One perfbench run in `tree`: {correct, attempted, failed, kernel_ms,
-    metrics}; a run that ends without a result line is not correct."""
+    minor_faults, threads, metrics, uncalibrated}; a run that ends without
+    a result line is not correct."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
@@ -127,7 +140,7 @@ def run_side(tree, workload, seed, seconds):
         result = json.loads(lines[-1])
     except (subprocess.TimeoutExpired, IndexError, ValueError):
         return {"correct": False, "attempted": 0, "failed": 0, "kernel_ms": None,
-                "minor_faults": None, "threads": {}, "metrics": {}}
+                "minor_faults": None, "threads": {}, "metrics": {}, "uncalibrated": {}}
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     kernel = [float(m.group(1)) for m in map(KERNEL.match, lines) if m]
     threads = [m.group(1).split() for m in map(THREADS.match, lines) if m]
@@ -139,6 +152,7 @@ def run_side(tree, workload, seed, seconds):
         "minor_faults": faults,
         "threads": dict(v.split("=", 1) for v in threads[0]) if threads else {},
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "uncalibrated": {m.group(1): float(m.group(2)) for m in map(RAW.match, lines) if m},
     }
 
 
@@ -148,20 +162,21 @@ def _spread(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs, spec):
+def summarize(runs, spec, key="metrics"):
     """Per-metric summary of the runs of one workload (see the module
-    docstring); spec maps a metric's name to its BENCHMARK.json entry."""
-    names = sorted({m for r in runs for side in SIDES for m in r[side]["metrics"]})
+    docstring); spec maps a metric's name to its BENCHMARK.json entry, key
+    names the sides' field of values: "metrics" or "uncalibrated"."""
+    names = sorted({m for r in runs for side in SIDES for m in r[side][key]})
     out = {}
     for name in names:
         entry = {k: spec.get(name, {}).get(k) for k in ("unit", "better", "bound")}
         for side in SIDES:
-            values = [r[side]["metrics"][name] for r in runs if name in r[side]["metrics"]]
+            values = [r[side][key][name] for r in runs if name in r[side][key]]
             entry[side] = dict(_spread(values) if values else {}, wins=0,
                                failed_runs=sum(not r[side]["correct"] for r in runs))
         sign = {"lower": -1, "higher": 1}.get(entry["better"], 0)
         for r in runs:
-            a, b = (r[side]["metrics"].get(name) for side in SIDES)
+            a, b = (r[side][key].get(name) for side in SIDES)
             if sign and a is not None and b is not None and a != b:
                 entry["head" if sign * (b - a) > 0 else "base"]["wins"] += 1
         base, head = entry["base"].get("median"), entry["head"].get("median")
@@ -170,6 +185,15 @@ def summarize(runs, spec):
         entry["over_bound"] = (None if None in (rel, entry["bound"]) or not sign
                                else -sign * rel > entry["bound"])
         out[name] = entry
+    return out
+
+
+def kernel_medians(runs):
+    """Per side the median of the runs' kernel_ms, None without one."""
+    out = {}
+    for side in SIDES:
+        values = [r[side]["kernel_ms"] for r in runs if r[side]["kernel_ms"] is not None]
+        out[side] = statistics.median(values) if values else None
     return out
 
 
@@ -303,6 +327,8 @@ def main(argv=None):
                   "head": compile_tree(copy_tree(d / "head"))} for d in dirs]
         runs = bench_pairs(trees, workloads, args.pairs, args.seconds, args.seed)
     result["workloads"] = {w: {"runs": r, "metrics": summarize(r, spec),
+                               "uncalibrated": summarize(r, UNCALIBRATED, "uncalibrated"),
+                               "kernel_ms": kernel_medians(r),
                                "minor_faults": summarize_faults(r),
                                "minor_faults_by_dir": [
                                    summarize_faults([x for x in r if x["dir"] == d])
@@ -313,6 +339,10 @@ def main(argv=None):
     for w, entry in result["workloads"].items():
         for name, m in entry["metrics"].items():
             print(f"{w:14s} {name:16s} {_metric_line(m, len(entry['runs']))}")
+        for name, m in entry["uncalibrated"].items():
+            print(f"{w:14s} {name:16s} {_metric_line(m, len(entry['runs']))}  (uncalibrated)")
+        print(f"{w:14s} {'kernel_ms':16s} median: " + "  ".join(
+            f"{side} {entry['kernel_ms'][side] or float('nan'):.4f}" for side in SIDES))
         faults = entry["minor_faults"]
         print(f"{w:14s} {'minor_faults':16s} per process, median [q1, q3] (min-max): "
               + "  ".join(f"{side} {_fault_spread(faults[side])}" for side in SIDES))
