@@ -95,7 +95,9 @@ def linearized_rhs(w, u, params):
 
 def lyapunov_sum_bound(m, u, params):
     """Right side of the Lyapunov-sum estimate:
-    -beta m + 2 C_LT^4/(nu^{12/5} alpha^{6/5}) |u|_H1^{14/5} + (3/8) a^2 |u|_H2^2."""
+    -beta m + 2 C_LT^4/(nu^{12/5} alpha^{6/5}) |u|_H1^{14/5} + (3/8) a^2 |u|_H2^2.
+    m may be an array of frame sizes: the bounds of all of them, from one
+    norms(u)."""
     c_lt = lieb_thirring_constant()
     nb = norms(u, params.alpha)
     return (

@@ -211,7 +211,9 @@ def cmd_lyapunov(runner):
     u_phys, formed once, serves the frame work and the next base step.  At
     each sampled state, transport_frame gives each frame's Lyapunov sum and
     moves the frame by the base steps up to the next sample (sample_steps),
-    none after the last sample.  The base steps check the CFL cap."""
+    none after the last sample.  The bounds of every frame size come from
+    one lyapunov_sum_bound call per sampled state.  The base steps check the
+    CFL cap."""
     cfg = runner.cfg
     p, dt, every = cfg.params, cfg.dt, cfg.sample_every
     force = runner.force_field()
@@ -221,9 +223,9 @@ def cmd_lyapunov(runner):
     windows = [*np.diff(sample_steps(0.0, cfg.t_end, dt, every)), 0]
     base = sampled_states(SimState(runner.initial_field(), 0.0, p, force), cfg.t_end, dt, every)
     for window, st in zip(windows, base):
-        for i, m in enumerate(cfg.m_list):
+        bounds = lyapunov_sum_bound(np.array(cfg.m_list), st.u, p)
+        for i, (m, bound) in enumerate(zip(cfg.m_list, bounds)):
             frames[i], total = transport_frame(frames[i], st, dt, window)
-            bound = lyapunov_sum_bound(m, st.u, p)
             rows[i].append([m, st.t, total, bound, bound - total])
     rows = [row for group in rows for row in group]
     all_ok = all(total <= bound + 1e-10 * p.beta * m for m, _, total, bound, _ in rows)

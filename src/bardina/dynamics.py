@@ -174,8 +174,8 @@ def step(state, dt):
     read it, forms n0 = f - N(u) and puts w1 n0 into N(u)'s hat, and forms the
     combine in N(predictor)'s hat and the predictor, so its plateau is three
     box arrays (the force, u and the predictor, then the force, the predictor
-    and n0) beside the kernel's "box slot" scratch.  n0 is freed before the
-    new state's certificate check.  Raises ValueError as step_index or on two
+    and n0) beside the kernel's work arrays.  n0 is freed before the new
+    state's certificate check.  Raises ValueError as step_index or on two
     grids, CFLError if dt exceeds the input's CFL cap (the input left whole),
     BlowUpError on non-finite output."""
     t = (step_index(state.t, dt) + 1) * dt

@@ -81,6 +81,9 @@ def generate(recipe, grid, alpha=1.0):
     return VectorField(grid, hat, div_free=True)  # the one certificate check
 
 
+DRAW_BYTES = 1 << 20  # most bytes of one block of a random_band draw
+
+
 def _random_band(recipe, grid, alpha):
     cutoff = grid.dealias_cutoff
     if recipe.k_max > cutoff or recipe.k_min < 0:
@@ -94,19 +97,43 @@ def _random_band(recipe, grid, alpha):
     # |m| <= k_max <= cutoff, so the band lies inside the box.  Both parts
     # are drawn on the full spectrum, so a seed gives the same field on any
     # grid of n whose box holds the band; c(m) is Hermitian-symmetrized from
-    # the draws at the band modes m (full-spectrum index m mod n) and -m.
+    # the draws at the band modes m (full-spectrum index m mod n) and -m,
+    # the only values of each draw that are kept (_band_draws).
     bx, by, bz = np.nonzero((mag >= recipe.k_min) & (mag <= recipe.k_max))
     x, y, z = mb[bx] % n, mb[by] % n, mz[bz] % n
-    mx, my, mz = -x % n, -y % n, -z % n
-    draw = np.empty((3, n, n, n))
-    rng.standard_normal(out=draw)
-    re, re_m = draw[:, x, y, z], draw[:, mx, my, mz]
-    rng.standard_normal(out=draw)
-    im, im_m = draw[:, x, y, z], draw[:, mx, my, mz]
+    comps, cube = np.arange(3)[:, None], (3, n, n, n)
+    at = np.stack([np.ravel_multi_index((comps, x, y, z), cube),
+                   np.ravel_multi_index((comps, -x % n, -y % n, -z % n), cube)])
+    (re, re_m), (im, im_m) = _band_draws(rng, n, at)
+    c = 0.5 * ((re + 1j * im) + np.conj(re_m + 1j * im_m))
+    # projected on the band's modes only: _project is per mode, and the
+    # modes outside the band stay +0 in the box either way
+    symbols = modes(grid)
+    k = tuple(np.broadcast_to(ki, grid.box_shape)[bx, by, bz] for ki in symbols.k)
+    band = symbols._replace(k=k, leray=symbols.leray[:, bx, by, bz])
     hat = np.zeros((3,) + grid.box_shape, dtype=np.complex128)
-    hat[:, bx, by, bz] = 0.5 * ((re + 1j * im) + np.conj(re_m + 1j * im_m))
-    hat = _project(hat, modes(grid))
-    current = norms(VectorField(grid, hat), alpha).h1alpha_sq
-    if current > 0:
+    hat[:, bx, by, bz] = _project(c, band)
+    current = norms(VectorField(grid, hat), alpha).h1alpha_sq  # summed over the box
+    if current > 0:  # the whole box: a negative amplitude turns its +0s to -0s, as it did
         hat *= recipe.amplitude / np.sqrt(current)
     return hat
+
+
+def _band_draws(rng, n, at):
+    """The values at the flat indices `at` of two successive standard-normal
+    draws of shape (3, n, n, n), as an array (2,) + at.shape.  Each draw is
+    taken in blocks of whole (n, n) planes, at most DRAW_BYTES a block, in
+    one reused buffer: blocked calls of standard_normal(out=...) give the
+    values of one whole call, and the whole draw is one block up to n = 32."""
+    plane, planes = n * n, 3 * n
+    per_block = max(1, DRAW_BYTES // (8 * plane))
+    block = np.empty((min(per_block, planes), plane))
+    draws = np.empty((2,) + at.shape)
+    for d in draws:
+        for lo in range(0, planes, per_block):
+            part = block[: min(per_block, planes - lo)]
+            rng.standard_normal(out=part)
+            start = lo * plane
+            inside = (at >= start) & (at < start + part.size)
+            d[inside] = part.ravel()[at[inside] - start]
+    return draws

@@ -35,10 +35,14 @@ Conventions used throughout:
     run, for none of what bardina uses.  numpy.fft 2.4 costs more per call
     on these small strided arrays (x-y pass on (5, 16, 16, 6): 88 against
     56 us with scipy 1.17 on a 2-vCPU x86-64 host).
-    Where a grid's 5 product slots exceed SLAB_BYTES (2 MiB, one core's L2
-    on that host), i.e. at n >= 64, the pair and the kernel run slab by
-    slab of x rows, as many as fit in SLAB_BYTES with all a kernel slab
-    holds (3 at n = 64), with the passes pruned to the box.  Per slab, with
+    Where a grid's 5 product slots exceed SLAB_BYTES (1.5 MiB, within one
+    core's 2 MiB L2 on that host), i.e. at n >= 64, the pair and the kernel
+    run slab by slab of x rows, as many as fit in SLAB_BYTES with all a
+    kernel slab holds (2 at n = 64), with the passes pruned to the box.  A
+    kernel call B(u, u) at n = 64 took 13.1-13.3 ms in slabs of 1 row,
+    12.5-12.7 ms in 2 and 12.6-13.1 ms in 3 (two sessions, medians of 12
+    alternating best-of-5 runs, one BLAS thread): 2 rows are the fewest
+    within noise of 3, and hold 0.5 MB less of slab arrays.  Per slab, with
     one BLAS thread, a pruned z product beat r2c and c2r at n = 64 (forward
     100 against 130 us, inverse 75 against 83 us) and lost at n = 128 (268
     against 182 us, 267 against 106 us); the slab path keeps pocketfft at
@@ -70,18 +74,20 @@ Conventions used throughout:
     kernel transforms (u, or w when u_phys is given) or of
     inverse_transform's field, as slab s reads its rows before the forward
     writes them; a second input field's x transform takes the (3, n, b,
-    c+1) "x w".  Beside them, a slab each, the samples, products, z
-    spectrum and y pad.  The forward moves the box's x rows together in
-    place, so its spectra are the first b rows of the x-pass array.  On
-    every grid the forward's spectra are thus a view of a work array:
-    tensor_product_spectra returns it, bilinear writes B into its slots
-    0-2, with one box slot of scratch ("box slot"), and returns their view,
-    and the other callers of _forward copy it out; each is valid until the
-    grid's next transform or h1alpha_inner call.  h1alpha_inner weighs its
-    operand in the x-pass array, unless an operand overlaps it.  No call
-    maps fresh pages for them, and every other result is a new array, but
-    neither the pair nor the kernel is re-entrant: one thread at a time,
-    as in the CLI.
+    c+1) "x w".  Beside them, a slab each, the y pad and, in one buffer
+    (_slab_arrays), the samples, products and z spectrum.  The forward
+    moves the box's x rows together in place, so its spectra are the first
+    b rows of the x-pass array.  On every grid the forward's spectra are
+    thus a view of a work array: tensor_product_spectra returns it,
+    bilinear writes B into its slots 0-2 and returns their view, and the
+    other callers of _forward copy it out; each is valid until the grid's
+    next transform or h1alpha_inner call.  bilinear's box slot of scratch
+    is memory that is dead by then (_box_scratch): the x-pass array on the
+    one pass, the slab buffer, which holds at least one box slot, on slab
+    grids.  h1alpha_inner weighs its operand in the x-pass array, unless
+    an operand overlaps it.  No call maps fresh pages for them, and every
+    other result is a new array, but neither the pair nor the kernel is
+    re-entrant: one thread at a time, as in the CLI.
   * Coefficients are normalized so that u(x) = sum_m c_m exp(i k.x), k =
     2 pi m / L, i.e. c = fftn(samples) / n^3.  Parseval reads integral
     |u|^2 dx = L^3 * sum_m |c_m|^2; a mode with 0 < m_z < n/2 counts twice.
@@ -231,7 +237,7 @@ def _work(key, shape, dtype):
     return np.zeros(shape, dtype)
 
 
-SLAB_BYTES = 2 << 20  # cache budget of a slab: see "One transform pair" above
+SLAB_BYTES = 3 << 19  # cache budget of a slab: see "One transform pair" above
 GEMM_MACS = 1 << 18  # multiply-adds of one z-pass product: see "One transform pair"
 
 
@@ -452,7 +458,7 @@ def _forward_slabs(slabs, lead, grid, rows):
     x on those rows only.  The box's x rows are moved together in place, so
     the result is a view of the x-pass array, valid until its next use."""
     n, (b, p) = grid.n, grid.box_shape[1:]
-    z = _work("z slab", lead + (rows, n, n // 2 + 1), complex)
+    z = _slab_arrays(grid, rows)[1][: math.prod(lead)].reshape(lead + (rows, n, n // 2 + 1))
     acc = _x_slots(grid, lead)
     runs = list(zip(_runs(grid, n), _runs(grid, b)))  # (rows of n, rows of the box)
     for s, t in slabs:
@@ -515,6 +521,30 @@ def _x_slots(grid, lead):
     pass and (5, n, b, c+1) on slab grids: see "Work arrays"."""
     y = grid.n if _slab_rows(grid.n) is None else grid.box_shape[1]
     return _slots("x pass", (grid.n, y, grid.box_shape[-1]), lead)
+
+
+def _slab_arrays(grid, rows):
+    """The slab path's one complex work array, of at least one box slot
+    (bilinear's scratch once the slabs are consumed), and its slab arrays:
+    the z spectra, 5 slots (rows, n, n//2+1), then, as float, the 5
+    products, u's and w's samples (3 slots each) and one slot of scratch,
+    each slot (rows, n, n).  The array's size keys it, so grids of other
+    rows or boxes may share it: every view is formed per call."""
+    n, h = grid.n, grid.n // 2 + 1
+    z, f = 5 * rows * n * h, 6 * rows * n * n
+    buf = _work("slabs", (max(z + f, math.prod(grid.box_shape)),), complex)
+    f = buf[z : z + f].view(float).reshape(12, rows, n, n)
+    return buf, buf[:z].reshape(5, rows, n, h), f[:5], f[5:8], f[8:11], f[11]
+
+
+def _box_scratch(grid):
+    """One box slot of complex scratch in a work array that is dead once the
+    forward has returned: on the one pass the x-pass array, whose box the
+    forward copied out, and on slab grids the slab buffer, whose slabs it
+    consumed."""
+    rows = _slab_rows(grid.n)
+    a = _x_slots(grid, (5,)).ravel() if rows is None else _slab_arrays(grid, rows)[0]
+    return a[: math.prod(grid.box_shape)].reshape(grid.box_shape)
 
 
 def _inverse_x(hat, grid, a):
@@ -706,18 +736,14 @@ def _product_slabs(u, w, u_phys, rows, sups):
     xu = None if u_phys is not None else _inverse_x(u.hat, grid, _x_slots(grid, (3,)))
     xw = None if w is u else _inverse_x(w.hat, grid, _x_slots(grid, (3,)) if xu is None
                                         else _work("x w", xu.shape, complex))
-    shape = (rows, n, n)
-    ua = None if xu is None else _work("u slab", (3,) + shape, float)
-    wa = None if xw is None else _work("w slab", (3,) + shape, float)
-    tmp = None if xw is None else _work("scratch slab", shape, float)
-    t = _work("products slab", (5,) + shape, float)
+    t, ua, wa, tmp = _slab_arrays(grid, rows)[2:]
     for s in _slabs(n, rows):
         k = s.stop - s.start
         a = u_phys[:, s] if xu is None else _inverse_yz(xu, grid, s, rows, ua[:, :k])
         if sups is not None:
             sups.append(_abs_max(a))
         b = a if xw is None else _inverse_yz(xw, grid, s, rows, wa[:, :k])
-        yield s, _traceless_products(a, b, t[:, :k], None if tmp is None else tmp[:k])
+        yield s, _traceless_products(a, b, t[:, :k], tmp[:k])
 
 
 @lru_cache(maxsize=32)
@@ -752,17 +778,18 @@ def bilinear(u, w, alpha, u_phys=None, sups=None):
     2 B(u, w) = P(((w.grad)u + (u.grad)w)_alpha).  One inverse transform per
     distinct input, one forward transform of the 5 traceless products, and
     the symbols applied on the retained box only, in place in those 5 slots
-    of a work array.  B is written into slots 0-2, with the grid's "box
-    slot" work array as scratch: the result's hat is their view, valid
-    until the grid's next transform or h1alpha_inner call, so a caller that
-    keeps it copies it.  A caller that applies B(u, .) to many fields passes
-    u_phys = inverse_transform(u) once and saves the transform of u; `sups`
-    collects max |u| as in tensor_product_spectra.
+    of a work array.  B is written into slots 0-2, with a box slot of
+    scratch in a work array dead by then (_box_scratch): the result's hat
+    is their view, valid until the grid's next transform or h1alpha_inner
+    call, so a caller that keeps it copies it.  A caller that applies
+    B(u, .) to many fields passes u_phys = inverse_transform(u) once and
+    saves the transform of u; `sups` collects max |u| as in
+    tensor_product_spectra.
     """
     grid = _check_shared_grid(u, w)
     t = tensor_product_spectra(u, w, u_phys, sups)
     k, kk, g = _bilinear_symbols(grid, alpha)
-    s = _work("box slot", grid.box_shape, complex)
+    s = _box_scratch(grid)
     v0, v1, v2, q, _ = _div_in_place(t, k, s)
     np.multiply(k[0], v0, out=q)  # k . v, in T13's slot
     q += np.multiply(k[1], v1, out=s)

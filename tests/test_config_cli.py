@@ -506,6 +506,17 @@ class TestLyapunovLoop:
         got = [[float(x) for x in line.split(",")] for line in lines[1:]]
         assert got == per_frame_size_rows(parse_config(self.INI))
 
+    def test_bound_formed_once_per_sampled_state(self, tmp_path, monkeypatch):
+        # one lyapunov_sum_bound call, and so one norms(u), per sampled state
+        # serves every frame size: the 6 samples of t_end / (dt every)
+        calls = []
+        bound = bardina.cli.lyapunov_sum_bound
+        monkeypatch.setattr(bardina.cli, "lyapunov_sum_bound",
+                            lambda m, u, p: calls.append(m) or bound(m, u, p))
+        code, _ = run_cli(tmp_path, "lyapunov", self.INI)
+        assert code == EXIT_OK
+        assert [list(m) for m in calls] == [[1, 2, 4]] * 6
+
     def test_cfl_checked_at_every_sampled_state(self, tmp_path, monkeypatch):
         # every base step checks the cap of the state it advances from, so
         # every sampled state but the last is checked

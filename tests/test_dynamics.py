@@ -456,10 +456,11 @@ class TestStepFreesItsInput:
         # n = 64, the input state made under tracing, with box arrays of
         # 1.95 MB: u and the force, then the predictor, which frees u, and
         # n0; both kernel results, w1 n0 and the combine live in the x-pass
-        # array, with the "box slot" scratch (made at the warm-up), and the
-        # kernel's calls add 0.13 MB of cast buffers beside them.  n0 is
-        # freed before the new state's certificate check.  A new array for
-        # N(u) or N(predictor), or holding u to n0, would add a fourth
+        # array, with the symbol stage's scratch in the slab buffer (made at
+        # the warm-up), and the kernel's calls add 0.13 MB of cast buffers
+        # beside them.  n0 is freed before the new state's certificate
+        # check.  A new array for N(u) or N(predictor), or holding u to n0,
+        # would add a fourth
         grid = GridSpec(64)
         u, force = (random_field(grid, params.alpha, seed, k_max=6) for seed in (68, 69))
         step(SimState(u.copy(), 0.0, params, force), 0.001)  # warm-up: symbols and work arrays
@@ -470,7 +471,7 @@ class TestStepFreesItsInput:
         finally:
             tracemalloc.stop()
         box = 3 * math.prod(grid.box_shape) * 16
-        assert peak < 3 * box + box / 3  # the scratch slot's size
+        assert peak < 3 * box + box / 3  # a box slot of margin
 
 
     def test_diagnostics_form_no_box_array(self, params):

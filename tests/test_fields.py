@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import bardina.fields
 from bardina import FieldRecipe, GridSpec, VectorField, generate, norms
 from bardina.spectral import DIV_FREE_TOL, fft_order, inverse_transform
 
@@ -103,16 +106,58 @@ class TestGenerate:
         outside = (mag < 2) | (mag > 2)
         assert np.abs(u.coeffs[:, outside]).max() == 0.0
 
-    @pytest.mark.parametrize("n, fraction", [(8, 2 / 3), (16, 1.0), (32, 2 / 3), (64, 2 / 3)])
+    # n = 20 and 30: grids whose n is no power of two; n = 64: the draws
+    # span 6 blocks of DRAW_BYTES
+    @pytest.mark.parametrize("n, fraction", [(8, 2 / 3), (16, 1.0), (20, 2 / 3), (30, 2 / 3),
+                                             (32, 2 / 3), (64, 2 / 3), (64, 1.0)])
     @pytest.mark.parametrize("seed", [0, 11])
     def test_random_band_matches_full_spectrum_construction(self, n, fraction, seed):
         grid = GridSpec(n, dealias_fraction=fraction)
         cutoff = grid.dealias_cutoff
         for k_min, k_max in ((0, 0), (0, 2), (1, 2), (2, cutoff)):
             r = FieldRecipe("random_band", 0.7, seed=seed, k_min=k_min, k_max=k_max)
-            got = half_hat(generate(r, grid, alpha=0.8))
-            ref = random_band_full_spectrum(r, grid, 0.8).hat
-            # bitwise on every mode; zeros may differ in sign only
-            assert np.array_equal(got, ref)
-            nonzero = ref != 0
-            assert got[nonzero].tobytes() == ref[nonzero].tobytes()
+            assert_matches_full_spectrum(r, grid, 0.8)
+
+    @pytest.mark.parametrize("amplitude, k_max", [(0.8, 6), (1.0, 3)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_simulate_recipes_match_full_spectrum_construction(self, amplitude, k_max, seed):
+        # the initial field and the force of benchmark workload simulate-n64
+        r = FieldRecipe("random_band", amplitude, seed=seed, k_min=1, k_max=k_max)
+        assert_matches_full_spectrum(r, GridSpec(64), 0.5)
+
+    @pytest.mark.parametrize("n, planes", [(16, 1), (16, 5), (16, 7), (40, 81)])
+    def test_blocked_draws_match_full_spectrum_construction(self, n, planes, monkeypatch):
+        # blocks of 1 to 81 of the 3n planes of a draw, the last block shorter
+        # where they do not divide 3n (81 planes: DRAW_BYTES at n = 40)
+        monkeypatch.setattr(bardina.fields, "DRAW_BYTES", planes * 8 * n * n + 8)
+        grid = GridSpec(n)
+        for seed, k_max in ((3, 2), (4, grid.dealias_cutoff)):
+            r = FieldRecipe("random_band", 0.9, seed=seed, k_min=1, k_max=k_max)
+            assert_matches_full_spectrum(r, grid, 0.6)
+
+    def test_random_band_peak_memory(self):
+        # n = 64: one (3, n, n, n) draw is 6.3 MB.  Drawn in blocks of at
+        # most DRAW_BYTES, of which the band's values alone are kept, and
+        # projected on the band's modes, generate's peak beyond the field it
+        # returns (1.95 MB) stays below one more such box array plus one
+        # block: the certificate check's temporaries, 1.4 MB, set it
+        grid = GridSpec(64)
+        r = FieldRecipe("random_band", 0.8, seed=0, k_min=1, k_max=6)
+        generate(r, grid, 0.5)  # warm-up: symbols
+        tracemalloc.start()
+        try:
+            u = generate(r, grid, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - u.hat.nbytes < u.hat.nbytes + bardina.fields.DRAW_BYTES
+
+
+def assert_matches_full_spectrum(recipe, grid, alpha):
+    """The recipe's field on grid is the full-spectrum construction's:
+    bitwise on every mode, where zeros may differ in sign only."""
+    got = half_hat(generate(recipe, grid, alpha))
+    ref = random_band_full_spectrum(recipe, grid, alpha).hat
+    assert np.array_equal(got, ref)
+    nonzero = ref != 0
+    assert got[nonzero].tobytes() == ref[nonzero].tobytes()

@@ -674,10 +674,10 @@ class TestWorkArrays:
 
     def test_slab_bilinear_peak_memory(self):
         # n = 64: the symbol stage runs in the 5-slot spectra, in the x-pass
-        # array, with the "box slot" work array as scratch, and writes B into
-        # their slots 0-2, so a call allocates no array but the ufuncs' cast
-        # buffer of float symbols times complex spectra, 131 kB (a new 3-slot
-        # result would be 1.95 MB)
+        # array, with a box slot of the slab buffer as scratch, and writes B
+        # into their slots 0-2, so a call allocates no array but the ufuncs'
+        # cast buffer of float symbols times complex spectra, 131 kB (a new
+        # 3-slot result would be 1.95 MB)
         grid = GridSpec(64)
         u, w = (dealias(general_field(grid, s), grid) for s in (78, 79))
         u_phys = inverse_transform(u)
@@ -769,6 +769,38 @@ class TestWorkArrays:
         tensor_product_spectra(u, w)
         assert [m for m in made if m[1][-3:] == (n, b, p)][1:] == [
             ("x w", (3, n, b, p), np.dtype(complex))]
+
+    @pytest.mark.parametrize("n, rows, fraction", [(32, None, 2 / 3), (64, None, 2 / 3),
+                                                    (64, None, 1.0), (12, 1, 1.0),
+                                                    (16, 3, 2 / 3), (16, 1, 1.0)])
+    def test_scratch_in_a_dead_work_array(self, n, rows, fraction, monkeypatch):
+        # the symbol stage's box slot of scratch is no work array of its
+        # own: on the one pass it is the start of the x-pass array, whose box
+        # the forward has copied out, and on slab grids the start of the slab
+        # buffer, whose slabs the forward has consumed (at fraction 1 the box
+        # slot outgrows the slabs and sizes the buffer); it never overlaps the
+        # spectra, and B is the reference's byte for byte
+        if rows:
+            slab_budget(monkeypatch, n, rows)
+        grid = GridSpec(n, dealias_fraction=fraction)
+        u, w = (dealias(general_field(grid, s), grid) for s in (98, 99))
+        made = self.fresh_work(monkeypatch)
+        stages, div_in_place = [], spectral._div_in_place
+        monkeypatch.setattr(spectral, "_div_in_place",
+                            lambda t, k, s: stages.append((t, s)) or div_in_place(t, k, s))
+        for args in ((u, w), (u, u), (u, w, inverse_transform(u))):
+            got = bilinear(*args[:2], 0.7, *args[2:]).hat.copy()
+            assert got.tobytes() == bilinear_symbol_stage(*args[:2], 0.7, *args[2:]).tobytes()
+        names = [m[0] for m in made]
+        assert "box slot" not in names and len(stages) == 3
+        if _slab_rows(n) is None:
+            dead = spectral._x_slots(grid, (5,))
+        else:
+            assert names.count("slabs") == 1
+            dead = spectral._slab_arrays(grid, _slab_rows(n))[0]
+        for t, s in stages:
+            assert s.shape == grid.box_shape and s.flags.c_contiguous
+            assert np.may_share_memory(s, dead) and not np.may_share_memory(s, t)
 
     def test_cold_slab_kernel_peak_memory(self, monkeypatch):
         # n = 64, work arrays counted: the 4.84 MB x-pass array, which holds
@@ -933,7 +965,7 @@ class TestSlabPath:
 
     def test_only_grids_beyond_the_budget_take_slabs(self):
         assert _slab_rows(16) is None and _slab_rows(32) is None
-        assert _slab_rows(64) == 3  # 2 MiB over 520 KiB a row
+        assert _slab_rows(64) == 2  # 1.5 MiB over 520 KiB a row
         assert _slab_rows(256) == 1
 
     @staticmethod
